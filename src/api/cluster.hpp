@@ -150,7 +150,9 @@ struct ClusterSpec
     ClusterSpec &trace(bool on = true);
 
     /** Trace only 1 in 2^shift operations (deterministic id-hash subset;
-     *  0 restores full tracing).  See Config::traceSampleShift. */
+     *  0 restores full tracing).  @p shift must be in [0, 63]; anything
+     *  larger is rejected by Config::validate().  See
+     *  Config::traceSampleShift. */
     ClusterSpec &traceSample(std::uint32_t shift);
 
     /** Seed for all stochastic decisions (determinism contract). */
@@ -161,13 +163,6 @@ struct ClusterSpec
 
     /** Link fault model (inert spec disables it). */
     ClusterSpec &faults(const FaultSpec &f);
-
-    /** Shards for the parallel fabric engine (Config::shards): packet
-     *  workloads built from this spec (net::FabricSim, the scaling
-     *  benches) execute on @p n PDES shards with identical results —
-     *  the digest is shard-count invariant (DESIGN.md section 13).
-     *  The full Cluster model itself still runs sequentially. */
-    ClusterSpec &shards(std::uint32_t n);
 
     /** Escape hatch: arbitrary Config tuning without raw field pokes at
      *  call sites (`spec.tune([](tg::Config &c) { c.linkDelay = 50; })`). */

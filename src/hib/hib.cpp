@@ -130,9 +130,6 @@ Hib::inject(Packet &&pkt, bool track)
         pkt.traceId = _sys.tracer().beginOp(opKindOf(pkt.type));
     _sys.tracer().record(pkt.traceId, trace::Span::HibLaunch, now(),
                          _traceComp);
-    if (Trace::anyEnabled())
-        Trace::log(now(), "hib", "%s inject %s", _name.c_str(),
-                   pkt.toString().c_str());
     // The backlog models the HIB's internal queueing: writes are latched
     // at TurboChannel speed and drain into the network at link speed
     // ("short batches of write operations may take advantage of
@@ -494,9 +491,6 @@ Hib::pumpIngress()
         mixPacket(system().events().trace(), pkt);
         _sys.tracer().record(pkt.traceId, trace::Span::HibHandle, now(),
                              _traceComp);
-        if (Trace::anyEnabled())
-            Trace::log(now(), "hib", "%s handle %s", _name.c_str(),
-                       pkt.toString().c_str());
         handlePacket(std::move(pkt), [this] {
             _ingressBusy = false;
             pumpIngress();

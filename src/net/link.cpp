@@ -109,11 +109,6 @@ Channel::pump()
 
     _sys.tracer().record(_arena->traceId(h), trace::Span::LinkTx, now(),
                          _traceComp, ser);
-    if (Trace::anyEnabled())
-        Trace::log(now(), "net", "%s xmit %s (%u B, ser %llu)",
-                   _name.c_str(), _arena->syncBody(h)->toString().c_str(),
-                   bytes, (unsigned long long)ser);
-
     // The wire frees after serialization; the packet lands after
     // serialization + propagation delay.  Both are processed by the one
     // armed batch event (onBatchTick) instead of per-packet closures.
@@ -291,12 +286,6 @@ Channel::pumpReliable()
 
     _sys.tracer().record(wire.traceId, trace::Span::LinkTx, now(),
                          _traceComp, ser);
-    if (Trace::anyEnabled())
-        Trace::log(now(), "net", "%s xmit %s lseq=%llu try=%u%s (%u B)",
-                   _name.c_str(), wire.toString().c_str(),
-                   (unsigned long long)wire.lseq, e.tries,
-                   drop ? " DROP" : "", bytes);
-
     schedule(ser, [this] {
         _busy = false;
         pump();
@@ -333,8 +322,6 @@ Channel::deliver(std::size_t li, Packet &&wire, bool dup_follows)
 
     if (wire.crc != wire.computeCrc()) {
         ++_crcErrors;
-        Trace::log(now(), "net", "%s rx CRC error lseq=%llu", _name.c_str(),
-                   (unsigned long long)wire.lseq);
         lane.down->cancelReservation();
         schedule(_delay, [this, li] { onNack(li); });
         return;

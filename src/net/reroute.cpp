@@ -204,8 +204,6 @@ FabricRerouter::applyEpoch(std::size_t k)
     _current = k;
     ++_flips;
     const Epoch &ep = _epochs[k];
-    Trace::log(now(), "net", "%s epoch %zu: %zu directed trunks down",
-               _name.c_str(), k, deadTrunksNow());
     if (!ep.nextHop.empty()) {
         // Destination-routed fabric: swap whole tables, switch by
         // switch, in index order (deterministic event content).

@@ -98,10 +98,6 @@ Switch::pump(std::size_t port, std::size_t vc)
         const PacketHandle h = _in[idx(port, vc)]->popHandle();
         _arena->setVc(h, out_vc);
         const std::uint8_t hops = _arena->bumpHops(h);
-        if (Trace::anyEnabled())
-            Trace::log(now(), "net", "%s fwd p%zu.%zu->p%zu.%u %s",
-                       _name.c_str(), port, vc, out, unsigned(out_vc),
-                       _arena->syncBody(h)->toString().c_str());
         ++_forwarded;
         _sys.tracer().record(_arena->traceId(h), trace::Span::SwitchFwd,
                              now(), _traceComp, hops);

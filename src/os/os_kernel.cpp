@@ -42,13 +42,11 @@ OsKernel::setAlarmPolicy(AlarmPolicy policy)
 }
 
 void
-OsKernel::onWireFailure(const net::Packet &pkt)
+OsKernel::onWireFailure(const net::Packet &)
 {
     // Pure accounting: the handler's interrupt cost is not charged, so
     // the counter is observable regardless of when the run stops.
     ++_linkFailIrqs;
-    Trace::log(now(), "os", "%s link-failure interrupt: %s", _name.c_str(),
-               pkt.toString().c_str());
 }
 
 void

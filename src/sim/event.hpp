@@ -98,8 +98,8 @@ class ClosurePool
         Block *next;
     };
 
-    // thread_local: one pool per shard, so the unsynchronized fast path
-    // can never race across shards of a parallel engine.
+    // thread_local: one pool per thread, so the unsynchronized fast path
+    // stays race-free should a parallel engine ever run worker threads.
     static inline thread_local Block *_free = nullptr;
     static inline thread_local std::uint64_t _fresh = 0;
     static inline thread_local std::uint64_t _reused = 0;

@@ -1,14 +1,13 @@
 /**
  * @file
- * panic/fatal/warn/inform and the per-component trace
- * switchboard.
+ * panic/fatal/warn/inform.
  */
 
 #include "sim/log.hpp"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 
 namespace tg {
 
@@ -21,17 +20,6 @@ vreport(const char *tag, const char *fmt, va_list ap)
     std::vfprintf(stderr, fmt, ap);
     std::fprintf(stderr, "\n");
 }
-
-std::set<std::string> &
-traceSet()
-{
-    // Trace selection is written only during single-threaded setup
-    // (CLI parsing), then read-only while the engine runs.
-    static std::set<std::string> s; // tglint: shard(shared-guarded)
-    return s;
-}
-
-bool traceAll = false; // tglint: shard(shared-guarded) setup-time only
 
 } // namespace
 
@@ -71,46 +59,6 @@ inform(const char *fmt, ...)
     va_start(ap, fmt);
     vreport("info", fmt, ap);
     va_end(ap);
-}
-
-bool Trace::_any = false; // tglint: shard(shared-guarded)
-
-void
-Trace::enable(const std::string &component)
-{
-    if (component == "all")
-        traceAll = true;
-    else
-        traceSet().insert(component);
-    _any = true;
-}
-
-void
-Trace::disableAll()
-{
-    traceAll = false;
-    traceSet().clear();
-    _any = false;
-}
-
-bool
-Trace::enabled(const std::string &component)
-{
-    return traceAll || traceSet().count(component) > 0;
-}
-
-void
-Trace::log(Tick now, const std::string &component, const char *fmt, ...)
-{
-    if (!enabled(component))
-        return;
-    std::fprintf(stderr, "%12llu: %s: ", (unsigned long long)now,
-                 component.c_str());
-    va_list ap;
-    va_start(ap, fmt);
-    std::vfprintf(stderr, fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "\n");
 }
 
 } // namespace tg

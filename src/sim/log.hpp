@@ -6,17 +6,10 @@
  *              model itself); aborts.
  *  - fatal():  the user configured something impossible; exits cleanly.
  *  - warn() / inform(): advisory messages.
- *  - Trace:    per-component debug tracing, off by default, enabled by
- *              component name (e.g. Trace::enable("hib")).
  */
 
 #ifndef TELEGRAPHOS_SIM_LOG_HPP
 #define TELEGRAPHOS_SIM_LOG_HPP
-
-#include <cstdarg>
-#include <string>
-
-#include "sim/types.hpp"
 
 namespace tg {
 
@@ -31,40 +24,6 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Informational message to stderr. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/**
- * Per-component trace switchboard.
- *
- * Tracing is string-keyed by component ("net", "hib", "coh", ...).  Each
- * trace line is prefixed with the simulated time of the issuing component.
- */
-class Trace
-{
-  public:
-    /** Enable tracing for @p component ("all" enables everything). */
-    static void enable(const std::string &component);
-
-    /** Disable all tracing. */
-    static void disableAll();
-
-    /** True if @p component tracing is on. */
-    static bool enabled(const std::string &component);
-
-    /**
-     * True if *any* component tracing is on.  A single global load, so
-     * hot paths can gate the (allocating) argument evaluation of a
-     * Trace::log call without a per-call set lookup.
-     */
-    static bool anyEnabled() { return _any; }
-
-    /** Emit one trace line if @p component is enabled. */
-    static void log(Tick now, const std::string &component, const char *fmt, ...)
-        __attribute__((format(printf, 3, 4)));
-
-  private:
-    // Written only during single-threaded setup (enable/disableAll).
-    static bool _any; // tglint: shard(shared-guarded)
-};
 
 } // namespace tg
 

@@ -77,8 +77,8 @@ Config::validate() const
         fatal("tlbEntries must be >= 1");
     if (hibContexts == 0)
         fatal("hibContexts must be >= 1");
-    if (shards == 0)
-        fatal("shards must be >= 1");
+    if (traceSampleShift > 63)
+        fatal("traceSampleShift must be <= 63 (got %u)", traceSampleShift);
     fault.validate();
 }
 

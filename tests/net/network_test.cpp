@@ -68,10 +68,21 @@ struct Harness
     std::vector<std::unique_ptr<StubEndpoint>> eps;
 };
 
+/**
+ * gtest names each case after a byte dump of its parameter, padding
+ * included.  Value-initialisation zeroes that padding, so the names are
+ * the same from one run (and one build) to the next.
+ */
+TopologySpec
+blankSpec()
+{
+    return TopologySpec();
+}
+
 TopologySpec
 makeSpec(TopologyKind kind, std::size_t nodes, std::size_t nps = 2)
 {
-    TopologySpec s;
+    TopologySpec s = blankSpec();
     s.kind = kind;
     s.nodes = nodes;
     s.nodesPerSwitch = nps;
@@ -81,7 +92,7 @@ makeSpec(TopologyKind kind, std::size_t nodes, std::size_t nps = 2)
 TopologySpec
 makeTorus(std::size_t x, std::size_t y, std::size_t nps)
 {
-    TopologySpec s;
+    TopologySpec s = blankSpec();
     s.kind = TopologyKind::Torus2D;
     s.torusX = x;
     s.torusY = y;
@@ -93,7 +104,7 @@ makeTorus(std::size_t x, std::size_t y, std::size_t nps)
 TopologySpec
 makeFatTree(std::size_t nodes, std::size_t nps, std::size_t spines)
 {
-    TopologySpec s;
+    TopologySpec s = blankSpec();
     s.kind = TopologyKind::FatTree;
     s.nodes = nodes;
     s.nodesPerSwitch = nps;

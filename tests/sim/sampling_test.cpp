@@ -99,7 +99,7 @@ TEST(Sampling, OpIdsConsumedIndependentOfShift)
 TEST(Sampling, SubsetIsPureFunctionOfId)
 {
     // sampled() is static and seed-free: the kept subset for a given
-    // shift is identical no matter who asks, which makes it shard- and
+    // shift is identical no matter who asks, which makes it seed- and
     // run-invariant by construction.
     std::set<std::uint64_t> kept2;
     for (std::uint64_t id = 1; id <= 4096; ++id) {
@@ -117,6 +117,16 @@ TEST(Sampling, SubsetIsPureFunctionOfId)
         kept4 += trace::Tracer::sampled(id, 4);
     EXPECT_GT(kept4, 0u);
     EXPECT_LT(kept4, kept2.size());
+}
+
+TEST(SamplingDeathTest, ShiftAbove63IsRejected)
+{
+    // sampled() builds a (1 << shift) mask, so 63 is the widest legal
+    // shift; 64 would be an undefined full-width shift.
+    Cluster ok(ClusterSpec::star(2).trace(true).traceSample(63));
+    EXPECT_EQ(ok.tracer().sampleShift(), 63u);
+    EXPECT_DEATH(Cluster(ClusterSpec::star(2).trace(true).traceSample(64)),
+                 "traceSampleShift must be <= 63");
 }
 
 TEST(Sampling, TracerMemoryStaysBoundedUnderCaps)
