@@ -553,78 +553,12 @@ Cluster::observeWrites(
 }
 
 void
-Cluster::statsReport(std::ostream &os)
+Cluster::statsReport(std::ostream &os) const
 {
     os << "=== cluster statistics @ " << _sys->now() << " ns ("
-       << toUs(_sys->now()) << " us) ===\n";
-    os << "topology: " << _net->spec().describe() << "\n";
-    os << "events executed: " << _sys->events().executed() << "\n";
-    os << "switch packets forwarded: " << _net->switchForwarded() << "\n";
-    // Unconditional: the reliability layer runs on every link, so these
-    // counters must be visible even when the fault model is inert —
-    // a fault-free run that retransmits would otherwise report nothing.
-    os << "net.crc_errors: " << _net->corruptions() << "\n";
-    os << "net.retransmissions: " << _net->retransmissions() << "\n";
-    os << "net.dup_discards: " << _net->duplicateDiscards() << "\n";
-    os << "net.wire_failures: " << _net->wireFailures() << "\n";
-    if (_net->rerouter()) {
-        os << "net.routing_epochs: " << _net->routingEpochs() << "\n";
-        os << "net.reroutes_applied: " << _net->reroutesApplied() << "\n";
-        os << "net.dead_trunks_now: " << _net->rerouter()->deadTrunksNow()
-           << "\n";
-    }
-
-    for (auto &ws : _nodes) {
-        const auto &cpu = ws->cpu();
-        const auto &cache = ws->cache();
-        const auto &mmu = ws->mmu();
-        const auto &tc = ws->tc();
-        auto &hib = ws->hib();
-        os << "--- " << ws->name() << " ---\n";
-        os << "  cpu.ops_issued            " << cpu.opsIssued() << "\n";
-        os << "  cpu.context_switches      " << cpu.contextSwitches()
-           << "\n";
-        const double cache_total =
-            double(cache.hits()) + double(cache.misses());
-        os << "  cache.hit_rate            "
-           << (cache_total > 0 ? double(cache.hits()) / cache_total : 0)
-           << "\n";
-        const double tlb_total = double(mmu.hits()) + double(mmu.misses());
-        os << "  tlb.hit_rate              "
-           << (tlb_total > 0 ? double(mmu.hits()) / tlb_total : 0) << "\n";
-        os << "  tc.transactions           " << tc.transactions() << "\n";
-        os << "  tc.busy_ticks             " << tc.busyTicks() << "\n";
-        os << "  tc.wait_ticks             " << tc.waitTicks() << "\n";
-        os << "  hib.packets_handled       " << hib.packetsHandled()
-           << "\n";
-        os << "  hib.outstanding.peak      " << hib.outstanding().peak()
-           << "\n";
-        os << "  hib.outstanding.total     " << hib.outstanding().total()
-           << "\n";
-        os << "  hib.atomics_executed      " << hib.atomicUnit().executed()
-           << "\n";
-        os << "  hib.page_counter.accesses "
-           << hib.pageCounters().accesses() << "\n";
-        os << "  hib.page_counter.alarms   " << hib.pageCounters().alarms()
-           << "\n";
-        os << "  hib.counter_cache.stalls  "
-           << hib.counterCache().stallEvents() << "\n";
-        os << "  hib.counter_cache.peak    " << hib.counterCache().peakUsed()
-           << "\n";
-        os << "  hib.key_violations        "
-           << hib.specialOps().keyViolations() << "\n";
-        const auto &coll = hib.collectives();
-        os << "  hib.coll_barriers         " << coll.barriers() << "\n";
-        os << "  hib.coll_bcast_msgs       " << coll.bcastMsgs() << "\n";
-        os << "  hib.coll_combines         " << coll.combines() << "\n";
-        os << "  hib.coll_desc_peak        " << coll.descPeak() << "\n";
-        os << "  hib.coll_errors           " << coll.errors() << "\n";
-        os << "  hib.wire_failures         " << hib.wireFailures() << "\n";
-        os << "  hib.outstanding.lost      " << hib.outstanding().lost()
-           << "\n";
-        os << "  mem.touched_bytes         " << ws->mem().touchedBytes()
-           << "\n";
-    }
+       << toUs(_sys->now()) << " us) ===\ntopology: "
+       << _net->spec().describe() << "\n";
+    _sys->stats().dump(os);
 }
 
 } // namespace tg

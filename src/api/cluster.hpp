@@ -325,10 +325,11 @@ class Cluster : public coherence::Fabric
     }
 
     /**
-     * Write a structured end-of-run statistics report: per-node CPU,
-     * cache, TLB, TurboChannel and HIB counters plus network totals.
+     * Write the end-of-run statistics report: time and topology, then
+     * every registered counter (StatRegistry::dump, the same stats
+     * statsJson renders), one "<component>.<counter> value" line each.
      */
-    void statsReport(std::ostream &os);
+    void statsReport(std::ostream &os) const;
 
     /** Dump every registered stat as a single JSON object
      *  (StatRegistry::dumpJson, schema tg-stats-v1). */

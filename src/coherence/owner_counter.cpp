@@ -17,6 +17,8 @@ OwnerCounterProtocol::OwnerCounterProtocol(System &sys, Fabric &fabric)
     : Protocol(sys, "proto.owner", fabric)
 {
     _kind = ProtocolKind::OwnerCounter;
+    sys.stats().add({_name, "reflected_writes"}, &_reflected);
+    sys.stats().add({_name, "ignored_updates"}, &_ignored);
 }
 
 void

@@ -12,6 +12,7 @@ AtomicUnit::AtomicUnit(System &sys, const std::string &name,
                        node::MainMemory &storage)
     : SimObject(sys, name), _storage(storage)
 {
+    sys.stats().add({_name, "executed"}, &_executed);
 }
 
 void

@@ -99,18 +99,19 @@ CollGroup::tree(std::size_t root_rank)
 // CollEngine
 // ---------------------------------------------------------------------
 
-CollEngine::CollEngine(System &sys, const std::string &hib_name, Hib &hib)
-    : SimObject(sys, hib_name + ".coll"), _hib(hib)
+CollEngine::CollEngine(System &sys, Hib &hib)
+    : SimObject(sys, hib.name() + ".coll"), _hib(hib)
 {
     // Registered unconditionally (like hib.wire_failures): the tg-stats-v1
     // surface always carries the collective counters, zero or not.
-    sys.stats().add(hib_name + ".coll_barriers", &_barriers);
-    sys.stats().add(hib_name + ".coll_bcast_msgs", &_bcastMsgs);
-    sys.stats().add(hib_name + ".coll_combines", &_combines);
-    sys.stats().add(hib_name + ".coll_desc_now", &_descNow);
-    sys.stats().add(hib_name + ".coll_desc_peak", &_descPeak);
-    sys.stats().add(hib_name + ".coll_errors", &_errors);
-    _traceComp = sys.tracer().registerComponent(hib_name + ".coll");
+    auto &reg = sys.stats();
+    reg.add({hib.name(), "coll_barriers"}, &_barriers);
+    reg.add({hib.name(), "coll_bcast_msgs"}, &_bcastMsgs);
+    reg.add({hib.name(), "coll_combines"}, &_combines);
+    reg.add({hib.name(), "coll_desc_now"}, &_descNow);
+    reg.add({hib.name(), "coll_desc_peak"}, &_descPeak);
+    reg.add({hib.name(), "coll_errors"}, &_errors);
+    _traceComp = sys.tracer().registerComponent(_name);
 }
 
 void
@@ -182,7 +183,7 @@ CollEngine::issue(std::uint32_t ctx_idx, const CollArgs &args, OnWord done)
         _staged.erase(it);
     }
     _descNow += 1;
-    _descPeak.set(std::max(_descPeak.value(), _descNow.value()));
+    _descPeak = std::max(_descPeak, _descNow);
     _sys.tracer().record(p.traceId, trace::Span::CpuIssue, now(),
                          _traceComp);
     tryAdvance(*g, seq, p);

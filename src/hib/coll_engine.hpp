@@ -46,7 +46,6 @@
 #include "net/coll_tree.hpp"
 #include "net/packet.hpp"
 #include "sim/sim_object.hpp"
-#include "sim/stats.hpp"
 
 namespace tg::hib {
 
@@ -94,8 +93,8 @@ class CollEngine : public SimObject
     using OnWord = Fn<void(Word)>;
     using OnDone = Fn<void()>;
 
-    /** @p hib_name scopes the engine's hib.coll_* statistics. */
-    CollEngine(System &sys, const std::string &hib_name, Hib &hib);
+    /** Named "<hib>.coll"; its statistics are "<hib>.coll_*". */
+    CollEngine(System &sys, Hib &hib);
 
     /** Make this node a member of @p group (Communicator construction). */
     void registerGroup(CollGroupPtr group);
@@ -124,27 +123,12 @@ class CollEngine : public SimObject
     void onWireFailure(const net::Packet &pkt);
 
     /** Collectives completed locally with the error flag set. */
-    std::uint64_t errors() const
-    {
-        return static_cast<std::uint64_t>(_errors.value());
-    }
+    std::uint64_t errors() const { return _errors; }
 
-    std::uint64_t barriers() const
-    {
-        return static_cast<std::uint64_t>(_barriers.value());
-    }
-    std::uint64_t bcastMsgs() const
-    {
-        return static_cast<std::uint64_t>(_bcastMsgs.value());
-    }
-    std::uint64_t combines() const
-    {
-        return static_cast<std::uint64_t>(_combines.value());
-    }
-    std::uint64_t descPeak() const
-    {
-        return static_cast<std::uint64_t>(_descPeak.value());
-    }
+    std::uint64_t barriers() const { return _barriers; }
+    std::uint64_t bcastMsgs() const { return _bcastMsgs; }
+    std::uint64_t combines() const { return _combines; }
+    std::uint64_t descPeak() const { return _descPeak; }
 
   private:
     /** One in-flight collective on this node, keyed by (group, seq). */
@@ -184,12 +168,12 @@ class CollEngine : public SimObject
     std::map<std::uint32_t, std::vector<Word> *> _staged; ///< per context
     std::map<Key, Pending> _pending;
 
-    Scalar _barriers;  ///< barriers completed locally
-    Scalar _bcastMsgs; ///< CollDown fan-out packets sent
-    Scalar _combines;  ///< reduce combines folded through the atomic path
-    Scalar _descNow;   ///< descriptors currently armed (occupancy)
-    Scalar _descPeak;  ///< high-water mark of armed descriptors
-    Scalar _errors;    ///< local completions carrying the error flag
+    std::uint64_t _barriers = 0;  ///< barriers completed locally
+    std::uint64_t _bcastMsgs = 0; ///< CollDown fan-out packets sent
+    std::uint64_t _combines = 0;  ///< reduce combines via the atomic path
+    std::uint64_t _descNow = 0;   ///< descriptors currently armed
+    std::uint64_t _descPeak = 0;  ///< high-water mark of armed descriptors
+    std::uint64_t _errors = 0;    ///< completions carrying the error flag
     std::uint16_t _traceComp = 0;
 };
 

@@ -12,6 +12,10 @@ CounterCache::CounterCache(System &sys, const std::string &name,
                            std::uint32_t entries)
     : SimObject(sys, name), _capacity(entries)
 {
+    auto &reg = sys.stats();
+    reg.add({_name, "stalls"}, &_stalls);
+    reg.add({_name, "stall_ticks"}, &_stallTicks);
+    reg.add({_name, "peak"}, &_peak);
 }
 
 void

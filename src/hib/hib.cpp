@@ -89,13 +89,14 @@ Hib::Hib(System &sys, const std::string &name, NodeId node,
                         : 0),
       _specialOps(sys, name + ".special"),
       _outstanding(sys, name + ".outstanding"),
-      _collEngine(sys, name, *this)
+      _collEngine(sys, *this)
 {
     _egress.onSpace([this] { pumpEgressBacklog(); });
     _ingress.onData([this] { pumpIngress(); });
     // Registered unconditionally: the reliability layer runs on every
     // link, so the counter must be visible even in fault-free runs.
-    sys.stats().add(name + ".wire_failures", &_wireFailures);
+    sys.stats().add({_name, "wire_failures"}, &_wireFailures);
+    sys.stats().add({_name, "packets_handled"}, &_handled);
     _traceComp = sys.tracer().registerComponent(name);
 }
 

@@ -216,10 +216,7 @@ class Hib : public SimObject, public net::NodeEndpoint
     void onWireFailure(const net::Packet &pkt);
 
     /** Remote operations this node lost to wire failures. */
-    std::uint64_t wireFailures() const
-    {
-        return static_cast<std::uint64_t>(_wireFailures.value());
-    }
+    std::uint64_t wireFailures() const { return _wireFailures; }
 
   private:
     void pumpEgressBacklog();
@@ -278,7 +275,7 @@ class Hib : public SimObject, public net::NodeEndpoint
     std::uint64_t _nextSeq = 1;
     std::uint64_t _handled = 0;
     std::uint32_t _readsInFlight = 0;
-    Scalar _wireFailures;
+    std::uint64_t _wireFailures = 0;
     std::uint16_t _traceComp = 0;
 };
 

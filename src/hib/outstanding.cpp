@@ -12,6 +12,10 @@ namespace tg::hib {
 Outstanding::Outstanding(System &sys, const std::string &name)
     : SimObject(sys, name)
 {
+    auto &reg = sys.stats();
+    reg.add({_name, "peak"}, &_peak);
+    reg.add({_name, "total"}, &_total);
+    reg.add({_name, "lost"}, &_lost);
     _traceComp = sys.tracer().registerComponent(name);
 }
 

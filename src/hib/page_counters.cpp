@@ -11,6 +11,8 @@ namespace tg::hib {
 PageCounters::PageCounters(System &sys, const std::string &name)
     : SimObject(sys, name)
 {
+    sys.stats().add({_name, "accesses"}, &_accesses);
+    sys.stats().add({_name, "alarms"}, &_alarms);
 }
 
 void

@@ -27,6 +27,7 @@ using node::kRegSpecialOp;
 SpecialOpsUnit::SpecialOpsUnit(System &sys, const std::string &name)
     : SimObject(sys, name), _contexts(config().hibContexts)
 {
+    sys.stats().add({_name, "key_violations"}, &_keyViolations);
 }
 
 void

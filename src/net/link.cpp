@@ -26,11 +26,11 @@ Channel::Channel(System &sys, const std::string &name,
     if (_reliable) {
         _ls.resize(_lanes.size());
         auto &reg = sys.stats();
-        reg.add(_name + ".crc_errors", &_crcErrors);
-        reg.add(_name + ".retransmissions", &_retransmissions);
-        reg.add(_name + ".dup_discards", &_dupDiscards);
-        reg.add(_name + ".out_of_window", &_outOfWindow);
-        reg.add(_name + ".wire_failures", &_wireFailures);
+        reg.add({_name, "crc_errors"}, &_crcErrors);
+        reg.add({_name, "retransmissions"}, &_retransmissions);
+        reg.add({_name, "dup_discards"}, &_dupDiscards);
+        reg.add({_name, "out_of_window"}, &_outOfWindow);
+        reg.add({_name, "wire_failures"}, &_wireFailures);
     }
 
     _arena = &_lanes.front().up->arena();

@@ -60,7 +60,6 @@
 #include "net/fault.hpp"
 #include "net/queue.hpp"
 #include "sim/sim_object.hpp"
-#include "sim/stats.hpp"
 
 namespace tg::net {
 
@@ -113,35 +112,20 @@ class Channel : public SimObject
     // ------------------------------------------------------------------
 
     /** Arrivals discarded because the CRC check failed. */
-    std::uint64_t corruptions() const
-    {
-        return static_cast<std::uint64_t>(_crcErrors.value());
-    }
+    std::uint64_t corruptions() const { return _crcErrors; }
 
     /** Retransmissions performed (transmissions beyond each first). */
-    std::uint64_t retransmissions() const
-    {
-        return static_cast<std::uint64_t>(_retransmissions.value());
-    }
+    std::uint64_t retransmissions() const { return _retransmissions; }
 
     /** Duplicate arrivals discarded by the sequence check. */
-    std::uint64_t duplicateDiscards() const
-    {
-        return static_cast<std::uint64_t>(_dupDiscards.value());
-    }
+    std::uint64_t duplicateDiscards() const { return _dupDiscards; }
 
     /** Out-of-window (gap) arrivals discarded. */
-    std::uint64_t outOfWindow() const
-    {
-        return static_cast<std::uint64_t>(_outOfWindow.value());
-    }
+    std::uint64_t outOfWindow() const { return _outOfWindow; }
 
     /** Packets permanently failed (budget exhausted or failed over after
      *  an administrative outage passed the deadline). */
-    std::uint64_t wireFailures() const
-    {
-        return static_cast<std::uint64_t>(_wireFailures.value());
-    }
+    std::uint64_t wireFailures() const { return _wireFailures; }
 
   private:
     /** Sender-side retransmit buffer entry. */
@@ -233,11 +217,11 @@ class Channel : public SimObject
     FailureHandler _failHandler;
     bool _downWakeArmed = false;
 
-    Scalar _crcErrors;
-    Scalar _retransmissions;
-    Scalar _dupDiscards;
-    Scalar _outOfWindow;
-    Scalar _wireFailures;
+    std::uint64_t _crcErrors = 0;
+    std::uint64_t _retransmissions = 0;
+    std::uint64_t _dupDiscards = 0;
+    std::uint64_t _outOfWindow = 0;
+    std::uint64_t _wireFailures = 0;
     std::uint16_t _traceComp = 0;
 };
 

@@ -108,6 +108,28 @@ Network::Network(System &sys, const std::string &name,
     } else {
         buildRoutes();
     }
+
+    // The reliability sums are registered unconditionally: the layer runs
+    // on every link, so a fault-free run that retransmits must show it.
+    auto &reg = sys.stats();
+    reg.add({_name, "switch_forwarded"}, this,
+            [](const Network &n) { return n.switchForwarded(); });
+    reg.add({_name, "crc_errors"}, this,
+            [](const Network &n) { return n.corruptions(); });
+    reg.add({_name, "retransmissions"}, this,
+            [](const Network &n) { return n.retransmissions(); });
+    reg.add({_name, "dup_discards"}, this,
+            [](const Network &n) { return n.duplicateDiscards(); });
+    reg.add({_name, "wire_failures"}, this,
+            [](const Network &n) { return n.wireFailures(); });
+    if (_rerouter) {
+        reg.add({_name, "routing_epochs"}, this,
+                [](const Network &n) { return n.routingEpochs(); });
+        reg.add({_name, "reroutes_applied"}, this,
+                [](const Network &n) { return n.reroutesApplied(); });
+        reg.add({_name, "dead_trunks_now"}, _rerouter.get(),
+                [](const FabricRerouter &r) { return r.deadTrunksNow(); });
+    }
 }
 
 void

@@ -15,6 +15,8 @@ Cache::Cache(System &sys, const std::string &name) : SimObject(sys, name)
     if (lines == 0)
         lines = 1;
     _tags.assign(lines, 0);
+    sys.stats().add({_name, "hits"}, &_hits);
+    sys.stats().add({_name, "misses"}, &_misses);
 }
 
 Tick

@@ -16,6 +16,8 @@ Cpu::Cpu(System &sys, const std::string &name, NodeId node, Mmu &mmu,
     : SimObject(sys, name), _node(node), _mmu(mmu), _cache(cache), _mem(mem),
       _tc(tc), _hib(hib)
 {
+    sys.stats().add({_name, "ops_issued"}, &_opsIssued);
+    sys.stats().add({_name, "context_switches"}, &_switches);
     _traceComp = sys.tracer().registerComponent(name);
 }
 

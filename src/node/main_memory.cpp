@@ -12,6 +12,8 @@ namespace tg::node {
 MainMemory::MainMemory(System &sys, const std::string &name)
     : SimObject(sys, name)
 {
+    sys.stats().add({_name, "touched_bytes"}, this,
+                    [](const MainMemory &m) { return m.touchedBytes(); });
 }
 
 const std::vector<Word> &

@@ -62,7 +62,11 @@ AddressSpace::restorePages(const std::vector<std::pair<VAddr, Pte>> &pages)
         _pages[vpn] = pte;
 }
 
-Mmu::Mmu(System &sys, const std::string &name) : SimObject(sys, name) {}
+Mmu::Mmu(System &sys, const std::string &name) : SimObject(sys, name)
+{
+    sys.stats().add({_name, "hits"}, &_hits);
+    sys.stats().add({_name, "misses"}, &_misses);
+}
 
 void
 Mmu::setAddressSpace(AddressSpace *as)

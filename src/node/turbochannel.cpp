@@ -11,7 +11,11 @@ namespace tg::node {
 TurboChannel::TurboChannel(System &sys, const std::string &name)
     : SimObject(sys, name)
 {
-    sys.stats().add(name + ".wait_hist", &_waitHist);
+    auto &reg = sys.stats();
+    reg.add({_name, "transactions"}, &_count);
+    reg.add({_name, "busy_ticks"}, &_busyTicks);
+    reg.add({_name, "wait_ticks"}, &_waitTicks);
+    reg.add({_name, "wait_hist"}, &_waitHist);
     _traceComp = sys.tracer().registerComponent(name);
 }
 

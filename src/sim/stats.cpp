@@ -177,66 +177,59 @@ Histogram::reset()
     _count = 0;
 }
 
-void
-StatRegistry::add(const std::string &name, const Scalar *s)
+std::string
+StatName::str() const
 {
-    _scalars[name] = s;
+    return _owner ? *_owner + "." + _leaf : std::string(_leaf);
 }
 
 void
-StatRegistry::add(const std::string &name, const Sampler *s)
+StatRegistry::addValue(StatName name, const void *obj, Reader read)
 {
-    _samplers[name] = s;
+    _entries.push_back(Entry{name, Kind::Value, obj, read});
 }
 
 void
-StatRegistry::add(const std::string &name, const Histogram *h)
+StatRegistry::add(StatName name, const Sampler *s)
 {
-    _histograms[name] = h;
+    _entries.push_back(Entry{name, Kind::Sampler, s, nullptr});
 }
 
 void
-StatRegistry::dump(std::ostream &os) const
+StatRegistry::add(StatName name, const Histogram *h)
 {
-    os << std::left;
-    for (const auto &[name, s] : _scalars) {
-        os << std::setw(48) << name << " " << s->value() << "\n";
-    }
-    for (const auto &[name, s] : _samplers) {
-        os << std::setw(48) << (name + ".count") << " " << s->count() << "\n";
-        if (s->count() > 0) {
-            os << std::setw(48) << (name + ".mean") << " " << s->mean() << "\n";
-            os << std::setw(48) << (name + ".min") << " " << s->min() << "\n";
-            os << std::setw(48) << (name + ".max") << " " << s->max() << "\n";
-            os << std::setw(48) << (name + ".p50") << " " << s->quantile(0.5)
-               << "\n";
-            os << std::setw(48) << (name + ".p99") << " " << s->quantile(0.99)
-               << "\n";
-        }
-    }
-    for (const auto &[name, h] : _histograms) {
-        os << std::setw(48) << (name + ".count") << " " << h->count() << "\n";
-        if (h->count() == 0)
-            continue;
-        const auto &b = h->buckets();
-        for (std::size_t i = 0; i < b.size(); ++i) {
-            if (b[i] == 0)
-                continue;
-            std::ostringstream bucket;
-            bucket << name << ".bucket["
-                   << h->bucketWidth() * static_cast<double>(i) << ","
-                   << h->bucketWidth() * static_cast<double>(i + 1) << ")";
-            os << std::setw(48) << bucket.str() << " " << b[i] << "\n";
-        }
-    }
+    _entries.push_back(Entry{name, Kind::Histogram, h, nullptr});
+}
+
+std::vector<StatRegistry::Named>
+StatRegistry::sorted(Kind kind) const
+{
+    std::vector<Named> out;
+    for (const Entry &e : _entries)
+        if (e.kind == kind)
+            out.emplace_back(e.name.str(), &e);
+    // Equal names sort in registration order (entries are one array), and
+    // a re-registered name keeps its last entry; std::unique keeps the
+    // first of a run, hence the reversed range.
+    std::sort(out.begin(), out.end());
+    auto last = std::unique(out.rbegin(), out.rend(), [](auto &a, auto &b) {
+        return a.first == b.first;
+    });
+    out.erase(out.begin(), last.base());
+    return out;
 }
 
 namespace {
 
-/** Deterministic decimal rendering for the JSON dump. */
+/**
+ * The one number rendering both dumps share: integral values below 2^53
+ * (every counter) print exactly, anything else to 12 significant digits.
+ */
 std::string
-jsonNum(double v)
+fmtNum(double v)
 {
+    if (std::fabs(v) < 0x1p53 && v == std::trunc(v))
+        return std::to_string(static_cast<long long>(v));
     std::ostringstream os;
     os << std::setprecision(12) << v;
     return os.str();
@@ -245,36 +238,71 @@ jsonNum(double v)
 } // namespace
 
 void
+StatRegistry::dump(std::ostream &os) const
+{
+    auto line = [&os](const std::string &name, double v) {
+        os << std::left << std::setw(48) << name << " " << fmtNum(v) << "\n";
+    };
+    for (const auto &[name, e] : sorted(Kind::Value))
+        line(name, e->read(e->obj));
+    for (const auto &[name, e] : sorted(Kind::Sampler)) {
+        const auto &s = *static_cast<const Sampler *>(e->obj);
+        line(name + ".count", double(s.count()));
+        if (s.count() > 0) {
+            line(name + ".mean", s.mean());
+            line(name + ".min", s.min());
+            line(name + ".max", s.max());
+            line(name + ".p50", s.quantile(0.5));
+            line(name + ".p99", s.quantile(0.99));
+        }
+    }
+    for (const auto &[name, e] : sorted(Kind::Histogram)) {
+        const auto &h = *static_cast<const Histogram *>(e->obj);
+        line(name + ".count", double(h.count()));
+        const auto &b = h.buckets();
+        const double w = h.bucketWidth();
+        for (std::size_t i = 0; i < b.size(); ++i) {
+            if (b[i] != 0)
+                line(name + ".bucket[" + fmtNum(w * double(i)) + "," +
+                         fmtNum(w * double(i + 1)) + ")",
+                     double(b[i]));
+        }
+    }
+}
+
+void
 StatRegistry::dumpJson(std::ostream &os) const
 {
     os << "{\"schema\":\"tg-stats-v1\",\"scalars\":{";
     bool first = true;
-    for (const auto &[name, s] : _scalars) {
+    for (const auto &[name, e] : sorted(Kind::Value)) {
         os << (first ? "" : ",") << "\"" << name
-           << "\":" << jsonNum(s->value());
+           << "\":" << fmtNum(e->read(e->obj));
         first = false;
     }
     os << "},\"samplers\":{";
     first = true;
-    for (const auto &[name, s] : _samplers) {
+    for (const auto &[name, e] : sorted(Kind::Sampler)) {
+        const auto &s = *static_cast<const Sampler *>(e->obj);
         os << (first ? "" : ",") << "\"" << name
-           << "\":{\"count\":" << s->count()
-           << ",\"mean\":" << jsonNum(s->mean())
-           << ",\"min\":" << jsonNum(s->min())
-           << ",\"max\":" << jsonNum(s->max())
-           << ",\"stddev\":" << jsonNum(s->stddev())
-           << ",\"p50\":" << jsonNum(s->quantile(0.5))
-           << ",\"p99\":" << jsonNum(s->quantile(0.99)) << "}";
+           << "\":{\"count\":" << s.count()
+           << ",\"mean\":" << fmtNum(s.mean())
+           << ",\"min\":" << fmtNum(s.min())
+           << ",\"max\":" << fmtNum(s.max())
+           << ",\"stddev\":" << fmtNum(s.stddev())
+           << ",\"p50\":" << fmtNum(s.quantile(0.5))
+           << ",\"p99\":" << fmtNum(s.quantile(0.99)) << "}";
         first = false;
     }
     os << "},\"histograms\":{";
     first = true;
-    for (const auto &[name, h] : _histograms) {
+    for (const auto &[name, e] : sorted(Kind::Histogram)) {
+        const auto &h = *static_cast<const Histogram *>(e->obj);
         os << (first ? "" : ",") << "\"" << name
-           << "\":{\"count\":" << h->count()
-           << ",\"bucket_width\":" << jsonNum(h->bucketWidth())
+           << "\":{\"count\":" << h.count()
+           << ",\"bucket_width\":" << fmtNum(h.bucketWidth())
            << ",\"buckets\":[";
-        const auto &b = h->buckets();
+        const auto &b = h.buckets();
         for (std::size_t i = 0; i < b.size(); ++i)
             os << (i ? "," : "") << b[i];
         os << "]}";
@@ -283,11 +311,20 @@ StatRegistry::dumpJson(std::ostream &os) const
     os << "}}";
 }
 
+std::optional<double>
+StatRegistry::find(std::string_view name) const
+{
+    // Newest first: re-registering a name replaces the earlier entry.
+    for (auto it = _entries.rbegin(); it != _entries.rend(); ++it)
+        if (it->kind == Kind::Value && it->name.str() == name)
+            return it->read(it->obj);
+    return std::nullopt;
+}
+
 double
 StatRegistry::scalar(const std::string &name) const
 {
-    auto it = _scalars.find(name);
-    return it == _scalars.end() ? 0.0 : it->second->value();
+    return find(name).value_or(0.0);
 }
 
 } // namespace tg

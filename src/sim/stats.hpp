@@ -12,9 +12,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace tg {
@@ -125,15 +128,71 @@ class Histogram
 };
 
 /**
- * Name -> stat registry.  Non-owning: stats live in their components; the
- * registry records (name, printer) pairs for a final textual dump.
+ * A stat's name: its owner's name plus a literal leaf, joined with '.'
+ * only when a dump renders it, so registration builds no string.  The
+ * owner string must outlive the registration (a SimObject's name does);
+ * a bare literal names a top-level stat such as "sim.events".
+ */
+class StatName
+{
+  public:
+    StatName(const std::string &owner, const char *leaf)
+        : _owner(&owner), _leaf(leaf)
+    {
+    }
+    /** A temporary owner would dangle before the dump reads it. */
+    StatName(const std::string &&owner, const char *leaf) = delete;
+    StatName(const char *name) : _leaf(name) {} // NOLINT: implicit
+
+    std::string str() const;
+
+  private:
+    const std::string *_owner = nullptr;
+    const char *_leaf = "";
+};
+
+/**
+ * The single route from a component's counters to every report: each
+ * component registers its counters once, in its constructor, and both
+ * renderers (dump, dumpJson) read them from here.  Non-owning: the stats
+ * live in their components, which must outlive any dump.
  */
 class StatRegistry
 {
   public:
-    void add(const std::string &name, const Scalar *s);
-    void add(const std::string &name, const Sampler *s);
-    void add(const std::string &name, const Histogram *h);
+    void
+    add(StatName name, const Scalar *s)
+    {
+        add(name, s, [](const Scalar &v) { return v.value(); });
+    }
+    void add(StatName name, const Sampler *s);
+    void add(StatName name, const Histogram *h);
+
+    /**
+     * Register a read-only value (gem5's "formula"), reported with the
+     * scalars: an arithmetic field read in place ...
+     */
+    template <class T>
+        requires std::is_arithmetic_v<T>
+    void
+    add(StatName name, const T *field)
+    {
+        addValue(name, field, [](const void *p) {
+            return static_cast<double>(*static_cast<const T *>(p));
+        });
+    }
+
+    /** ... or @p read(*obj), e.g. an aggregate accessor; @p read must
+     *  be a captureless lambda. */
+    template <class T, class Read>
+    void
+    add(StatName name, const T *obj, Read)
+    {
+        static_assert(std::is_empty_v<Read>, "reader must not capture");
+        addValue(name, obj, [](const void *p) {
+            return static_cast<double>(Read{}(*static_cast<const T *>(p)));
+        });
+    }
 
     /** Dump all registered stats, sorted by name. */
     void dump(std::ostream &os) const;
@@ -145,13 +204,33 @@ class StatRegistry
      */
     void dumpJson(std::ostream &os) const;
 
-    /** Look up a scalar's current value by exact name (0 if absent). */
+    /** Current value of the scalar or formula named @p name, or nullopt
+     *  when nothing is registered under it. */
+    std::optional<double> find(std::string_view name) const;
+
+    /** find(@p name), or 0 if absent. */
     double scalar(const std::string &name) const;
 
   private:
-    std::map<std::string, const Scalar *> _scalars;
-    std::map<std::string, const Sampler *> _samplers;
-    std::map<std::string, const Histogram *> _histograms;
+    /** Scalars and formulas share one kind (and the "scalars" section). */
+    enum class Kind : std::uint8_t { Value, Sampler, Histogram };
+    using Reader = double (*)(const void *);
+
+    struct Entry
+    {
+        StatName name;
+        Kind kind;
+        const void *obj;
+        Reader read; ///< Kind::Value only
+    };
+
+    /** (rendered name, entry) for every entry of @p kind, by name. */
+    using Named = std::pair<std::string, const Entry *>;
+    std::vector<Named> sorted(Kind kind) const;
+
+    void addValue(StatName name, const void *obj, Reader read);
+
+    std::vector<Entry> _entries;
 };
 
 } // namespace tg

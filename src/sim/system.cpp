@@ -89,6 +89,10 @@ System::System(const Config &cfg)
     _config.validate();
     _tracer.setEnabled(cfg.tracePackets);
     _tracer.setSampleShift(cfg.traceSampleShift);
+    _stats.add("sim.events", &_events,
+               [](const EventQueue &q) { return q.executed(); });
+    _stats.add("sim.arena_high_water", _arena.get(),
+               [](const net::PacketArena &a) { return a.highWater(); });
 }
 
 System::~System() = default;

@@ -40,6 +40,7 @@ class System
     const Config &config() const { return _config; }
     Rng &rng() { return _rng; }
     StatRegistry &stats() { return _stats; }
+    const StatRegistry &stats() const { return _stats; }
 
     /** Packet conservation ledger (audit layer, DESIGN.md section 7). */
     audit::PacketLedger &ledger() { return _ledger; }

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/stats.hpp"
 
@@ -220,6 +223,81 @@ TEST(StatRegistry, DumpJsonCoversAllStatKinds)
     std::ostringstream again;
     reg.dumpJson(again);
     EXPECT_EQ(out, again.str());
+}
+
+TEST(StatRegistry, LargeCountersRenderExactly)
+{
+    // Regression: dump() streamed doubles at the default 6 significant
+    // digits (12345678 came out as 1.23457e+07) and dumpJson() at 12, so
+    // event counts and bus-busy ticks lost their low digits.
+    StatRegistry reg;
+    Scalar events, busy, half;
+    events.set(12345678);
+    busy.set(1234567890123);
+    half.set(0.5);
+    reg.add("sim.events", &events);
+    reg.add("tc.busy_ticks", &busy);
+    reg.add("x.half", &half);
+
+    std::ostringstream text;
+    reg.dump(text);
+    EXPECT_NE(text.str().find(" 12345678\n"), std::string::npos)
+        << text.str();
+    EXPECT_NE(text.str().find(" 1234567890123\n"), std::string::npos);
+    EXPECT_NE(text.str().find(" 0.5\n"), std::string::npos);
+    EXPECT_EQ(text.str().find("e+"), std::string::npos) << text.str();
+
+    std::ostringstream json;
+    reg.dumpJson(json);
+    EXPECT_NE(json.str().find("\"sim.events\":12345678,"),
+              std::string::npos)
+        << json.str();
+    EXPECT_NE(json.str().find("\"tc.busy_ticks\":1234567890123,"),
+              std::string::npos)
+        << json.str();
+}
+
+TEST(StatRegistry, FormulasReadLiveValuesAsScalars)
+{
+    StatRegistry reg;
+    const std::string owner = "node0.cache";
+    std::uint64_t hits = 3;
+    std::vector<int> lines{1, 2};
+    reg.add({owner, "hits"}, &hits);
+    reg.add({owner, "lines"}, &lines,
+            [](const std::vector<int> &v) { return v.size(); });
+    hits = 7;
+    lines.push_back(3);
+
+    EXPECT_EQ(reg.find("node0.cache.hits"), 7.0);
+    EXPECT_EQ(reg.find("node0.cache.lines"), 3.0);
+    EXPECT_DOUBLE_EQ(reg.scalar("node0.cache.hits"), 7.0);
+    EXPECT_FALSE(reg.find("node0.cache.misses").has_value());
+    EXPECT_FALSE(reg.find("node0.cache").has_value());
+    EXPECT_FALSE(reg.find("node0.cachehits").has_value());
+
+    std::ostringstream json;
+    reg.dumpJson(json);
+    EXPECT_NE(json.str().find("\"scalars\":{\"node0.cache.hits\":7,"
+                              "\"node0.cache.lines\":3}"),
+              std::string::npos)
+        << json.str();
+}
+
+TEST(StatRegistry, ReRegistrationReplacesTheEntry)
+{
+    StatRegistry reg;
+    Scalar old_value, new_value;
+    old_value.set(1);
+    new_value.set(2);
+    reg.add("a.b", &old_value);
+    reg.add("a.b", &new_value);
+    EXPECT_EQ(reg.find("a.b"), 2.0);
+
+    std::ostringstream text;
+    reg.dump(text);
+    EXPECT_EQ(text.str().find(" 1\n"), std::string::npos) << text.str();
+    EXPECT_NE(text.str().find(" 2\n"), std::string::npos) << text.str();
 }
 
 } // namespace

@@ -14,7 +14,6 @@
 
 #include "workload/chaotic.hpp"
 #include "workload/hotspot.hpp"
-#include "workload/producer_consumer.hpp"
 #include "workload/remote_paging.hpp"
 #include "workload/stencil.hpp"
 #include "workload/traffic.hpp"
@@ -22,29 +21,6 @@
 
 namespace tg {
 namespace {
-
-TEST(Workloads, ProducerConsumerWithFenceHasNoStaleReads)
-{
-    ClusterSpec spec = ClusterSpec::star(2);
-    Cluster c(spec);
-    Segment &data = c.allocShared("data", 8192, 1); // homed at consumer
-    Segment &flag = c.allocShared("flag", 8192, 1);
-
-    workload::PcConfig cfg;
-    cfg.words = 8;
-    cfg.rounds = 6;
-    cfg.fenceBeforeFlag = true;
-    workload::PcStats stats;
-    c.spawn(0, workload::producer(data, flag, cfg, &stats));
-    c.spawn(1, workload::consumer(data, flag, cfg, &stats));
-    c.run(400'000'000'000ULL);
-    ASSERT_TRUE(c.allDone());
-
-    EXPECT_EQ(stats.staleReads, 0u);
-    EXPECT_EQ(stats.totalReads, std::uint64_t(cfg.words) * cfg.rounds);
-    EXPECT_GT(stats.producerDone, 0u);
-    EXPECT_GT(stats.consumerDone, 0u);
-}
 
 TEST(Workloads, HotspotCountsExactly)
 {
