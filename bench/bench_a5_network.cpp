@@ -15,6 +15,7 @@
 #include "api/context.hpp"
 #include "api/measure.hpp"
 #include "api/segment.hpp"
+#include "net/topology.hpp"
 #include "workload/traffic.hpp"
 
 using namespace tg;
@@ -61,17 +62,6 @@ run(net::TopologyKind kind, std::size_t nodes, double link_bw,
     return r;
 }
 
-const char *
-kindName(net::TopologyKind k)
-{
-    switch (k) {
-      case net::TopologyKind::Star: return "star";
-      case net::TopologyKind::Chain: return "chain";
-      case net::TopologyKind::Ring: return "ring";
-    }
-    return "?";
-}
-
 } // namespace
 
 int
@@ -97,12 +87,13 @@ main(int argc, char **argv)
           TopoCase{net::TopologyKind::Ring, 8},
           TopoCase{net::TopologyKind::Ring, 12}}) {
         const RunResult r = run(tc.kind, tc.nodes, 0.035, 32);
-        topo.addRow({kindName(tc.kind), std::to_string(tc.nodes),
+        const std::string kind = net::topologyModel(tc.kind).name();
+        topo.addRow({kind, std::to_string(tc.nodes),
                      ResultTable::num(r.runtimeUs, 0),
                      std::to_string(r.forwarded),
                      r.drained ? "yes" : "NO (deadlock!)"});
-        report.metric(std::string("topo.") + kindName(tc.kind) + "." +
-                          std::to_string(tc.nodes) + ".runtime_us",
+        report.metric("topo." + kind + "." + std::to_string(tc.nodes) +
+                          ".runtime_us",
                       r.runtimeUs, "us");
     }
     topo.print();

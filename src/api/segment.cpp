@@ -42,11 +42,29 @@ Segment::homePage(std::size_t p) const
     return _home + PAddr(p) * _cluster.config().pageBytes;
 }
 
+PAddr
+Segment::mapLocalCopy(NodeId n, std::size_t p)
+{
+    const std::uint32_t page_bytes = _cluster.config().pageBytes;
+    const PAddr local = _cluster.node(n).allocShmFrames(1);
+    // Instant (setup-time) content copy.
+    _cluster.memOf(n).copy(node::offsetOf(local), _cluster.memOf(_owner),
+                           node::offsetOf(homePage(p)), page_bytes / 8);
+
+    const VAddr va = _base + p * page_bytes;
+    node::AddressSpace &as = _cluster.node(n).defaultAddressSpace();
+    if (Pte *pte = as.find(va)) {
+        pte->frame = local;
+        pte->mode = PageMode::SharedLocal;
+    }
+    _cluster.node(n).mmu().flushPage(as.asid(), va);
+    return local;
+}
+
 void
 Segment::replicate(NodeId n, ProtocolKind kind)
 {
     _replKind = kind;
-    const std::uint32_t page_bytes = _cluster.config().pageBytes;
     coherence::Directory &dir = _cluster.directory();
     coherence::Protocol &proto = _cluster.protocol(kind);
 
@@ -63,24 +81,8 @@ Segment::replicate(NodeId n, ProtocolKind kind)
         if (e->hasCopy(n))
             continue;
 
-        const PAddr local = _cluster.node(n).allocShmFrames(1);
-        // Instant (setup-time) content copy.
-        node::MainMemory &src = _cluster.memOf(_owner);
-        node::MainMemory &dst = _cluster.memOf(n);
-        for (std::uint32_t w = 0; w < page_bytes / 8; ++w) {
-            dst.write(node::offsetOf(local) + PAddr(w) * 8,
-                      src.read(node::offsetOf(home) + PAddr(w) * 8));
-        }
-        dir.addCopy(*e, n, local);
+        dir.addCopy(*e, n, mapLocalCopy(n, p));
         proto.onCopyAdded(*e, n);
-
-        const VAddr va = _base + p * page_bytes;
-        node::AddressSpace &as = _cluster.node(n).defaultAddressSpace();
-        if (Pte *pte = as.find(va)) {
-            pte->frame = local;
-            pte->mode = PageMode::SharedLocal;
-        }
-        _cluster.node(n).mmu().flushPage(as.asid(), va);
     }
 }
 
@@ -89,31 +91,12 @@ Segment::eagerTo(NodeId reader)
 {
     if (reader == _owner)
         fatal("segment %s: eagerTo(owner) is meaningless", _name.c_str());
-    const std::uint32_t page_bytes = _cluster.config().pageBytes;
 
-    for (std::size_t p = 0; p < _pages; ++p) {
-        const PAddr home = homePage(p);
-        const PAddr local = _cluster.node(reader).allocShmFrames(1);
-
-        node::MainMemory &src = _cluster.memOf(_owner);
-        node::MainMemory &dst = _cluster.memOf(reader);
-        for (std::uint32_t w = 0; w < page_bytes / 8; ++w) {
-            dst.write(node::offsetOf(local) + PAddr(w) * 8,
-                      src.read(node::offsetOf(home) + PAddr(w) * 8));
-        }
-
-        // Receive copy mapped locally at the reader...
-        const VAddr va = _base + p * page_bytes;
-        node::AddressSpace &as = _cluster.node(reader).defaultAddressSpace();
-        if (Pte *pte = as.find(va)) {
-            pte->frame = local;
-            pte->mode = PageMode::SharedLocal;
-        }
-        _cluster.node(reader).mmu().flushPage(as.asid(), va);
-
-        // ...and the owner's page mapped out to it (HIB multicast list).
-        _cluster.hibOf(_owner).multicast().addEntry(home, reader, local);
-    }
+    // A receive copy mapped locally at the reader, and the owner's page
+    // mapped out to it (HIB multicast list).
+    for (std::size_t p = 0; p < _pages; ++p)
+        _cluster.hibOf(_owner).multicast().addEntry(
+            homePage(p), reader, mapLocalCopy(reader, p));
 }
 
 void

@@ -87,6 +87,9 @@ class Segment
   private:
     friend class Cluster;
 
+    /** Map a fresh local copy of page @p p at @p n; returns its frame. */
+    PAddr mapLocalCopy(NodeId n, std::size_t p);
+
     Cluster &_cluster;
     std::string _name;
     VAddr _base;

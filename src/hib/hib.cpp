@@ -453,7 +453,7 @@ Hib::startCopy(PAddr src_pa, PAddr dst_pa, std::uint32_t bytes, OnDone done)
 
     if (nodeOf(src_pa) == _node) {
         // Purely local copy: HIB DMA within the node.
-        _storage.copy(offsetOf(dst_pa), offsetOf(src_pa), words);
+        _storage.copy(offsetOf(dst_pa), _storage, offsetOf(src_pa), words);
         const Tick cost = config().hibSram + config().tcWriteTxn(words * 2);
         if (done)
             schedule(cost, std::move(done));

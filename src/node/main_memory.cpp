@@ -16,21 +16,20 @@ MainMemory::MainMemory(System &sys, const std::string &name)
                     [](const MainMemory &m) { return m.touchedBytes(); });
 }
 
-const std::vector<Word> &
-MainMemory::chunkFor(PAddr offset) const
+const Word *
+MainMemory::find(PAddr offset) const
 {
-    const PAddr key = offset / (kChunkWords * 8);
-    auto &chunk = _chunks[key];
-    if (chunk.empty())
-        chunk.resize(kChunkWords, 0);
-    return chunk;
+    const auto it = _chunks.find(offset / (kChunkWords * 8));
+    return it == _chunks.end() ? nullptr : it->second.data();
 }
 
-std::vector<Word> &
-MainMemory::chunkFor(PAddr offset)
+Word *
+MainMemory::materialise(PAddr offset)
 {
-    return const_cast<std::vector<Word> &>(
-        static_cast<const MainMemory *>(this)->chunkFor(offset));
+    auto &chunk = _chunks[offset / (kChunkWords * 8)];
+    if (chunk.empty())
+        chunk.resize(kChunkWords, 0);
+    return chunk.data();
 }
 
 Word
@@ -39,7 +38,8 @@ MainMemory::read(PAddr offset) const
     if (offset % 8 != 0)
         panic("%s: unaligned read at %llx", _name.c_str(),
               (unsigned long long)offset);
-    return chunkFor(offset)[(offset / 8) % kChunkWords];
+    const Word *chunk = find(offset);
+    return chunk ? chunk[wordIndex(offset)] : 0;
 }
 
 void
@@ -48,14 +48,37 @@ MainMemory::write(PAddr offset, Word value)
     if (offset % 8 != 0)
         panic("%s: unaligned write at %llx", _name.c_str(),
               (unsigned long long)offset);
-    chunkFor(offset)[(offset / 8) % kChunkWords] = value;
+    if (value == 0 && !find(offset))
+        return; // an absent chunk already reads as zero
+    materialise(offset)[wordIndex(offset)] = value;
 }
 
 void
-MainMemory::copy(PAddr dst_offset, PAddr src_offset, std::size_t words)
+MainMemory::copy(PAddr dst_offset, const MainMemory &src, PAddr src_offset,
+                 std::size_t words)
 {
-    for (std::size_t i = 0; i < words; ++i)
-        write(dst_offset + i * 8, read(src_offset + i * 8));
+    if (dst_offset % 8 != 0 || src_offset % 8 != 0)
+        panic("%s: unaligned copy %llx <- %llx", _name.c_str(),
+              (unsigned long long)dst_offset,
+              (unsigned long long)src_offset);
+    // Each span stays inside one source and one destination chunk.
+    while (words > 0) {
+        const std::size_t si = wordIndex(src_offset);
+        const std::size_t di = wordIndex(dst_offset);
+        const std::size_t n =
+            std::min({words, kChunkWords - si, kChunkWords - di});
+        if (const Word *s = src.find(src_offset)) {
+            Word *d = materialise(dst_offset);
+            // Word by word, not memmove: a self-copy keeps forward order.
+            for (std::size_t i = 0; i < n; ++i)
+                d[di + i] = s[si + i];
+        } else if (find(dst_offset)) {
+            std::fill_n(materialise(dst_offset) + di, n, Word(0));
+        }
+        words -= n;
+        src_offset += PAddr(n) * 8;
+        dst_offset += PAddr(n) * 8;
+    }
 }
 
 std::size_t

@@ -6,6 +6,9 @@
  * region (HIB SRAM on prototype I / pinned DRAM on prototype II).  Storage
  * is word-granular and sparse; timing is charged by the accessing
  * component (CPU cache model, HIB service paths), not here.
+ *
+ * An absent chunk is all zeros: reads and zero writes never allocate
+ * (DESIGN.md section 5).
  */
 
 #ifndef TELEGRAPHOS_NODE_MAIN_MEMORY_HPP
@@ -32,10 +35,13 @@ class MainMemory : public SimObject
     /** Write the 64-bit word at node-local @p offset. */
     void write(PAddr offset, Word value);
 
-    /** Copy @p words 64-bit words between node-local offsets. */
-    void copy(PAddr dst_offset, PAddr src_offset, std::size_t words);
+    /** Copy @p words words from @p src (may be *this) at @p src_offset to
+     *  @p dst_offset, span by span in forward word order (an overlapping
+     *  self-copy reads what it already wrote). */
+    void copy(PAddr dst_offset, const MainMemory &src, PAddr src_offset,
+              std::size_t words);
 
-    /** Bytes of storage actually touched (for stats). */
+    /** Bytes of chunks holding written data (for stats). */
     std::size_t touchedBytes() const;
 
     /** All non-zero words as (offset, value) pairs in ascending offset
@@ -45,6 +51,7 @@ class MainMemory : public SimObject
 
   private:
     static constexpr std::size_t kChunkWords = 1024; // 8 KB chunks
+    static std::size_t wordIndex(PAddr o) { return (o / 8) % kChunkWords; }
 
     struct Hasher
     {
@@ -55,10 +62,13 @@ class MainMemory : public SimObject
         }
     };
 
-    const std::vector<Word> &chunkFor(PAddr offset) const;
-    std::vector<Word> &chunkFor(PAddr offset);
+    /** The chunk holding @p offset, or nullptr while it is absent. */
+    const Word *find(PAddr offset) const;
 
-    mutable std::unordered_map<PAddr, std::vector<Word>, Hasher> _chunks;
+    /** As find(), materialised (zeroed) if absent; chunks never move. */
+    Word *materialise(PAddr offset);
+
+    std::unordered_map<PAddr, std::vector<Word>, Hasher> _chunks;
 };
 
 } // namespace tg::node

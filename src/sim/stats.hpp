@@ -1,6 +1,6 @@
 /**
  * @file
- * Statistics collection: scalars, samplers, histograms and a registry.
+ * Statistics collection: samplers, histograms and a registry.
  *
  * Modelled loosely after the gem5 stats package but radically simplified.
  * Components construct stats with a name and register them with their
@@ -21,23 +21,6 @@
 #include <vector>
 
 namespace tg {
-
-/** Monotonic counter / gauge. */
-class Scalar
-{
-  public:
-    Scalar() = default;
-
-    Scalar &operator++() { ++_value; return *this; }
-    Scalar &operator+=(double v) { _value += v; return *this; }
-    Scalar &operator-=(double v) { _value -= v; return *this; }
-    void set(double v) { _value = v; }
-    double value() const { return _value; }
-    void reset() { _value = 0; }
-
-  private:
-    double _value = 0;
-};
 
 /**
  * Running sample statistics: count, mean, min, max, stddev and quantiles.
@@ -160,17 +143,12 @@ class StatName
 class StatRegistry
 {
   public:
-    void
-    add(StatName name, const Scalar *s)
-    {
-        add(name, s, [](const Scalar &v) { return v.value(); });
-    }
     void add(StatName name, const Sampler *s);
     void add(StatName name, const Histogram *h);
 
     /**
-     * Register a read-only value (gem5's "formula"), reported with the
-     * scalars: an arithmetic field read in place ...
+     * Register a read-only value (gem5's "formula"), reported as a
+     * scalar: an arithmetic field read in place ...
      */
     template <class T>
         requires std::is_arithmetic_v<T>
@@ -212,7 +190,7 @@ class StatRegistry
     double scalar(const std::string &name) const;
 
   private:
-    /** Scalars and formulas share one kind (and the "scalars" section). */
+    /** Formulas are the "scalars" section. */
     enum class Kind : std::uint8_t { Value, Sampler, Histogram };
     using Reader = double (*)(const void *);
 

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "api/cluster.hpp"
 #include "api/collectives.hpp"
@@ -352,6 +354,30 @@ TEST(Collectives, CollCountersAlwaysOnStatsSurface)
     c.statsReport(report);
     EXPECT_NE(report.str().find("hib.coll_barriers"), std::string::npos);
     EXPECT_NE(report.str().find("hib.coll_desc_peak"), std::string::npos);
+}
+
+TEST(Collectives, HostSetupMaterialisesNoZeroPages)
+{
+    // Regression: the Host backend maps every root's broadcast page out
+    // to every other member.  While reads of untouched memory allocated,
+    // that set-up materialised 64 x 63 zero pages (~33 MB) before any
+    // collective ran; absent memory reading as zero keeps it to the few
+    // chunks set-up actually writes.
+    constexpr std::size_t kNodes = 64;
+    ClusterSpec spec =
+        ClusterSpec::forKind(net::TopologyKind::Torus2D, kNodes, 4)
+            .collectives(CollectiveBackend::Host);
+    Cluster c(spec);
+    std::vector<NodeId> members;
+    for (NodeId n = 0; n < NodeId(kNodes); ++n)
+        members.push_back(n);
+    c.communicator("comm", members, 8);
+
+    double touched = 0;
+    for (NodeId n = 0; n < NodeId(kNodes); ++n)
+        touched += c.system().stats().scalar(
+            "node" + std::to_string(n) + ".mem.touched_bytes");
+    EXPECT_LE(touched, double(kNodes) * 4 * 8192) << touched;
 }
 
 } // namespace

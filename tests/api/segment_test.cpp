@@ -100,10 +100,21 @@ TEST(Segment, EagerMappingUsesMulticastEntries)
     ClusterSpec spec = ClusterSpec::star(3);
     Cluster c(spec);
     Segment &seg = c.allocShared("s", 2 * 8192, 0);
+    seg.poke(1024 + 3, 42); // second page
     seg.eagerTo(1);
     seg.eagerTo(2);
     // 2 pages x 2 readers = 4 multicast entries on the owner HIB.
     EXPECT_EQ(c.hibOf(0).multicast().used(), 4u);
+
+    // Each reader's local receive copy starts with the owner's content.
+    for (NodeId r : {NodeId(1), NodeId(2)}) {
+        const node::Pte pte =
+            c.node(r).defaultAddressSpace().lookup(seg.base() + 8192);
+        EXPECT_EQ(pte.mode, node::PageMode::SharedLocal);
+        EXPECT_EQ(node::nodeOf(pte.frame), r);
+        EXPECT_EQ(c.memOf(r).read(node::offsetOf(pte.frame) + 3 * 8), 42u);
+        EXPECT_EQ(c.memOf(r).read(node::offsetOf(pte.frame)), 0u);
+    }
 }
 
 TEST(Segment, CountersOnlyMeterRemoteNodes)

@@ -16,18 +16,6 @@
 namespace tg {
 namespace {
 
-TEST(Scalar, Accumulates)
-{
-    Scalar s;
-    ++s;
-    s += 4.5;
-    EXPECT_DOUBLE_EQ(s.value(), 5.5);
-    s -= 0.5;
-    EXPECT_DOUBLE_EQ(s.value(), 5.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-}
-
 TEST(Sampler, BasicMoments)
 {
     Sampler s;
@@ -155,8 +143,7 @@ TEST(Histogram, BucketsAndOverflow)
 TEST(StatRegistry, DumpAndLookup)
 {
     StatRegistry reg;
-    Scalar a;
-    a += 3;
+    double a = 3;
     Sampler s;
     s.sample(1);
     s.sample(2);
@@ -198,8 +185,7 @@ TEST(StatRegistry, HistogramsRegisterDumpAndExport)
 TEST(StatRegistry, DumpJsonCoversAllStatKinds)
 {
     StatRegistry reg;
-    Scalar a;
-    a += 3;
+    double a = 3;
     Sampler s;
     s.sample(1);
     s.sample(2);
@@ -231,10 +217,9 @@ TEST(StatRegistry, LargeCountersRenderExactly)
     // digits (12345678 came out as 1.23457e+07) and dumpJson() at 12, so
     // event counts and bus-busy ticks lost their low digits.
     StatRegistry reg;
-    Scalar events, busy, half;
-    events.set(12345678);
-    busy.set(1234567890123);
-    half.set(0.5);
+    std::uint64_t events = 12345678;
+    std::uint64_t busy = 1234567890123;
+    double half = 0.5;
     reg.add("sim.events", &events);
     reg.add("tc.busy_ticks", &busy);
     reg.add("x.half", &half);
@@ -287,9 +272,8 @@ TEST(StatRegistry, FormulasReadLiveValuesAsScalars)
 TEST(StatRegistry, ReRegistrationReplacesTheEntry)
 {
     StatRegistry reg;
-    Scalar old_value, new_value;
-    old_value.set(1);
-    new_value.set(2);
+    double old_value = 1;
+    double new_value = 2;
     reg.add("a.b", &old_value);
     reg.add("a.b", &new_value);
     EXPECT_EQ(reg.find("a.b"), 2.0);
