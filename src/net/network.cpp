@@ -114,6 +114,8 @@ Network::Network(System &sys, const std::string &name,
     auto &reg = sys.stats();
     reg.add({_name, "switch_forwarded"}, this,
             [](const Network &n) { return n.switchForwarded(); });
+    reg.add({_name, "switch_head_evals"}, this,
+            [](const Network &n) { return n.switchHeadEvals(); });
     reg.add({_name, "crc_errors"}, this,
             [](const Network &n) { return n.corruptions(); });
     reg.add({_name, "retransmissions"}, this,
@@ -179,6 +181,15 @@ Network::switchForwarded() const
     std::uint64_t total = 0;
     for (const auto &sw : _switches)
         total += sw->forwarded();
+    return total;
+}
+
+std::uint64_t
+Network::switchHeadEvals() const
+{
+    std::uint64_t total = 0;
+    for (const auto &sw : _switches)
+        total += sw->headEvals();
     return total;
 }
 

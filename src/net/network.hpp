@@ -51,6 +51,9 @@ class Network : public SimObject
     /** Total packets forwarded by all switches. */
     std::uint64_t switchForwarded() const;
 
+    /** Input heads examined by all switches (Switch::headEvals). */
+    std::uint64_t switchHeadEvals() const;
+
     /** Number of hops between two nodes (for analytical latency checks). */
     std::size_t hops(NodeId a, NodeId b) const;
 

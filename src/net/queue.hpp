@@ -34,7 +34,11 @@ namespace tg::net {
  *
  * Capacity counts both queued packets and outstanding reservations.
  * Listeners (onData / onSpace) are invoked synchronously; they must be
- * idempotent "pump" functions that re-check state.
+ * idempotent "pump" functions that re-check state.  A failed reserve()
+ * has no side effects, so a producer refused a slot may wait for this
+ * queue's next onSpace and retry then: nothing else can make room.
+ * The switch relies on this to wake only the inputs blocked on the
+ * output that drained (net/switch.hpp).
  */
 class BoundedQueue
 {

@@ -5,26 +5,29 @@
 
 #include "net/switch.hpp"
 
+#include <bit>
+
 namespace tg::net {
 
 Switch::Switch(System &sys, const std::string &name, std::size_t ports,
                std::size_t vcs)
     : SimObject(sys, name), _ports(ports), _vcs(vcs),
-      _arena(&sys.arena()), _busy(ports * vcs, false)
+      _arena(&sys.arena()), _busy(ports * vcs, false),
+      _maskWords((ports * vcs + 63) / 64)
 {
     if (vcs == 0)
         fatal("%s: need at least one VC", name.c_str());
     const std::size_t cap = config().switchQueuePackets;
     _in.reserve(ports * vcs);
     _out.reserve(ports * vcs);
+    _waiters.assign(ports * vcs * _maskWords, 0);
     for (std::size_t p = 0; p < ports; ++p) {
         for (std::size_t v = 0; v < vcs; ++v) {
             _in.push_back(std::make_unique<BoundedQueue>(*_arena, cap));
             _out.push_back(std::make_unique<BoundedQueue>(*_arena, cap));
             _in.back()->onData([this, p, v] { pump(p, v); });
-            // An input may be stalled on a full output; wake everything
-            // when any output drains (inputs re-check their own head).
-            _out.back()->onSpace([this] { pumpAll(); });
+            _out.back()->onSpace(
+                [this, o = idx(p, v)] { wakeWaiters(o); });
         }
     }
     _traceComp = sys.tracer().registerComponent(name);
@@ -68,8 +71,29 @@ Switch::pumpAll()
 }
 
 void
+Switch::wakeWaiters(std::size_t out)
+{
+    // Take each mask word and clear it before pumping, so an input that
+    // blocks again re-marks itself for the next drain.  An input only
+    // ever marks its own bit, so word-at-a-time equals a whole-mask
+    // snapshot, in ascending input index.
+    std::uint64_t *mask = &_waiters[out * _maskWords];
+    for (std::size_t w = 0; w < _maskWords; ++w) {
+        std::uint64_t bits = mask[w];
+        mask[w] = 0;
+        while (bits != 0) {
+            const std::size_t i =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            bits &= bits - 1;
+            pump(i / _vcs, i % _vcs);
+        }
+    }
+}
+
+void
 Switch::pump(std::size_t port, std::size_t vc)
 {
+    ++_headEvals;
     BoundedQueue &in = *_in[idx(port, vc)];
     if (_busy[idx(port, vc)] || in.empty())
         return;
@@ -90,8 +114,13 @@ Switch::pump(std::size_t port, std::size_t vc)
               unsigned(out_vc), _vcs);
 
     BoundedQueue &oq = *_out[idx(out, out_vc)];
-    if (!oq.reserve())
-        return; // back-pressure: wait for the (VC-private) output buffer
+    if (!oq.reserve()) {
+        // Back-pressure: wait for the (VC-private) output buffer.
+        const std::size_t i = idx(port, vc);
+        _waiters[idx(out, out_vc) * _maskWords + i / 64] |=
+            std::uint64_t(1) << (i % 64);
+        return;
+    }
 
     _busy[idx(port, vc)] = true;
     schedule(config().switchLatency, [this, port, vc, out, out_vc] {

@@ -15,6 +15,17 @@
  *    escape VC), and
  *  - reservation-based back-pressure between stages.
  *
+ * Wake-up rule: an input whose head cannot reserve its output buffer
+ * marks itself as a waiter on that output (one bit per (port, VC)
+ * input, in a per-output mask sized at construction).  When the output
+ * frees a slot, only the inputs marked on it are re-pumped, in
+ * ascending input index; each one that blocks again re-marks itself.
+ * This is schedule-identical to re-pumping every input: a failed pump
+ * has no side effects, and an idle non-empty input can only succeed
+ * once the one output its head routes to has room.  Route changes
+ * (applyRoutes, refreshRoutes) still re-pump every input, because a
+ * new route can point a stalled head at an output with room.
+ *
  * In-order delivery per (source, destination) follows from deterministic
  * single-path routing plus FIFO queueing at every stage — a flow always
  * traverses the same VC sequence, so VCs never reorder it.  A property
@@ -107,6 +118,13 @@ class Switch : public SimObject
     /** Total packets forwarded. */
     std::uint64_t forwarded() const { return _forwarded; }
 
+    /** Input heads examined: every pump of a (port, VC) input, whether
+     *  it found the input busy, empty, blocked or forwarding.  Two per
+     *  forwarded packet (one when it arrives, one after it leaves), plus
+     *  one per wake-up of a blocked input and ports x VCs per route
+     *  change. */
+    std::uint64_t headEvals() const { return _headEvals; }
+
   private:
     std::size_t idx(std::size_t port, std::size_t vc) const
     {
@@ -116,16 +134,25 @@ class Switch : public SimObject
     void pump(std::size_t port, std::size_t vc);
     void pumpAll();
 
+    /** Output @p out freed a slot: re-pump the inputs waiting on it. */
+    void wakeWaiters(std::size_t out);
+
     std::size_t _ports;
     std::size_t _vcs;
     PacketArena *_arena = nullptr; ///< the system's packet arena
     std::vector<std::unique_ptr<BoundedQueue>> _in;
     std::vector<std::unique_ptr<BoundedQueue>> _out;
     std::vector<bool> _busy;
+    /** Waiter masks, _maskWords words per output (port, VC): bit i of
+     *  output o is set when input i blocks on o and cleared when o next
+     *  frees a slot. */
+    std::vector<std::uint64_t> _waiters;
+    std::size_t _maskWords;
     std::vector<std::size_t> _routes; // indexed by NodeId
     VcMap _vcMap;
     RouteFn _routeFn;
     std::uint64_t _forwarded = 0;
+    std::uint64_t _headEvals = 0;
     std::uint16_t _traceComp = 0;
 };
 

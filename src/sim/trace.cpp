@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <map>
 #include <sstream>
 
 namespace tg::trace {
@@ -183,23 +184,66 @@ Tracer::beginOp(OpKind kind)
     const std::uint64_t id = _nextId++;
     if (!sampled(id, _sampleShift))
         return id;
-    if (_open.size() >= _openCap) {
-        // Deterministic eviction: the oldest (smallest-id) open op is
-        // force-retired into the aggregates.
-        auto oldest = _open.begin();
-        retire(oldest->first, oldest->second);
-        _open.erase(oldest);
-        ++_evictedOps;
-    }
-    _open.emplace(id, OpState{kind, 0, 0, 0, 0});
+    // Deterministic eviction: the oldest (smallest-id) open op is
+    // force-retired into the aggregates.
+    if (_openCount >= _openCap)
+        evictOldest();
+    if (_openCount == _open.size())
+        resizeOpen(std::min(std::max<std::size_t>(2 * _open.size(), 64),
+                            _openCap));
+    _open[slot(_openCount)] = OpenOp{id, OpState{kind, 0, 0, 0, 0}};
+    ++_openCount;
     return id;
+}
+
+std::size_t
+Tracer::openIndex(std::uint64_t id) const
+{
+    if (_openCount == 0 || id < _open[_openHead].id ||
+        id > _open[slot(_openCount - 1)].id)
+        return _openCount;
+    // Ids rise by at least one per position, so op @p id sits at most
+    // (id - oldest) positions in -- exactly there when every op is
+    // sampled.  Sampling leaves gaps: binary-search below that bound.
+    std::size_t hi = std::min<std::uint64_t>(id - _open[_openHead].id,
+                                             _openCount - 1);
+    if (_open[slot(hi)].id == id)
+        return hi;
+    std::size_t lo = 0;
+    while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (_open[slot(mid)].id < id)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return _open[slot(lo)].id == id ? lo : _openCount;
+}
+
+void
+Tracer::evictOldest()
+{
+    retire(_open[_openHead].st);
+    _openHead = slot(1);
+    --_openCount;
+    ++_evictedOps;
+}
+
+void
+Tracer::resizeOpen(std::size_t slots)
+{
+    std::vector<OpenOp> ring(slots);
+    for (std::size_t i = 0; i < _openCount; ++i)
+        ring[i] = _open[slot(i)];
+    _open = std::move(ring);
+    _openHead = 0;
 }
 
 OpKind
 Tracer::kindOf(std::uint64_t id) const
 {
-    auto it = _open.find(id);
-    return it == _open.end() ? OpKind::Other : it->second.kind;
+    const std::size_t i = openIndex(id);
+    return i == _openCount ? OpKind::Other : _open[slot(i)].st.kind;
 }
 
 void
@@ -220,14 +264,14 @@ Tracer::recordImpl(std::uint64_t id, Span sp, Tick t, std::uint16_t comp,
     }
     _events.push_back(TraceEvent{id, sp, comp, t, aux});
 
-    auto it = _open.find(id);
-    if (it == _open.end()) {
+    const std::size_t i = openIndex(id);
+    if (i == _openCount) {
         // The op was evicted (or the id never came from beginOp): the
         // event stays in the raw window but no longer aggregates.
         ++_lateEvents;
         return;
     }
-    OpState &st = it->second;
+    OpState &st = _open[slot(i)].st;
     if (st.boundaries == 0) {
         st.first = st.last = t;
         st.boundaries = 1;
@@ -255,9 +299,8 @@ Tracer::pushLifetime(KindAgg &agg, Tick lifetime)
 }
 
 void
-Tracer::retire(std::uint64_t id, const OpState &st)
+Tracer::retire(const OpState &st)
 {
-    (void)id;
     if (st.boundaries < 2)
         return;
     KindAgg &agg = _agg[static_cast<std::size_t>(st.kind)];
@@ -273,7 +316,8 @@ Tracer::breakdown() const
     // their span deltas already streamed into the cells at record time.
     std::uint64_t openOps[kNumKinds] = {};
     std::uint64_t openHops[kNumKinds] = {};
-    for (const auto &[id, st] : _open) {
+    for (std::size_t i = 0; i < _openCount; ++i) {
+        const OpState &st = _open[slot(i)].st;
         if (st.boundaries < 2)
             continue;
         const auto k = static_cast<std::size_t>(st.kind);
@@ -315,9 +359,11 @@ Tracer::opLifetimes(OpKind kind) const
 {
     const auto k = static_cast<std::size_t>(kind);
     std::vector<Tick> out = _agg[k].exact;
-    for (const auto &[id, st] : _open)
+    for (std::size_t i = 0; i < _openCount; ++i) {
+        const OpState &st = _open[slot(i)].st;
         if (st.kind == kind && st.boundaries >= 2)
             out.push_back(st.last - st.first);
+    }
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -439,12 +485,10 @@ void
 Tracer::setOpenOpCap(std::size_t cap)
 {
     _openCap = std::max<std::size_t>(cap, 1);
-    while (_open.size() > _openCap) {
-        auto oldest = _open.begin();
-        retire(oldest->first, oldest->second);
-        _open.erase(oldest);
-        ++_evictedOps;
-    }
+    while (_openCount > _openCap)
+        evictOldest();
+    if (_open.size() > _openCap)
+        resizeOpen(_openCap);
 }
 
 void
@@ -456,11 +500,8 @@ Tracer::setLifetimeSampleCap(std::size_t cap)
 std::size_t
 Tracer::approxBytes() const
 {
-    // Red-black tree nodes carry ~3 pointers + color next to the pair.
-    constexpr std::size_t kMapNodeOverhead = 4 * sizeof(void *);
     std::size_t bytes = _events.capacity() * sizeof(TraceEvent);
-    bytes += _open.size() *
-             (sizeof(std::uint64_t) + sizeof(OpState) + kMapNodeOverhead);
+    bytes += _open.capacity() * sizeof(OpenOp);
     for (const KindAgg &agg : _agg) {
         bytes += agg.exact.capacity() * sizeof(Tick);
         bytes += sizeof(agg.logBuckets);
@@ -476,6 +517,8 @@ Tracer::reset()
     _events.clear();
     _events.shrink_to_fit();
     _open.clear();
+    _open.shrink_to_fit();
+    _openHead = _openCount = 0;
     for (auto &row : _cells)
         for (auto &cell : row)
             cell = Cell{};

@@ -26,11 +26,15 @@
  * Scale contract (section 14.4): the tracer's memory is *bounded* no
  * matter how long the run or how many nodes trace into it.  Breakdown
  * aggregates stream into fixed (kind, span) cells as events arrive; open
- * operations live in a capped table with deterministic oldest-id
- * eviction; per-kind lifetimes keep an exact sample set up to a cap and
+ * operations live in a ring ordered by id, capped at openOpCap(): ids
+ * are monotone, so a new op is appended at the back, the oldest-id op
+ * is evicted from the front, and a lookup indexes the ring by the id's
+ * distance from the front (binary search when sampling leaves gaps);
+ * per-kind lifetimes keep an exact sample set up to a cap and
  * spill into a log2-bucket sketch; and the raw-event window retains only
  * the most recent events for the Chrome export.  approxBytes() reports
- * the footprint so tests can assert the bound.
+ * the footprint, counting the open-op ring at its capacity, so tests
+ * can assert the bound.
  *
  * Sampling contract: setSampleShift(s) records 1 in 2^s operations,
  * chosen by a splitmix64 hash of the operation id — a pure function of
@@ -52,7 +56,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -299,8 +302,9 @@ class Tracer
     /** The next operation id beginOp() would hand out. */
     std::uint64_t nextOpId() const { return _nextId; }
 
-    /** Restore the id counter (checkpoint restore at quiescence, when no
-     *  operations are open). */
+    /** Restore the id counter (checkpoint restore, into a cluster that
+     *  has not run, so no operation is open: the open-op ring relies on
+     *  ids being handed out in increasing order). */
     void setNextOpId(std::uint64_t id) { _nextId = id; }
 
   private:
@@ -331,10 +335,34 @@ class Tracer
         std::uint64_t sketched = 0;          ///< lifetimes in the sketch
     };
 
+    /** One slot of the open-op ring. */
+    struct OpenOp
+    {
+        std::uint64_t id = 0;
+        OpState st{};
+    };
+
     void recordImpl(std::uint64_t id, Span sp, Tick t, std::uint16_t comp,
                     std::uint64_t aux);
-    void retire(std::uint64_t id, const OpState &st);
+    void retire(const OpState &st);
     void pushLifetime(KindAgg &agg, Tick lifetime);
+
+    /** Ring slot of the open op @p i positions from the oldest. */
+    std::size_t
+    slot(std::size_t i) const
+    {
+        const std::size_t j = _openHead + i;
+        return j < _open.size() ? j : j - _open.size();
+    }
+
+    /** Ring position of open op @p id, or _openCount when not open. */
+    std::size_t openIndex(std::uint64_t id) const;
+
+    /** Force-retire the oldest open op into the aggregates. */
+    void evictOldest();
+
+    /** Move the open ops into a ring of @p slots (>= _openCount). */
+    void resizeOpen(std::size_t slots);
 
     bool _enabled = false;
     std::uint32_t _sampleShift = 0;
@@ -345,7 +373,9 @@ class Tracer
     std::uint64_t _recorded = 0;
     std::uint64_t _droppedWindow = 0;
 
-    std::map<std::uint64_t, OpState> _open; ///< ordered: oldest id first
+    std::vector<OpenOp> _open;  ///< ring storage, grows to _openCap
+    std::size_t _openHead = 0;  ///< ring slot of the oldest open op
+    std::size_t _openCount = 0; ///< open ops, ids increasing from head
     std::size_t _openCap = std::size_t(1) << 15;
     std::uint64_t _evictedOps = 0;
     std::uint64_t _lateEvents = 0; ///< events for evicted/unknown ops

@@ -41,6 +41,7 @@ accessorCounters(Cluster &c)
     put("sim.arena_high_water", double(c.system().arena().highWater()));
     const net::Network &net = c.network();
     put("net.switch_forwarded", double(net.switchForwarded()));
+    put("net.switch_head_evals", double(net.switchHeadEvals()));
     put("net.crc_errors", double(net.corruptions()));
     put("net.retransmissions", double(net.retransmissions()));
     put("net.dup_discards", double(net.duplicateDiscards()));

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests of the shared-buffer switch: routing, forwarding latency,
- * head-of-line back-pressure, and per-(src,dst) in-order delivery —
+ * head-of-line back-pressure, the wake-up order of inputs blocked on a
+ * drained output, and per-(src,dst) in-order delivery —
  * the property the coherence protocol relies on (paper section 2.3.1).
  */
 
@@ -105,6 +106,83 @@ TEST(Switch, PerSourceInOrderDelivery)
             seen[p.src] = p.value;
         }
     }
+}
+
+TEST(Switch, DrainWakesWaitersInAscendingInputOrder)
+{
+    Config cfg;
+    cfg.switchQueuePackets = 1;
+    System sys{cfg};
+    Switch sw(sys, "sw", 6, 1);
+    for (NodeId n = 0; n < 6; ++n)
+        sw.setRoute(n, n);
+
+    // Fill output 4 from input 0 and output 5 from input 5.
+    sw.inQueue(0).push(mkPkt(0, 4, 0));
+    sw.inQueue(5).push(mkPkt(5, 5, 5));
+    sys.events().run();
+    ASSERT_EQ(sw.outQueue(4).size(), 1u);
+    ASSERT_EQ(sw.outQueue(5).size(), 1u);
+
+    // Inputs 3, 2, 1 block on output 4 (arriving in descending order);
+    // input 4 blocks on output 5.
+    sw.inQueue(3).push(mkPkt(3, 4, 3));
+    sw.inQueue(2).push(mkPkt(2, 4, 2));
+    sw.inQueue(1).push(mkPkt(1, 4, 1));
+    sw.inQueue(4).push(mkPkt(4, 5, 4));
+    sys.events().run();
+
+    // Each drain of output 4 forwards the lowest-index waiter on it
+    // (packet values name their input).
+    for (Word i = 0; i < 4; ++i) {
+        ASSERT_EQ(sw.outQueue(4).size(), 1u) << "drain " << i;
+        EXPECT_EQ(sw.outQueue(4).pop().value, i);
+        sys.events().run();
+        // The input blocked on output 5 never moves.
+        EXPECT_EQ(sw.inQueue(4).size(), 1u);
+        EXPECT_EQ(sw.outQueue(5).size(), 1u);
+    }
+    EXPECT_TRUE(sw.outQueue(4).empty());
+
+    // Draining output 5 releases it.
+    EXPECT_EQ(sw.outQueue(5).pop().value, 5u);
+    sys.events().run();
+    EXPECT_TRUE(sw.inQueue(4).empty());
+    EXPECT_EQ(sw.outQueue(5).pop().value, 4u);
+    EXPECT_EQ(sw.forwarded(), 6u);
+}
+
+TEST(Switch, ApplyRoutesReevaluatesEveryStalledInput)
+{
+    Config cfg;
+    cfg.switchQueuePackets = 1;
+    System sys{cfg};
+    Switch sw(sys, "sw", 3, 1);
+    sw.setRoute(0, 0);
+    sw.setRoute(1, 1);
+    sw.setRoute(2, 1);
+
+    // Input 0 fills output 1; input 2's packet blocks behind it.
+    sw.inQueue(0).push(mkPkt(0, 1, 10));
+    sys.events().run();
+    sw.inQueue(2).push(mkPkt(2, 2, 20));
+    sys.events().run();
+    ASSERT_EQ(sw.inQueue(2).size(), 1u);
+
+    // Re-routing node 2 to the free output 2 forwards the stalled head
+    // with output 1 still full: no drain is needed.
+    sw.applyRoutes({0, 1, 2});
+    sys.events().run();
+    EXPECT_TRUE(sw.inQueue(2).empty());
+    ASSERT_EQ(sw.outQueue(2).size(), 1u);
+    EXPECT_EQ(sw.outQueue(2).pop().value, 20u);
+    EXPECT_EQ(sw.outQueue(1).size(), 1u);
+
+    // The stale mark on output 1 is harmless: draining it moves nothing.
+    EXPECT_EQ(sw.outQueue(1).pop().value, 10u);
+    sys.events().run();
+    EXPECT_TRUE(sw.outQueue(1).empty());
+    EXPECT_EQ(sw.forwarded(), 2u);
 }
 
 TEST(SwitchDeathTest, UnroutedDestinationPanics)

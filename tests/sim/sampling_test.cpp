@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,6 +162,146 @@ TEST(Sampling, TracerMemoryStaysBoundedUnderCaps)
     EXPECT_GT(ops, 700u);
     // The whole structure stays small despite ~800 traced operations.
     EXPECT_LT(c.tracer().approxBytes(), 256u * 1024u);
+}
+
+/** Operation-level fingerprint of one tightly capped traced run. */
+struct EvictionRun
+{
+    std::uint64_t evicted = 0;
+    std::string breakdownJson;
+    std::vector<Tick> writeLifetimes;
+    trace::OpKind oldestKind = trace::OpKind::Other;
+    trace::OpKind newestKind = trace::OpKind::Other;
+    trace::OpKind belowNewestKind = trace::OpKind::Other;
+};
+
+/** Writes, reads, atomics and fences from two nodes under a 32-op
+ *  open table, so eviction runs from early in the run to its end. */
+EvictionRun
+runEvicting(std::uint32_t shift)
+{
+    ClusterSpec spec =
+        ClusterSpec::star(3).seed(21).trace(true).traceSample(shift);
+    Cluster c(spec);
+    Segment &seg = c.allocShared("data", 65536, 0);
+    c.tracer().setOpenOpCap(32);
+    c.tracer().setRetainedEventCap(256);
+    c.tracer().setLifetimeSampleCap(8);
+
+    for (NodeId n = 1; n <= 2; ++n) {
+        c.spawn(n, [&seg, n](Ctx &ctx) -> Task<void> {
+            const std::size_t base = std::size_t(n) * 512;
+            for (int i = 0; i < 250; ++i)
+                co_await ctx.write(seg.word(base + i), Word(i));
+            co_await ctx.fence();
+            for (int i = 0; i < 5; ++i)
+                (void)co_await ctx.read(seg.word(base + i));
+            co_await ctx.fetchAdd(seg.word(0), 1);
+            for (int i = 0; i < 50; ++i)
+                co_await ctx.write(seg.word(base + 300 + i), Word(i));
+            co_await ctx.fence();
+        });
+    }
+    c.run();
+
+    // The oldest sampled op was evicted long ago; the newest is open,
+    // and so is the op just below it unless sampling skipped its id.
+    const trace::Tracer &t = c.tracer();
+    std::uint64_t oldest = 1;
+    while (!trace::Tracer::sampled(oldest, shift))
+        ++oldest;
+    std::uint64_t newest = t.opsBegun();
+    while (!trace::Tracer::sampled(newest, shift))
+        --newest;
+
+    EvictionRun r;
+    r.evicted = t.evictedOps();
+    r.breakdownJson = t.breakdown().toJson();
+    r.writeLifetimes = t.opLifetimes(trace::OpKind::RemoteWrite);
+    r.oldestKind = t.kindOf(oldest);
+    r.newestKind = t.kindOf(newest);
+    r.belowNewestKind = t.kindOf(newest - 1);
+    return r;
+}
+
+TEST(Sampling, OpenOpRingEvictsLikeOrderedTable)
+{
+    // Golden values recorded from the ordered (std::map) open-op table
+    // the id-ordered ring replaced: oldest-id-first eviction must retire
+    // the same ops in the same order, with full tracing and 1-in-8
+    // sampling alike.
+    const EvictionRun full = runEvicting(0);
+    EXPECT_EQ(full.evicted, 584u);
+    EXPECT_EQ(full.breakdownJson,
+          "{\"schema\":\"tg-breakdown-v1\",\"ops\":[{\"kind\":\"write\","
+          "\"ops\":595,\"total_us\":15.6971495798,"
+          "\"mean_hops\":0.521008403361,"
+          "\"components\":[{\"span\":\"tc_grant\",\"count\":727,"
+          "\"mean_us\":1.6711092437},{\"span\":\"hib_launch\","
+          "\"count\":726,\"mean_us\":0.488067226891},"
+          "{\"span\":\"link_tx\",\"count\":615,"
+          "\"mean_us\":11.2077848739},{\"span\":\"link_rx\","
+          "\"count\":573,\"mean_us\":0.658840336134},"
+          "{\"span\":\"switch_fwd\",\"count\":310,"
+          "\"mean_us\":1.17400336134},{\"span\":\"hib_handle\","
+          "\"count\":257,\"mean_us\":0.497344537815},"
+          "{\"span\":\"completion\",\"count\":125,\"mean_us\":0}]},"
+          "{\"kind\":\"read\",\"ops\":10,\"total_us\":19.2092,"
+          "\"mean_hops\":2,\"components\":[{\"span\":\"tc_grant\","
+          "\"count\":30,\"mean_us\":0},{\"span\":\"hib_launch\","
+          "\"count\":20,\"mean_us\":2.19},{\"span\":\"link_tx\","
+          "\"count\":40,\"mean_us\":9.3686},{\"span\":\"link_rx\","
+          "\"count\":40,\"mean_us\":3.144},{\"span\":\"switch_fwd\","
+          "\"count\":20,\"mean_us\":0.8616},{\"span\":\"hib_handle\","
+          "\"count\":20,\"mean_us\":3.645},{\"span\":\"completion\","
+          "\"count\":10,\"mean_us\":0}]},{\"kind\":\"atomic\",\"ops\":2,"
+          "\"total_us\":6.877,\"mean_hops\":2,"
+          "\"components\":[{\"span\":\"hib_launch\",\"count\":2,"
+          "\"mean_us\":0.3},{\"span\":\"link_tx\",\"count\":8,"
+          "\"mean_us\":1.0975},{\"span\":\"link_rx\",\"count\":8,"
+          "\"mean_us\":4.058},{\"span\":\"switch_fwd\",\"count\":4,"
+          "\"mean_us\":0.7},{\"span\":\"hib_handle\",\"count\":4,"
+          "\"mean_us\":0.7215},{\"span\":\"completion\",\"count\":2,"
+          "\"mean_us\":0}]},{\"kind\":\"fence\",\"ops\":4,"
+          "\"total_us\":47.86025,\"mean_hops\":0,"
+          "\"components\":[{\"span\":\"fence_start\",\"count\":4,"
+          "\"mean_us\":1.852},{\"span\":\"fence_wake\",\"count\":3,"
+          "\"mean_us\":46.00825}]}]}");
+    EXPECT_EQ(full.writeLifetimes, (std::vector<Tick>{
+        3492, 4630, 4788, 4898, 4946, 5088, 5354, 5550, 12054, 12354,
+        12654, 12954, 13254, 13554, 13854, 14154, 14454, 14754, 15054,
+        15354, 15654, 15954, 16254, 16554, 16854, 17154, 17454, 17754,
+        18054, 18354, 18654, 18954, 19254, 19554, 19854, 20154, 20454,
+        20754, 21054}));
+    EXPECT_EQ(full.oldestKind, trace::OpKind::Other); // evicted
+    EXPECT_EQ(full.newestKind, trace::OpKind::Fence);
+    EXPECT_EQ(full.belowNewestKind, trace::OpKind::RemoteWrite);
+
+    const EvictionRun eighth = runEvicting(3);
+    EXPECT_EQ(eighth.evicted, 40u);
+    EXPECT_EQ(eighth.breakdownJson,
+          "{\"schema\":\"tg-breakdown-v1\",\"ops\":[{\"kind\":\"write\","
+          "\"ops\":72,\"total_us\":74.2629027778,"
+          "\"mean_hops\":1.63888888889,"
+          "\"components\":[{\"span\":\"tc_grant\",\"count\":131,"
+          "\"mean_us\":1.65372222222},{\"span\":\"hib_launch\","
+          "\"count\":130,\"mean_us\":0.722222222222},"
+          "{\"span\":\"link_tx\",\"count\":236,"
+          "\"mean_us\":61.7959583333},{\"span\":\"link_rx\","
+          "\"count\":234,\"mean_us\":2.19983333333},"
+          "{\"span\":\"switch_fwd\",\"count\":118,"
+          "\"mean_us\":5.15119444444},{\"span\":\"hib_handle\","
+          "\"count\":115,\"mean_us\":2.73997222222},"
+          "{\"span\":\"completion\",\"count\":56,\"mean_us\":0}]}]}");
+    EXPECT_EQ(eighth.writeLifetimes, (std::vector<Tick>{
+        8220, 9054, 9354, 9454, 9654, 11554, 12954, 13754, 14654,
+        15054, 15254, 18354, 20354, 22354, 23297, 25054, 27354, 30354,
+        31354, 41354, 80354, 83054, 84554, 84854, 86054, 88154, 91454,
+        92054, 94754, 95654, 98054, 100154, 146248, 146346, 146626,
+        147116, 147158, 236254, 238354, 238654}));
+    EXPECT_EQ(eighth.oldestKind, trace::OpKind::Other); // evicted
+    EXPECT_EQ(eighth.newestKind, trace::OpKind::RemoteWrite);
+    EXPECT_EQ(eighth.belowNewestKind, trace::OpKind::Other); // unsampled
 }
 
 TEST(Sampling, SamplerSpillsToSketchWithExactMoments)
