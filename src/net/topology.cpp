@@ -7,8 +7,10 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdarg>
 #include <cstdio>
+#include <string>
 
 #include "sim/log.hpp"
 
@@ -301,16 +303,28 @@ class RingModel final : public LinearModel
     }
 };
 
-// -------------------------------------------------------------- Torus2D
+// ------------------------------------------------------ Torus2D, Torus3D
 
+/**
+ * A k-ary n-cube of switches, n = 2 (Torus2D) or 3 (Torus3D): one ring
+ * per dimension through every switch, nodes filling switches in id
+ * order.  Switch ids are mixed-radix coordinates with X fastest,
+ * id = (z * gy + y) * gx + x; dimension d's trunk ports sit above the
+ * node ports, + at nps + 2d and - at nps + 2d + 1.
+ */
 class TorusModel final : public TopologyModel
 {
   public:
-    const char *name() const override { return "torus2d"; }
+    explicit TorusModel(std::size_t dims) : _dims(dims) {}
+
+    const char *name() const override
+    {
+        return _dims == 2 ? "torus2d" : "torus3d";
+    }
 
     std::size_t numSwitches(const TopologySpec &s) const override
     {
-        return s.torusX * s.torusY;
+        return stride(s, _dims);
     }
 
     std::size_t
@@ -327,24 +341,21 @@ class TorusModel final : public TopologyModel
 
     std::size_t portsOf(const TopologySpec &s, std::size_t) const override
     {
-        // node ports + {+X, -X, +Y, -Y} trunks
-        return s.nodesPerSwitch + 4;
+        // node ports + a {+, -} trunk pair per dimension
+        return s.nodesPerSwitch + 2 * _dims;
     }
 
     std::vector<Trunk> trunks(const TopologySpec &s) const override
     {
-        // X-dimension rings row by row, then Y-dimension rings; within
-        // each ring the wrap link falls out last (i = extent-1).
+        // One dimension at a time (X rings, then Y, then Z), switches in
+        // id order within each; every ring's wrap link falls out at its
+        // extent-1 coordinate.
         std::vector<Trunk> out;
-        const std::size_t gx = s.torusX, gy = s.torusY;
-        for (std::size_t y = 0; y < gy; ++y)
-            for (std::size_t x = 0; x < gx; ++x)
-                out.push_back(Trunk{y * gx + x, posX(s),
-                                    y * gx + (x + 1) % gx, negX(s)});
-        for (std::size_t y = 0; y < gy; ++y)
-            for (std::size_t x = 0; x < gx; ++x)
-                out.push_back(Trunk{y * gx + x, posY(s),
-                                    ((y + 1) % gy) * gx + x, negY(s)});
+        const std::size_t nsw = numSwitches(s);
+        for (std::size_t d = 0; d < _dims; ++d)
+            for (std::size_t sw = 0; sw < nsw; ++sw)
+                out.push_back(
+                    Trunk{sw, pos(s, d), next(s, sw, d), neg(s, d)});
         return out;
     }
 
@@ -353,16 +364,17 @@ class TorusModel final : public TopologyModel
               NodeId dst) const override
     {
         // Dimension-ordered routing (Dally & Seitz): correct X fully,
-        // then Y; shortest direction per dimension, ties towards +.
+        // then Y, then Z; shortest direction per dimension, ties
+        // towards +.
         const std::size_t t = switchOf(s, dst);
         if (t == sw)
             return portOf(s, dst);
-        const std::size_t gx = s.torusX, gy = s.torusY;
-        const std::size_t x = sw % gx, y = sw / gx;
-        const std::size_t tx = t % gx, ty = t / gx;
-        if (x != tx)
-            return ringForward(x, tx, gx) ? posX(s) : negX(s);
-        return ringForward(y, ty, gy) ? posY(s) : negY(s);
+        std::size_t d = 0;
+        while (coord(s, sw, d) == coord(s, t, d))
+            ++d;
+        return ringForward(coord(s, sw, d), coord(s, t, d), extent(s, d))
+                   ? pos(s, d)
+                   : neg(s, d);
     }
 
     bool usesDateline() const override { return true; }
@@ -373,33 +385,22 @@ class TorusModel final : public TopologyModel
     vcFor(const TopologySpec &s, std::size_t sw, std::size_t in_port,
           std::size_t out_port, std::uint8_t in_vc) const override
     {
-        // Per-dimension dateline: each X row and Y column is a ring with
-        // its own wrap-link dateline.  A packet starts each dimension on
-        // VC0 (injection, or the X->Y turn of dimension-ordered routing)
-        // and is bumped to the escape VC when it crosses that
-        // dimension's wrap link; it can never cross the same wrap twice,
-        // so no buffer-wait cycle closes in either VC.
+        // Per-dimension dateline: every ring has its own wrap-link
+        // dateline.  A packet starts each dimension on VC0 (injection,
+        // or a turn of dimension-ordered routing) and is bumped to the
+        // escape VC when it crosses that dimension's wrap link; it can
+        // never cross the same wrap twice, so no buffer-wait cycle
+        // closes in either VC.
         const std::size_t nps = s.nodesPerSwitch;
         if (out_port < nps)
             return in_vc; // ejection to a node port
-
-        std::uint8_t vc = in_vc;
-        if (in_port < nps)
-            vc = 0; // fresh injection
-        else if (isX(s, in_port) != isX(s, out_port))
-            vc = 0; // dimension turn: a new ring, restart on VC0
-
-        const std::size_t gx = s.torusX, gy = s.torusY;
-        const std::size_t x = sw % gx, y = sw / gx;
-        if (out_port == posX(s) && x == gx - 1)
-            return 1;
-        if (out_port == negX(s) && x == 0)
-            return 1;
-        if (out_port == posY(s) && y == gy - 1)
-            return 1;
-        if (out_port == negY(s) && y == 0)
-            return 1;
-        return vc;
+        const std::size_t d = dimOf(s, out_port);
+        const std::size_t c = coord(s, sw, d);
+        if (out_port == pos(s, d) ? c == extent(s, d) - 1 : c == 0)
+            return 1; // crossing this dimension's wrap link
+        if (in_port < nps || dimOf(s, in_port) != d)
+            return 0; // injection or dimension turn: a new ring
+        return in_vc;
     }
 
     std::size_t
@@ -409,205 +410,22 @@ class TorusModel final : public TopologyModel
             return 0;
         const std::size_t sa = switchOf(s, a);
         const std::size_t sb = switchOf(s, b);
-        if (sa == sb)
-            return 1;
-        const std::size_t gx = s.torusX;
-        return 1 + ringDist(sa % gx, sb % gx, gx) +
-               ringDist(sa / gx, sb / gx, s.torusY);
-    }
-
-    std::size_t bisectionWidth(const TopologySpec &s) const override
-    {
-        // Cut across the longer dimension: 2 wrap-ring links per ring
-        // cut, min(gx, gy) parallel rings crossing the cut... the
-        // narrower count wins.
-        return 2 * std::min(s.torusX, s.torusY);
-    }
-
-    Expected<void, ConfigError>
-    validate(const TopologySpec &s) const override
-    {
-        if (auto r = checkCommon(s, /*usesPerSwitch=*/true); !r)
-            return r;
-        if (s.torusX < 2 || s.torusY < 2)
-            return reject("torus dimensions must be at least 2x2 (got "
-                          "%zux%zu)",
-                          s.torusX, s.torusY);
-        if (s.nodes != s.torusX * s.torusY * s.nodesPerSwitch)
-            return reject(
-                "non-rectangular torus: %zu nodes does not fill %zux%zu "
-                "switches at %zu per switch (want %zu)",
-                s.nodes, s.torusX, s.torusY, s.nodesPerSwitch,
-                s.torusX * s.torusY * s.nodesPerSwitch);
-        return checkPorts(s);
-    }
-
-  private:
-    static std::size_t posX(const TopologySpec &s)
-    {
-        return s.nodesPerSwitch;
-    }
-    static std::size_t negX(const TopologySpec &s)
-    {
-        return s.nodesPerSwitch + 1;
-    }
-    static std::size_t posY(const TopologySpec &s)
-    {
-        return s.nodesPerSwitch + 2;
-    }
-    static std::size_t negY(const TopologySpec &s)
-    {
-        return s.nodesPerSwitch + 3;
-    }
-    static bool isX(const TopologySpec &s, std::size_t trunkPort)
-    {
-        return trunkPort == posX(s) || trunkPort == negX(s);
-    }
-};
-
-// -------------------------------------------------------------- Torus3D
-
-class Torus3DModel final : public TopologyModel
-{
-  public:
-    const char *name() const override { return "torus3d"; }
-
-    std::size_t numSwitches(const TopologySpec &s) const override
-    {
-        return s.torusX * s.torusY * s.torusZ;
-    }
-
-    std::size_t
-    switchOf(const TopologySpec &s, std::size_t node) const override
-    {
-        return node / s.nodesPerSwitch;
-    }
-
-    std::size_t
-    portOf(const TopologySpec &s, std::size_t node) const override
-    {
-        return node % s.nodesPerSwitch;
-    }
-
-    std::size_t portsOf(const TopologySpec &s, std::size_t) const override
-    {
-        // node ports + {+X, -X, +Y, -Y, +Z, -Z} trunks
-        return s.nodesPerSwitch + 6;
-    }
-
-    std::vector<Trunk> trunks(const TopologySpec &s) const override
-    {
-        // One dimension at a time (X rings, then Y, then Z), switches in
-        // id order within each; every ring's wrap link falls out at its
-        // extent-1 coordinate, mirroring the 2D construction order.
-        std::vector<Trunk> out;
-        const std::size_t gx = s.torusX, gy = s.torusY, gz = s.torusZ;
-        for (std::size_t z = 0; z < gz; ++z)
-            for (std::size_t y = 0; y < gy; ++y)
-                for (std::size_t x = 0; x < gx; ++x)
-                    out.push_back(Trunk{id(s, x, y, z), posX(s),
-                                        id(s, (x + 1) % gx, y, z),
-                                        negX(s)});
-        for (std::size_t z = 0; z < gz; ++z)
-            for (std::size_t y = 0; y < gy; ++y)
-                for (std::size_t x = 0; x < gx; ++x)
-                    out.push_back(Trunk{id(s, x, y, z), posY(s),
-                                        id(s, x, (y + 1) % gy, z),
-                                        negY(s)});
-        for (std::size_t z = 0; z < gz; ++z)
-            for (std::size_t y = 0; y < gy; ++y)
-                for (std::size_t x = 0; x < gx; ++x)
-                    out.push_back(Trunk{id(s, x, y, z), posZ(s),
-                                        id(s, x, y, (z + 1) % gz),
-                                        negZ(s)});
-        return out;
-    }
-
-    std::size_t
-    routePort(const TopologySpec &s, std::size_t sw, NodeId,
-              NodeId dst) const override
-    {
-        // Dimension-ordered routing: correct X fully, then Y, then Z;
-        // shortest direction per dimension, ties towards +.
-        const std::size_t t = switchOf(s, dst);
-        if (t == sw)
-            return portOf(s, dst);
-        const std::size_t gx = s.torusX, gy = s.torusY, gz = s.torusZ;
-        const std::size_t x = sw % gx, y = (sw / gx) % gy, z = sw / (gx * gy);
-        const std::size_t tx = t % gx, ty = (t / gx) % gy,
-                          tz = t / (gx * gy);
-        if (x != tx)
-            return ringForward(x, tx, gx) ? posX(s) : negX(s);
-        if (y != ty)
-            return ringForward(y, ty, gy) ? posY(s) : negY(s);
-        (void)gz;
-        return ringForward(z, tz, gz) ? posZ(s) : negZ(s);
-    }
-
-    bool usesDateline() const override { return true; }
-
-    bool multiPath() const override { return true; }
-
-    std::uint8_t
-    vcFor(const TopologySpec &s, std::size_t sw, std::size_t in_port,
-          std::size_t out_port, std::uint8_t in_vc) const override
-    {
-        // Same per-dimension dateline argument as the 2D torus: each X
-        // row, Y column and Z pillar is an independent ring; a packet
-        // restarts on VC0 whenever it enters a new dimension (injection
-        // or dimension turn) and is bumped to the escape VC when it
-        // crosses that dimension's wrap link.
-        const std::size_t nps = s.nodesPerSwitch;
-        if (out_port < nps)
-            return in_vc; // ejection to a node port
-
-        std::uint8_t vc = in_vc;
-        if (in_port < nps)
-            vc = 0; // fresh injection
-        else if (dimOf(s, in_port) != dimOf(s, out_port))
-            vc = 0; // dimension turn: a new ring, restart on VC0
-
-        const std::size_t gx = s.torusX, gy = s.torusY, gz = s.torusZ;
-        const std::size_t x = sw % gx, y = (sw / gx) % gy, z = sw / (gx * gy);
-        if (out_port == posX(s) && x == gx - 1)
-            return 1;
-        if (out_port == negX(s) && x == 0)
-            return 1;
-        if (out_port == posY(s) && y == gy - 1)
-            return 1;
-        if (out_port == negY(s) && y == 0)
-            return 1;
-        if (out_port == posZ(s) && z == gz - 1)
-            return 1;
-        if (out_port == negZ(s) && z == 0)
-            return 1;
-        return vc;
-    }
-
-    std::size_t
-    hops(const TopologySpec &s, NodeId a, NodeId b) const override
-    {
-        if (a == b)
-            return 0;
-        const std::size_t sa = switchOf(s, a);
-        const std::size_t sb = switchOf(s, b);
-        if (sa == sb)
-            return 1;
-        const std::size_t gx = s.torusX, gy = s.torusY;
-        return 1 + ringDist(sa % gx, sb % gx, gx) +
-               ringDist((sa / gx) % gy, (sb / gx) % gy, gy) +
-               ringDist(sa / (gx * gy), sb / (gx * gy), s.torusZ);
+        std::size_t h = 1;
+        for (std::size_t d = 0; d < _dims; ++d)
+            h += ringDist(coord(s, sa, d), coord(s, sb, d), extent(s, d));
+        return h;
     }
 
     std::size_t bisectionWidth(const TopologySpec &s) const override
     {
         // Cut perpendicular to the longest dimension: every ring in that
         // dimension crosses the cut twice, and there are nsw / extent
-        // such rings — the longest extent minimizes the crossing count.
-        const std::size_t nsw = numSwitches(s);
-        const std::size_t gmax =
-            std::max(s.torusX, std::max(s.torusY, s.torusZ));
-        return 2 * (nsw / gmax);
+        // such rings — the longest extent minimizes the crossing count
+        // (in 2D, 2 * min(gx, gy)).
+        std::size_t gmax = 0;
+        for (std::size_t d = 0; d < _dims; ++d)
+            gmax = std::max(gmax, extent(s, d));
+        return 2 * (numSwitches(s) / gmax);
     }
 
     Expected<void, ConfigError>
@@ -615,53 +433,92 @@ class Torus3DModel final : public TopologyModel
     {
         if (auto r = checkCommon(s, /*usesPerSwitch=*/true); !r)
             return r;
-        if (s.torusX < 2 || s.torusY < 2 || s.torusZ < 2)
-            return reject("torus3d dimensions must be at least 2x2x2 "
-                          "(got %zux%zux%zu)",
-                          s.torusX, s.torusY, s.torusZ);
-        if (s.nodes != s.torusX * s.torusY * s.torusZ * s.nodesPerSwitch)
+        if (_dims == 2 && s.torusZ != 0)
+            return reject("torus2d takes no Z extent (got torusZ = %zu)",
+                          s.torusZ);
+        for (std::size_t d = 0; d < _dims; ++d)
+            if (extent(s, d) < 2)
+                return reject("%s dimensions must be at least %s (got %s)",
+                              name(), join({2, 2, 2}).c_str(),
+                              grid(s).c_str());
+        const std::size_t want = numSwitches(s) * s.nodesPerSwitch;
+        if (s.nodes != want)
             return reject(
-                "non-rectangular torus3d: %zu nodes does not fill "
-                "%zux%zux%zu switches at %zu per switch (want %zu)",
-                s.nodes, s.torusX, s.torusY, s.torusZ, s.nodesPerSwitch,
-                s.torusX * s.torusY * s.torusZ * s.nodesPerSwitch);
+                "non-rectangular %s: %zu nodes does not fill %s switches "
+                "at %zu per switch (want %zu)",
+                name(), s.nodes, grid(s).c_str(), s.nodesPerSwitch, want);
         return checkPorts(s);
     }
 
+    /** The switch grid, extents joined with 'x' ("4x4", "3x4x5"). */
+    std::string grid(const TopologySpec &s) const
+    {
+        return join(extents(s));
+    }
+
   private:
+    std::size_t _dims;
+
+    static std::array<std::size_t, 3> extents(const TopologySpec &s)
+    {
+        return {s.torusX, s.torusY, s.torusZ};
+    }
+
+    static std::size_t extent(const TopologySpec &s, std::size_t d)
+    {
+        return extents(s)[d];
+    }
+
+    /** Switch-id distance between neighbours in dimension @p d (the
+     *  product of the lower extents). */
+    static std::size_t stride(const TopologySpec &s, std::size_t d)
+    {
+        std::size_t st = 1;
+        for (std::size_t i = 0; i < d; ++i)
+            st *= extent(s, i);
+        return st;
+    }
+
     static std::size_t
-    id(const TopologySpec &s, std::size_t x, std::size_t y, std::size_t z)
+    coord(const TopologySpec &s, std::size_t sw, std::size_t d)
     {
-        return (z * s.torusY + y) * s.torusX + x;
+        return (sw / stride(s, d)) % extent(s, d);
     }
-    static std::size_t posX(const TopologySpec &s)
+
+    /** The + neighbour of @p sw in dimension @p d (wrapping). */
+    static std::size_t
+    next(const TopologySpec &s, std::size_t sw, std::size_t d)
     {
-        return s.nodesPerSwitch;
+        const std::size_t st = stride(s, d);
+        const std::size_t c = coord(s, sw, d);
+        return sw - c * st + (c + 1) % extent(s, d) * st;
     }
-    static std::size_t negX(const TopologySpec &s)
+
+    static std::size_t pos(const TopologySpec &s, std::size_t d)
     {
-        return s.nodesPerSwitch + 1;
+        return s.nodesPerSwitch + 2 * d;
     }
-    static std::size_t posY(const TopologySpec &s)
+
+    static std::size_t neg(const TopologySpec &s, std::size_t d)
     {
-        return s.nodesPerSwitch + 2;
+        return s.nodesPerSwitch + 2 * d + 1;
     }
-    static std::size_t negY(const TopologySpec &s)
-    {
-        return s.nodesPerSwitch + 3;
-    }
-    static std::size_t posZ(const TopologySpec &s)
-    {
-        return s.nodesPerSwitch + 4;
-    }
-    static std::size_t negZ(const TopologySpec &s)
-    {
-        return s.nodesPerSwitch + 5;
-    }
-    /** Dimension index (0=X, 1=Y, 2=Z) of a trunk port. */
+
+    /** Dimension of a trunk port. */
     static std::size_t dimOf(const TopologySpec &s, std::size_t trunkPort)
     {
         return (trunkPort - s.nodesPerSwitch) / 2;
+    }
+
+    /** The first _dims values joined with 'x'. */
+    std::string join(const std::array<std::size_t, 3> &v) const
+    {
+        std::string out = std::to_string(v[0]);
+        for (std::size_t d = 1; d < _dims; ++d) {
+            out += 'x';
+            out += std::to_string(v[d]);
+        }
+        return out;
     }
 };
 
@@ -811,8 +668,8 @@ topologyModel(TopologyKind kind)
     static const StarModel star;
     static const ChainModel chain;
     static const RingModel ring;
-    static const TorusModel torus;
-    static const Torus3DModel torus3d;
+    static const TorusModel torus2d{2};
+    static const TorusModel torus3d{3};
     static const FatTreeModel fatTree;
     switch (kind) {
     case TopologyKind::Star:
@@ -822,7 +679,7 @@ topologyModel(TopologyKind kind)
     case TopologyKind::Ring:
         return ring;
     case TopologyKind::Torus2D:
-        return torus;
+        return torus2d;
     case TopologyKind::Torus3D:
         return torus3d;
     case TopologyKind::FatTree:
@@ -845,15 +702,11 @@ std::string
 TopologySpec::describe() const
 {
     char buf[128];
-    if (kind == TopologyKind::Torus2D)
+    if (const auto *torus = dynamic_cast<const TorusModel *>(&model()))
         std::snprintf(buf, sizeof(buf),
-                      "torus2d(%zu nodes, %zux%zu switches, bisection %zu)",
-                      nodes, torusX, torusY, bisectionWidth());
-    else if (kind == TopologyKind::Torus3D)
-        std::snprintf(
-            buf, sizeof(buf),
-            "torus3d(%zu nodes, %zux%zux%zu switches, bisection %zu)",
-            nodes, torusX, torusY, torusZ, bisectionWidth());
+                      "%s(%zu nodes, %s switches, bisection %zu)",
+                      torus->name(), nodes, torus->grid(*this).c_str(),
+                      bisectionWidth());
     else if (kind == TopologyKind::FatTree)
         std::snprintf(
             buf, sizeof(buf),

@@ -11,13 +11,13 @@
  *  - Chain:   switches in a line, nodes spread across them
  *  - Ring:    switches in a cycle, shortest-direction routing with a
  *             dateline escape VC (deadlock freedom)
- *  - Torus2D: a gx x gy grid of switches with wraparound links in both
- *             dimensions and dimension-ordered X-then-Y routing (Dally &
- *             Seitz); per-dimension dateline VCs keep it deadlock-free
- *             under the credit/back-pressure flow control
- *  - Torus3D: the gx x gy x gz generalization (APEnet+/QCDSP-style),
- *             dimension-ordered X-then-Y-then-Z with the same
- *             per-dimension dateline VCs
+ *  - Torus2D, Torus3D: the 2- and 3-dimensional instances of one
+ *             k-ary n-cube model (APEnet+/QCDSP-style): a gx x gy
+ *             (x gz) grid of switches with a wraparound ring in every
+ *             dimension, dimension-ordered X-then-Y(-then-Z) routing
+ *             (Dally & Seitz), and one dateline escape VC per
+ *             dimension that keeps it deadlock-free under the
+ *             credit/back-pressure flow control
  *  - FatTree: a two-level folded Clos — leaf switches holding the node
  *             ports, spine switches above them, deterministic per-flow
  *             uplink hashing; up/down routing is cycle-free by layering
@@ -65,7 +65,8 @@ constexpr std::size_t kMaxSwitchPorts = 1024;
 /**
  * Per-topology behaviour table consumed by net::Network.
  *
- * One stateless instance exists per TopologyKind (see topologyModel()).
+ * One stateless instance exists per TopologyKind (see topologyModel());
+ * the two torus kinds are two instances of the same torus model.
  * All functions take the spec explicitly so models carry no per-cluster
  * state and can be shared.
  */
@@ -189,7 +190,8 @@ struct TopologySpec
     std::size_t torusX = 0;
     /** Torus2D/Torus3D: switch-grid extent in Y (rows). */
     std::size_t torusY = 0;
-    /** Torus3D: switch-grid extent in Z (planes; 0 for Torus2D). */
+    /** Torus3D: switch-grid extent in Z (planes; must be 0 for
+     *  Torus2D). */
     std::size_t torusZ = 0;
     /** FatTree: number of spine switches (= uplinks per leaf). */
     std::size_t spines = 0;

@@ -18,10 +18,12 @@
  *    the capture, which keeps ladder-queue bucket moves cheap.
  *
  * `tg::Event` is the `void()` instantiation used by the EventQueue.
- * The pool free list and its counters are thread_local: each shard of a
- * future parallel engine (ROADMAP item 1) gets its own pool, so the
- * fast path stays unsynchronized without ever becoming a cross-shard
- * race.
+ * The pool free list and its counters are thread_local and hold storage
+ * only, never model state: several Clusters in one process share a
+ * thread's pool without one run's schedule or trace hash depending on
+ * what another allocated, and Clusters driven from different host
+ * threads each get their own pool, so the fast path stays
+ * unsynchronized.
  */
 
 #ifndef TELEGRAPHOS_SIM_EVENT_HPP
@@ -98,8 +100,8 @@ class ClosurePool
         Block *next;
     };
 
-    // thread_local: one pool per thread, so the unsynchronized fast path
-    // stays race-free should a parallel engine ever run worker threads.
+    // thread_local: one pool per thread, so Clusters on different host
+    // threads never share the unsynchronized free list.
     static inline thread_local Block *_free = nullptr;
     static inline thread_local std::uint64_t _fresh = 0;
     static inline thread_local std::uint64_t _reused = 0;

@@ -6,10 +6,100 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "net/topology.hpp"
 
 namespace tg::net {
 namespace {
+
+TopologySpec
+torus(std::size_t x, std::size_t y, std::size_t nps)
+{
+    TopologySpec s;
+    s.kind = TopologyKind::Torus2D;
+    s.torusX = x;
+    s.torusY = y;
+    s.nodesPerSwitch = nps;
+    s.nodes = x * y * nps;
+    return s;
+}
+
+TopologySpec
+torus3d(std::size_t x, std::size_t y, std::size_t z, std::size_t nps)
+{
+    TopologySpec s;
+    s.kind = TopologyKind::Torus3D;
+    s.torusX = x;
+    s.torusY = y;
+    s.torusZ = z;
+    s.nodesPerSwitch = nps;
+    s.nodes = x * y * z * nps;
+    return s;
+}
+
+/** FNV-1a over a stream of integers and strings. */
+class Digest
+{
+  public:
+    void add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i, v >>= 8) {
+            _h ^= v & 0xff;
+            _h *= 0x100000001b3ull;
+        }
+    }
+
+    void add(const std::string &str)
+    {
+        add(str.size());
+        for (unsigned char c : str) {
+            _h ^= c;
+            _h *= 0x100000001b3ull;
+        }
+    }
+
+    std::uint64_t value() const { return _h; }
+
+  private:
+    std::uint64_t _h = 0xcbf29ce484222325ull;
+};
+
+/** Everything a torus model decides about @p s, folded into one digest:
+ *  the trunk list, routePort for every (switch, dst), vcFor for every
+ *  (switch, in_port, out_port, in_vc), hops for every node pair, the
+ *  bisection width and describe(). */
+std::uint64_t
+modelDigest(const TopologySpec &s)
+{
+    const TopologyModel &m = s.model();
+    Digest d;
+    const std::size_t nsw = s.numSwitches();
+    d.add(nsw);
+    for (const TopologyModel::Trunk &t : m.trunks(s)) {
+        d.add(t.swA);
+        d.add(t.portA);
+        d.add(t.swB);
+        d.add(t.portB);
+    }
+    for (std::size_t sw = 0; sw < nsw; ++sw) {
+        const std::size_t ports = s.portsOf(sw);
+        d.add(ports);
+        for (std::size_t dst = 0; dst < s.nodes; ++dst)
+            d.add(m.routePort(s, sw, 0, NodeId(dst)));
+        for (std::size_t in = 0; in < ports; ++in)
+            for (std::size_t out = 0; out < ports; ++out)
+                for (std::uint8_t vc = 0; vc < 2; ++vc)
+                    d.add(m.vcFor(s, sw, in, out, vc));
+    }
+    for (std::size_t a = 0; a < s.nodes; ++a)
+        for (std::size_t b = 0; b < s.nodes; ++b)
+            d.add(m.hops(s, NodeId(a), NodeId(b)));
+    d.add(s.bisectionWidth());
+    d.add(s.describe());
+    return d.value();
+}
 
 TEST(Topology, StarHasOneSwitch)
 {
@@ -94,6 +184,17 @@ TEST(Topology, NonRectangularTorusIsRejected)
     EXPECT_NE(v.error().message.find("non-rectangular"), std::string::npos);
 }
 
+TEST(Topology, Torus2dRejectsZExtent)
+{
+    // A Z extent on a 2D spec is a mistake, not a plane count to ignore.
+    TopologySpec s = torus(4, 4, 2);
+    ASSERT_TRUE(s.validate().ok());
+    s.torusZ = 2;
+    auto v = s.validate();
+    ASSERT_FALSE(v.ok());
+    EXPECT_NE(v.error().message.find("Z extent"), std::string::npos);
+}
+
 TEST(Topology, Torus3dGridMath)
 {
     TopologySpec s;
@@ -158,6 +259,30 @@ TEST(Topology, Torus3dDescribeReportsGrid)
     EXPECT_NE(d.find("torus3d"), std::string::npos);
     EXPECT_NE(d.find("4x4x4"), std::string::npos);
     EXPECT_NE(d.find("bisection 32"), std::string::npos);
+}
+
+TEST(Topology, TorusModelsMatchGoldenDigests)
+{
+    // Pinned from the separate 2D and 3D torus classes this model
+    // replaced: any change to trunk order, routing, the dateline VC map,
+    // hop counts, bisection or describe() changes a digest.
+    const struct
+    {
+        TopologySpec spec;
+        std::uint64_t digest;
+    } golden[] = {
+        {torus(4, 4, 4), 0x479cb9af5bc2c270ull},
+        {torus(3, 5, 2), 0x13c3cf4bf180a5d7ull},
+        {torus3d(2, 2, 2, 1), 0x93433afb0600385aull},
+        {torus3d(3, 4, 5, 2), 0xab4f31dfab0cb284ull},
+        {torus3d(4, 4, 4, 4), 0x920f5b0b9c00aadbull},
+    };
+    for (const auto &g : golden) {
+        SCOPED_TRACE(g.spec.describe());
+        ASSERT_TRUE(g.spec.validate().ok());
+        const std::uint64_t got = modelDigest(g.spec);
+        EXPECT_EQ(got, g.digest) << std::hex << "got 0x" << got;
+    }
 }
 
 TEST(Topology, FatTreeLeavesAndSpines)

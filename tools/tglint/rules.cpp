@@ -4,9 +4,10 @@
  *
  * Per-file rules are token-level heuristics: deliberately narrow, zero
  * false negatives on the patterns they claim to catch, suppressible per
- * line with "// tglint: allow(<rule>)".  The shard-safety family
- * (global-mutable-state, pointer-keyed-order, include-cycle) consumes
- * the scope/include structure the index pass extracted, which is what
+ * line with "// tglint: allow(<rule>)".  The isolation family
+ * (global-mutable-state, pointer-keyed-order, include-cycle), which
+ * keeps several Clusters in one process deterministic, consumes the
+ * scope/include structure the index pass extracted, which is what
  * makes it project-wide.  See DESIGN.md section 7 for the catalogue.
  */
 
@@ -46,9 +47,10 @@ const std::set<std::string> kSensitiveNamespaces = {"net", "hib",
 const std::set<std::string> kHotPathNamespaces = {"sim", "net", "node",
                                                   "hib"};
 
-/** Namespace components the PDES engine will partition across worker
- *  threads: mutable globals and address-dependent order here become
- *  cross-shard races / thread-count-dependent trace hashes. */
+/** Namespace components holding model state: a mutable global here is
+ *  shared by every Cluster in the process, and address-dependent order
+ *  varies with allocation history, so either makes one run's trace hash
+ *  depend on what else ran before it in the same process. */
 const std::set<std::string> kShardNamespaces = {"sim", "net", "hib",
                                                 "node", "coherence"};
 
