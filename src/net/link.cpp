@@ -53,14 +53,19 @@ Channel::Channel(System &sys, const std::string &name,
 }
 
 Tick
-Channel::serTicks(std::uint32_t wire_bytes) const
+Channel::serTicks(std::uint32_t wire_bytes)
 {
     // Bandwidth is configured in (fractional) bytes per tick; ceil keeps
     // the serialization time integral and pessimistic, and IEEE division
-    // of exact integers is bit-identical across platforms.
-    // tglint: allow(tick-float)
-    return static_cast<Tick>(
-        std::ceil(static_cast<double>(wire_bytes) / _bw));
+    // of exact integers is bit-identical across platforms.  Consecutive
+    // packets mostly share one wire size, so the last result is kept.
+    if (wire_bytes != _serBytes) {
+        _serBytes = wire_bytes;
+        // tglint: allow(tick-float)
+        _serTicks = static_cast<Tick>(
+            std::ceil(static_cast<double>(wire_bytes) / _bw));
+    }
+    return _serTicks;
 }
 
 void
@@ -79,12 +84,12 @@ Channel::pump()
     // blocked VC never stalls the other — the property the dateline
     // deadlock-avoidance scheme needs.
     std::size_t li = _lanes.size();
-    for (std::size_t i = 0; i < _lanes.size(); ++i) {
-        const std::size_t c = (_rr + i) % _lanes.size();
+    for (std::size_t i = 0, c = _rr; i < _lanes.size();
+         ++i, c = nextLane(c)) {
         Lane &cand = _lanes[c];
         if (!cand.up->empty() && cand.down->reserve()) {
             li = c;
-            _rr = (c + 1) % _lanes.size();
+            _rr = nextLane(c);
             break;
         }
     }
@@ -219,8 +224,8 @@ Channel::pumpReliable()
     // retransmission pending or a fresh packet and window headroom, plus
     // a reservable downstream slot.
     std::size_t li = _lanes.size();
-    for (std::size_t i = 0; i < _lanes.size(); ++i) {
-        const std::size_t c = (_rr + i) % _lanes.size();
+    for (std::size_t i = 0, c = _rr; i < _lanes.size();
+         ++i, c = nextLane(c)) {
         Lane &cand = _lanes[c];
         LaneState &ls = _ls[c];
         const bool retx = ls.resend < ls.unacked.size();
@@ -228,7 +233,7 @@ Channel::pumpReliable()
                            ls.unacked.size() < _inj.spec().windowPackets;
         if ((retx || fresh) && cand.down->reserve()) {
             li = c;
-            _rr = (c + 1) % _lanes.size();
+            _rr = nextLane(c);
             break;
         }
     }

@@ -189,12 +189,22 @@ class Channel : public SimObject
     void failFast();
 
     /** Serialization time of @p wire_bytes on this channel. */
-    Tick serTicks(std::uint32_t wire_bytes) const;
+    Tick serTicks(std::uint32_t wire_bytes);
+
+    /** Lane after @p c in round-robin order (compare-and-wrap). */
+    std::size_t
+    nextLane(std::size_t c) const
+    {
+        return c + 1 == _lanes.size() ? 0 : c + 1;
+    }
 
     std::vector<Lane> _lanes;
     PacketArena *_arena = nullptr; ///< the lanes' queues' arena
     std::size_t _rr = 0; ///< round-robin arbitration pointer
     double _bw;
+    // serTicks memo: 0 bytes take 0 ticks at any positive bandwidth.
+    std::uint32_t _serBytes = 0;
+    Tick _serTicks = 0;
     Tick _delay;
     bool _busy = false;
 

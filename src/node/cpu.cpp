@@ -478,7 +478,7 @@ Cpu::bufferStore(PAddr pa, Word value, Fn<void()> done,
         };
         return;
     }
-    _writeBuffer.push_back(BufferedStore{pa, value, traceId});
+    _writeBuffer.push(BufferedStore{pa, value, traceId});
     schedule(config().writeBufferInsert, std::move(done));
     drainWriteBuffer();
 }
@@ -527,8 +527,7 @@ Cpu::drainWriteBuffer()
         _tc.transact(
             config().tcWriteTxn(2),
             [this] {
-                const BufferedStore s = _writeBuffer.front();
-                _writeBuffer.pop_front();
+                const BufferedStore s = _writeBuffer.pop();
                 dispatchStore(s);
                 _draining = false;
                 if (_wbInsertWaiter) {

@@ -14,7 +14,6 @@
 #define TELEGRAPHOS_NODE_CPU_HPP
 
 #include <coroutine>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "node/mmu.hpp"
 #include "node/turbochannel.hpp"
 #include "sim/event.hpp"
+#include "sim/ring.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
 
@@ -194,7 +194,7 @@ class Cpu : public SimObject
     TurboChannel &_tc;
     hib::Hib &_hib;
 
-    std::deque<BufferedStore> _writeBuffer;
+    Ring<BufferedStore> _writeBuffer;
     bool _draining = false;
     Fn<void()> _wbInsertWaiter;
     std::vector<Fn<void()>> _wbEmptyWaiters;

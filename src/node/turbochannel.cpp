@@ -23,7 +23,7 @@ void
 TurboChannel::transact(Tick hold, Fn<void()> done,
                        std::uint64_t traceId)
 {
-    _queue.push_back(Txn{hold, now(), std::move(done), traceId});
+    _queue.push(Txn{hold, now(), std::move(done), traceId});
     if (!_busy)
         grantNext();
 }
@@ -36,8 +36,7 @@ TurboChannel::grantNext()
         return;
     }
     _busy = true;
-    Txn txn = std::move(_queue.front());
-    _queue.pop_front();
+    Txn txn = _queue.pop();
     _waitTicks += now() - txn.enqueued;
     _busyTicks += txn.hold;
     _waitHist.sample(static_cast<double>(now() - txn.enqueued));

@@ -13,9 +13,8 @@
 #ifndef TELEGRAPHOS_NODE_TURBOCHANNEL_HPP
 #define TELEGRAPHOS_NODE_TURBOCHANNEL_HPP
 
-#include <deque>
-
 #include "sim/event.hpp"
+#include "sim/ring.hpp"
 #include "sim/sim_object.hpp"
 #include "sim/stats.hpp"
 
@@ -55,7 +54,7 @@ class TurboChannel : public SimObject
 
     void grantNext();
 
-    std::deque<Txn> _queue;
+    Ring<Txn> _queue;
     bool _busy = false;
     std::uint64_t _count = 0;
     Tick _busyTicks = 0;

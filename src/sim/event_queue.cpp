@@ -8,6 +8,9 @@
  * time runs, so every ladder entry for a tick reaches its bucket before
  * any direct schedule for that tick can append — per-bucket FIFO order
  * is therefore exactly (when, seq) order.
+ *
+ * Storage invariant: every slot is in exactly one place — a bucket, the
+ * ladder, the free list, or (while its closure fires) none of them.
  */
 
 #include "sim/event_queue.hpp"
@@ -21,29 +24,50 @@
 namespace tg {
 
 void
-EventQueue::scheduleAbs(Tick when, Callback cb)
+EventQueue::scheduleAbs(Tick when, Callback &&cb)
 {
     if (when < _now) {
         TG_AUDIT(false, "event scheduled in the past: when=%llu now=%llu",
                  (unsigned long long)when, (unsigned long long)_now);
         when = _now; // audits off: clamp rather than fire out of order
     }
+    Slot *s = acquire();
+    s->seq = _seq++;
+    s->cb = std::move(cb);
     if (inWheel(when)) {
-        pushWheel(when, _seq++, std::move(cb));
+        pushWheel(when, s);
     } else {
-        _ladder.push_back(LadderEntry{when, _seq++, std::move(cb)});
+        _ladder.push_back(LadderEntry{when, s->seq, s});
         std::push_heap(_ladder.begin(), _ladder.end(), FiresLater{});
     }
 }
 
 void
-EventQueue::pushWheel(Tick when, std::uint64_t seq, Event cb)
+EventQueue::grow()
+{
+    // Chunks are never freed or moved before the queue dies, so a slot
+    // stays put while its closure fires and schedules more events.
+    _chunks.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    Slot *chunk = _chunks.back().get();
+    for (std::size_t i = kChunkSlots; i-- > 0;) {
+        chunk[i].next = _free;
+        _free = &chunk[i];
+    }
+}
+
+void
+EventQueue::pushWheel(Tick when, Slot *s)
 {
     const std::size_t idx = when & kWheelMask;
     Bucket &b = _wheel[idx];
-    b.seqs.push_back(seq);
-    b.cbs.push_back(std::move(cb));
-    _occupied[idx / 64] |= std::uint64_t(1) << (idx % 64);
+    s->next = nullptr;
+    if (b.tail == nullptr) {
+        b.head = s;
+        _occupied[idx / 64] |= std::uint64_t(1) << (idx % 64);
+    } else {
+        b.tail->next = s;
+    }
+    b.tail = s;
     ++_wheelCount;
 }
 
@@ -52,9 +76,9 @@ EventQueue::spill()
 {
     while (!_ladder.empty() && inWheel(_ladder.front().when)) {
         std::pop_heap(_ladder.begin(), _ladder.end(), FiresLater{});
-        LadderEntry e = std::move(_ladder.back());
+        const LadderEntry e = _ladder.back();
         _ladder.pop_back();
-        pushWheel(e.when, e.seq, std::move(e.cb));
+        pushWheel(e.when, e.slot);
     }
 }
 
@@ -120,25 +144,27 @@ EventQueue::pop_and_fire()
         advanceWindow(when);
     }
 
+    // Unlink the head slot and drop the occupancy bit of a drained
+    // bucket before the callback runs: it may schedule back into this
+    // bucket.
     Bucket &b = _wheel[idx];
-    const std::uint64_t seq = b.seqs[b.head];
-    Event cb = std::move(b.cbs[b.head]);
-    ++b.head;
-    if (b.head == b.cbs.size()) {
-        // Fully drained: clear (capacity retained — bucket storage is
-        // recycled lap after lap) and drop the occupancy bit before the
-        // callback runs, since it may schedule back into this bucket.
-        b.seqs.clear();
-        b.cbs.clear();
-        b.head = 0;
+    Slot *s = b.head;
+    b.head = s->next;
+    if (b.head == nullptr) {
+        b.tail = nullptr;
         _occupied[idx / 64] &= ~(std::uint64_t(1) << (idx % 64));
     }
     --_wheelCount;
 
     ++_executed;
     _trace.mix(when);
-    _trace.mix(seq);
-    cb();
+    _trace.mix(s->seq);
+    // Fire in place.  The slot is off every list but not yet free, so
+    // the callback's own schedules take other slots.
+    s->cb();
+    s->cb = nullptr;
+    s->next = _free;
+    _free = s;
 }
 
 std::uint64_t

@@ -16,11 +16,17 @@
  *    page-sized serializations — spilled into the wheel as the window
  *    advances over them.
  *
+ * Every pending closure lives in a *slot* of one per-queue pool: slots
+ * sit in fixed chunks that never move and recycle through a LIFO free
+ * list.  A wheel bucket is an intrusive FIFO of slots, a ladder entry is
+ * a 24-byte (when, seq, slot) record, so neither structure ever moves a
+ * closure.  A closure moves once, into its slot, on schedule; it fires
+ * in place and is destroyed there.
+ *
  * The exact (when, seq) total order of the original binary-heap engine
- * is preserved, so same-seed trace hashes are byte-identical.  Bucket
- * vectors retain their capacity across drains and closures recycle
- * through the tg::Event pool, so steady-state execution performs zero
- * heap allocations per event.
+ * is preserved, so same-seed trace hashes are byte-identical.  Slots
+ * and closures recycle through free lists, so steady-state execution
+ * performs zero heap allocations per event.
  */
 
 #ifndef TELEGRAPHOS_SIM_EVENT_QUEUE_HPP
@@ -28,6 +34,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -51,18 +58,25 @@ class EventQueue
     /** Width of the near-term timing wheel, in ticks (one bucket each). */
     static constexpr std::size_t kWheelTicks = 4096;
 
-    EventQueue() : _wheel(kWheelTicks) {}
+    /** Slots per pool chunk; the pool grows a chunk at a time. */
+    static constexpr std::size_t kChunkSlots = 256;
+
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
+
+    /** Destroys every closure still pending (the chunks own them). */
+    ~EventQueue() = default;
 
     /** Current simulated time. */
     Tick now() const { return _now; }
 
-    /** Schedule @p cb at absolute tick @p when (must be >= now()). */
-    void scheduleAbs(Tick when, Callback cb);
+    /** Schedule @p cb at absolute tick @p when (must be >= now()).  The
+     *  closure moves once, into its pool slot, and fires there. */
+    void scheduleAbs(Tick when, Callback &&cb);
 
     /** Schedule @p cb @p delta ticks from now. */
-    void schedule(Tick delta, Callback cb) { scheduleAbs(_now + delta, std::move(cb)); }
+    void schedule(Tick delta, Callback &&cb) { scheduleAbs(_now + delta, std::move(cb)); }
 
     /**
      * Run until the queue is empty or @p max_events have fired.
@@ -115,21 +129,29 @@ class EventQueue
     static constexpr std::size_t kWheelMask = kWheelTicks - 1;
     static constexpr std::size_t kBitmapWords = kWheelTicks / 64;
 
-    /** One wheel slot: same-tick events in FIFO (= seq) order.  The
-     *  vector is drained via a head cursor and cleared with capacity
-     *  retained, so bucket storage is recycled across laps. */
-    struct Bucket
+    /** One pending event.  `next` links the slot into its wheel bucket
+     *  while pending and into the free list while free; a free slot's
+     *  closure is always empty. */
+    struct Slot
     {
-        std::vector<std::uint64_t> seqs;
-        std::vector<Event> cbs;
-        std::size_t head = 0;
+        Slot *next = nullptr;
+        std::uint64_t seq = 0;
+        Event cb;
     };
 
+    /** One wheel tick: its slots in FIFO (= seq) order. */
+    struct Bucket
+    {
+        Slot *head = nullptr;
+        Slot *tail = nullptr;
+    };
+
+    /** Overflow entry: plain data, so heap sifts copy 24 bytes. */
     struct LadderEntry
     {
         Tick when;
         std::uint64_t seq;
-        Event cb;
+        Slot *slot;
     };
 
     /** Heap comparator: true when @p a fires after @p b (min on top). */
@@ -148,7 +170,21 @@ class EventQueue
      *  Callers guarantee when >= _base, so the subtraction is safe. */
     bool inWheel(Tick when) const { return when - _base < kWheelTicks; }
 
-    void pushWheel(Tick when, std::uint64_t seq, Event cb);
+    /** Take a free slot, growing the pool by one chunk when empty. */
+    Slot *
+    acquire()
+    {
+        if (_free == nullptr)
+            grow();
+        Slot *s = _free;
+        _free = s->next;
+        return s;
+    }
+
+    void grow();
+
+    /** Append @p s (its seq already set) to the bucket of tick @p when. */
+    void pushWheel(Tick when, Slot *s);
 
     /** Move ladder events now inside the wheel window into their buckets
      *  (in (when, seq) order, so bucket FIFO order stays correct). */
@@ -166,7 +202,9 @@ class EventQueue
 
     void pop_and_fire();
 
-    std::vector<Bucket> _wheel;
+    std::vector<std::unique_ptr<Slot[]>> _chunks; // slot pool; never move
+    Slot *_free = nullptr;
+    std::array<Bucket, kWheelTicks> _wheel{};
     std::array<std::uint64_t, kBitmapWords> _occupied{};
     std::size_t _wheelCount = 0;
     std::vector<LadderEntry> _ladder; // binary min-heap via std::*_heap
@@ -197,7 +235,7 @@ class ReferenceEventQueue
     Tick now() const { return _now; }
 
     void
-    scheduleAbs(Tick when, Callback cb)
+    scheduleAbs(Tick when, Callback &&cb)
     {
         if (when < _now) {
             TG_AUDIT(false, "event scheduled in the past: when=%llu now=%llu",
@@ -208,7 +246,7 @@ class ReferenceEventQueue
         std::push_heap(_heap.begin(), _heap.end(), Later{});
     }
 
-    void schedule(Tick delta, Callback cb) { scheduleAbs(_now + delta, std::move(cb)); }
+    void schedule(Tick delta, Callback &&cb) { scheduleAbs(_now + delta, std::move(cb)); }
 
     std::uint64_t
     run(std::uint64_t max_events = ~std::uint64_t(0))

@@ -1,27 +1,16 @@
 /**
  * @file
- * Audit-layer global state: the TG_AUDIT runtime gate.
+ * Audit-layer global state: the setter of the TG_AUDIT runtime gate.
  */
 
 #include "sim/invariant.hpp"
 
 namespace tg::audit {
 
-namespace {
-// Flipped only by tests and single-threaded setup, never mid-run.
-bool g_enabled = true; // tglint: shard(shared-guarded)
-} // namespace
-
-bool
-enabled()
-{
-    return g_enabled;
-}
-
 void
 setEnabled(bool on)
 {
-    g_enabled = on;
+    detail::g_enabled = on;
 }
 
 } // namespace tg::audit

@@ -31,8 +31,18 @@
 
 namespace tg::audit {
 
+namespace detail {
+// Header-visible so every TG_AUDIT reads it inline.  Flipped only by
+// tests and single-threaded setup, never mid-run.
+inline bool g_enabled = true; // tglint: shard(shared-guarded)
+} // namespace detail
+
 /** True when TG_AUDIT checks fire (default: on). */
-bool enabled();
+inline bool
+enabled()
+{
+    return detail::g_enabled;
+}
 
 /** Globally enable/disable TG_AUDIT checks (perf sweeps switch off). */
 void setEnabled(bool on);

@@ -14,10 +14,4 @@ SimObject::SimObject(System &sys, std::string name)
 {
 }
 
-void
-SimObject::schedule(Tick delta, EventQueue::Callback cb)
-{
-    _sys.events().schedule(delta, std::move(cb));
-}
-
 } // namespace tg

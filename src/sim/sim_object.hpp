@@ -7,6 +7,7 @@
 #define TELEGRAPHOS_SIM_SIM_OBJECT_HPP
 
 #include <string>
+#include <utility>
 
 #include "sim/log.hpp"
 #include "sim/system.hpp"
@@ -32,7 +33,11 @@ class SimObject
     Tick now() const { return _sys.now(); }
 
     /** Schedule @p cb @p delta ticks from now on the shared queue. */
-    void schedule(Tick delta, EventQueue::Callback cb);
+    void
+    schedule(Tick delta, EventQueue::Callback &&cb)
+    {
+        _sys.events().schedule(delta, std::move(cb));
+    }
 
   protected:
     System &_sys;

@@ -2,9 +2,10 @@
  * @file
  * Steady-state allocation audit for the event engine.  A counting
  * global operator new/delete proves the zero-allocation claim from
- * DESIGN.md: once the wheel buckets and the closure pool are warm, the
+ * DESIGN.md: once the event slot pool and the closure pool are warm, the
  * schedule -> fire cycle performs no heap allocation per event, for
- * both inline closures and pooled (oversized-capture) closures.
+ * both inline closures and pooled (oversized-capture) closures, and
+ * the queue's destructor releases every capture still pending.
  *
  * The counting allocator is linked into the whole sim_tests binary;
  * it only counts, so the other suites are unaffected.
@@ -16,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "sim/event_queue.hpp"
@@ -99,7 +101,7 @@ TEST(EventAllocTest, SteadyStateInlineEventsDoNotAllocate)
     q.schedule(1, Pump{&q, &fired});
 
     // Warm-up: one full wheel lap (gcd(7, 4096) == 1 visits every
-    // bucket) sizes all bucket vectors; their capacity is retained.
+    // bucket) after the slot pool has its first chunk.
     q.run(6'000);
 
     const std::uint64_t before = allocCount();
@@ -135,7 +137,7 @@ TEST(EventAllocTest, SteadyStatePooledEventsDoNotAllocate)
     std::uint64_t fired = 0;
     q.schedule(1, BigPump{&q, &fired, {}});
 
-    // Warm-up fills every bucket once and primes the two-block pool
+    // Warm-up visits every bucket once and primes the two-block pool
     // rotation (one closure live while its successor is allocated).
     q.run(6'000);
 
@@ -150,6 +152,39 @@ TEST(EventAllocTest, SteadyStatePooledEventsDoNotAllocate)
     EXPECT_EQ(detail::ClosurePool::freshBlocks(), fresh0);
     EXPECT_EQ(detail::ClosurePool::oversizeBlocks(), oversize0);
     EXPECT_EQ(fired, 26'000u);
+}
+
+TEST(EventAllocTest, QueueDestructorEndsEachPendingCaptureOnce)
+{
+    // One inline and one pooled capture in the wheel, the same pair in
+    // the ladder; each holds a shared_ptr, so use_count tracks exactly
+    // how many captures are alive.
+    struct Big
+    {
+        std::shared_ptr<int> p;
+        std::byte pad[Event::kInlineBytes];
+        void operator()() const {}
+    };
+    static_assert(sizeof(Big) > Event::kInlineBytes);
+
+    auto token = std::make_shared<int>(0);
+    {
+        EventQueue q;
+        const Tick ladder = 10 * EventQueue::kWheelTicks;
+        q.scheduleAbs(5, [p = token] {});
+        q.scheduleAbs(5, Big{token, {}});
+        q.scheduleAbs(ladder, [p = token] {});
+        q.scheduleAbs(ladder, Big{token, {}});
+        q.scheduleAbs(6, [p = token] {});
+        EXPECT_EQ(token.use_count(), 6);
+
+        // Fired closures die right after firing...
+        q.runUntil(5);
+        EXPECT_EQ(token.use_count(), 4);
+        EXPECT_EQ(q.pending(), 3u);
+    }
+    // ...and the destructor ends every pending one exactly once.
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 } // namespace

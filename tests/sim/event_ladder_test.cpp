@@ -228,6 +228,30 @@ TEST(EventLadderDifferential, IdleRunUntilSpillsThePendingLadder)
     });
 }
 
+TEST(EventLadderDifferential, InPlaceFiringSchedulesPastOneSlotChunk)
+{
+    // The firing closure stays in its pool slot while it schedules more
+    // events than one chunk holds, so the pool grows under it.  Its
+    // capture must survive that, and the new events must keep the
+    // reference order: same-tick appends, hot delays and ladder delays.
+    constexpr int kBurst = 3 * static_cast<int>(EventQueue::kChunkSlots) + 7;
+    expectIdentical([](auto &q) {
+        std::vector<int> order;
+        q.scheduleAbs(5, [&q, &order, tag = 1000] {
+            for (int i = 0; i < kBurst; ++i) {
+                const Tick d = i % 3 == 0   ? 0
+                               : i % 3 == 1 ? Tick(1 + i % 50)
+                                            : kWheel + Tick(i);
+                q.schedule(d, [&order, i] { order.push_back(i); });
+            }
+            order.push_back(tag); // read after the pool grew
+        });
+        q.scheduleAbs(5, [&order] { order.push_back(-1); });
+        q.run();
+        return order;
+    });
+}
+
 TEST(EventLadderClamp, DisabledAuditsClampPastSchedulesToNow)
 {
     // With auditing off (perf sweeps), scheduling into the past must not

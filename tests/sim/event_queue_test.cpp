@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -101,6 +106,44 @@ TEST(EventQueue, ExecutedCountsAllEvents)
         q.schedule(Tick(i), [] {});
     q.run();
     EXPECT_EQ(q.executed(), 7u);
+}
+
+TEST(EventQueue, TrivialAndNonTrivialCapturesSurviveScheduleAndFire)
+{
+    struct Trivial
+    {
+        std::uint64_t a, b, c;
+        std::uint64_t *out;
+        void operator()() const { *out = a * 100 + b * 10 + c; }
+    };
+    static_assert(std::is_trivially_copyable_v<Trivial>);
+    static_assert(sizeof(Trivial) <= Event::kInlineBytes);
+
+    std::uint64_t trivialOut = 0;
+    std::string nonTrivialOut;
+    // A short string lives in its own SSO buffer and points into it, so
+    // only a real move constructor relocates it; a long one owns heap
+    // memory that only its destructor frees.
+    const std::string shortText = "sso";
+    const std::string longText(40, 'x');
+    auto owned = std::make_unique<int>(7);
+
+    EventQueue q;
+    // Filler events grow the pool past one chunk, so the captures under
+    // test land in recycled slots.
+    for (std::size_t i = 0; i < EventQueue::kChunkSlots + 3; ++i)
+        q.schedule(1 + i % 4, [] {});
+    q.run();
+    q.schedule(2, Trivial{1, 2, 3, &trivialOut});
+    q.schedule(3, [s = shortText, p = std::move(owned), &nonTrivialOut] {
+        nonTrivialOut = s + std::to_string(*p);
+    });
+    q.schedule(3 * EventQueue::kWheelTicks,
+               [s = longText, &nonTrivialOut] { nonTrivialOut += s; });
+    q.run();
+
+    EXPECT_EQ(trivialOut, 123u);
+    EXPECT_EQ(nonTrivialOut, shortText + "7" + longText);
 }
 
 } // namespace
