@@ -53,19 +53,14 @@ Channel::Channel(System &sys, const std::string &name,
 }
 
 Tick
-Channel::serTicks(std::uint32_t wire_bytes)
+Channel::serTicks(std::uint32_t wire_bytes) const
 {
     // Bandwidth is configured in (fractional) bytes per tick; ceil keeps
     // the serialization time integral and pessimistic, and IEEE division
-    // of exact integers is bit-identical across platforms.  Consecutive
-    // packets mostly share one wire size, so the last result is kept.
-    if (wire_bytes != _serBytes) {
-        _serBytes = wire_bytes;
-        // tglint: allow(tick-float)
-        _serTicks = static_cast<Tick>(
-            std::ceil(static_cast<double>(wire_bytes) / _bw));
-    }
-    return _serTicks;
+    // of exact integers is bit-identical across platforms.
+    // tglint: allow(tick-float)
+    return static_cast<Tick>(
+        std::ceil(static_cast<double>(wire_bytes) / _bw));
 }
 
 void

@@ -189,7 +189,7 @@ class Channel : public SimObject
     void failFast();
 
     /** Serialization time of @p wire_bytes on this channel. */
-    Tick serTicks(std::uint32_t wire_bytes);
+    Tick serTicks(std::uint32_t wire_bytes) const;
 
     /** Lane after @p c in round-robin order (compare-and-wrap). */
     std::size_t
@@ -202,9 +202,6 @@ class Channel : public SimObject
     PacketArena *_arena = nullptr; ///< the lanes' queues' arena
     std::size_t _rr = 0; ///< round-robin arbitration pointer
     double _bw;
-    // serTicks memo: 0 bytes take 0 ticks at any positive bandwidth.
-    std::uint32_t _serBytes = 0;
-    Tick _serTicks = 0;
     Tick _delay;
     bool _busy = false;
 
