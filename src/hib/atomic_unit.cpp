@@ -19,7 +19,7 @@ void
 AtomicUnit::request(net::AtomicOp op, PAddr offset, Word a, Word b,
                     Fn<void(Word)> done)
 {
-    _queue.push_back(Pending{op, offset, a, b, std::move(done)});
+    _queue.push(Pending{op, offset, a, b, std::move(done)});
     if (!_busy)
         startNext();
 }
@@ -32,8 +32,7 @@ AtomicUnit::startNext()
         return;
     }
     _busy = true;
-    Pending p = std::move(_queue.front());
-    _queue.pop_front();
+    Pending p = _queue.pop();
 
     schedule(config().hibAtomic, [this, p = std::move(p)] {
         const Word old = _storage.read(p.offset);

@@ -11,11 +11,10 @@
 #ifndef TELEGRAPHOS_HIB_ATOMIC_UNIT_HPP
 #define TELEGRAPHOS_HIB_ATOMIC_UNIT_HPP
 
-#include <deque>
-
 #include "net/packet.hpp"
 #include "node/main_memory.hpp"
 #include "sim/event.hpp"
+#include "sim/ring.hpp"
 #include "sim/sim_object.hpp"
 
 namespace tg::hib {
@@ -52,7 +51,7 @@ class AtomicUnit : public SimObject
     void startNext();
 
     node::MainMemory &_storage;
-    std::deque<Pending> _queue;
+    Ring<Pending> _queue;
     bool _busy = false;
     std::uint64_t _executed = 0;
 };

@@ -41,7 +41,7 @@ CounterCache::increment(PAddr word_addr, Fn<void()> granted)
     // ("sooner or later, a cache entry is bound to become free",
     // section 2.3.4).
     ++_stalls;
-    _waiters.push_back(Waiter{word_addr, now(), std::move(granted)});
+    _waiters.push(Waiter{word_addr, now(), std::move(granted)});
 }
 
 void
@@ -54,8 +54,7 @@ CounterCache::decrement(PAddr word_addr)
     if (--it->second == 0) {
         _counters.erase(it);
         if (!_waiters.empty()) {
-            Waiter w = std::move(_waiters.front());
-            _waiters.pop_front();
+            Waiter w = _waiters.pop();
             _stallTicks += now() - w.since;
             grant(w.addr, std::move(w.granted));
         }

@@ -18,10 +18,10 @@
 #define TELEGRAPHOS_HIB_COUNTER_CACHE_HPP
 
 #include <cstdint>
-#include <deque>
 #include <map>
 
 #include "sim/event.hpp"
+#include "sim/ring.hpp"
 #include "sim/sim_object.hpp"
 
 namespace tg::hib {
@@ -70,7 +70,7 @@ class CounterCache : public SimObject
 
     std::uint32_t _capacity;
     std::map<PAddr, std::uint32_t> _counters;
-    std::deque<Waiter> _waiters;
+    Ring<Waiter> _waiters;
     std::uint64_t _stalls = 0;
     Tick _stallTicks = 0;
     std::size_t _peak = 0;

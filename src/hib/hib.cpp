@@ -138,7 +138,7 @@ Hib::inject(Packet &&pkt, bool track)
     if (_egressBacklog.empty() && !_egress.full()) {
         _egress.push(std::move(pkt));
     } else {
-        _egressBacklog.push_back(std::move(pkt));
+        _egressBacklog.push(std::move(pkt));
     }
 }
 
@@ -147,15 +147,11 @@ Hib::pumpEgressBacklog()
 {
     // Pop before pushing: the push can re-enter this function through the
     // queue's listener chain (egress onData -> channel pump -> onSpace).
-    while (!_egressBacklog.empty() && !_egress.full()) {
-        net::Packet p = std::move(_egressBacklog.front());
-        _egressBacklog.pop_front();
-        _egress.push(std::move(p));
-    }
+    while (!_egressBacklog.empty() && !_egress.full())
+        _egress.push(_egressBacklog.pop());
     while (!_writeSpaceWaiters.empty() &&
            _egressBacklog.size() < config().hibBacklogPackets) {
-        OnDone ready = std::move(_writeSpaceWaiters.front());
-        _writeSpaceWaiters.pop_front();
+        OnDone ready = _writeSpaceWaiters.pop();
         ready();
     }
 }
@@ -168,7 +164,7 @@ Hib::waitWriteSpace(OnDone ready)
         ready();
         return;
     }
-    _writeSpaceWaiters.push_back(std::move(ready));
+    _writeSpaceWaiters.push(std::move(ready));
 }
 
 std::uint64_t

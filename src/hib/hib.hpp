@@ -25,7 +25,6 @@
 #ifndef TELEGRAPHOS_HIB_HIB_HPP
 #define TELEGRAPHOS_HIB_HIB_HPP
 
-#include <deque>
 #include <memory>
 #include <map>
 
@@ -40,6 +39,7 @@
 #include "net/packet.hpp"
 #include "node/main_memory.hpp"
 #include "node/turbochannel.hpp"
+#include "sim/ring.hpp"
 
 namespace tg::coherence {
 class Directory;
@@ -251,8 +251,8 @@ class Hib : public SimObject, public net::NodeEndpoint
 
     net::BoundedQueue _egress;
     net::BoundedQueue _ingress;
-    std::deque<net::Packet> _egressBacklog;
-    std::deque<OnDone> _writeSpaceWaiters;
+    Ring<net::Packet> _egressBacklog;
+    Ring<OnDone> _writeSpaceWaiters;
     bool _ingressBusy = false;
 
     AtomicUnit _atomicUnit;

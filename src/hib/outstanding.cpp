@@ -71,8 +71,7 @@ Outstanding::wakeWaiters()
     // counter is non-zero.
     _draining = true;
     while (_current == 0 && !_waiters.empty()) {
-        auto w = std::move(_waiters.front());
-        _waiters.pop_front();
+        auto w = _waiters.pop();
         w();
     }
     _draining = false;
@@ -94,13 +93,13 @@ Outstanding::waitDrain(Fn<void()> cb, std::uint64_t traceId)
     // picks it up once that waiter returns, provided the counter is
     // still zero.
     if (traceId != 0 && _sys.tracer().enabled()) {
-        _waiters.push_back([this, traceId, cb = std::move(cb)] {
+        _waiters.push([this, traceId, cb = std::move(cb)] {
             _sys.tracer().record(traceId, trace::Span::FenceWake, now(),
                                  _traceComp);
             cb();
         });
     } else {
-        _waiters.push_back(std::move(cb));
+        _waiters.push(std::move(cb));
     }
 }
 

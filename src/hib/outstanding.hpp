@@ -13,9 +13,9 @@
 #define TELEGRAPHOS_HIB_OUTSTANDING_HPP
 
 #include <cstdint>
-#include <deque>
 
 #include "sim/event.hpp"
+#include "sim/ring.hpp"
 #include "sim/sim_object.hpp"
 
 namespace tg::hib {
@@ -67,7 +67,7 @@ class Outstanding : public SimObject
     std::uint64_t _peak = 0;
     std::uint64_t _total = 0;
     std::uint64_t _lost = 0;
-    std::deque<Fn<void()>> _waiters;
+    Ring<Fn<void()>> _waiters;
     bool _draining = false;
     std::uint16_t _traceComp = 0;
 };

@@ -113,7 +113,7 @@ Channel::pump()
     // serialization + propagation delay.  Both are processed by the one
     // armed batch event (onBatchTick) instead of per-packet closures.
     _wireFreeAt = now() + ser;
-    _pending.push_back(PendingArrival{now() + ser + _delay, li, h});
+    _pending.push(PendingArrival{now() + ser + _delay, li, h});
     armAt(_wireFreeAt);
 }
 
@@ -133,8 +133,8 @@ void
 Channel::rearm()
 {
     Tick next = _wireFreeAt;
-    if (_pendingHead < _pending.size() && _pending[_pendingHead].at < next)
-        next = _pending[_pendingHead].at;
+    if (!_pending.empty() && _pending.front().at < next)
+        next = _pending.front().at;
     if (next != kMaxTick)
         armAt(next);
 }
@@ -155,19 +155,12 @@ Channel::onBatchTick()
     // Deliver (and thereby return credits for) every arrival due now —
     // the per-(link, tick) coalescing — before starting the next
     // transmission, so the pump decides against settled queue state.
-    while (_pendingHead < _pending.size() &&
-           _pending[_pendingHead].at == t) {
-        const PendingArrival a = _pending[_pendingHead];
-        ++_pendingHead;
+    while (!_pending.empty() && _pending.front().at == t) {
+        const PendingArrival a = _pending.pop();
         _sys.tracer().record(_arena->traceId(a.h), trace::Span::LinkRx, t,
                              _traceComp);
         _lanes[a.lane].down->pushReservedHandle(a.h);
     }
-    if (_pendingHead == _pending.size()) {
-        _pending.clear();
-        _pendingHead = 0;
-    }
-
     if (!_busy)
         pump();
     rearm();
@@ -358,13 +351,14 @@ void
 Channel::onAck(std::size_t li, std::uint64_t lseq)
 {
     LaneState &ls = _ls[li];
-    std::size_t popped = 0;
-    while (!ls.unacked.empty() && ls.unacked.front().pkt.lseq <= lseq) {
-        ls.unacked.pop_front();
-        ++popped;
-    }
+    // Entries are in lseq order: the acknowledged ones are a prefix.
+    const auto acked =
+        std::find_if(ls.unacked.begin(), ls.unacked.end(),
+                     [lseq](const TxEntry &e) { return e.pkt.lseq > lseq; });
+    const auto popped = static_cast<std::size_t>(acked - ls.unacked.begin());
     if (popped == 0)
         return;
+    ls.unacked.erase(ls.unacked.begin(), acked);
     ls.resend = ls.resend > popped ? ls.resend - popped : 0;
     ls.backoff = 0;
     if (ls.unacked.empty())

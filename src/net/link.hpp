@@ -41,7 +41,7 @@
  * Fast-path event batching (DESIGN.md section 14.2): instead of
  * scheduling one wire-free closure and one delivery closure per packet
  * (the delivery capturing a full Packet copy, spilling to the closure
- * pool), the channel keeps a monotone ring of pending arrivals holding
+ * pool), the channel keeps a monotone tg::Ring of pending arrivals holding
  * arena handles and arms at most one [this]-capturing event at the
  * earliest pending tick.  When it fires, *every* credit return and
  * arrival due at that tick is processed in one event — per-(link, tick)
@@ -54,11 +54,11 @@
 #ifndef TELEGRAPHOS_NET_LINK_HPP
 #define TELEGRAPHOS_NET_LINK_HPP
 
-#include <deque>
 #include <vector>
 
 #include "net/fault.hpp"
 #include "net/queue.hpp"
+#include "sim/ring.hpp"
 #include "sim/sim_object.hpp"
 
 namespace tg::net {
@@ -138,7 +138,7 @@ class Channel : public SimObject
     /** Per-lane go-back-N protocol state. */
     struct LaneState
     {
-        std::deque<TxEntry> unacked; ///< sent or sending, not yet acked
+        std::vector<TxEntry> unacked; ///< sent or sending, not yet acked
         std::size_t resend = 0;      ///< index of next entry to transmit
         std::uint64_t txNext = 1;    ///< next sequence number to assign
         std::uint64_t rxExpected = 1; ///< receiver: next in-order sequence
@@ -205,12 +205,10 @@ class Channel : public SimObject
     Tick _delay;
     bool _busy = false;
 
-    // Fast-path batching state: pending arrivals (ring with head index,
-    // compacted when drained — zero allocation once warm), the tick the
-    // wire frees, and the tick the single batch event is armed for
-    // (kMaxTick = not armed).
-    std::vector<PendingArrival> _pending;
-    std::size_t _pendingHead = 0;
+    // Fast-path batching state: pending arrivals (zero allocation once
+    // warm), the tick the wire frees, and the tick the single batch event
+    // is armed for (kMaxTick = not armed).
+    Ring<PendingArrival> _pending;
     Tick _wireFreeAt = kMaxTick;
     Tick _armedFor = kMaxTick;
     std::uint64_t _packets = 0;

@@ -9,11 +9,12 @@
  * like the credit-based flow control of the real Telegraphos links
  * (paper references [16, 17]).
  *
- * Storage is a fixed-capacity ring of PacketArena handles (capacity is
- * known at construction, so the ring never reallocates): the datapath
- * moves 32-bit handles between queues via the *Handle methods, while
- * endpoints keep the value-based push/pop API, which materializes
- * packets into / out of the arena at the boundary.  DESIGN.md section 14.
+ * Storage is a tg::Ring of PacketArena handles, which grows to the
+ * queue's high-water mark and then never reallocates; the credit
+ * capacity is enforced here, not by the ring.  The datapath moves
+ * 32-bit handles between queues via the *Handle methods, while endpoints
+ * keep the value-based push/pop API, which materializes packets into /
+ * out of the arena at the boundary.  DESIGN.md section 14.
  */
 
 #ifndef TELEGRAPHOS_NET_QUEUE_HPP
@@ -26,6 +27,7 @@
 #include "sim/event.hpp"
 #include "sim/invariant.hpp"
 #include "sim/log.hpp"
+#include "sim/ring.hpp"
 
 namespace tg::net {
 
@@ -46,7 +48,7 @@ class BoundedQueue
     using Listener = Fn<void()>;
 
     BoundedQueue(PacketArena &arena, std::size_t capacity)
-        : _arena(arena), _ring(capacity, kNoPacket), _capacity(capacity)
+        : _arena(arena), _capacity(capacity)
     {
         if (capacity == 0)
             panic("BoundedQueue capacity must be > 0");
@@ -56,19 +58,19 @@ class BoundedQueue
     {
         // Recycle anything still queued so arena accounting stays exact
         // when a simulation is torn down mid-flight.
-        while (_count > 0)
-            (void)_arena.release(takeHandle());
+        while (!_ring.empty())
+            (void)_arena.release(_ring.pop());
     }
 
     /** The arena this queue's handles live in. */
     PacketArena &arena() { return _arena; }
 
     std::size_t capacity() const { return _capacity; }
-    std::size_t size() const { return _count; }
-    bool empty() const { return _count == 0; }
+    std::size_t size() const { return _ring.size(); }
+    bool empty() const { return _ring.empty(); }
 
     /** True if a new reservation would be refused. */
-    bool full() const { return _count + _reserved >= _capacity; }
+    bool full() const { return _ring.size() + _reserved >= _capacity; }
 
     /** Try to claim a slot ahead of a future pushReserved(). */
     bool
@@ -77,9 +79,9 @@ class BoundedQueue
         if (full())
             return false;
         ++_reserved;
-        TG_AUDIT(_count + _reserved <= _capacity,
+        TG_AUDIT(_ring.size() + _reserved <= _capacity,
                  "credit overcommit: %zu queued + %zu reserved > %zu slots",
-                 _count, _reserved, _capacity);
+                 _ring.size(), _reserved, _capacity);
         return true;
     }
 
@@ -122,18 +124,18 @@ class BoundedQueue
     PacketHandle
     frontHandle() const
     {
-        if (_count == 0)
+        if (_ring.empty())
             panic("front of empty queue");
-        return _ring[_head];
+        return _ring.front();
     }
 
     /** Dequeue the head handle; wakes space listeners. */
     PacketHandle
     popHandle()
     {
-        if (_count == 0)
+        if (_ring.empty())
             panic("pop of empty queue");
-        const PacketHandle h = takeHandle();
+        const PacketHandle h = _ring.pop();
         notify(_onSpace);
         return h;
     }
@@ -163,18 +165,18 @@ class BoundedQueue
     const Packet &
     front() const
     {
-        if (_count == 0)
+        if (_ring.empty())
             panic("front of empty queue");
-        return *_arena.syncBody(_ring[_head]);
+        return *_arena.syncBody(_ring.front());
     }
 
     /** Remove and return the front packet; wakes space listeners. */
     Packet
     pop()
     {
-        if (_count == 0)
+        if (_ring.empty())
             panic("pop of empty queue");
-        Packet p = _arena.release(takeHandle());
+        Packet p = _arena.release(_ring.pop());
         notify(_onSpace);
         return p;
     }
@@ -196,33 +198,15 @@ class BoundedQueue
     void
     putHandle(PacketHandle h)
     {
-        std::size_t tail = _head + _count;
-        if (tail >= _capacity)
-            tail -= _capacity;
-        _ring[tail] = h;
-        ++_count;
-        TG_AUDIT(_count + _reserved <= _capacity,
+        _ring.push(std::move(h));
+        TG_AUDIT(_ring.size() + _reserved <= _capacity,
                  "credit overcommit: %zu queued + %zu reserved > %zu slots",
-                 _count, _reserved, _capacity);
-    }
-
-    PacketHandle
-    takeHandle()
-    {
-        const PacketHandle h = _ring[_head];
-        _ring[_head] = kNoPacket;
-        ++_head;
-        if (_head == _capacity)
-            _head = 0;
-        --_count;
-        return h;
+                 _ring.size(), _reserved, _capacity);
     }
 
     PacketArena &_arena;
-    std::vector<PacketHandle> _ring; // fixed at construction, never grows
+    Ring<PacketHandle> _ring;
     std::size_t _capacity;
-    std::size_t _head = 0;
-    std::size_t _count = 0;
     std::size_t _reserved = 0;
     std::vector<Listener> _onData;
     std::vector<Listener> _onSpace;

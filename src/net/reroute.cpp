@@ -8,9 +8,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 
 #include "net/fault.hpp"
+#include "sim/ring.hpp"
 
 namespace tg::net {
 
@@ -132,7 +132,7 @@ FabricRerouter::computeNextHops(Epoch &ep) const
 
     ep.nextHop.assign(nsw, std::vector<std::size_t>(nsw, SIZE_MAX));
     std::vector<std::size_t> dist(nsw);
-    std::deque<std::size_t> queue;
+    Ring<std::size_t> queue;
     for (std::size_t t = 0; t < nsw; ++t) {
         if (_sampleNode[t] == SIZE_MAX)
             continue; // no node attaches here; nothing routes to it
@@ -141,15 +141,13 @@ FabricRerouter::computeNextHops(Epoch &ep) const
         // hop count s -> t.
         dist.assign(nsw, SIZE_MAX);
         dist[t] = 0;
-        queue.clear();
-        queue.push_back(t);
+        queue.push(std::size_t(t));
         while (!queue.empty()) {
-            const std::size_t v = queue.front();
-            queue.pop_front();
+            const std::size_t v = queue.pop();
             for (const Hop &h : in[v]) {
                 if (dist[h.other] == SIZE_MAX) {
                     dist[h.other] = dist[v] + 1;
-                    queue.push_back(h.other);
+                    queue.push(std::size_t(h.other));
                 }
             }
         }

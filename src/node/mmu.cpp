@@ -88,8 +88,8 @@ Mmu::cachedLookup(VAddr vpn)
     if (pte.mode == PageMode::Invalid)
         return nullptr;
     _tlb.push_back(TlbEntry{_as->asid(), vpn, pte});
-    while (_tlb.size() > config().tlbEntries)
-        _tlb.pop_front();
+    if (_tlb.size() > config().tlbEntries)
+        _tlb.erase(_tlb.begin());
     return &_tlb.back().pte;
 }
 
@@ -137,23 +137,16 @@ Mmu::flushPage(std::uint32_t asid, VAddr va)
     // Independent of the *current* address space: the OS flushes
     // mappings of processes that are not necessarily running.
     const VAddr vpn = (va & ~kShadowBit) / config().pageBytes;
-    for (auto it = _tlb.begin(); it != _tlb.end();) {
-        if (it->asid == asid && it->vpn == vpn)
-            it = _tlb.erase(it);
-        else
-            ++it;
-    }
+    std::erase_if(_tlb, [&](const TlbEntry &e) {
+        return e.asid == asid && e.vpn == vpn;
+    });
 }
 
 void
 Mmu::flushAsid(std::uint32_t asid)
 {
-    for (auto it = _tlb.begin(); it != _tlb.end();) {
-        if (it->asid == asid)
-            it = _tlb.erase(it);
-        else
-            ++it;
-    }
+    std::erase_if(_tlb,
+                  [asid](const TlbEntry &e) { return e.asid == asid; });
 }
 
 void

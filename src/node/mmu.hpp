@@ -16,7 +16,6 @@
 #define TELEGRAPHOS_NODE_MMU_HPP
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -159,7 +158,7 @@ class Mmu : public SimObject
     const Pte *cachedLookup(VAddr vpn);
 
     AddressSpace *_as = nullptr;
-    std::deque<TlbEntry> _tlb; // front = oldest
+    std::vector<TlbEntry> _tlb; // front = oldest
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
 };

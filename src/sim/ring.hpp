@@ -1,13 +1,16 @@
 /**
  * @file
- * Vector-backed FIFO ring for component queues on the event hot path.
+ * Vector-backed FIFO ring: the one queue container of the model.
  *
- * A `std::deque` allocates a block per few elements as it grows and
- * frees it as it drains, so a queue that fills and empties every
- * microsecond of simulated time keeps the allocator busy.  `tg::Ring`
- * keeps its elements in one power-of-two vector that doubles when full
- * and never shrinks: once it has reached its high-water mark, push and
- * pop never allocate.  Order is strict FIFO, like the deque it replaces.
+ * Every buffering point is a FIFO — the switch and HIB packet queues
+ * (net::BoundedQueue), a link's pending arrivals, the tracer's open-op
+ * window, the TurboChannel and atomic-unit queues, the CPU write buffer
+ * and the HIB's backlog and waiter lists — and every one of them is a
+ * `tg::Ring`.  The elements live in one power-of-two vector that
+ * doubles when full and never shrinks: once a ring has reached its
+ * high-water mark, push and pop never allocate, and an idle queue holds
+ * no storage at all.  Order is strict FIFO; operator[] reads the i-th
+ * oldest element for the few owners that search their queue.
  */
 
 #ifndef TELEGRAPHOS_SIM_RING_HPP
@@ -27,9 +30,20 @@ class Ring
     bool empty() const { return _count == 0; }
     std::size_t size() const { return _count; }
 
+    /** Slots allocated (zero or a power of two, >= size()). */
+    std::size_t capacity() const { return _slots.size(); }
+
+    /** The @p i-th oldest element; requires i < size(). */
+    T &operator[](std::size_t i) { return _slots[slot(i)]; }
+    const T &operator[](std::size_t i) const { return _slots[slot(i)]; }
+
     /** Oldest element; the ring must be non-empty. */
     T &front() { return _slots[_head]; }
     const T &front() const { return _slots[_head]; }
+
+    /** Newest element; the ring must be non-empty. */
+    T &back() { return (*this)[_count - 1]; }
+    const T &back() const { return (*this)[_count - 1]; }
 
     /** Append @p v behind every element already queued. */
     void
@@ -37,7 +51,7 @@ class Ring
     {
         if (_count == _slots.size())
             grow();
-        _slots[(_head + _count) & (_slots.size() - 1)] = std::move(v);
+        _slots[slot(_count)] = std::move(v);
         ++_count;
     }
 
@@ -47,7 +61,7 @@ class Ring
     pop()
     {
         T v = std::move(_slots[_head]);
-        _head = (_head + 1) & (_slots.size() - 1);
+        _head = slot(1);
         --_count;
         return v;
     }
@@ -55,13 +69,20 @@ class Ring
   private:
     static constexpr std::size_t kMinSlots = 8;
 
+    /** Storage index of the element @p i positions from the oldest. */
+    std::size_t
+    slot(std::size_t i) const
+    {
+        return (_head + i) & (_slots.size() - 1);
+    }
+
     /** Double the capacity, unwrapping the elements to start at 0. */
     void
     grow()
     {
         std::vector<T> next(_slots.empty() ? kMinSlots : 2 * _slots.size());
         for (std::size_t i = 0; i < _count; ++i)
-            next[i] = std::move(_slots[(_head + i) & (_slots.size() - 1)]);
+            next[i] = std::move(_slots[slot(i)]);
         _slots.swap(next);
         _head = 0;
     }

@@ -77,6 +77,12 @@ Config::validate() const
         fatal("tlbEntries must be >= 1");
     if (hibContexts == 0)
         fatal("hibContexts must be >= 1");
+    if (hibBacklogPackets == 0)
+        fatal("hibBacklogPackets must be >= 1");
+    if (collFanout == 0)
+        fatal("collFanout must be >= 1");
+    if (maxOutstandingReads == 0)
+        fatal("maxOutstandingReads must be >= 1");
     if (traceSampleShift > 63)
         fatal("traceSampleShift must be <= 63 (got %u)", traceSampleShift);
     fault.validate();

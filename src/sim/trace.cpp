@@ -38,19 +38,6 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-/** Index of the log2 bucket holding @p v (bucket b covers [2^b, 2^{b+1})
- *  with 0 in bucket 0). */
-std::size_t
-log2Bucket(Tick v)
-{
-    std::size_t b = 0;
-    while (v > 1) {
-        v >>= 1;
-        ++b;
-    }
-    return b;
-}
-
 } // namespace
 
 const char *
@@ -186,64 +173,47 @@ Tracer::beginOp(OpKind kind)
         return id;
     // Deterministic eviction: the oldest (smallest-id) open op is
     // force-retired into the aggregates.
-    if (_openCount >= _openCap)
+    if (_open.size() >= _openCap)
         evictOldest();
-    if (_openCount == _open.size())
-        resizeOpen(std::min(std::max<std::size_t>(2 * _open.size(), 64),
-                            _openCap));
-    _open[slot(_openCount)] = OpenOp{id, OpState{kind, 0, 0, 0, 0}};
-    ++_openCount;
+    _open.push(OpenOp{id, OpState{kind, 0, 0, 0, 0}});
     return id;
 }
 
 std::size_t
 Tracer::openIndex(std::uint64_t id) const
 {
-    if (_openCount == 0 || id < _open[_openHead].id ||
-        id > _open[slot(_openCount - 1)].id)
-        return _openCount;
+    const std::size_t n = _open.size();
+    if (n == 0 || id < _open.front().id || id > _open.back().id)
+        return n;
     // Ids rise by at least one per position, so op @p id sits at most
     // (id - oldest) positions in -- exactly there when every op is
     // sampled.  Sampling leaves gaps: binary-search below that bound.
-    std::size_t hi = std::min<std::uint64_t>(id - _open[_openHead].id,
-                                             _openCount - 1);
-    if (_open[slot(hi)].id == id)
+    std::size_t hi = std::min<std::uint64_t>(id - _open.front().id, n - 1);
+    if (_open[hi].id == id)
         return hi;
     std::size_t lo = 0;
     while (lo < hi) {
         const std::size_t mid = lo + (hi - lo) / 2;
-        if (_open[slot(mid)].id < id)
+        if (_open[mid].id < id)
             lo = mid + 1;
         else
             hi = mid;
     }
-    return _open[slot(lo)].id == id ? lo : _openCount;
+    return _open[lo].id == id ? lo : n;
 }
 
 void
 Tracer::evictOldest()
 {
-    retire(_open[_openHead].st);
-    _openHead = slot(1);
-    --_openCount;
+    retire(_open.pop().st);
     ++_evictedOps;
-}
-
-void
-Tracer::resizeOpen(std::size_t slots)
-{
-    std::vector<OpenOp> ring(slots);
-    for (std::size_t i = 0; i < _openCount; ++i)
-        ring[i] = _open[slot(i)];
-    _open = std::move(ring);
-    _openHead = 0;
 }
 
 OpKind
 Tracer::kindOf(std::uint64_t id) const
 {
     const std::size_t i = openIndex(id);
-    return i == _openCount ? OpKind::Other : _open[slot(i)].st.kind;
+    return i == _open.size() ? OpKind::Other : _open[i].st.kind;
 }
 
 void
@@ -265,13 +235,13 @@ Tracer::recordImpl(std::uint64_t id, Span sp, Tick t, std::uint16_t comp,
     _events.push_back(TraceEvent{id, sp, comp, t, aux});
 
     const std::size_t i = openIndex(id);
-    if (i == _openCount) {
+    if (i == _open.size()) {
         // The op was evicted (or the id never came from beginOp): the
         // event stays in the raw window but no longer aggregates.
         ++_lateEvents;
         return;
     }
-    OpState &st = _open[slot(i)].st;
+    OpState &st = _open[i].st;
     if (st.boundaries == 0) {
         st.first = st.last = t;
         st.boundaries = 1;
@@ -288,17 +258,6 @@ Tracer::recordImpl(std::uint64_t id, Span sp, Tick t, std::uint16_t comp,
 }
 
 void
-Tracer::pushLifetime(KindAgg &agg, Tick lifetime)
-{
-    if (agg.exact.size() < _lifetimeCap)
-        agg.exact.push_back(lifetime);
-    else {
-        ++agg.logBuckets[log2Bucket(lifetime)];
-        ++agg.sketched;
-    }
-}
-
-void
 Tracer::retire(const OpState &st)
 {
     if (st.boundaries < 2)
@@ -306,7 +265,8 @@ Tracer::retire(const OpState &st)
     KindAgg &agg = _agg[static_cast<std::size_t>(st.kind)];
     ++agg.ops;
     agg.hops += st.hops;
-    pushLifetime(agg, st.last - st.first);
+    if (agg.exact.size() < _lifetimeCap)
+        agg.exact.push_back(st.last - st.first);
 }
 
 Breakdown
@@ -316,8 +276,8 @@ Tracer::breakdown() const
     // their span deltas already streamed into the cells at record time.
     std::uint64_t openOps[kNumKinds] = {};
     std::uint64_t openHops[kNumKinds] = {};
-    for (std::size_t i = 0; i < _openCount; ++i) {
-        const OpState &st = _open[slot(i)].st;
+    for (std::size_t i = 0; i < _open.size(); ++i) {
+        const OpState &st = _open[i].st;
         if (st.boundaries < 2)
             continue;
         const auto k = static_cast<std::size_t>(st.kind);
@@ -359,67 +319,13 @@ Tracer::opLifetimes(OpKind kind) const
 {
     const auto k = static_cast<std::size_t>(kind);
     std::vector<Tick> out = _agg[k].exact;
-    for (std::size_t i = 0; i < _openCount; ++i) {
-        const OpState &st = _open[slot(i)].st;
+    for (std::size_t i = 0; i < _open.size(); ++i) {
+        const OpState &st = _open[i].st;
         if (st.kind == kind && st.boundaries >= 2)
             out.push_back(st.last - st.first);
     }
     std::sort(out.begin(), out.end());
     return out;
-}
-
-double
-Tracer::lifetimeQuantile(OpKind kind, double q) const
-{
-    const auto k = static_cast<std::size_t>(kind);
-    const std::vector<Tick> exact = opLifetimes(kind);
-    const std::uint64_t sketched = _agg[k].sketched;
-    const std::uint64_t total = exact.size() + sketched;
-    if (total == 0)
-        return 0.0;
-    if (!(q > 0.0))
-        q = 0.0;
-    if (q > 1.0)
-        q = 1.0;
-
-    if (sketched == 0) {
-        // Exact mode: linear interpolation between order statistics
-        // (same convention as Sampler::quantile).
-        if (exact.size() == 1 || q == 0.0)
-            return static_cast<double>(exact.front());
-        if (q >= 1.0)
-            return static_cast<double>(exact.back());
-        double pos = q * static_cast<double>(exact.size() - 1);
-        std::size_t lo = static_cast<std::size_t>(pos);
-        double frac = pos - static_cast<double>(lo);
-        if (lo + 1 >= exact.size())
-            return static_cast<double>(exact[lo]);
-        return static_cast<double>(exact[lo]) +
-               frac * static_cast<double>(exact[lo + 1] - exact[lo]);
-    }
-
-    // Spilled mode: merge the exact samples into a copy of the log2
-    // sketch and interpolate inside the bucket holding the target rank.
-    std::array<std::uint64_t, 64> buckets = _agg[k].logBuckets;
-    for (Tick v : exact)
-        ++buckets[log2Bucket(v)];
-    const double rank = q * static_cast<double>(total - 1);
-    std::uint64_t seen = 0;
-    for (std::size_t b = 0; b < buckets.size(); ++b) {
-        if (buckets[b] == 0)
-            continue;
-        if (static_cast<double>(seen + buckets[b]) > rank) {
-            const double lo = b == 0 ? 0.0
-                                     : static_cast<double>(Tick(1) << b);
-            const double hi = static_cast<double>(Tick(1) << (b + 1));
-            const double within =
-                (rank - static_cast<double>(seen)) /
-                static_cast<double>(buckets[b]);
-            return lo + within * (hi - lo);
-        }
-        seen += buckets[b];
-    }
-    return static_cast<double>(Tick(1) << 63);
 }
 
 void
@@ -485,10 +391,8 @@ void
 Tracer::setOpenOpCap(std::size_t cap)
 {
     _openCap = std::max<std::size_t>(cap, 1);
-    while (_openCount > _openCap)
+    while (_open.size() > _openCap)
         evictOldest();
-    if (_open.size() > _openCap)
-        resizeOpen(_openCap);
 }
 
 void
@@ -502,10 +406,8 @@ Tracer::approxBytes() const
 {
     std::size_t bytes = _events.capacity() * sizeof(TraceEvent);
     bytes += _open.capacity() * sizeof(OpenOp);
-    for (const KindAgg &agg : _agg) {
+    for (const KindAgg &agg : _agg)
         bytes += agg.exact.capacity() * sizeof(Tick);
-        bytes += sizeof(agg.logBuckets);
-    }
     for (const std::string &c : _comps)
         bytes += sizeof(std::string) + c.capacity();
     return bytes;
@@ -516,9 +418,7 @@ Tracer::reset()
 {
     _events.clear();
     _events.shrink_to_fit();
-    _open.clear();
-    _open.shrink_to_fit();
-    _openHead = _openCount = 0;
+    _open = Ring<OpenOp>{};
     for (auto &row : _cells)
         for (auto &cell : row)
             cell = Cell{};

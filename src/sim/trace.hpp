@@ -26,15 +26,14 @@
  * Scale contract (section 14.4): the tracer's memory is *bounded* no
  * matter how long the run or how many nodes trace into it.  Breakdown
  * aggregates stream into fixed (kind, span) cells as events arrive; open
- * operations live in a ring ordered by id, capped at openOpCap(): ids
- * are monotone, so a new op is appended at the back, the oldest-id op
- * is evicted from the front, and a lookup indexes the ring by the id's
+ * operations live in a tg::Ring ordered by id, capped at openOpCap():
+ * ids are monotone, so a new op is pushed at the back, the oldest-id op
+ * is evicted by pop(), and a lookup indexes the ring by the id's
  * distance from the front (binary search when sampling leaves gaps);
- * per-kind lifetimes keep an exact sample set up to a cap and
- * spill into a log2-bucket sketch; and the raw-event window retains only
- * the most recent events for the Chrome export.  approxBytes() reports
- * the footprint, counting the open-op ring at its capacity, so tests
- * can assert the bound.
+ * per-kind lifetimes keep an exact sample set up to a cap and drop the
+ * rest; and the raw-event window retains only the most recent events for
+ * the Chrome export.  approxBytes() reports the footprint, counting the
+ * open-op ring at its capacity, so tests can assert the bound.
  *
  * Sampling contract: setSampleShift(s) records 1 in 2^s operations,
  * chosen by a splitmix64 hash of the operation id — a pure function of
@@ -54,12 +53,12 @@
 #ifndef TELEGRAPHOS_SIM_TRACE_HPP
 #define TELEGRAPHOS_SIM_TRACE_HPP
 
-#include <array>
 #include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "sim/ring.hpp"
 #include "sim/types.hpp"
 
 namespace tg::trace {
@@ -259,17 +258,10 @@ class Tracer
      * First->last boundary lifetime of completed (>= 2 boundaries)
      * operations of @p kind, sorted ascending — ready for percentile
      * extraction (bench_n1_scaling's p50/p99 latency columns).  Exact
-     * until the per-kind sample cap; past it, the retained exact sample
-     * set (use lifetimeQuantile() for whole-run quantiles).
+     * until the per-kind sample cap; past it, the first retired
+     * lifetimes up to the cap plus the still-open ops.
      */
     std::vector<Tick> opLifetimes(OpKind kind) const;
-
-    /**
-     * Lifetime quantile over *every* completed op of @p kind: exact
-     * while the sample set fits the cap, log2-bucket interpolation after
-     * it spills.  q in [0,1]; 0 when no ops completed.
-     */
-    double lifetimeQuantile(OpKind kind, double q) const;
 
     /** Write a Chrome trace_event JSON document of the retained window. */
     void writeChromeTrace(std::ostream &os) const;
@@ -289,7 +281,7 @@ class Tracer
     void setOpenOpCap(std::size_t cap);
     std::size_t openOpCap() const { return _openCap; }
 
-    /** Cap on exact per-kind lifetime samples before the log2 spill. */
+    /** Cap on retained per-kind lifetime samples (later ones drop). */
     void setLifetimeSampleCap(std::size_t cap);
 
     /** Approximate heap footprint in bytes (bounded-memory assertion). */
@@ -325,17 +317,15 @@ class Tracer
         std::uint64_t count = 0;
     };
 
-    /** Finalized per-kind aggregates + bounded lifetime sketch. */
+    /** Finalized per-kind aggregates + bounded lifetime samples. */
     struct KindAgg
     {
         std::uint64_t ops = 0;  ///< retired ops with >= 2 boundaries
         std::uint64_t hops = 0; ///< their switch traversals
-        std::vector<Tick> exact;             ///< lifetimes, up to the cap
-        std::array<std::uint64_t, 64> logBuckets{}; ///< spill sketch
-        std::uint64_t sketched = 0;          ///< lifetimes in the sketch
+        std::vector<Tick> exact; ///< lifetimes, up to the cap
     };
 
-    /** One slot of the open-op ring. */
+    /** One entry of the open-op ring. */
     struct OpenOp
     {
         std::uint64_t id = 0;
@@ -345,24 +335,12 @@ class Tracer
     void recordImpl(std::uint64_t id, Span sp, Tick t, std::uint16_t comp,
                     std::uint64_t aux);
     void retire(const OpState &st);
-    void pushLifetime(KindAgg &agg, Tick lifetime);
 
-    /** Ring slot of the open op @p i positions from the oldest. */
-    std::size_t
-    slot(std::size_t i) const
-    {
-        const std::size_t j = _openHead + i;
-        return j < _open.size() ? j : j - _open.size();
-    }
-
-    /** Ring position of open op @p id, or _openCount when not open. */
+    /** Ring position of open op @p id, or _open.size() when not open. */
     std::size_t openIndex(std::uint64_t id) const;
 
     /** Force-retire the oldest open op into the aggregates. */
     void evictOldest();
-
-    /** Move the open ops into a ring of @p slots (>= _openCount). */
-    void resizeOpen(std::size_t slots);
 
     bool _enabled = false;
     std::uint32_t _sampleShift = 0;
@@ -373,9 +351,7 @@ class Tracer
     std::uint64_t _recorded = 0;
     std::uint64_t _droppedWindow = 0;
 
-    std::vector<OpenOp> _open;  ///< ring storage, grows to _openCap
-    std::size_t _openHead = 0;  ///< ring slot of the oldest open op
-    std::size_t _openCount = 0; ///< open ops, ids increasing from head
+    Ring<OpenOp> _open; ///< open ops, ids increasing from the front
     std::size_t _openCap = std::size_t(1) << 15;
     std::uint64_t _evictedOps = 0;
     std::uint64_t _lateEvents = 0; ///< events for evicted/unknown ops

@@ -9,7 +9,8 @@
  *    limits, never misreported as success);
  *  - minimal-resource configurations (1-entry queues/buffers/TLB) must
  *    still be correct, only slower;
- *  - invalid configurations die loudly at construction.
+ *  - invalid configurations, zero-sized resources included, die loudly
+ *    at construction.
  */
 
 #include <gtest/gtest.h>
@@ -127,6 +128,31 @@ TEST(FailureDeathTest, InvalidConfigurationsDieLoudly)
     ClusterSpec spec2 = ClusterSpec::star(2);
     spec2.config.linkBytesPerTick = 0;
     EXPECT_DEATH({ Cluster c(spec2); }, "positive");
+}
+
+// Sizes of zero that would otherwise wedge or crash a run instead of
+// failing at construction: a zero backlog blocks the first remote store
+// forever, a zero fan-out never finishes building a collective tree, and
+// a zero read window panics on the first remote read.
+TEST(ConfigValidate, RejectsZeroHibBacklog)
+{
+    Config cfg;
+    cfg.hibBacklogPackets = 0;
+    EXPECT_DEATH(cfg.validate(), "hibBacklogPackets");
+}
+
+TEST(ConfigValidate, RejectsZeroCollFanout)
+{
+    Config cfg;
+    cfg.collFanout = 0;
+    EXPECT_DEATH(cfg.validate(), "collFanout");
+}
+
+TEST(ConfigValidate, RejectsZeroOutstandingReads)
+{
+    Config cfg;
+    cfg.maxOutstandingReads = 0;
+    EXPECT_DEATH(cfg.validate(), "maxOutstandingReads");
 }
 
 } // namespace

@@ -403,7 +403,7 @@ ruleHotStdFunction(FileCtx &ctx)
 // ---------------------------------------------------------------------
 
 /** Node-based standard containers that heap-allocate per element.  On
- *  the packet/event hot path they defeat the arena + ring-buffer storage
+ *  the packet/event hot path they defeat the arena + tg::Ring storage
  *  discipline (DESIGN.md section 14): every push is a malloc, every pop
  *  a free, and the allocator becomes the bottleneck the PacketArena /
  *  BoundedQueue overhaul removed. */
@@ -423,8 +423,9 @@ ruleHotHeapAlloc(FileCtx &ctx)
             ctx.emit(t[i].line, kHotHeapAlloc,
                      "std::" + t[i + 2].text +
                          " on a packet/event hot path heap-allocates per "
-                         "element; use net::BoundedQueue, net::PacketArena "
-                         "or a vector-backed ring (DESIGN.md section 14)");
+                         "element; use tg::Ring (sim/ring.hpp), "
+                         "net::BoundedQueue or net::PacketArena (DESIGN.md "
+                         "section 14)");
         }
     }
 }
