@@ -76,8 +76,7 @@ enum class CollectiveBackend
  *                   .seed(7);
  * @endcode
  *
- * The raw `topology` field went away as promised one release ago: the
- * interconnect description is now read-only (topology() accessor), and
+ * The interconnect description is read-only (topology() accessor):
  * every spec comes from the named builders or, for runtime-assembled
  * sweeps, fromTopology().
  */

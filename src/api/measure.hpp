@@ -77,12 +77,6 @@ class BenchReport
      *  @param argc/argv  main()'s arguments; parses `--json=<path>`. */
     BenchReport(std::string bench, int argc, char **argv);
 
-    /** True when `--json=<path>` was given. */
-    bool jsonRequested() const { return !_path.empty(); }
-
-    /** Destination path ("" without the flag). */
-    const std::string &jsonPath() const { return _path; }
-
     /** Record one result value.  @p unit is free-form ("us", "MB/s"). */
     void metric(const std::string &name, double value,
                 const std::string &unit = "");

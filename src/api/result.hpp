@@ -31,13 +31,6 @@ enum class OpError
     LinkFailure, ///< lost by the network after exhausting its retries
 };
 
-/** Short mnemonic for an OpError. */
-constexpr const char *
-opErrorName(OpError e)
-{
-    return e == OpError::None ? "none" : "link_failure";
-}
-
 /** Outcome of a value-producing remote operation. */
 template <typename T>
 class Result

@@ -57,12 +57,6 @@ struct PageEntry
     /** Sharing-ring order for the Galactica protocol. */
     std::vector<NodeId> ring;
 
-    /** Offset of @p global_addr (which must lie in some copy) in the page. */
-    PAddr offsetOfAddr(PAddr global_addr, std::uint32_t page_bytes) const
-    {
-        return global_addr % page_bytes;
-    }
-
     bool hasCopy(NodeId n) const { return copies.count(n) != 0; }
 
     /** Local copy frame of @p n (panics if absent). */

@@ -24,6 +24,8 @@ GalacticaRingProtocol::GalacticaRingProtocol(System &sys, Fabric &fabric)
     : Protocol(sys, "proto.galactica", fabric)
 {
     _kind = ProtocolKind::GalacticaRing;
+    sys.stats().add({_name, "backoffs"}, &_backoffs);
+    sys.stats().add({_name, "correctives"}, &_correctives);
 }
 
 void

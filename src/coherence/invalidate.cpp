@@ -18,6 +18,7 @@ InvalidateProtocol::InvalidateProtocol(System &sys, Fabric &fabric)
     : Protocol(sys, "proto.inval", fabric)
 {
     _kind = ProtocolKind::Invalidate;
+    sys.stats().add({_name, "invalidations"}, &_invalidations);
 }
 
 void

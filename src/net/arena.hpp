@@ -7,16 +7,15 @@
  * descriptors living in preallocated rings; the software model mirrors
  * that shape.  A PacketArena owns every in-flight packet of one
  * simulation universe: queues, links and switches pass 32-bit
- * PacketHandle slots instead of copying the ~160-byte Packet value at
+ * PacketHandle slots instead of copying the 112-byte Packet value at
  * every hop.
  *
- * The Packet is split into *hot* routing fields — src/dst/vc/hops/
- * payload/traceId, the fields switch arbitration and link serialization
- * actually read — laid out as parallel SoA arrays indexed by handle, and
- * the *cold* body (addresses, operands, CRC, bulk payload) touched only
- * at the endpoints.  During transit the SoA arrays are authoritative for
- * vc/hopsDone; they are written back into the body when the packet is
- * materialized out of the arena (release / front).
+ * Each packet lives in exactly one slot, and the slot is the packet:
+ * the datapath reads and writes its fields in place through packet().
+ * The fields a hop touches (src/dst/vc/hopsDone/payloadBytes/traceId)
+ * sit in the first 24 bytes of the Packet (net/packet.hpp), so a switch
+ * or link reads only the front of the slot and never the cold body
+ * (addresses, operands, CRC, bulk payload).
  *
  * Storage is a LIFO free list over chunked slot storage: chunks are
  * allocated as the in-flight population grows during warm-up and then
@@ -44,22 +43,7 @@ using PacketHandle = std::uint32_t;
 /** The null handle (no slot). */
 inline constexpr PacketHandle kNoPacket = ~PacketHandle(0);
 
-/**
- * Hot routing view of an in-flight packet: the fields the datapath
- * (switch arbitration, VC mapping, link serialization, tracer taps)
- * reads per hop.  Assembled from the arena's SoA arrays on demand.
- */
-struct PacketHot
-{
-    NodeId src = 0;
-    NodeId dst = 0;
-    std::uint8_t vc = 0;
-    std::uint8_t hopsDone = 0;
-    std::uint32_t payloadBytes = 0;
-    std::uint64_t traceId = 0;
-};
-
-/** Free-list arena of packet slots with an SoA hot-field mirror. */
+/** Free-list arena of packet slots; the slot is the packet. */
 class PacketArena
 {
   public:
@@ -67,8 +51,8 @@ class PacketArena
     PacketArena(const PacketArena &) = delete;
     PacketArena &operator=(const PacketArena &) = delete;
 
-    /** Materialize @p p into a slot; hot fields are mirrored into the
-     *  SoA arrays.  Grows by one chunk when the free list is empty. */
+    /** Move @p p into a free slot.  Grows by one chunk when the free
+     *  list is empty. */
     PacketHandle
     acquire(Packet &&p)
     {
@@ -78,68 +62,39 @@ class PacketArena
         _free.pop_back();
         TG_AUDIT(!_liveSlot[h], "arena slot %u acquired twice", h);
         _liveSlot[h] = 1;
-        slot(h) = std::move(p);
-        const Packet &b = slot(h);
-        _src[h] = b.src;
-        _dst[h] = b.dst;
-        _vc[h] = b.vc;
-        _hops[h] = b.hopsDone;
-        _payload[h] = b.payloadBytes;
-        _traceId[h] = b.traceId;
+        packet(h) = std::move(p);
         ++_live;
         if (_live > _highWater)
             _highWater = _live;
         return h;
     }
 
-    /** Move the packet out of slot @p h (hot fields written back) and
-     *  recycle the slot. */
+    /** Move the packet out of slot @p h and recycle the slot. */
     Packet
     release(PacketHandle h)
     {
-        Packet out = std::move(*syncBody(h));
         TG_AUDIT(_liveSlot[h], "arena slot %u released twice", h);
         _liveSlot[h] = 0;
+        Packet out = std::move(packet(h));
         _free.push_back(h);
         --_live;
         return out;
     }
 
     /**
-     * Cold body of slot @p h with the hot mutations (vc, hopsDone)
-     * written back — for endpoint peeks and value materialization.
-     * The reference is valid until the slot is released (chunked
-     * storage: slots never move).
+     * The in-flight packet in slot @p h.  The reference stays valid
+     * until the slot is released (chunked storage: slots never move).
      */
-    Packet *
-    syncBody(PacketHandle h)
+    Packet &
+    packet(PacketHandle h)
     {
-        Packet &b = slot(h);
-        b.vc = _vc[h];
-        b.hopsDone = _hops[h];
-        return &b;
+        return _chunks[h / kChunkSlots][h % kChunkSlots];
     }
 
-    // ------------------------------------------------------------------
-    // Hot-field accessors (the per-hop datapath)
-    // ------------------------------------------------------------------
-
-    NodeId src(PacketHandle h) const { return _src[h]; }
-    NodeId dst(PacketHandle h) const { return _dst[h]; }
-    std::uint8_t vc(PacketHandle h) const { return _vc[h]; }
-    std::uint8_t hopsDone(PacketHandle h) const { return _hops[h]; }
-    std::uint32_t payloadBytes(PacketHandle h) const { return _payload[h]; }
-    std::uint64_t traceId(PacketHandle h) const { return _traceId[h]; }
-
-    void setVc(PacketHandle h, std::uint8_t vc) { _vc[h] = vc; }
-    std::uint8_t bumpHops(PacketHandle h) { return ++_hops[h]; }
-
-    /** Assembled hot view (route / VC-map hooks). */
-    PacketHot
-    hot(PacketHandle h) const
+    const Packet &
+    packet(PacketHandle h) const
     {
-        return PacketHot{_src[h],     _dst[h],  _vc[h],
-                         _hops[h],    _payload[h], _traceId[h]};
+        return _chunks[h / kChunkSlots][h % kChunkSlots];
     }
 
     // ------------------------------------------------------------------
@@ -161,11 +116,6 @@ class PacketArena
   private:
     static constexpr std::size_t kChunkSlots = 256;
 
-    Packet &slot(PacketHandle h)
-    {
-        return _chunks[h / kChunkSlots][h % kChunkSlots];
-    }
-
     void
     grow()
     {
@@ -173,12 +123,6 @@ class PacketArena
         if (base + kChunkSlots > std::size_t(kNoPacket))
             panic("PacketArena exhausted the handle space");
         _chunks.push_back(std::make_unique<Packet[]>(kChunkSlots));
-        _src.resize(base + kChunkSlots);
-        _dst.resize(base + kChunkSlots);
-        _vc.resize(base + kChunkSlots);
-        _hops.resize(base + kChunkSlots);
-        _payload.resize(base + kChunkSlots);
-        _traceId.resize(base + kChunkSlots);
         _liveSlot.resize(base + kChunkSlots, 0);
         // LIFO free list: push in reverse so low handles come out first.
         for (std::size_t i = kChunkSlots; i > 0; --i)
@@ -187,13 +131,6 @@ class PacketArena
     }
 
     std::vector<std::unique_ptr<Packet[]>> _chunks;
-    // SoA hot mirror, indexed by handle.
-    std::vector<NodeId> _src;
-    std::vector<NodeId> _dst;
-    std::vector<std::uint8_t> _vc;
-    std::vector<std::uint8_t> _hops;
-    std::vector<std::uint32_t> _payload;
-    std::vector<std::uint64_t> _traceId;
     std::vector<std::uint8_t> _liveSlot; // audit: double acquire/release
     std::vector<PacketHandle> _free;
     std::size_t _live = 0;

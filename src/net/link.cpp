@@ -100,15 +100,15 @@ Channel::pump()
     // Zero-copy transfer: the packet stays in the arena; only its handle
     // moves into the pending-arrival ring.
     const PacketHandle h = _lanes[li].up->popHandle();
-    const std::uint32_t bytes =
-        config().packetHeaderBytes + _arena->payloadBytes(h);
+    const Packet &p = _arena->packet(h);
+    const std::uint32_t bytes = p.wireBytes(config().packetHeaderBytes);
     const Tick ser = serTicks(bytes);
     ++_packets;
     _bytes += bytes;
     _busyTicks += ser;
 
-    _sys.tracer().record(_arena->traceId(h), trace::Span::LinkTx, now(),
-                         _traceComp, ser);
+    _sys.tracer().record(p.traceId, trace::Span::LinkTx, now(), _traceComp,
+                         ser);
     // The wire frees after serialization; the packet lands after
     // serialization + propagation delay.  Both are processed by the one
     // armed batch event (onBatchTick) instead of per-packet closures.
@@ -157,8 +157,8 @@ Channel::onBatchTick()
     // transmission, so the pump decides against settled queue state.
     while (!_pending.empty() && _pending.front().at == t) {
         const PendingArrival a = _pending.pop();
-        _sys.tracer().record(_arena->traceId(a.h), trace::Span::LinkRx, t,
-                             _traceComp);
+        _sys.tracer().record(_arena->packet(a.h).traceId,
+                             trace::Span::LinkRx, t, _traceComp);
         _lanes[a.lane].down->pushReservedHandle(a.h);
     }
     if (!_busy)

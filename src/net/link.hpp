@@ -120,9 +120,6 @@ class Channel : public SimObject
     /** Duplicate arrivals discarded by the sequence check. */
     std::uint64_t duplicateDiscards() const { return _dupDiscards; }
 
-    /** Out-of-window (gap) arrivals discarded. */
-    std::uint64_t outOfWindow() const { return _outOfWindow; }
-
     /** Packets permanently failed (budget exhausted or failed over after
      *  an administrative outage passed the deadline). */
     std::uint64_t wireFailures() const { return _wireFailures; }

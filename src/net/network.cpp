@@ -24,9 +24,9 @@ Network::Network(System &sys, const std::string &name,
                  const TopologySpec &spec)
     : SimObject(sys, name), _spec(spec)
 {
-    // Legacy construction path: turn a rejection into fatal().  Callers
-    // wanting a recoverable error go through Cluster::build(), which
-    // validates before ever constructing a Network.
+    // A Network is only built from a valid spec: a rejection is fatal().
+    // Callers wanting a recoverable error go through Cluster::build(),
+    // which validates before ever constructing a Network.
     if (auto valid = _spec.validate(); !valid)
         fatal("%s: %s", name.c_str(), valid.error().message.c_str());
 
@@ -83,7 +83,7 @@ Network::Network(System &sys, const std::string &name,
     if (model.usesDateline()) {
         for (std::size_t s = 0; s < nsw; ++s) {
             _switches[s]->setVcMap(
-                [this, s](const PacketHot &, std::size_t in_port,
+                [this, s](const Packet &, std::size_t in_port,
                           std::size_t out_port,
                           std::uint8_t in_vc) -> std::uint8_t {
                     return _spec.model().vcFor(_spec, s, in_port, out_port,
@@ -97,7 +97,7 @@ Network::Network(System &sys, const std::string &name,
     // per-flow uplink hashing).
     if (model.srcDependentRouting()) {
         for (std::size_t s = 0; s < nsw; ++s) {
-            _switches[s]->setRouteFn([this, s](const PacketHot &pkt) {
+            _switches[s]->setRouteFn([this, s](const Packet &pkt) {
                 const TopologyModel &m = _spec.model();
                 if (_rerouter)
                     return m.routePortAvoiding(_spec, s, pkt.src, pkt.dst,

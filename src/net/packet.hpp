@@ -12,9 +12,11 @@
 #ifndef TELEGRAPHOS_NET_PACKET_HPP
 #define TELEGRAPHOS_NET_PACKET_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -63,22 +65,34 @@ enum class AtomicOp : std::uint8_t
     CompareAndSwap,
 };
 
-/** A network packet.  Value type: freely copied into queues. */
+/**
+ * A network packet.  Every field a hop reads (switch routing and VC
+ * mapping, link serialization, tracer taps) is declared first, so it
+ * sits in the packet's first 24 bytes; endpoints read the rest.
+ */
 struct Packet
 {
     PacketType type = PacketType::WriteReq;
     NodeId src = 0;       ///< node/HIB that injected this packet
     NodeId dst = 0;       ///< destination node
+    std::uint8_t vc = 0;  ///< virtual channel (dateline deadlock avoidance)
+    /** Switches traversed so far (multi-hop accounting).  Observability
+     *  like traceId: excluded from computeCrc() and the audit hash. */
+    std::uint8_t hopsDone = 0;
+    std::uint32_t payloadBytes = 8; ///< payload size for serialization
+    /** Lifecycle-tracer operation id (0 = untraced).  Pure observability:
+     *  excluded from computeCrc() and from the audit trace hash, so runs
+     *  are bit-identical with tracing on or off. */
+    std::uint64_t traceId = 0;
+
     PAddr addr = 0;       ///< primary physical address
     PAddr addr2 = 0;      ///< secondary address (copy destination / cas cmp)
     Word value = 0;       ///< data word / atomic operand
     Word value2 = 0;      ///< second operand (compare&swap new value)
     AtomicOp aop = AtomicOp::FetchAndStore;
     NodeId origin = 0;    ///< node whose store originally caused this
-    std::uint8_t vc = 0;  ///< virtual channel (dateline deadlock avoidance)
     std::uint64_t seq = 0;     ///< per-origin sequence number
     std::uint64_t ticket = 0;  ///< requester-side matching ticket
-    std::uint32_t payloadBytes = 8; ///< payload size for serialization
 
     // ------------------------------------------------------------------
     // Link-level reliability (set per hop by net::Channel when the fault
@@ -91,15 +105,6 @@ struct Packet
     /** True when the injecting HIB charged this packet to its
      *  outstanding-operation counter (fence conservation on loss). */
     bool tracked = false;
-
-    /** Lifecycle-tracer operation id (0 = untraced).  Pure observability:
-     *  excluded from computeCrc() and from the audit trace hash, so runs
-     *  are bit-identical with tracing on or off. */
-    std::uint64_t traceId = 0;
-
-    /** Switches traversed so far (multi-hop accounting).  Observability
-     *  like traceId: excluded from computeCrc() and the audit hash. */
-    std::uint8_t hopsDone = 0;
 
     /** Bulk word data for CopyData / PageData transfers.  Shared so that
      *  copying packets through queues stays cheap. */
@@ -123,6 +128,10 @@ struct Packet
 
 /** Short mnemonic for a packet type. */
 const char *packetTypeName(PacketType t);
+
+static_assert(std::is_standard_layout_v<Packet> &&
+                  offsetof(Packet, traceId) + 8 <= 32,
+              "the per-hop fields must lead the packet");
 
 } // namespace tg::net
 

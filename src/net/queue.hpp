@@ -13,8 +13,9 @@
  * queue's high-water mark and then never reallocates; the credit
  * capacity is enforced here, not by the ring.  The datapath moves
  * 32-bit handles between queues via the *Handle methods, while endpoints
- * keep the value-based push/pop API, which materializes packets into /
- * out of the arena at the boundary.  DESIGN.md section 14.
+ * keep the value-based push/pop API, which moves packets into / out of
+ * the arena at the boundary; front() is the head packet's arena slot
+ * itself, read in place.  DESIGN.md section 14.
  */
 
 #ifndef TELEGRAPHOS_NET_QUEUE_HPP
@@ -110,16 +111,6 @@ class BoundedQueue
         notify(_onData);
     }
 
-    /** Enqueue a handle without prior reservation (panics when full). */
-    void
-    pushHandle(PacketHandle h)
-    {
-        if (full())
-            panic("push into full queue");
-        putHandle(h);
-        notify(_onData);
-    }
-
     /** Head handle (queue must be non-empty). */
     PacketHandle
     frontHandle() const
@@ -161,13 +152,13 @@ class BoundedQueue
         notify(_onData);
     }
 
-    /** Front packet with hot fields synced (queue must be non-empty). */
+    /** Front packet: its arena slot (queue must be non-empty). */
     const Packet &
     front() const
     {
         if (_ring.empty())
             panic("front of empty queue");
-        return *_arena.syncBody(_ring.front());
+        return _arena.packet(_ring.front());
     }
 
     /** Remove and return the front packet; wakes space listeners. */

@@ -68,9 +68,6 @@ class FabricRerouter : public SimObject, public TopologyModel::DeadView
     /** Route flips applied so far. */
     std::uint64_t flipsApplied() const { return _flips; }
 
-    /** Index of the epoch currently routing the fabric (0 = baseline). */
-    std::size_t currentEpoch() const { return _current; }
-
     /** Directed trunks dead in the current epoch. */
     std::size_t deadTrunksNow() const;
 

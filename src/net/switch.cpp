@@ -98,16 +98,16 @@ Switch::pump(std::size_t port, std::size_t vc)
     if (_busy[idx(port, vc)] || in.empty())
         return;
 
-    // Arbitration reads only the arena's SoA hot fields; the cold packet
-    // body is never touched on the switch path (DESIGN.md section 14).
-    const PacketHandle head = in.frontHandle();
-    const std::size_t out = _routeFn ? _routeFn(_arena->hot(head))
-                                     : route(_arena->dst(head));
+    // Arbitration reads only the per-hop fields at the front of the
+    // arena slot; the cold packet body is never touched on the switch
+    // path (DESIGN.md section 14).
+    const Packet &head = _arena->packet(in.frontHandle());
+    const std::size_t out = _routeFn ? _routeFn(head) : route(head.dst);
     if (out >= _ports)
         panic("%s: route produced port %zu of %zu", _name.c_str(), out,
               _ports);
     const std::uint8_t out_vc =
-        _vcMap ? _vcMap(_arena->hot(head), port, out, std::uint8_t(vc))
+        _vcMap ? _vcMap(head, port, out, std::uint8_t(vc))
                : std::uint8_t(vc);
     if (out_vc >= _vcs)
         panic("%s: VC map produced vc %u of %zu", _name.c_str(),
@@ -125,11 +125,12 @@ Switch::pump(std::size_t port, std::size_t vc)
     _busy[idx(port, vc)] = true;
     schedule(config().switchLatency, [this, port, vc, out, out_vc] {
         const PacketHandle h = _in[idx(port, vc)]->popHandle();
-        _arena->setVc(h, out_vc);
-        const std::uint8_t hops = _arena->bumpHops(h);
+        Packet &p = _arena->packet(h);
+        p.vc = out_vc;
+        ++p.hopsDone;
         ++_forwarded;
-        _sys.tracer().record(_arena->traceId(h), trace::Span::SwitchFwd,
-                             now(), _traceComp, hops);
+        _sys.tracer().record(p.traceId, trace::Span::SwitchFwd, now(),
+                             _traceComp, p.hopsDone);
         _out[idx(out, out_vc)]->pushReservedHandle(h);
         _busy[idx(port, vc)] = false;
         pump(port, vc);

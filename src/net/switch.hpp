@@ -15,6 +15,10 @@
  *    escape VC), and
  *  - reservation-based back-pressure between stages.
  *
+ * Queues hold arena handles (net/arena.hpp).  Arbitration reads the head
+ * packet's per-hop fields in its arena slot, and forwarding rewrites the
+ * slot's vc and hopsDone in place; the packet is never copied.
+ *
  * Wake-up rule: an input whose head cannot reserve its output buffer
  * marks itself as a waiter on that output (one bit per (port, VC)
  * input, in a per-output mask sized at construction).  When the output
@@ -50,21 +54,21 @@ class Switch : public SimObject
   public:
     /**
      * Choose the outgoing VC for a packet:
-     * (hot view, in_port, out_port, in_vc) -> out_vc.  The input port
+     * (packet, in_port, out_port, in_vc) -> out_vc.  The input port
      * lets dimension-ordered schemes distinguish a dimension turn
      * (restart on VC0) from continued travel.  Defaults to keeping the
-     * incoming VC.  The hooks take the arena's SoA hot view — the switch
-     * never touches the cold packet body (DESIGN.md section 14).
+     * incoming VC.  The hooks get the packet's arena slot and read only
+     * its leading per-hop fields (DESIGN.md section 14).
      */
-    using VcMap = Fn<std::uint8_t(const PacketHot &, std::size_t,
-                                  std::size_t, std::uint8_t)>;
+    using VcMap = Fn<std::uint8_t(const Packet &, std::size_t, std::size_t,
+                                  std::uint8_t)>;
 
     /**
-     * Per-packet output-port selection: hot view -> out_port.  Installed
+     * Per-packet output-port selection: packet -> out_port.  Installed
      * instead of the static route table when routing depends on more
      * than the destination (fat-tree per-flow uplink hashing).
      */
-    using RouteFn = Fn<std::size_t(const PacketHot &)>;
+    using RouteFn = Fn<std::size_t(const Packet &)>;
 
     /**
      * @param sys    owning system
@@ -74,9 +78,6 @@ class Switch : public SimObject
      */
     Switch(System &sys, const std::string &name, std::size_t ports,
            std::size_t vcs = 2);
-
-    std::size_t numPorts() const { return _ports; }
-    std::size_t numVcs() const { return _vcs; }
 
     /** Queue a link delivers into (switch ingress side). */
     BoundedQueue &inQueue(std::size_t port, std::size_t vc = 0)

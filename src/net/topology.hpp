@@ -231,8 +231,8 @@ struct TopologySpec
 
     /**
      * Reject nonsensical user parameters.  Returns the rejection instead
-     * of aborting: user input is never a simulator invariant (callers on
-     * the legacy construction path turn the error into fatal()).
+     * of aborting: user input is never a simulator invariant (the
+     * Network constructor turns the error into fatal()).
      */
     Expected<void, ConfigError> validate() const { return model().validate(*this); }
 

@@ -95,7 +95,6 @@ class Cpu : public SimObject
     const ThreadInfo &threadInfo(int tid) const { return _threads[tid].info; }
     std::size_t numThreads() const { return _threads.size(); }
     bool allDone() const;
-    int currentThread() const { return _current; }
 
     /** PAL-code support: while disabled, the quantum never preempts. */
     void disablePreemption() { ++_noPreempt; }

@@ -25,12 +25,6 @@ AddressSpace::mapRange(VAddr va, std::size_t pages, Pte pte)
     }
 }
 
-void
-AddressSpace::unmap(VAddr va)
-{
-    _pages.erase(vpnOf(va));
-}
-
 Pte
 AddressSpace::lookup(VAddr va) const
 {
@@ -140,19 +134,6 @@ Mmu::flushPage(std::uint32_t asid, VAddr va)
     std::erase_if(_tlb, [&](const TlbEntry &e) {
         return e.asid == asid && e.vpn == vpn;
     });
-}
-
-void
-Mmu::flushAsid(std::uint32_t asid)
-{
-    std::erase_if(_tlb,
-                  [asid](const TlbEntry &e) { return e.asid == asid; });
-}
-
-void
-Mmu::flushAll()
-{
-    _tlb.clear();
 }
 
 std::vector<Mmu::TlbSnapshot>

@@ -66,9 +66,6 @@ class AddressSpace
     /** Map @p pages consecutive pages starting at @p va. */
     void mapRange(VAddr va, std::size_t pages, Pte pte);
 
-    /** Remove the mapping for the page containing @p va. */
-    void unmap(VAddr va);
-
     /** Page-table lookup; Invalid PTE if unmapped. */
     Pte lookup(VAddr va) const;
 
@@ -110,7 +107,6 @@ class Mmu : public SimObject
     Mmu(System &sys, const std::string &name);
 
     void setAddressSpace(AddressSpace *as);
-    AddressSpace *addressSpace() const { return _as; }
 
     /**
      * Translate @p va for a load (@p is_write false) or store.
@@ -121,12 +117,6 @@ class Mmu : public SimObject
 
     /** Drop any TLB entry for @p va in address space @p asid. */
     void flushPage(std::uint32_t asid, VAddr va);
-
-    /** Drop all entries of one address space (context switch). */
-    void flushAsid(std::uint32_t asid);
-
-    /** Drop everything. */
-    void flushAll();
 
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _misses; }

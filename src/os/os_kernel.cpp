@@ -14,6 +14,9 @@ OsKernel::OsKernel(System &sys, const std::string &name,
                    node::Workstation &ws)
     : SimObject(sys, name), _ws(ws)
 {
+    sys.stats().add({_name, "faults"}, &_faults);
+    sys.stats().add({_name, "alarms"}, &_alarms);
+    sys.stats().add({_name, "link_failure_irqs"}, &_linkFailIrqs);
 }
 
 void

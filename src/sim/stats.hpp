@@ -25,8 +25,8 @@ namespace tg {
 /**
  * Running sample statistics: count, mean, min, max, stddev and quantiles.
  *
- * Memory is bounded (DESIGN.md section 14.4): the first sampleCap()
- * samples are retained exactly, so small experiments get exact
+ * Memory is bounded (DESIGN.md section 14.4): the first setSampleCap()
+ * samples (65536 by default) are retained exactly, so small experiments get exact
  * interpolated quantiles; past the cap, samples spill into a lazily
  * allocated binary-exponent histogram and quantiles interpolate inside
  * the bucket holding the target rank (clamped to the exact running
@@ -59,7 +59,6 @@ class Sampler
     /** Cap on exactly retained samples (existing samples beyond a
      *  lowered cap spill into the sketch). */
     void setSampleCap(std::size_t cap);
-    std::size_t sampleCap() const { return _cap; }
 
     /** Approximate heap footprint (bounded-memory assertions). */
     std::size_t approxBytes() const;

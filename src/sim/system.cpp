@@ -52,6 +52,13 @@ FaultSpec::validate() const
         fatal("fault.windowPackets must be >= 1");
     if (retryTimeout == 0)
         fatal("fault.retryTimeout must be positive");
+    // The retransmit timer waits retryTimeout << backoff, backoff <= cap.
+    if (backoffCap >= 64)
+        fatal("fault.backoffCap must be < 64 (got %u)", backoffCap);
+    if (retryTimeout > (kMaxTick >> backoffCap))
+        fatal("fault.retryTimeout << backoffCap overflows a Tick "
+              "(%llu << %u)",
+              (unsigned long long)retryTimeout, backoffCap);
     if (linkDownDeadline == 0)
         fatal("fault.linkDownDeadline must be positive");
 }

@@ -26,7 +26,7 @@
  * Scale contract (section 14.4): the tracer's memory is *bounded* no
  * matter how long the run or how many nodes trace into it.  Breakdown
  * aggregates stream into fixed (kind, span) cells as events arrive; open
- * operations live in a tg::Ring ordered by id, capped at openOpCap():
+ * operations live in a tg::Ring ordered by id, capped by setOpenOpCap():
  * ids are monotone, so a new op is pushed at the back, the oldest-id op
  * is evicted by pop(), and a lookup indexes the ring by the id's
  * distance from the front (binary search when sampling leaves gaps);
@@ -235,7 +235,7 @@ class Tracer
     }
 
     /** Retained raw-event window, in recording (= chronological) order.
-     *  Holds every event until retainedEventCap() is reached, then the
+     *  Holds every event until the setRetainedEventCap() cap, then the
      *  most recent ones (aggregates keep streaming regardless). */
     const std::vector<TraceEvent> &events() const { return _events; }
 
@@ -275,11 +275,9 @@ class Tracer
 
     /** Cap on the raw-event window (oldest half drops when exceeded). */
     void setRetainedEventCap(std::size_t cap);
-    std::size_t retainedEventCap() const { return _eventCap; }
 
     /** Cap on concurrently open (un-retired) operations. */
     void setOpenOpCap(std::size_t cap);
-    std::size_t openOpCap() const { return _openCap; }
 
     /** Cap on retained per-kind lifetime samples (later ones drop). */
     void setLifetimeSampleCap(std::size_t cap);

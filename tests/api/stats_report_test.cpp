@@ -18,12 +18,15 @@
 #include "api/cluster.hpp"
 #include "api/context.hpp"
 #include "api/segment.hpp"
+#include "coherence/galactica_ring.hpp"
+#include "coherence/invalidate.hpp"
 #include "coherence/owner_counter.hpp"
 #include "hib/hib.hpp"
 #include "net/arena.hpp"
 #include "net/network.hpp"
 #include "net/reroute.hpp"
 #include "node/workstation.hpp"
+#include "os/os_kernel.hpp"
 
 namespace tg {
 namespace {
@@ -82,11 +85,23 @@ accessorCounters(Cluster &c)
         put(p + "hib.coll_combines", double(coll.combines()));
         put(p + "hib.coll_desc_peak", double(coll.descPeak()));
         put(p + "hib.coll_errors", double(coll.errors()));
+        const os::OsKernel &kernel = c.os(n);
+        const std::string k = kernel.name() + ".";
+        put(k + "faults", double(kernel.faults()));
+        put(k + "alarms", double(kernel.alarms()));
+        put(k + "link_failure_irqs", double(kernel.linkFailureInterrupts()));
     }
     auto &oc = dynamic_cast<coherence::OwnerCounterProtocol &>(
         c.protocol(coherence::ProtocolKind::OwnerCounter));
     put("proto.owner.reflected_writes", double(oc.reflectedWrites()));
     put("proto.owner.ignored_updates", double(oc.ignoredUpdates()));
+    auto &gr = dynamic_cast<coherence::GalacticaRingProtocol &>(
+        c.protocol(coherence::ProtocolKind::GalacticaRing));
+    put("proto.galactica.backoffs", double(gr.backoffs()));
+    put("proto.galactica.correctives", double(gr.correctives()));
+    auto &inv = dynamic_cast<coherence::InvalidateProtocol &>(
+        c.protocol(coherence::ProtocolKind::Invalidate));
+    put("proto.inval.invalidations", double(inv.invalidations()));
     return out;
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "api/cluster.hpp"
@@ -63,6 +64,11 @@ TEST(Galactica, ConflictBacksOffAndConverges)
     auto &proto = static_cast<coherence::GalacticaRingProtocol &>(
         c.protocol(ProtocolKind::GalacticaRing));
     EXPECT_GE(proto.backoffs(), 1u);
+    // The counter reaches every report through the stat registry.
+    const std::optional<double> reg =
+        c.system().stats().find("proto.galactica.backoffs");
+    ASSERT_TRUE(reg.has_value());
+    EXPECT_EQ(*reg, double(proto.backoffs()));
 
     // Node 0 has priority: every copy converges to 1.
     EXPECT_EQ(seg.peekCopy(0, 0), 1u);

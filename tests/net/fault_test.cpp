@@ -465,5 +465,23 @@ TEST(FaultSpecValidate, RejectsBadRates)
     EXPECT_DEATH(f.validate(), "probability");
 }
 
+TEST(FaultSpecValidate, RejectsBackoffCapOf64OrMore)
+{
+    FaultSpec f;
+    f.backoffCap = 64;
+    EXPECT_DEATH(f.validate(), "backoffCap must be < 64");
+}
+
+TEST(FaultSpecValidate, RejectsBackoffThatOverflowsATick)
+{
+    FaultSpec f;
+    f.retryTimeout = Tick(1) << 40;
+    f.backoffCap = 24;
+    EXPECT_DEATH(f.validate(), "overflows a Tick");
+    // The largest timeout that still fits is accepted.
+    f.retryTimeout = kMaxTick >> 24;
+    f.validate();
+}
+
 } // namespace
 } // namespace tg::net

@@ -276,7 +276,7 @@ TEST(PacketAllocTest, ArenaRecyclesSlotsLifo)
     q.dst = 4;
     const PacketHandle h2 = a.acquire(std::move(q));
     EXPECT_EQ(h2, h1);
-    EXPECT_EQ(a.src(h2), 3);
+    EXPECT_EQ(a.packet(h2).src, 3);
     a.release(h2);
 
     // One chunk was (at most) created by the first acquire; the reuse

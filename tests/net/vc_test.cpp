@@ -76,7 +76,7 @@ TEST(SwitchVc, VcMapBumpsPacketsToEscapeLane)
     System sys{Config{}};
     Switch sw(sys, "sw", 2, /*vcs=*/2);
     sw.setRoute(1, 1);
-    sw.setVcMap([](const PacketHot &, std::size_t, std::size_t out_port,
+    sw.setVcMap([](const Packet &, std::size_t, std::size_t out_port,
                    std::uint8_t vc) {
         return out_port == 1 ? std::uint8_t(1) : vc;
     });
@@ -113,7 +113,7 @@ TEST(SwitchVcDeathTest, VcMapOutOfRangePanics)
     System sys{Config{}};
     Switch sw(sys, "sw", 2, 2);
     sw.setRoute(1, 1);
-    sw.setVcMap([](const PacketHot &, std::size_t, std::size_t, std::uint8_t) {
+    sw.setVcMap([](const Packet &, std::size_t, std::size_t, std::uint8_t) {
         return std::uint8_t(7);
     });
     EXPECT_DEATH(
