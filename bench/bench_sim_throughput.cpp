@@ -237,8 +237,7 @@ BENCHMARK(BM_AtomicRoundTrips);
 // endpoint FIFOs, Channel serialization, Switch cut-through, BoundedQueue
 // credit flow — with no coroutines or coherence on top, so the gated
 // events_per_s isolates the per-packet cost of the queue/link/switch
-// machinery itself (the subject of the packet arena and credit batching
-// work).  Closed-loop injection: every node tops its egress FIFO up as
+// machinery itself (the subject of the packet arena work).  Closed-loop injection: every node tops its egress FIFO up as
 // soon as credits free, so the fabric runs saturated.
 // ---------------------------------------------------------------------
 

@@ -466,7 +466,8 @@ Hib::startCopy(PAddr src_pa, PAddr dst_pa, std::uint32_t bytes, OnDone done)
     pkt.payloadBytes = 24;
     pkt.ticket = _nextTicket++;
     if (done)
-        _copyDone.emplace(pkt.ticket, std::move(done));
+        _pendingReplies.emplace(
+            pkt.ticket, [done = std::move(done)](Word) { done(); });
     _outstanding.add();
     inject(std::move(pkt), /*track=*/false);
 }
@@ -520,17 +521,26 @@ Hib::readShm(PAddr offset, OnWord done, std::uint64_t traceId)
         _tc.transact(config().tcWriteTxn(2), std::move(fetch), traceId);
 }
 
+Hib::OnWord
+Hib::takeReply(std::uint64_t ticket)
+{
+    auto it = _pendingReplies.find(ticket);
+    if (it == _pendingReplies.end())
+        return {};
+    OnWord cb = std::move(it->second);
+    _pendingReplies.erase(it);
+    return cb;
+}
+
 void
 Hib::deliverReply(const Packet &pkt)
 {
-    auto it = _pendingReplies.find(pkt.ticket);
-    if (it == _pendingReplies.end()) {
+    OnWord cb = takeReply(pkt.ticket);
+    if (!cb) {
         warn("%s: reply with unknown ticket %llu", _name.c_str(),
              (unsigned long long)pkt.ticket);
         return;
     }
-    OnWord cb = std::move(it->second);
-    _pendingReplies.erase(it);
     _sys.tracer().record(pkt.traceId, trace::Span::Completion, now(),
                          _traceComp);
     cb(pkt.value);
@@ -539,26 +549,11 @@ Hib::deliverReply(const Packet &pkt)
 void
 Hib::failReply(std::uint64_t ticket)
 {
-    auto it = _pendingReplies.find(ticket);
-    if (it == _pendingReplies.end())
-        return;
-    OnWord cb = std::move(it->second);
-    _pendingReplies.erase(it);
     // The operation's result is gone; deliver 0 so the blocked CPU
     // unblocks.  The error itself is visible through the wire-failure
     // counters and the owning context's lastError().
-    cb(0);
-}
-
-void
-Hib::copyFailed(std::uint64_t ticket)
-{
-    auto it = _copyDone.find(ticket);
-    if (it == _copyDone.end())
-        return;
-    OnDone cb = std::move(it->second);
-    _copyDone.erase(it);
-    cb();
+    if (OnWord cb = takeReply(ticket))
+        cb(0);
 }
 
 void
@@ -595,7 +590,7 @@ Hib::onWireFailure(const Packet &pkt)
       case PacketType::CopyReq:
       case PacketType::CopyData:
         _outstanding.drainLost();
-        copyFailed(pkt.ticket);
+        failReply(pkt.ticket);
         return;
 
       case PacketType::Update:
@@ -753,12 +748,8 @@ Hib::handleCopyData(Packet &&pkt, OnDone finished)
         _sys.tracer().record(traceId, trace::Span::Completion, now(),
                              _traceComp);
         _outstanding.complete();
-        auto it = _copyDone.find(ticket);
-        if (it != _copyDone.end()) {
-            OnDone cb = std::move(it->second);
-            _copyDone.erase(it);
-            cb();
-        }
+        if (OnWord cb = takeReply(ticket))
+            cb(0);
         finished();
     });
 }

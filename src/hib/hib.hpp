@@ -193,7 +193,7 @@ class Hib : public SimObject, public net::NodeEndpoint
     restoreCounters(std::uint64_t next_ticket, std::uint64_t next_seq,
                     std::uint64_t handled)
     {
-        TG_AUDIT(_pendingReplies.empty() && _copyDone.empty(),
+        TG_AUDIT(_pendingReplies.empty(),
                  "%s: counter restore with pending operations",
                  _name.c_str());
         _nextTicket = next_ticket;
@@ -237,13 +237,14 @@ class Hib : public SimObject, public net::NodeEndpoint
     void handleCopyData(net::Packet &&pkt, OnDone finished);
     void deliverReply(const net::Packet &pkt);
 
-    /** Fail a pending reply ticket: its callback fires with 0 after the
-     *  error has been counted.  No-op if the ticket is unknown. */
-    void failReply(std::uint64_t ticket);
+    /** Remove and return the callback of pending ticket @p ticket
+     *  (empty if the ticket is unknown). */
+    OnWord takeReply(std::uint64_t ticket);
 
-    /** Fail a pending copy-completion ticket (fires its done callback so
-     *  waiters unblock).  No-op if the ticket is unknown. */
-    void copyFailed(std::uint64_t ticket);
+    /** Fail a pending ticket (a read, atomic or copy): its callback
+     *  fires with 0 after the error has been counted.  No-op if the
+     *  ticket is unknown. */
+    void failReply(std::uint64_t ticket);
 
     NodeId _node;
     node::MainMemory &_storage;
@@ -269,8 +270,9 @@ class Hib : public SimObject, public net::NodeEndpoint
 
     // Ordered maps by contract: hib is an order-sensitive namespace
     // (DESIGN.md section 7) and iteration must be deterministic.
+    // One ticket table: reads, atomics and copies (whose callback
+    // ignores the word) all draw tickets from _nextTicket.
     std::map<std::uint64_t, OnWord> _pendingReplies;
-    std::map<std::uint64_t, OnDone> _copyDone;
     std::uint64_t _nextTicket = 1;
     std::uint64_t _nextSeq = 1;
     std::uint64_t _handled = 0;

@@ -93,77 +93,38 @@ Channel::pump()
 
     // Claim the wire before popping: the pop fires the upstream onSpace
     // listeners, which can re-enter pump() and must find the server busy
-    // (a double-send here would overwrite _wireFreeAt and break the
-    // monotonicity of the pending-arrival ring).
+    // (a double-send here would put two packets on one wire).
     _busy = true;
 
     // Zero-copy transfer: the packet stays in the arena; only its handle
-    // moves into the pending-arrival ring.
+    // rides the delivery event.
     const PacketHandle h = _lanes[li].up->popHandle();
     const Packet &p = _arena->packet(h);
     const std::uint32_t bytes = p.wireBytes(config().packetHeaderBytes);
     const Tick ser = serTicks(bytes);
     ++_packets;
     _bytes += bytes;
-    _busyTicks += ser;
 
     _sys.tracer().record(p.traceId, trace::Span::LinkTx, now(), _traceComp,
                          ser);
-    // The wire frees after serialization; the packet lands after
-    // serialization + propagation delay.  Both are processed by the one
-    // armed batch event (onBatchTick) instead of per-packet closures.
-    _wireFreeAt = now() + ser;
-    _pending.push(PendingArrival{now() + ser + _delay, li, h});
-    armAt(_wireFreeAt);
+    // The packet lands after serialization + propagation delay; the wire
+    // frees after serialization.  The arrival is scheduled first so that
+    // at an equal tick (a zero-delay link) the packet is delivered before
+    // the freed wire's pump decides.
+    schedule(ser + _delay, [this, li, h] {
+        _sys.tracer().record(_arena->packet(h).traceId, trace::Span::LinkRx,
+                             now(), _traceComp);
+        _lanes[li].down->pushReservedHandle(h);
+    });
+    schedule(ser, [this, ser] { wireFree(ser); });
 }
 
 void
-Channel::armAt(Tick t)
+Channel::wireFree(Tick ser)
 {
-    // Already armed at or before t: that firing will re-arm as needed.
-    if (_armedFor <= t)
-        return;
-    TG_AUDIT(t >= now(), "%s: batch event armed in the past (t=%llu)",
-             _name.c_str(), (unsigned long long)t);
-    _armedFor = t;
-    schedule(t - now(), [this] { onBatchTick(); });
-}
-
-void
-Channel::rearm()
-{
-    Tick next = _wireFreeAt;
-    if (!_pending.empty() && _pending.front().at < next)
-        next = _pending.front().at;
-    if (next != kMaxTick)
-        armAt(next);
-}
-
-void
-Channel::onBatchTick()
-{
-    const Tick t = now();
-    if (t != _armedFor)
-        return; // superseded by an earlier re-arm
-    _armedFor = kMaxTick;
-
-    if (_wireFreeAt == t) {
-        _wireFreeAt = kMaxTick;
-        _busy = false;
-    }
-
-    // Deliver (and thereby return credits for) every arrival due now —
-    // the per-(link, tick) coalescing — before starting the next
-    // transmission, so the pump decides against settled queue state.
-    while (!_pending.empty() && _pending.front().at == t) {
-        const PendingArrival a = _pending.pop();
-        _sys.tracer().record(_arena->packet(a.h).traceId,
-                             trace::Span::LinkRx, t, _traceComp);
-        _lanes[a.lane].down->pushReservedHandle(a.h);
-    }
-    if (!_busy)
-        pump();
-    rearm();
+    _busyTicks += ser;
+    _busy = false;
+    pump();
 }
 
 // ---------------------------------------------------------------------
@@ -275,14 +236,10 @@ Channel::pumpReliable()
 
     ++_packets;
     _bytes += bytes;
-    _busyTicks += ser;
 
     _sys.tracer().record(wire.traceId, trace::Span::LinkTx, now(),
                          _traceComp, ser);
-    schedule(ser, [this] {
-        _busy = false;
-        pump();
-    });
+    schedule(ser, [this, ser] { wireFree(ser); });
     if (drop) {
         // The transfer vanishes on the wire; the reserved slot frees when
         // the (never-arriving) packet would have landed.

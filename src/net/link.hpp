@@ -38,17 +38,11 @@
  * With the default (inert) FaultSpec the original zero-overhead fast path
  * is used and timing is bit-identical to the calibrated model.
  *
- * Fast-path event batching (DESIGN.md section 14.2): instead of
- * scheduling one wire-free closure and one delivery closure per packet
- * (the delivery capturing a full Packet copy, spilling to the closure
- * pool), the channel keeps a monotone tg::Ring of pending arrivals holding
- * arena handles and arms at most one [this]-capturing event at the
- * earliest pending tick.  When it fires, *every* credit return and
- * arrival due at that tick is processed in one event — per-(link, tick)
- * coalescing — and the event re-arms for the next pending tick.  The
- * reliability path (engaged only when the fault model is active) keeps
- * the per-packet event structure: drops, duplications and NACK rewinds
- * make its arrival set non-monotone.
+ * Both paths schedule two events per transmission (DESIGN.md section
+ * 14.2): a wire-free event after the serialization time, which charges
+ * the busy time and pumps the next packet, and a delivery after
+ * serialization + propagation delay.  The fast-path delivery carries only
+ * the packet's arena handle.
  */
 
 #ifndef TELEGRAPHOS_NET_LINK_HPP
@@ -58,7 +52,6 @@
 
 #include "net/fault.hpp"
 #include "net/queue.hpp"
-#include "sim/ring.hpp"
 #include "sim/sim_object.hpp"
 
 namespace tg::net {
@@ -104,7 +97,8 @@ class Channel : public SimObject
     /** Total payload+header bytes moved. */
     std::uint64_t bytes() const { return _bytes; }
 
-    /** Fraction of time the wire was busy up to now. */
+    /** Fraction of time up to now the wire spent on finished
+     *  transmissions (a send in progress counts once it ends). */
     double utilization() const;
 
     // ------------------------------------------------------------------
@@ -145,26 +139,12 @@ class Channel : public SimObject
         Tick nackMuteUntil = 0;      ///< ignore NACKs until a resend RTT
     };
 
-    /** One not-yet-delivered fast-path transmission. */
-    struct PendingArrival
-    {
-        Tick at;          ///< arrival tick (monotone in push order)
-        std::size_t lane; ///< lane index
-        PacketHandle h;   ///< in-flight packet
-    };
-
     void pump();
     void pumpReliable();
 
-    /** The single armed fast-path event: processes every wire-free and
-     *  arrival due now, pumps, and re-arms at the next pending tick. */
-    void onBatchTick();
-
-    /** Arm (or keep) the batch event at the earliest pending tick. */
-    void rearm();
-
-    /** Ensure the batch event fires no later than @p t. */
-    void armAt(Tick t);
+    /** The wire-free event of a @p ser-tick transmission: charges the
+     *  busy time, releases the wire and pumps the next packet. */
+    void wireFree(Tick ser);
 
     /** Arrival processing at the downstream end of lane @p li. */
     void deliver(std::size_t li, Packet &&wire, bool dup_follows);
@@ -202,12 +182,6 @@ class Channel : public SimObject
     Tick _delay;
     bool _busy = false;
 
-    // Fast-path batching state: pending arrivals (zero allocation once
-    // warm), the tick the wire frees, and the tick the single batch event
-    // is armed for (kMaxTick = not armed).
-    Ring<PendingArrival> _pending;
-    Tick _wireFreeAt = kMaxTick;
-    Tick _armedFor = kMaxTick;
     std::uint64_t _packets = 0;
     std::uint64_t _bytes = 0;
     Tick _busyTicks = 0;

@@ -3,8 +3,7 @@
  * Vector-backed FIFO ring: the one queue container of the model.
  *
  * Every buffering point is a FIFO — the switch and HIB packet queues
- * (net::BoundedQueue), a link's pending arrivals, the tracer's open-op
- * window, the TurboChannel and atomic-unit queues, the CPU write buffer
+ * (net::BoundedQueue), the tracer's open-op window, the TurboChannel and atomic-unit queues, the CPU write buffer
  * and the HIB's backlog and waiter lists — and every one of them is a
  * `tg::Ring`.  The elements live in one power-of-two vector that
  * doubles when full and never shrinks: once a ring has reached its

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "net/link.hpp"
 #include "sim/system.hpp"
 
@@ -70,6 +73,41 @@ TEST_F(LinkTest, BackPressureStallsWhenDownstreamFull)
     EXPECT_EQ(up.size(), 2u);
 }
 
+TEST_F(LinkTest, SeveralPacketsInFlightLandInOrderAfterSerPlusDelay)
+{
+    // bw 1 B/tick, delay 100: each 24-byte packet frees the wire after 24
+    // ticks, so the first four are in flight at once and hold all four
+    // downstream slots.  The fifth and sixth wait for the credits the
+    // first two return when they land and are popped.
+    Channel ch(sys, "ch", up, down, 1.0, 100);
+    std::vector<std::pair<Word, Tick>> landed;
+    down.onData([&] {
+        const Word v = down.front().value;
+        down.pop();
+        landed.emplace_back(v, sys.now());
+    });
+    for (Word i = 0; i < 6; ++i)
+        up.push(mkPkt(i));
+    sys.events().run();
+    const std::vector<std::pair<Word, Tick>> want = {
+        {0, 124}, {1, 148}, {2, 172}, {3, 196}, {4, 248}, {5, 272}};
+    EXPECT_EQ(landed, want);
+}
+
+TEST_F(LinkTest, TwoEventsPerTransmission)
+{
+    // A back-to-back burst: each transmission is one wire-free event and
+    // one delivery, nothing more.
+    BoundedQueue src(sys.arena(), 12);
+    Channel ch(sys, "ch", src, down, 1.0, 10);
+    down.onData([&] { down.pop(); });
+    for (Word i = 0; i < 12; ++i)
+        src.push(mkPkt(i));
+    sys.events().run();
+    EXPECT_EQ(ch.packets(), 12u);
+    EXPECT_EQ(sys.events().executed(), 2 * ch.packets());
+}
+
 TEST_F(LinkTest, ThroughputMatchesBandwidth)
 {
     // 100 packets x 24 B at 0.5 B/tick => 4800 ticks of serialization.
@@ -99,6 +137,19 @@ TEST_F(LinkTest, UtilizationAccounting)
     sys.events().run();
     sys.events().runUntil(48);
     EXPECT_NEAR(ch.utilization(), 0.5, 0.01);
+}
+
+TEST_F(LinkTest, UtilizationNeverExceedsOneMidTransmission)
+{
+    // Halfway through a 24-tick send the wire has been busy for at most
+    // the 12 ticks that have elapsed.
+    Channel ch(sys, "ch", up, down, 1.0, 0);
+    up.push(mkPkt(0));
+    sys.events().runUntil(12);
+    EXPECT_EQ(down.size(), 0u);
+    EXPECT_LE(ch.utilization(), 1.0);
+    sys.events().run();
+    EXPECT_DOUBLE_EQ(ch.utilization(), 1.0);
 }
 
 } // namespace

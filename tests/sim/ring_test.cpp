@@ -1,9 +1,8 @@
 /**
  * @file
  * Unit tests of tg::Ring, the one FIFO container of the model: packet
- * queues, link pending arrivals, the tracer's open-op window, the
- * TurboChannel, atomic-unit and HIB backlog queues, the CPU write buffer
- * and the waiter lists.
+ * queues, the tracer's open-op window, the TurboChannel, atomic-unit
+ * and HIB backlog queues, the CPU write buffer and the waiter lists.
  */
 
 #include <gtest/gtest.h>
