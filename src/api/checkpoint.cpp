@@ -4,7 +4,7 @@
  *
  * A checkpoint captures the *semantic* state of a quiescent cluster —
  * everything that influences the future schedule, packet contents or
- * trace hash — as a self-contained text blob (schema tg-ckpt-v1):
+ * trace hash — as a self-contained text blob (schema tg-ckpt-v2):
  *
  *  - simulation clock, event sequence counter, executed-event count
  *  - the determinism trace hash (value + words mixed)
@@ -16,15 +16,16 @@
  *    allocator cursors, scheduler shape and HIB ticket/seq/page-counter
  *    state
  *  - the shared-page directory (owner, copies, rings)
+ *  - every statistic: the StatRegistry's own section (StatRegistry::save)
  *
  * Deliberately NOT captured: in-flight hardware state (queues, wires,
- * pending replies — quiescence guarantees there is none), coroutine
+ * pending replies — quiescence guarantees there is none) and coroutine
  * frames (finished programs have none; restored clusters spawn their
- * next programs fresh), and cumulative statistics outside the listed
- * counters.  The restore contract is: rebuild the cluster from the same
- * spec, replay the same setup calls (allocShared/allocPrivate/segment
- * replication), restore, then continue the workload — the trace hash
- * evolves bit-identically to a run that never checkpointed.
+ * next programs fresh).  The restore contract is: rebuild the cluster
+ * from the same spec, replay the same setup calls (allocShared/
+ * allocPrivate/segment replication), restore, then continue the
+ * workload — the trace hash and the statistics evolve bit-identically
+ * to a run that never checkpointed (DESIGN.md section 14.5).
  */
 
 #include "api/cluster.hpp"
@@ -39,7 +40,7 @@ namespace tg {
 
 namespace {
 
-constexpr const char *kMagic = "tg-ckpt-v1";
+constexpr const char *kMagic = "tg-ckpt-v2";
 
 /** Token-stream reader: whitespace-separated tags and unsigned values,
  *  fatal() on any shape mismatch (a checkpoint is machine-written, so a
@@ -65,6 +66,9 @@ class Reader
             fatal("checkpoint: truncated blob (expected integer)");
         return v;
     }
+
+    /** The unread rest of the blob. */
+    std::istream &stream() { return _in; }
 
   private:
     std::istringstream _in;
@@ -136,11 +140,9 @@ Cluster::checkpoint()
         for (std::uint32_t c : _tidCtx[n])
             os << " " << c;
         os << "\n";
-        os << "cpu " << ws.cpu().numThreads() << " "
-           << ws.cpu().opsIssued() << " " << ws.cpu().contextSwitches()
-           << "\n";
+        os << "cpu " << ws.cpu().numThreads() << "\n";
         os << "hib " << ws.hib().peekTicket() << " " << ws.hib().peekSeq()
-           << " " << ws.hib().packetsHandled() << "\n";
+           << "\n";
 
         const auto words = ws.mem().dumpWords();
         os << "mem " << words.size() << "\n";
@@ -151,25 +153,21 @@ Cluster::checkpoint()
         std::size_t live = 0;
         for (PAddr t : tags)
             live += t != 0;
-        os << "cache " << tags.size() << " " << ws.cache().hits() << " "
-           << ws.cache().misses() << " " << live << "\n";
+        os << "cache " << tags.size() << " " << live << "\n";
         for (std::size_t i = 0; i < tags.size(); ++i) {
             if (tags[i] != 0)
                 os << i << " " << tags[i] << "\n";
         }
 
         const auto tlb = ws.mmu().dumpTlb();
-        os << "tlb " << tlb.size() << " " << ws.mmu().hits() << " "
-           << ws.mmu().misses() << "\n";
+        os << "tlb " << tlb.size() << "\n";
         for (const auto &e : tlb) {
             os << e.asid << " ";
             writePte(os, e.vpn, e.pte);
         }
 
         const auto pages = ws.hib().pageCounters().dump();
-        os << "pagec " << pages.size() << " "
-           << ws.hib().pageCounters().accesses() << " "
-           << ws.hib().pageCounters().alarms() << "\n";
+        os << "pagec " << pages.size() << "\n";
         for (const auto &[frame, c] : pages)
             os << frame << " " << c.reads << " " << c.writes << "\n";
 
@@ -194,6 +192,8 @@ Cluster::checkpoint()
             os << " " << r;
         os << "\n";
     }
+    os << "stats ";
+    _sys->stats().save(os);
     os << "end\n";
     return os.str();
 }
@@ -266,18 +266,11 @@ Cluster::restore(const std::string &blob)
         for (auto &c : _tidCtx[n])
             c = static_cast<std::uint32_t>(r.u64());
         r.expect("cpu");
-        {
-            const std::size_t threads = r.u64();
-            const std::uint64_t ops = r.u64();
-            const std::uint64_t switches = r.u64();
-            ws.cpu().restoreScheduler(threads, ops, switches);
-        }
+        ws.cpu().restoreScheduler(r.u64());
         r.expect("hib");
         {
             const std::uint64_t ticket = r.u64();
-            const std::uint64_t seq = r.u64();
-            const std::uint64_t handled = r.u64();
-            ws.hib().restoreCounters(ticket, seq, handled);
+            ws.hib().restoreCounters(ticket, r.u64());
         }
 
         r.expect("mem");
@@ -289,43 +282,37 @@ Cluster::restore(const std::string &blob)
         r.expect("cache");
         {
             std::vector<PAddr> tags(r.u64(), 0);
-            const std::uint64_t hits = r.u64();
-            const std::uint64_t misses = r.u64();
             for (std::uint64_t i = 0, live = r.u64(); i < live; ++i) {
                 const std::size_t idx = r.u64();
                 if (idx >= tags.size())
                     fatal("restore: cache tag index out of range");
                 tags[idx] = r.u64();
             }
-            ws.cache().restoreState(tags, hits, misses);
+            ws.cache().restoreState(tags);
         }
 
         r.expect("tlb");
         {
             std::vector<node::Mmu::TlbSnapshot> entries(r.u64());
-            const std::uint64_t hits = r.u64();
-            const std::uint64_t misses = r.u64();
             for (auto &e : entries) {
                 e.asid = static_cast<std::uint32_t>(r.u64());
                 auto [vpn, pte] = readPte(r);
                 e.vpn = vpn;
                 e.pte = pte;
             }
-            ws.mmu().restoreTlb(entries, hits, misses);
+            ws.mmu().restoreTlb(entries);
         }
 
         r.expect("pagec");
         {
             std::vector<std::pair<PAddr, hib::PageCounters::Counters>>
                 pages(r.u64());
-            const std::uint64_t accesses = r.u64();
-            const std::uint64_t alarms = r.u64();
             for (auto &[frame, c] : pages) {
                 frame = r.u64();
                 c.reads = static_cast<std::uint16_t>(r.u64());
                 c.writes = static_cast<std::uint16_t>(r.u64());
             }
-            ws.hib().pageCounters().restore(pages, accesses, alarms);
+            ws.hib().pageCounters().restore(pages);
         }
 
         r.expect("spaces");
@@ -365,6 +352,11 @@ Cluster::restore(const std::string &blob)
                                                   : &protocol(kind);
         _dir->restoreEntry(home, owner, kind, proto, copies, ring);
     }
+
+    // Last: the directory has now created every protocol, so every stat
+    // the checkpointed cluster registered is registered here too.
+    r.expect("stats");
+    _sys->stats().restore(r.stream());
     r.expect("end");
 }
 

@@ -331,7 +331,7 @@ class Cluster : public coherence::Fabric
     void statsReport(std::ostream &os) const;
 
     /** Dump every registered stat as a single JSON object
-     *  (StatRegistry::dumpJson, schema tg-stats-v1). */
+     *  (StatRegistry::dumpJson, schema tg-stats-v2). */
     void statsJson(std::ostream &os) const
     {
         _sys->stats().dumpJson(os);
@@ -375,16 +375,16 @@ class Cluster : public coherence::Fabric
 
     /**
      * Serialize the cluster's semantic state into a self-contained text
-     * blob (schema tg-ckpt-v1): simulation clock + event sequence, trace
+     * blob (schema tg-ckpt-v2): simulation clock + event sequence, trace
      * hash, RNG stream, packet ledger, per-node memory / cache / TLB /
-     * page-table / HIB-counter state and the page directory.
+     * page-table / HIB-ticket state, the page directory and every stat
+     * field and histogram (StatRegistry::save).
      *
      * Only legal at quiescence (no pending events, packet ledger
      * conserved) with the fault layer disengaged — in-flight hardware
-     * state is deliberately never serialized.  Cumulative statistics not
-     * listed above (link/bus counters, sampler contents) restart from
-     * zero after a restore; the determinism contract does not depend on
-     * them.
+     * state is deliberately never serialized.  Stat formulas are
+     * recomputed, not saved; only mem.touched_bytes, the host's
+     * footprint, can differ after a restore (DESIGN.md section 14.5).
      */
     std::string checkpoint();
 
@@ -393,8 +393,8 @@ class Cluster : public coherence::Fabric
      * cluster *after* replaying the identical setup sequence (same spec,
      * same allocShared/allocPrivate/segment-replication calls, no spawns
      * or runs yet).  After restore, continuing the workload produces
-     * bit-identical trace hashes to a run that never checkpointed.
-     * fatal()s on schema/shape mismatches.
+     * bit-identical trace hashes and stats to a run that never
+     * checkpointed.  fatal()s on schema/shape mismatches.
      */
     void restore(const std::string &blob);
 

@@ -67,7 +67,7 @@ class ResultTable
  *                "bisection_width":...,"describe":...},  // optional
  *    "metrics":[{"name":...,"value":...,"unit":...,"paper_anchor":...}],
  *    "breakdown":{...tg-breakdown-v1...},   // optional
- *    "stats":{...tg-stats-v1...}}           // optional
+ *    "stats":{...tg-stats-v2...}}           // optional
  * @endcode
  */
 class BenchReport
@@ -93,7 +93,7 @@ class BenchReport
     /** Attach a latency breakdown (tg-breakdown-v1 sub-document). */
     void breakdown(const trace::Breakdown &bd);
 
-    /** Attach a cluster's full stats dump (tg-stats-v1 sub-document). */
+    /** Attach a cluster's full stats dump (tg-stats-v2 sub-document). */
     void stats(const Cluster &cluster);
 
     /** Write the JSON document to the `--json` path.  No-op (returning

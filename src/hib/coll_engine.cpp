@@ -102,7 +102,7 @@ CollGroup::tree(std::size_t root_rank)
 CollEngine::CollEngine(System &sys, Hib &hib)
     : SimObject(sys, hib.name() + ".coll"), _hib(hib)
 {
-    // Registered unconditionally (like hib.wire_failures): the tg-stats-v1
+    // Registered unconditionally (like hib.wire_failures): the tg-stats-v2
     // surface always carries the collective counters, zero or not.
     auto &reg = sys.stats();
     reg.add({hib.name(), "coll_barriers"}, &_barriers);

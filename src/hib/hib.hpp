@@ -187,18 +187,16 @@ class Hib : public SimObject, public net::NodeEndpoint
     std::uint64_t peekTicket() const { return _nextTicket; }
     std::uint64_t peekSeq() const { return _nextSeq; }
 
-    /** Restore ticket/seq/handled counters captured at quiescence (no
+    /** Restore the ticket/seq counters captured at quiescence (no
      *  pending replies or copies may exist). */
     void
-    restoreCounters(std::uint64_t next_ticket, std::uint64_t next_seq,
-                    std::uint64_t handled)
+    restoreCounters(std::uint64_t next_ticket, std::uint64_t next_seq)
     {
         TG_AUDIT(_pendingReplies.empty(),
                  "%s: counter restore with pending operations",
                  _name.c_str());
         _nextTicket = next_ticket;
         _nextSeq = next_seq;
-        _handled = handled;
     }
 
     // ------------------------------------------------------------------

@@ -53,9 +53,6 @@ class PageCounters : public SimObject
     /** Pages currently tracked. */
     std::size_t used() const { return _pages.size(); }
 
-    std::uint64_t accesses() const { return _accesses; }
-    std::uint64_t alarms() const { return _alarms; }
-
     /** All programmed counters in ascending page order (checkpointing,
      *  DESIGN.md section 14.5). */
     std::vector<std::pair<PAddr, Counters>>
@@ -64,16 +61,13 @@ class PageCounters : public SimObject
         return {_pages.begin(), _pages.end()};
     }
 
-    /** Restore a captured counter table and the access/alarm stats. */
+    /** Restore a captured counter table. */
     void
-    restore(const std::vector<std::pair<PAddr, Counters>> &pages,
-            std::uint64_t accesses, std::uint64_t alarms)
+    restore(const std::vector<std::pair<PAddr, Counters>> &pages)
     {
         _pages.clear();
         for (const auto &[frame, c] : pages)
             _pages[frame] = c;
-        _accesses = accesses;
-        _alarms = alarms;
     }
 
   private:

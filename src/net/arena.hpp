@@ -34,6 +34,7 @@
 #include "net/packet.hpp"
 #include "sim/invariant.hpp"
 #include "sim/log.hpp"
+#include "sim/stats.hpp"
 
 namespace tg::net {
 
@@ -48,6 +49,10 @@ class PacketArena
 {
   public:
     PacketArena() = default;
+    explicit PacketArena(StatRegistry &reg)
+    {
+        reg.add("sim.arena_high_water", &_highWater);
+    }
     PacketArena(const PacketArena &) = delete;
     PacketArena &operator=(const PacketArena &) = delete;
 

@@ -34,8 +34,8 @@ Network::Network(System &sys, const std::string &name,
     const std::size_t nsw = _spec.numSwitches();
     for (std::size_t s = 0; s < nsw; ++s) {
         _switches.push_back(std::make_unique<Switch>(
-            sys, name + ".sw" + std::to_string(s), _spec.portsOf(s),
-            /*vcs=*/2));
+            sys, name + ".sw" + std::to_string(s), _switchTotals,
+            _spec.portsOf(s), /*vcs=*/2));
     }
 
     // Trunk channels between switches.  Each direction is one physical
@@ -112,10 +112,8 @@ Network::Network(System &sys, const std::string &name,
     // The reliability sums are registered unconditionally: the layer runs
     // on every link, so a fault-free run that retransmits must show it.
     auto &reg = sys.stats();
-    reg.add({_name, "switch_forwarded"}, this,
-            [](const Network &n) { return n.switchForwarded(); });
-    reg.add({_name, "switch_head_evals"}, this,
-            [](const Network &n) { return n.switchHeadEvals(); });
+    reg.add({_name, "switch_forwarded"}, &_switchTotals.forwarded);
+    reg.add({_name, "switch_head_evals"}, &_switchTotals.headEvals);
     reg.add({_name, "crc_errors"}, this,
             [](const Network &n) { return n.corruptions(); });
     reg.add({_name, "retransmissions"}, this,
@@ -173,24 +171,6 @@ Network::buildRoutes()
                                 static_cast<NodeId>(n)));
         }
     }
-}
-
-std::uint64_t
-Network::switchForwarded() const
-{
-    std::uint64_t total = 0;
-    for (const auto &sw : _switches)
-        total += sw->forwarded();
-    return total;
-}
-
-std::uint64_t
-Network::switchHeadEvals() const
-{
-    std::uint64_t total = 0;
-    for (const auto &sw : _switches)
-        total += sw->headEvals();
-    return total;
 }
 
 void

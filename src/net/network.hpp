@@ -49,10 +49,7 @@ class Network : public SimObject
     const TopologySpec &spec() const { return _spec; }
 
     /** Total packets forwarded by all switches. */
-    std::uint64_t switchForwarded() const;
-
-    /** Input heads examined by all switches (Switch::headEvals). */
-    std::uint64_t switchHeadEvals() const;
+    std::uint64_t switchForwarded() const { return _switchTotals.forwarded; }
 
     /** Number of hops between two nodes (for analytical latency checks). */
     std::size_t hops(NodeId a, NodeId b) const;
@@ -103,6 +100,7 @@ class Network : public SimObject
     void buildRoutes();
 
     TopologySpec _spec;
+    SwitchTotals _switchTotals;
     std::vector<std::unique_ptr<Switch>> _switches;
     std::vector<std::unique_ptr<Channel>> _channels;
     std::unique_ptr<FabricRerouter> _rerouter;

@@ -9,9 +9,9 @@
 
 namespace tg::net {
 
-Switch::Switch(System &sys, const std::string &name, std::size_t ports,
-               std::size_t vcs)
-    : SimObject(sys, name), _ports(ports), _vcs(vcs),
+Switch::Switch(System &sys, const std::string &name, SwitchTotals &totals,
+               std::size_t ports, std::size_t vcs)
+    : SimObject(sys, name), _totals(totals), _ports(ports), _vcs(vcs),
       _arena(&sys.arena()), _busy(ports * vcs, false),
       _maskWords((ports * vcs + 63) / 64)
 {
@@ -93,7 +93,7 @@ Switch::wakeWaiters(std::size_t out)
 void
 Switch::pump(std::size_t port, std::size_t vc)
 {
-    ++_headEvals;
+    ++_totals.headEvals;
     BoundedQueue &in = *_in[idx(port, vc)];
     if (_busy[idx(port, vc)] || in.empty())
         return;
@@ -128,7 +128,7 @@ Switch::pump(std::size_t port, std::size_t vc)
         Packet &p = _arena->packet(h);
         p.vc = out_vc;
         ++p.hopsDone;
-        ++_forwarded;
+        ++_totals.forwarded;
         _sys.tracer().record(p.traceId, trace::Span::SwitchFwd, now(),
                              _traceComp, p.hopsDone);
         _out[idx(out, out_vc)]->pushReservedHandle(h);

@@ -48,6 +48,20 @@
 
 namespace tg::net {
 
+/** Work counts of all switches of a network, which owns and registers
+ *  them; every switch bumps them. */
+struct SwitchTotals
+{
+    std::uint64_t forwarded = 0; ///< packets forwarded
+
+    /** Input heads examined: every pump of a (port, VC) input, whether
+     *  it found the input busy, empty, blocked or forwarding.  Two per
+     *  forwarded packet (one when it arrives, one after it leaves), plus
+     *  one per wake-up of a blocked input and ports x VCs per route
+     *  change. */
+    std::uint64_t headEvals = 0;
+};
+
 /** A multi-port, multi-VC shared-buffer switch. */
 class Switch : public SimObject
 {
@@ -73,11 +87,12 @@ class Switch : public SimObject
     /**
      * @param sys    owning system
      * @param name   instance name
+     * @param totals work counts this switch adds to
      * @param ports  number of bidirectional ports
      * @param vcs    virtual channels per port (>= 1)
      */
-    Switch(System &sys, const std::string &name, std::size_t ports,
-           std::size_t vcs = 2);
+    Switch(System &sys, const std::string &name, SwitchTotals &totals,
+           std::size_t ports, std::size_t vcs = 2);
 
     /** Queue a link delivers into (switch ingress side). */
     BoundedQueue &inQueue(std::size_t port, std::size_t vc = 0)
@@ -116,16 +131,6 @@ class Switch : public SimObject
     /** Install a per-packet route function (overrides the table). */
     void setRouteFn(RouteFn fn) { _routeFn = std::move(fn); }
 
-    /** Total packets forwarded. */
-    std::uint64_t forwarded() const { return _forwarded; }
-
-    /** Input heads examined: every pump of a (port, VC) input, whether
-     *  it found the input busy, empty, blocked or forwarding.  Two per
-     *  forwarded packet (one when it arrives, one after it leaves), plus
-     *  one per wake-up of a blocked input and ports x VCs per route
-     *  change. */
-    std::uint64_t headEvals() const { return _headEvals; }
-
   private:
     std::size_t idx(std::size_t port, std::size_t vc) const
     {
@@ -138,6 +143,7 @@ class Switch : public SimObject
     /** Output @p out freed a slot: re-pump the inputs waiting on it. */
     void wakeWaiters(std::size_t out);
 
+    SwitchTotals &_totals;
     std::size_t _ports;
     std::size_t _vcs;
     PacketArena *_arena = nullptr; ///< the system's packet arena
@@ -152,8 +158,6 @@ class Switch : public SimObject
     std::vector<std::size_t> _routes; // indexed by NodeId
     VcMap _vcMap;
     RouteFn _routeFn;
-    std::uint64_t _forwarded = 0;
-    std::uint64_t _headEvals = 0;
     std::uint16_t _traceComp = 0;
 };
 

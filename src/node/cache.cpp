@@ -66,16 +66,13 @@ Cache::invalidateAll()
 }
 
 void
-Cache::restoreState(const std::vector<PAddr> &tags, std::uint64_t hits,
-                    std::uint64_t misses)
+Cache::restoreState(const std::vector<PAddr> &tags)
 {
     if (tags.size() != _tags.size())
         panic("%s: checkpoint tag array has %zu lines, cache has %zu "
               "(different configuration?)",
               _name.c_str(), tags.size(), _tags.size());
     _tags = tags;
-    _hits = hits;
-    _misses = misses;
 }
 
 } // namespace tg::node

@@ -48,10 +48,9 @@ class Cache : public SimObject
     /** Raw tag array (checkpointing, DESIGN.md section 14.5). */
     const std::vector<PAddr> &tags() const { return _tags; }
 
-    /** Restore a captured tag array + hit/miss counters; @p tags must
-     *  have the size the configuration implies. */
-    void restoreState(const std::vector<PAddr> &tags, std::uint64_t hits,
-                      std::uint64_t misses);
+    /** Restore a captured tag array; @p tags must have the size the
+     *  configuration implies. */
+    void restoreState(const std::vector<PAddr> &tags);
 
   private:
     std::size_t indexOf(PAddr line) const { return line % _tags.size(); }

@@ -39,8 +39,7 @@ Cpu::start()
 }
 
 void
-Cpu::restoreScheduler(std::size_t finished_threads, std::uint64_t ops_issued,
-                      std::uint64_t switches)
+Cpu::restoreScheduler(std::size_t finished_threads)
 {
     if (!_threads.empty())
         panic("%s: restoreScheduler after threads were added",
@@ -51,8 +50,6 @@ Cpu::restoreScheduler(std::size_t finished_threads, std::uint64_t ops_issued,
         t.info.finished = true;
         _threads.push_back(std::move(t));
     }
-    _opsIssued = ops_issued;
-    _switches = switches;
 }
 
 bool

@@ -132,10 +132,9 @@ class Cpu : public SimObject
      * with @p finished_threads already-finished placeholder slots so
      * post-restore spawns get the same thread ids as in the original
      * run (the round-robin walk and the PID switch hook are keyed by
-     * tid), and restore the issue/switch counters.
+     * tid).
      */
-    void restoreScheduler(std::size_t finished_threads,
-                          std::uint64_t ops_issued, std::uint64_t switches);
+    void restoreScheduler(std::size_t finished_threads);
 
   private:
     struct Thread

@@ -147,14 +147,11 @@ Mmu::dumpTlb() const
 }
 
 void
-Mmu::restoreTlb(const std::vector<TlbSnapshot> &entries, std::uint64_t hits,
-                std::uint64_t misses)
+Mmu::restoreTlb(const std::vector<TlbSnapshot> &entries)
 {
     _tlb.clear();
     for (const auto &e : entries)
         _tlb.push_back(TlbEntry{e.asid, e.vpn, e.pte});
-    _hits = hits;
-    _misses = misses;
 }
 
 } // namespace tg::node

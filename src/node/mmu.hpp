@@ -132,10 +132,8 @@ class Mmu : public SimObject
     /** TLB contents oldest-first (the FIFO replacement order). */
     std::vector<TlbSnapshot> dumpTlb() const;
 
-    /** Restore captured TLB contents (entries arrive oldest-first) and
-     *  hit/miss counters. */
-    void restoreTlb(const std::vector<TlbSnapshot> &entries,
-                    std::uint64_t hits, std::uint64_t misses);
+    /** Restore captured TLB contents (entries arrive oldest-first). */
+    void restoreTlb(const std::vector<TlbSnapshot> &entries);
 
   private:
     struct TlbEntry

@@ -6,9 +6,13 @@
 #include "sim/stats.hpp"
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <iomanip>
 #include <sstream>
+
+#include "sim/log.hpp"
 
 namespace tg {
 
@@ -170,13 +174,6 @@ Histogram::sample(double v)
     ++_count;
 }
 
-void
-Histogram::reset()
-{
-    std::fill(_buckets.begin(), _buckets.end(), 0);
-    _count = 0;
-}
-
 std::string
 StatName::str() const
 {
@@ -184,30 +181,18 @@ StatName::str() const
 }
 
 void
-StatRegistry::addValue(StatName name, const void *obj, Reader read)
-{
-    _entries.push_back(Entry{name, Kind::Value, obj, read});
-}
-
-void
-StatRegistry::add(StatName name, const Sampler *s)
-{
-    _entries.push_back(Entry{name, Kind::Sampler, s, nullptr});
-}
-
-void
-StatRegistry::add(StatName name, const Histogram *h)
+StatRegistry::add(StatName name, Histogram *h)
 {
     _entries.push_back(Entry{name, Kind::Histogram, h, nullptr});
 }
 
 std::vector<StatRegistry::Named>
-StatRegistry::sorted(Kind kind) const
+StatRegistry::sorted() const
 {
     std::vector<Named> out;
+    out.reserve(_entries.size());
     for (const Entry &e : _entries)
-        if (e.kind == kind)
-            out.emplace_back(e.name.str(), &e);
+        out.emplace_back(e.name.str(), &e);
     // Equal names sort in registration order (entries are one array), and
     // a re-registered name keeps its last entry; std::unique keeps the
     // first of a run, hence the reversed range.
@@ -243,20 +228,13 @@ StatRegistry::dump(std::ostream &os) const
     auto line = [&os](const std::string &name, double v) {
         os << std::left << std::setw(48) << name << " " << fmtNum(v) << "\n";
     };
-    for (const auto &[name, e] : sorted(Kind::Value))
-        line(name, e->read(e->obj));
-    for (const auto &[name, e] : sorted(Kind::Sampler)) {
-        const auto &s = *static_cast<const Sampler *>(e->obj);
-        line(name + ".count", double(s.count()));
-        if (s.count() > 0) {
-            line(name + ".mean", s.mean());
-            line(name + ".min", s.min());
-            line(name + ".max", s.max());
-            line(name + ".p50", s.quantile(0.5));
-            line(name + ".p99", s.quantile(0.99));
-        }
-    }
-    for (const auto &[name, e] : sorted(Kind::Histogram)) {
+    const std::vector<Named> all = sorted();
+    for (const auto &[name, e] : all)
+        if (e->kind != Kind::Histogram)
+            line(name, e->read(e->obj));
+    for (const auto &[name, e] : all) {
+        if (e->kind != Kind::Histogram)
+            continue;
         const auto &h = *static_cast<const Histogram *>(e->obj);
         line(name + ".count", double(h.count()));
         const auto &b = h.buckets();
@@ -273,30 +251,21 @@ StatRegistry::dump(std::ostream &os) const
 void
 StatRegistry::dumpJson(std::ostream &os) const
 {
-    os << "{\"schema\":\"tg-stats-v1\",\"scalars\":{";
+    const std::vector<Named> all = sorted();
+    os << "{\"schema\":\"tg-stats-v2\",\"scalars\":{";
     bool first = true;
-    for (const auto &[name, e] : sorted(Kind::Value)) {
+    for (const auto &[name, e] : all) {
+        if (e->kind == Kind::Histogram)
+            continue;
         os << (first ? "" : ",") << "\"" << name
            << "\":" << fmtNum(e->read(e->obj));
         first = false;
     }
-    os << "},\"samplers\":{";
-    first = true;
-    for (const auto &[name, e] : sorted(Kind::Sampler)) {
-        const auto &s = *static_cast<const Sampler *>(e->obj);
-        os << (first ? "" : ",") << "\"" << name
-           << "\":{\"count\":" << s.count()
-           << ",\"mean\":" << fmtNum(s.mean())
-           << ",\"min\":" << fmtNum(s.min())
-           << ",\"max\":" << fmtNum(s.max())
-           << ",\"stddev\":" << fmtNum(s.stddev())
-           << ",\"p50\":" << fmtNum(s.quantile(0.5))
-           << ",\"p99\":" << fmtNum(s.quantile(0.99)) << "}";
-        first = false;
-    }
     os << "},\"histograms\":{";
     first = true;
-    for (const auto &[name, e] : sorted(Kind::Histogram)) {
+    for (const auto &[name, e] : all) {
+        if (e->kind != Kind::Histogram)
+            continue;
         const auto &h = *static_cast<const Histogram *>(e->obj);
         os << (first ? "" : ",") << "\"" << name
            << "\":{\"count\":" << h.count()
@@ -311,20 +280,78 @@ StatRegistry::dumpJson(std::ostream &os) const
     os << "}}";
 }
 
+void
+StatRegistry::save(std::ostream &os) const
+{
+    std::vector<Named> saved = sorted();
+    std::erase_if(saved, [](const Named &n) {
+        return n.second->kind == Kind::Formula;
+    });
+    os << saved.size() << "\n";
+    for (const auto &[name, e] : saved) {
+        os << name;
+        if (e->kind == Kind::Field) {
+            std::uint64_t bits = 0;
+            std::memcpy(&bits, e->obj, sizeof bits);
+            os << " " << bits;
+        } else {
+            const auto &h = *static_cast<const Histogram *>(e->obj);
+            os << " " << std::bit_cast<std::uint64_t>(h._width) << " "
+               << h._buckets.size() << " " << h._count;
+            for (std::uint64_t b : h._buckets)
+                os << " " << b;
+        }
+        os << "\n";
+    }
+}
+
+void
+StatRegistry::restore(std::istream &in)
+{
+    auto word = [&in] {
+        std::uint64_t v = 0;
+        if (!(in >> v))
+            fatal("stats restore: truncated section");
+        return v;
+    };
+    const std::vector<Named> all = sorted();
+    for (std::uint64_t i = 0, n = word(); i < n; ++i) {
+        std::string name;
+        if (!(in >> name))
+            fatal("stats restore: truncated section");
+        const auto it = std::ranges::lower_bound(all, name, {}, &Named::first);
+        if (it == all.end() || it->first != name ||
+            it->second->kind == Kind::Formula)
+            fatal("stats restore: '%s' is not a registered field or "
+                  "histogram",
+                  name.c_str());
+        if (it->second->kind == Kind::Field) {
+            const std::uint64_t bits = word();
+            std::memcpy(it->second->obj, &bits, sizeof bits);
+            continue;
+        }
+        auto &h = *static_cast<Histogram *>(it->second->obj);
+        const double width = std::bit_cast<double>(word());
+        const std::uint64_t size = word();
+        if (width != h._width || size != h._buckets.size())
+            fatal("stats restore: histogram '%s' has %llu buckets of width "
+                  "%g, the registered one %zu of width %g",
+                  name.c_str(), static_cast<unsigned long long>(size), width,
+                  h._buckets.size(), h._width);
+        h._count = word();
+        for (std::uint64_t &b : h._buckets)
+            b = word();
+    }
+}
+
 std::optional<double>
 StatRegistry::find(std::string_view name) const
 {
     // Newest first: re-registering a name replaces the earlier entry.
     for (auto it = _entries.rbegin(); it != _entries.rend(); ++it)
-        if (it->kind == Kind::Value && it->name.str() == name)
+        if (it->kind != Kind::Histogram && it->name.str() == name)
             return it->read(it->obj);
     return std::nullopt;
-}
-
-double
-StatRegistry::scalar(const std::string &name) const
-{
-    return find(name).value_or(0.0);
 }
 
 } // namespace tg

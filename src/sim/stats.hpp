@@ -4,7 +4,8 @@
  *
  * Modelled loosely after the gem5 stats package but radically simplified.
  * Components construct stats with a name and register them with their
- * System's StatRegistry so they can be dumped at the end of a run.
+ * System's StatRegistry so they can be dumped at the end of a run and
+ * carried through a checkpoint (DESIGN.md section 14.5).
  */
 
 #ifndef TELEGRAPHOS_SIM_STATS_HPP
@@ -12,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <istream>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -101,9 +103,9 @@ class Histogram
     std::uint64_t count() const { return _count; }
     double bucketWidth() const { return _width; }
     const std::vector<std::uint64_t> &buckets() const { return _buckets; }
-    void reset();
 
   private:
+    friend class StatRegistry; ///< saves and restores the buckets
     double _width;
     std::vector<std::uint64_t> _buckets;
     std::uint64_t _count = 0;
@@ -134,41 +136,44 @@ class StatName
 };
 
 /**
- * The single route from a component's counters to every report: each
- * component registers its counters once, in its constructor, and both
- * renderers (dump, dumpJson) read them from here.  Non-owning: the stats
- * live in their components, which must outlive any dump.
+ * The single route from a component's counters to every report and to a
+ * checkpoint: each component registers its stats once, in its
+ * constructor on `this`; dump and dumpJson render them, save and restore
+ * carry them through a checkpoint.  Non-owning: the stats live in their
+ * components, which must outlive every use of the registry.
+ *
+ * A field (a 64-bit integer or double) and a histogram are saved and
+ * restored exactly.  A formula (a value computed from other state) is
+ * never saved: a restored run recomputes it.
  */
 class StatRegistry
 {
   public:
-    void add(StatName name, const Sampler *s);
-    void add(StatName name, const Histogram *h);
-
-    /**
-     * Register a read-only value (gem5's "formula"), reported as a
-     * scalar: an arithmetic field read in place ...
-     */
+    /** Register a field, reported as a scalar and saved as its 64-bit
+     *  pattern (for an unsigned counter, the value itself). */
     template <class T>
-        requires std::is_arithmetic_v<T>
+        requires(std::is_arithmetic_v<T> &&
+                 sizeof(T) == sizeof(std::uint64_t))
     void
-    add(StatName name, const T *field)
+    add(StatName name, T *field)
     {
-        addValue(name, field, [](const void *p) {
+        _entries.push_back(Entry{name, Kind::Field, field, [](const void *p) {
             return static_cast<double>(*static_cast<const T *>(p));
-        });
+        }});
     }
 
-    /** ... or @p read(*obj), e.g. an aggregate accessor; @p read must
-     *  be a captureless lambda. */
+    void add(StatName name, Histogram *h);
+
+    /** Register a formula, reported as a scalar: @p read(*obj), e.g. an
+     *  aggregate accessor; @p read must be a captureless lambda. */
     template <class T, class Read>
     void
-    add(StatName name, const T *obj, Read)
+    add(StatName name, T *obj, Read)
     {
         static_assert(std::is_empty_v<Read>, "reader must not capture");
-        addValue(name, obj, [](const void *p) {
+        _entries.push_back(Entry{name, Kind::Formula, obj, [](const void *p) {
             return static_cast<double>(Read{}(*static_cast<const T *>(p)));
-        });
+        }});
     }
 
     /** Dump all registered stats, sorted by name. */
@@ -176,36 +181,45 @@ class StatRegistry
 
     /**
      * Dump every registered stat as one JSON object
-     * ({"schema":"tg-stats-v1","scalars":{...},"samplers":{...},
-     * "histograms":{...}}), sorted by name for byte-stable output.
+     * ({"schema":"tg-stats-v2","scalars":{...},"histograms":{...}}),
+     * sorted by name for byte-stable output.
      */
     void dumpJson(std::ostream &os) const;
 
-    /** Current value of the scalar or formula named @p name, or nullopt
-     *  when nothing is registered under it. */
+    /**
+     * Write every field and histogram, sorted by name: their number,
+     * then "<name> <bits>" per field and "<name> <width bits>
+     * <buckets> <count> <bucket>..." per histogram.
+     */
+    void save(std::ostream &os) const;
+
+    /**
+     * Read what save() wrote into the stats registered under its names;
+     * stats it does not name keep their values.  fatal() on a name that
+     * is not a registered field or histogram, on a histogram of another
+     * width or size, and on a truncated section.
+     */
+    void restore(std::istream &in);
+
+    /** Current value of the field or formula named @p name, or nullopt
+     *  when no scalar is registered under it. */
     std::optional<double> find(std::string_view name) const;
 
-    /** find(@p name), or 0 if absent. */
-    double scalar(const std::string &name) const;
-
   private:
-    /** Formulas are the "scalars" section. */
-    enum class Kind : std::uint8_t { Value, Sampler, Histogram };
-    using Reader = double (*)(const void *);
+    enum class Kind : std::uint8_t { Field, Formula, Histogram };
 
     struct Entry
     {
         StatName name;
         Kind kind;
-        const void *obj;
-        Reader read; ///< Kind::Value only
+        void *obj;
+        double (*read)(const void *); ///< Field and Formula only
     };
 
-    /** (rendered name, entry) for every entry of @p kind, by name. */
+    /** (rendered name, entry) for every entry, by name; a re-registered
+     *  name keeps only its last entry. */
     using Named = std::pair<std::string, const Entry *>;
-    std::vector<Named> sorted(Kind kind) const;
-
-    void addValue(StatName name, const void *obj, Reader read);
+    std::vector<Named> sorted() const;
 
     std::vector<Entry> _entries;
 };

@@ -4,12 +4,14 @@
  *
  * The contract under test: checkpoint a quiescent cluster, rebuild a
  * fresh cluster from the same spec + setup calls, restore, continue the
- * workload — and the trace hash evolves bit-identically to the run that
- * never checkpointed.
+ * workload — and the trace hash and the full statistics dump evolve
+ * bit-identically to the run that never checkpointed.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "api/cluster.hpp"
@@ -20,10 +22,9 @@ namespace tg {
 namespace {
 
 ClusterSpec
-specUnderTest()
+specUnderTest(ClusterSpec topology = ClusterSpec::star(4))
 {
-    return ClusterSpec::star(4)
-        .protocol(coherence::ProtocolKind::OwnerCounter)
+    return topology.protocol(coherence::ProtocolKind::OwnerCounter)
         .trace(true)
         .seed(1234);
 }
@@ -71,10 +72,21 @@ phase2(Cluster &c, Segment &seg, std::vector<Word> &read_back)
     });
 }
 
-TEST(Checkpoint, RoundTripContinuesBitIdentically)
+std::string
+statsJson(const Cluster &c)
+{
+    std::ostringstream os;
+    c.statsJson(os);
+    return os.str();
+}
+
+/** Both phases unsplit, then phase 1 / checkpoint / restore / phase 2:
+ *  same trace, same reads, same statistics. */
+void
+expectRoundTrip(const ClusterSpec &spec)
 {
     // Reference: run both phases without ever checkpointing.
-    Cluster ref(specUnderTest());
+    Cluster ref(spec);
     Segment &ref_seg = setUp(ref);
     phase1(ref, ref_seg);
     ref.run();
@@ -90,7 +102,7 @@ TEST(Checkpoint, RoundTripContinuesBitIdentically)
     // Checkpointed: identical phase 1, snapshot at quiescence.
     std::string blob;
     {
-        Cluster a(specUnderTest());
+        Cluster a(spec);
         Segment &seg = setUp(a);
         phase1(a, seg);
         a.run();
@@ -100,7 +112,7 @@ TEST(Checkpoint, RoundTripContinuesBitIdentically)
     ASSERT_FALSE(blob.empty());
 
     // Restored: fresh cluster, replayed setup, restore, phase 2 only.
-    Cluster b(specUnderTest());
+    Cluster b(spec);
     Segment &b_seg = setUp(b);
     b.restore(blob);
     std::vector<Word> b_reads;
@@ -112,6 +124,33 @@ TEST(Checkpoint, RoundTripContinuesBitIdentically)
     EXPECT_EQ(b.traceHash(), ref_hash);
     EXPECT_EQ(b.traceLength(), ref_len);
     EXPECT_EQ(b_reads, ref_reads);
+    EXPECT_EQ(statsJson(b), statsJson(ref));
+}
+
+TEST(Checkpoint, RoundTripContinuesBitIdentically)
+{
+    {
+        SCOPED_TRACE("star(4)");
+        expectRoundTrip(specUnderTest(ClusterSpec::star(4)));
+    }
+    {
+        // Four switches: the network-owned switch totals round-trip.
+        SCOPED_TRACE("torus(2, 2, 1)");
+        expectRoundTrip(specUnderTest(ClusterSpec::torus(2, 2, 1)));
+    }
+}
+
+/** @p blob with the stats line of @p stat replaced by @p edit(line). */
+template <class Edit>
+std::string
+editStatLine(std::string blob, const std::string &stat, Edit edit)
+{
+    const std::size_t at = blob.find("\n" + stat + " ");
+    EXPECT_NE(at, std::string::npos) << stat;
+    const std::size_t eol = blob.find('\n', at + 1);
+    blob.replace(at + 1, eol - at - 1,
+                 edit(blob.substr(at + 1, eol - at - 1)));
+    return blob;
 }
 
 TEST(Checkpoint, RestoredClusterCheckpointsIdentically)
@@ -168,6 +207,31 @@ TEST(Checkpoint, RefusesMalformedBlobAndStartedCluster)
     ASSERT_TRUE(b.allDone());
     const std::string blob = b.checkpoint();
     EXPECT_DEATH(b.restore(blob), "freshly built");
+
+    // The stats section names a stat the rebuilt cluster never registered.
+    const std::string unknown = editStatLine(
+        blob, "node0.tc.busy_ticks", [](const std::string &line) {
+            return "node0.tc.idle_ticks" + line.substr(line.find(' '));
+        });
+    EXPECT_DEATH(a.restore(unknown),
+                 "'node0.tc.idle_ticks' is not a registered field");
+
+    // A histogram one bucket short of the registered one.
+    const std::string short_hist = editStatLine(
+        blob, "node0.tc.wait_hist", [](const std::string &line) {
+            std::istringstream in(line);
+            std::string name;
+            std::uint64_t width = 0, buckets = 0, v = 0;
+            in >> name >> width >> buckets;
+            std::ostringstream out;
+            out << name << " " << width << " " << buckets - 1;
+            // The count, then all but the last bucket.
+            for (std::uint64_t i = 0; i < buckets && in >> v; ++i)
+                out << " " << v;
+            return out.str();
+        });
+    EXPECT_DEATH(a.restore(short_hist),
+                 "'node0.tc.wait_hist' has [0-9]+ buckets");
 }
 
 TEST(Checkpoint, RefusesFaultyConfiguration)

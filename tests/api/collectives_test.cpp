@@ -375,8 +375,10 @@ TEST(Collectives, HostSetupMaterialisesNoZeroPages)
 
     double touched = 0;
     for (NodeId n = 0; n < NodeId(kNodes); ++n)
-        touched += c.system().stats().scalar(
-            "node" + std::to_string(n) + ".mem.touched_bytes");
+        touched += c.system()
+                       .stats()
+                       .find("node" + std::to_string(n) + ".mem.touched_bytes")
+                       .value();
     EXPECT_LE(touched, double(kNodes) * 4 * 8192) << touched;
 }
 

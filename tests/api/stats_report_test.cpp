@@ -3,7 +3,7 @@
  * The statistics surface is one registry: every counter the components
  * expose through typed accessors is registered under
  * "<component>.<counter>" with the same value, and the text report and
- * the tg-stats-v1 JSON dump render the same set of names.
+ * the tg-stats-v2 JSON dump render the same set of names.
  */
 
 #include <gtest/gtest.h>
@@ -44,7 +44,6 @@ accessorCounters(Cluster &c)
     put("sim.arena_high_water", double(c.system().arena().highWater()));
     const net::Network &net = c.network();
     put("net.switch_forwarded", double(net.switchForwarded()));
-    put("net.switch_head_evals", double(net.switchHeadEvals()));
     put("net.crc_errors", double(net.corruptions()));
     put("net.retransmissions", double(net.retransmissions()));
     put("net.dup_discards", double(net.duplicateDiscards()));
@@ -69,9 +68,6 @@ accessorCounters(Cluster &c)
         put(p + "hib.outstanding.total", double(hib.outstanding().total()));
         put(p + "hib.outstanding.lost", double(hib.outstanding().lost()));
         put(p + "hib.atomic.executed", double(hib.atomicUnit().executed()));
-        put(p + "hib.pagectr.accesses",
-            double(hib.pageCounters().accesses()));
-        put(p + "hib.pagectr.alarms", double(hib.pageCounters().alarms()));
         put(p + "hib.ccache.stalls",
             double(hib.counterCache().stallEvents()));
         put(p + "hib.ccache.stall_ticks",
@@ -189,7 +185,7 @@ reportLines(const Cluster &c)
     return out;
 }
 
-/** Names in one top-level section of a tg-stats-v1 document, with the
+/** Names in one top-level section of a tg-stats-v2 document, with the
  *  raw value text for the scalars section. */
 std::map<std::string, std::string>
 jsonSection(const std::string &doc, const std::string &section,
@@ -218,8 +214,7 @@ TEST(StatsReport, TextAndJsonRenderTheSameNames)
     std::ostringstream js;
     c.statsJson(js);
     const std::string doc = js.str();
-    const auto scalars = jsonSection(doc, "scalars", "samplers");
-    const auto samplers = jsonSection(doc, "samplers", "histograms");
+    const auto scalars = jsonSection(doc, "scalars", "histograms");
     const std::string hopen = "\"histograms\":{";
     const std::string htail = doc.substr(doc.find(hopen));
     std::set<std::string> hists;
@@ -230,7 +225,7 @@ TEST(StatsReport, TextAndJsonRenderTheSameNames)
     ASSERT_FALSE(hists.empty());
     ASSERT_GT(scalars.size(), 30u);
 
-    // Text lines are the scalars verbatim plus "<sampler|histogram>.*"
+    // Text lines are the scalars verbatim plus "<histogram>.*"
     // expansions; nothing else, nothing missing.
     const auto text = reportLines(c);
     std::set<std::string> expanded;
@@ -239,8 +234,6 @@ TEST(StatsReport, TextAndJsonRenderTheSameNames)
             return name.rfind(stat + ".", 0) == 0;
         };
         bool is_expansion = false;
-        for (const auto &[s, v] : samplers)
-            is_expansion |= owned_by(s);
         for (const auto &h : hists)
             is_expansion |= owned_by(h);
         if (is_expansion) {
@@ -252,8 +245,6 @@ TEST(StatsReport, TextAndJsonRenderTheSameNames)
         EXPECT_EQ(it->second, value) << name;
     }
     EXPECT_EQ(text.size() - expanded.size(), scalars.size());
-    for (const auto &[s, v] : samplers)
-        EXPECT_TRUE(text.count(s + ".count")) << s;
     for (const auto &h : hists)
         EXPECT_TRUE(text.count(h + ".count")) << h;
 }

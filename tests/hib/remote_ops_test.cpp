@@ -78,7 +78,9 @@ TEST(RemoteOps, PageCounterAlarmReachesTheOs)
     // Exactly one alarm (the 3 -> 0 transition), for the right page.
     ASSERT_EQ(alarms.size(), 1u);
     EXPECT_EQ(alarms[0], seg.homePage(0));
-    EXPECT_EQ(c.hibOf(1).pageCounters().alarms(), 1u);
+    EXPECT_EQ(c.system().stats().find(c.hibOf(1).pageCounters().name() +
+                                      ".alarms"),
+              1.0);
 }
 
 TEST(RemoteOps, EagerMulticastDeliversToReaderCopies)

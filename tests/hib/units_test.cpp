@@ -124,8 +124,8 @@ TEST(PageCounters, AlarmOnTransitionToZero)
     EXPECT_TRUE(pc.onAccess(0x4000, false));  // reads: 1 -> 0: alarm
     EXPECT_FALSE(pc.onAccess(0x4000, false)); // saturated
     EXPECT_TRUE(pc.onAccess(0x4000, true));   // writes: 1 -> 0: alarm
-    EXPECT_EQ(pc.alarms(), 2u);
-    EXPECT_EQ(pc.accesses(), 4u);
+    EXPECT_EQ(sys.stats().find("pc.alarms"), 2.0);
+    EXPECT_EQ(sys.stats().find("pc.accesses"), 4.0);
 }
 
 TEST(PageCounters, UntrackedPagesNeverAlarm)

@@ -242,7 +242,8 @@ TEST(PacketAllocTest, TracedContendedFatTreeWaveDoesNotAllocate)
     h.hotSpotWave(kBurst);
     ASSERT_GT(t.evictedOps(), 0u) << "open-op cap not reached in warm-up";
     // Every forward costs two head evaluations; the rest are wake-ups.
-    ASSERT_GT(h.net.switchHeadEvals(), 2 * h.net.switchForwarded())
+    ASSERT_GT(h.sys.stats().find("net.switch_head_evals").value(),
+              2.0 * double(h.net.switchForwarded()))
         << "no input ever blocked on a full output";
 
     const std::uint64_t evicted0 = t.evictedOps();
@@ -308,7 +309,7 @@ TEST(SwitchWakeups, HotSpotFatTreeRoutesFewHeadsPerForward)
     const std::optional<double> forwarded = reg.find("net.switch_forwarded");
     const std::optional<double> evals = reg.find("net.switch_head_evals");
     ASSERT_TRUE(forwarded.has_value() && evals.has_value());
-    EXPECT_EQ(*evals, double(h.net.switchHeadEvals()));
+    EXPECT_EQ(*forwarded, double(h.net.switchForwarded()));
     EXPECT_GT(*evals, 2.0 * *forwarded) << "the hot spot never contended";
     EXPECT_LE(*evals, 3.0 * *forwarded);
 }

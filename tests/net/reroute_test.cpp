@@ -132,7 +132,7 @@ struct Fabric
         const TopologyModel &model = spec.model();
         for (std::size_t i = 0; i < spec.numSwitches(); ++i)
             switches.push_back(std::make_unique<Switch>(
-                sys, "net.sw" + std::to_string(i), spec.portsOf(i)));
+                sys, "net.sw" + std::to_string(i), totals, spec.portsOf(i)));
 
         // Baseline routes, exactly as Network::buildRoutes installs them.
         if (!model.srcDependentRouting()) {
@@ -171,6 +171,7 @@ struct Fabric
     }
 
     TopologySpec spec;
+    SwitchTotals totals;
     std::vector<std::unique_ptr<Switch>> switches;
     std::unique_ptr<FabricRerouter> rerouter;
 };

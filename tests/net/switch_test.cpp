@@ -31,7 +31,8 @@ mkPkt(NodeId src, NodeId dst, Word v)
 TEST(Switch, RoutesToConfiguredPort)
 {
     System sys{Config{}};
-    Switch sw(sys, "sw", 3);
+    SwitchTotals totals;
+    Switch sw(sys, "sw", totals, 3);
     sw.setRoute(0, 0);
     sw.setRoute(1, 1);
     sw.setRoute(2, 2);
@@ -40,13 +41,14 @@ TEST(Switch, RoutesToConfiguredPort)
     sys.events().run();
     ASSERT_EQ(sw.outQueue(2).size(), 1u);
     EXPECT_EQ(sw.outQueue(2).pop().value, 5u);
-    EXPECT_EQ(sw.forwarded(), 1u);
+    EXPECT_EQ(totals.forwarded, 1u);
 }
 
 TEST(Switch, CutThroughLatency)
 {
     System sys{Config{}};
-    Switch sw(sys, "sw", 2);
+    SwitchTotals totals;
+    Switch sw(sys, "sw", totals, 2);
     sw.setRoute(1, 1);
     sw.inQueue(0).push(mkPkt(0, 1, 1));
     sys.events().run();
@@ -58,7 +60,8 @@ TEST(Switch, HeadOfLineBlockingOnFullOutput)
     Config cfg;
     cfg.switchQueuePackets = 2;
     System sys{cfg};
-    Switch sw(sys, "sw", 2);
+    SwitchTotals totals;
+    Switch sw(sys, "sw", totals, 2);
     sw.setRoute(1, 1);
 
     // Input capacity is also 2: fill in two rounds.
@@ -81,7 +84,8 @@ TEST(Switch, HeadOfLineBlockingOnFullOutput)
 TEST(Switch, PerSourceInOrderDelivery)
 {
     System sys{Config{}};
-    Switch sw(sys, "sw", 4);
+    SwitchTotals totals;
+    Switch sw(sys, "sw", totals, 4);
     for (NodeId n = 0; n < 4; ++n)
         sw.setRoute(n, n);
 
@@ -113,7 +117,8 @@ TEST(Switch, DrainWakesWaitersInAscendingInputOrder)
     Config cfg;
     cfg.switchQueuePackets = 1;
     System sys{cfg};
-    Switch sw(sys, "sw", 6, 1);
+    SwitchTotals totals;
+    Switch sw(sys, "sw", totals, 6, 1);
     for (NodeId n = 0; n < 6; ++n)
         sw.setRoute(n, n);
 
@@ -149,7 +154,7 @@ TEST(Switch, DrainWakesWaitersInAscendingInputOrder)
     sys.events().run();
     EXPECT_TRUE(sw.inQueue(4).empty());
     EXPECT_EQ(sw.outQueue(5).pop().value, 4u);
-    EXPECT_EQ(sw.forwarded(), 6u);
+    EXPECT_EQ(totals.forwarded, 6u);
 }
 
 TEST(Switch, ApplyRoutesReevaluatesEveryStalledInput)
@@ -157,7 +162,8 @@ TEST(Switch, ApplyRoutesReevaluatesEveryStalledInput)
     Config cfg;
     cfg.switchQueuePackets = 1;
     System sys{cfg};
-    Switch sw(sys, "sw", 3, 1);
+    SwitchTotals totals;
+    Switch sw(sys, "sw", totals, 3, 1);
     sw.setRoute(0, 0);
     sw.setRoute(1, 1);
     sw.setRoute(2, 1);
@@ -182,13 +188,14 @@ TEST(Switch, ApplyRoutesReevaluatesEveryStalledInput)
     EXPECT_EQ(sw.outQueue(1).pop().value, 10u);
     sys.events().run();
     EXPECT_TRUE(sw.outQueue(1).empty());
-    EXPECT_EQ(sw.forwarded(), 2u);
+    EXPECT_EQ(totals.forwarded, 2u);
 }
 
 TEST(SwitchDeathTest, UnroutedDestinationPanics)
 {
     System sys{Config{}};
-    Switch sw(sys, "sw", 2);
+    SwitchTotals totals;
+    Switch sw(sys, "sw", totals, 2);
     // The routing lookup happens as soon as the packet heads the queue.
     EXPECT_DEATH(
         {

@@ -74,7 +74,8 @@ TEST(MultiLaneChannel, BlockedLaneDoesNotStallTheOther)
 TEST(SwitchVc, VcMapBumpsPacketsToEscapeLane)
 {
     System sys{Config{}};
-    Switch sw(sys, "sw", 2, /*vcs=*/2);
+    SwitchTotals totals;
+    Switch sw(sys, "sw", totals, 2, /*vcs=*/2);
     sw.setRoute(1, 1);
     sw.setVcMap([](const Packet &, std::size_t, std::size_t out_port,
                    std::uint8_t vc) {
@@ -95,7 +96,8 @@ TEST(SwitchVc, VcsHaveIndependentBuffers)
     Config cfg;
     cfg.switchQueuePackets = 1;
     System sys{cfg};
-    Switch sw(sys, "sw", 2, 2);
+    SwitchTotals totals;
+    Switch sw(sys, "sw", totals, 2, 2);
     sw.setRoute(1, 1);
 
     // Fill VC0's output; VC1 traffic must still flow.
@@ -111,7 +113,8 @@ TEST(SwitchVc, VcsHaveIndependentBuffers)
 TEST(SwitchVcDeathTest, VcMapOutOfRangePanics)
 {
     System sys{Config{}};
-    Switch sw(sys, "sw", 2, 2);
+    SwitchTotals totals;
+    Switch sw(sys, "sw", totals, 2, 2);
     sw.setRoute(1, 1);
     sw.setVcMap([](const Packet &, std::size_t, std::size_t, std::uint8_t) {
         return std::uint8_t(7);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -144,20 +145,22 @@ TEST(StatRegistry, DumpAndLookup)
 {
     StatRegistry reg;
     double a = 3;
-    Sampler s;
-    s.sample(1);
-    s.sample(2);
+    Histogram h;
+    h.sample(1);
+    h.sample(2);
     reg.add("alpha.count", &a);
-    reg.add("beta.latency", &s);
+    reg.add("beta.latency", &h);
 
-    EXPECT_DOUBLE_EQ(reg.scalar("alpha.count"), 3.0);
-    EXPECT_DOUBLE_EQ(reg.scalar("missing"), 0.0);
+    EXPECT_EQ(reg.find("alpha.count"), 3.0);
+    EXPECT_FALSE(reg.find("missing").has_value());
 
     std::ostringstream os;
     reg.dump(os);
     const std::string out = os.str();
     EXPECT_NE(out.find("alpha.count"), std::string::npos);
-    EXPECT_NE(out.find("beta.latency.mean"), std::string::npos);
+    EXPECT_NE(out.find("beta.latency.count"), std::string::npos);
+    // A histogram is not a scalar.
+    EXPECT_FALSE(reg.find("beta.latency").has_value());
 }
 
 TEST(StatRegistry, HistogramsRegisterDumpAndExport)
@@ -186,24 +189,27 @@ TEST(StatRegistry, DumpJsonCoversAllStatKinds)
 {
     StatRegistry reg;
     double a = 3;
-    Sampler s;
-    s.sample(1);
-    s.sample(2);
+    std::vector<int> v{1, 2};
     Histogram h(10.0, 2);
     h.sample(5);
     reg.add("alpha.count", &a);
-    reg.add("beta.latency", &s);
+    reg.add("beta.size", &v,
+            [](const std::vector<int> &x) { return x.size(); });
     reg.add("gamma.hist", &h);
 
     std::ostringstream os;
     reg.dumpJson(os);
     const std::string out = os.str();
-    EXPECT_NE(out.find("\"schema\":\"tg-stats-v1\""), std::string::npos);
-    EXPECT_NE(out.find("\"alpha.count\":3"), std::string::npos) << out;
-    EXPECT_NE(out.find("\"beta.latency\""), std::string::npos);
-    EXPECT_NE(out.find("\"p50\""), std::string::npos);
-    EXPECT_NE(out.find("\"gamma.hist\""), std::string::npos);
+    EXPECT_EQ(out.rfind("{\"schema\":\"tg-stats-v2\",\"scalars\":{", 0), 0u)
+        << out;
+    EXPECT_NE(out.find("\"alpha.count\":3,\"beta.size\":2},"),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("},\"histograms\":{\"gamma.hist\":"),
+              std::string::npos)
+        << out;
     EXPECT_NE(out.find("\"buckets\":[1,0]"), std::string::npos) << out;
+    EXPECT_EQ(out.find("samplers"), std::string::npos) << out;
 
     // Two dumps of the same registry are byte-identical (determinism).
     std::ostringstream again;
@@ -256,7 +262,6 @@ TEST(StatRegistry, FormulasReadLiveValuesAsScalars)
 
     EXPECT_EQ(reg.find("node0.cache.hits"), 7.0);
     EXPECT_EQ(reg.find("node0.cache.lines"), 3.0);
-    EXPECT_DOUBLE_EQ(reg.scalar("node0.cache.hits"), 7.0);
     EXPECT_FALSE(reg.find("node0.cache.misses").has_value());
     EXPECT_FALSE(reg.find("node0.cache").has_value());
     EXPECT_FALSE(reg.find("node0.cachehits").has_value());
@@ -282,6 +287,92 @@ TEST(StatRegistry, ReRegistrationReplacesTheEntry)
     reg.dump(text);
     EXPECT_EQ(text.str().find(" 1\n"), std::string::npos) << text.str();
     EXPECT_NE(text.str().find(" 2\n"), std::string::npos) << text.str();
+}
+
+/** One of each stat kind, registered on construction. */
+struct Counters
+{
+    std::uint64_t big = 0;
+    std::int64_t neg = 0;
+    double third = 0;
+    double tiny = 0;
+    Histogram hist{2.5, 3};
+    std::vector<int> lines;
+
+    explicit Counters(StatRegistry &reg)
+    {
+        reg.add("c.big", &big);
+        reg.add("c.neg", &neg);
+        reg.add("c.third", &third);
+        reg.add("c.tiny", &tiny);
+        reg.add("c.hist", &hist);
+        reg.add("c.lines", &lines,
+                [](const std::vector<int> &v) { return v.size(); });
+    }
+};
+
+std::string
+saved(const StatRegistry &reg)
+{
+    std::ostringstream os;
+    reg.save(os);
+    return os.str();
+}
+
+TEST(StatRegistry, SaveRestoreRoundTripsFieldsAndHistograms)
+{
+    StatRegistry from_reg;
+    Counters from(from_reg);
+    from.big = (std::uint64_t(1) << 60) + 3; // not a double
+    from.neg = -7;
+    from.third = 1.0 / 3.0;
+    from.tiny = -0x1p-1074; // the smallest subnormal, negated
+    from.hist.sample(1);
+    from.hist.sample(6);
+    from.hist.sample(100);
+    from.lines = {1, 2, 3};
+    const std::string section = saved(from_reg);
+    // Sorted by name; the formula is not written.
+    EXPECT_EQ(section.rfind("5\nc.big 1152921504606846979\nc.hist ", 0), 0u)
+        << section;
+    EXPECT_EQ(section.find("c.lines"), std::string::npos) << section;
+
+    StatRegistry to_reg;
+    Counters to(to_reg);
+    std::istringstream in(section);
+    to_reg.restore(in);
+    EXPECT_EQ(to.big, from.big);
+    EXPECT_EQ(to.neg, -7);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(to.third),
+              std::bit_cast<std::uint64_t>(from.third));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(to.tiny),
+              std::bit_cast<std::uint64_t>(from.tiny));
+    EXPECT_EQ(to.hist.count(), 3u);
+    EXPECT_EQ(to.hist.buckets(), from.hist.buckets());
+    EXPECT_TRUE(to.lines.empty());
+    EXPECT_EQ(saved(to_reg), section);
+}
+
+TEST(StatRegistryDeathTest, RestoreRejectsWhatItCannotStore)
+{
+    StatRegistry reg;
+    Counters c(reg);
+    auto restore = [&reg](const std::string &section) {
+        std::istringstream in(section);
+        reg.restore(in);
+    };
+    const std::string width = std::to_string(std::bit_cast<std::uint64_t>(2.5));
+    const std::string other = std::to_string(std::bit_cast<std::uint64_t>(5.0));
+    EXPECT_DEATH(restore("1\nc.gone 1\n"),
+                 "'c.gone' is not a registered field or histogram");
+    EXPECT_DEATH(restore("1\nc.lines 3\n"),
+                 "'c.lines' is not a registered field or histogram");
+    EXPECT_DEATH(restore("1\nc.hist " + width + " 2 0 0 0\n"),
+                 "'c.hist' has 2 buckets of width 2.5, the registered one 3");
+    EXPECT_DEATH(restore("1\nc.hist " + other + " 3 0 0 0 0\n"),
+                 "'c.hist' has 3 buckets of width 5, the registered one 3 "
+                 "of width 2.5");
+    EXPECT_DEATH(restore("2\nc.big 1\n"), "truncated");
 }
 
 } // namespace
