@@ -14,12 +14,12 @@
  */
 
 #include <cstdio>
-#include <set>
 
 #include "api/cluster.hpp"
 #include "api/context.hpp"
 #include "api/measure.hpp"
 #include "api/segment.hpp"
+#include "net/link.hpp"
 
 using namespace tg;
 
@@ -31,9 +31,9 @@ struct Latencies
     double readUs = 0;
     double atomicUs = 0;
     double fenceUs = 0;
-    /** Mean request-hop wire serialization of a remote write (traced
-     *  runs only).  Steady-state streamed writes complete at exactly
-     *  this interval — the paper's 0.70 us (section 3.2). */
+    /** Wire serialization of one remote-write request (traced runs
+     *  only).  Steady-state streamed writes complete at exactly this
+     *  interval — the paper's 0.70 us (section 3.2). */
     double writeWireUs = 0;
 };
 
@@ -92,23 +92,12 @@ measure(Prototype proto, int ops, BenchReport *report = nullptr,
 
     if (traced) {
         // The streamed-write rate is bottlenecked by wire serialization:
-        // average the request-hop LinkTx serialization time (the event's
-        // aux payload) over every traced remote write.
-        std::set<std::uint64_t> seen;
-        std::uint64_t serSum = 0, serN = 0;
-        const trace::Tracer &tr = cluster.tracer();
-        for (const trace::TraceEvent &ev : tr.events()) {
-            if (ev.span != trace::Span::LinkTx || seen.count(ev.id))
-                continue;
-            if (tr.kindOf(ev.id) != trace::OpKind::RemoteWrite)
-                continue;
-            seen.insert(ev.id);
-            serSum += ev.aux;
-            ++serN;
-        }
-        if (serN)
-            out.writeWireUs = toUs(static_cast<Tick>(serSum)) /
-                              static_cast<double>(serN);
+        // the time the link charges one WriteReq.
+        const Config &cfg = cluster.config();
+        net::Packet req;
+        req.type = net::PacketType::WriteReq;
+        out.writeWireUs = toUs(net::Channel::serTicks(
+            req.wireBytes(cfg.packetHeaderBytes), cfg.linkBytesPerTick));
 
         const trace::Breakdown bd = cluster.latencyBreakdown();
         std::printf("\n--- lifecycle breakdown (%s, traced run) ---\n",

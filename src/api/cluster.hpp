@@ -353,13 +353,6 @@ class Cluster : public coherence::Fabric
         return _sys->tracer().breakdown();
     }
 
-    /** Export the recording as Chrome trace_event JSON
-     *  (chrome://tracing, https://ui.perfetto.dev). */
-    void writeChromeTrace(std::ostream &os) const
-    {
-        _sys->tracer().writeChromeTrace(os);
-    }
-
     /** All segments allocated so far. */
     const std::vector<std::unique_ptr<Segment>> &segments() const
     {

@@ -34,7 +34,6 @@ Communicator::Communicator(BuildKey, Cluster &cluster,
 {
     if (_members.size() < 2)
         fatal("Communicator %s: needs at least 2 members", name.c_str());
-    _traceComp = cluster.tracer().registerComponent("comm." + name);
 
     if (_backend == CollectiveBackend::Nic) {
         // One shared group object registered with every member's engine:
@@ -98,16 +97,14 @@ std::uint64_t
 Communicator::hostTraceBegin(trace::OpKind kind)
 {
     const std::uint64_t id = _cluster.tracer().beginOp(kind);
-    _cluster.tracer().record(id, trace::Span::CpuIssue, _cluster.now(),
-                             _traceComp);
+    _cluster.tracer().record(id, trace::Span::CpuIssue, _cluster.now());
     return id;
 }
 
 void
 Communicator::hostTraceEnd(std::uint64_t id)
 {
-    _cluster.tracer().record(id, trace::Span::Completion, _cluster.now(),
-                             _traceComp);
+    _cluster.tracer().record(id, trace::Span::Completion, _cluster.now());
 }
 
 Task<Result<void>>

@@ -151,7 +151,6 @@ class Communicator
     CollectiveBackend _backend;
     std::uint32_t _groupId;
     std::size_t _maxWords;
-    std::uint16_t _traceComp = 0;
 
     // Host-backend state (empty/null on the NIC backend).
     std::vector<Segment *> _bcast; ///< one per member (owner = member)

@@ -111,7 +111,6 @@ CollEngine::CollEngine(System &sys, Hib &hib)
     reg.add({hib.name(), "coll_desc_now"}, &_descNow);
     reg.add({hib.name(), "coll_desc_peak"}, &_descPeak);
     reg.add({hib.name(), "coll_errors"}, &_errors);
-    _traceComp = sys.tracer().registerComponent(_name);
 }
 
 void
@@ -184,8 +183,7 @@ CollEngine::issue(std::uint32_t ctx_idx, const CollArgs &args, OnWord done)
     }
     _descNow += 1;
     _descPeak = std::max(_descPeak, _descNow);
-    _sys.tracer().record(p.traceId, trace::Span::CpuIssue, now(),
-                         _traceComp);
+    _sys.tracer().record(p.traceId, trace::Span::CpuIssue, now());
     tryAdvance(*g, seq, p);
 }
 
@@ -396,8 +394,7 @@ CollEngine::complete(CollGroup &g, std::uint64_t seq, Pending &p,
     const std::uint64_t traceId = p.traceId;
     _pending.erase(Key{g.id(), seq});
     auto fire = [this, traceId, done = std::move(done), result]() mutable {
-        _sys.tracer().record(traceId, trace::Span::Completion, now(),
-                             _traceComp);
+        _sys.tracer().record(traceId, trace::Span::Completion, now());
         if (done)
             done(result);
     };

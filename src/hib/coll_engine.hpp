@@ -174,7 +174,6 @@ class CollEngine : public SimObject
     std::uint64_t _descNow = 0;   ///< descriptors currently armed
     std::uint64_t _descPeak = 0;  ///< high-water mark of armed descriptors
     std::uint64_t _errors = 0;    ///< completions carrying the error flag
-    std::uint16_t _traceComp = 0;
 };
 
 } // namespace tg::hib

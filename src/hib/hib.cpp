@@ -28,6 +28,11 @@ mixPacket(audit::TraceHash &h, const net::Packet &pkt)
     h.mix(pkt.ticket);
 }
 
+/** Remote reads one HIB can have in flight: "In the current version of
+ *  Telegraphos there can be no more than one outstanding read
+ *  operation" (paper footnote, section 2.3.5). */
+constexpr std::uint32_t kMaxOutstandingReads = 1;
+
 /** Lifecycle-tracer op kind for a packet that was injected untagged. */
 trace::OpKind
 opKindOf(net::PacketType t)
@@ -97,7 +102,6 @@ Hib::Hib(System &sys, const std::string &name, NodeId node,
     // link, so the counter must be visible even in fault-free runs.
     sys.stats().add({_name, "wire_failures"}, &_wireFailures);
     sys.stats().add({_name, "packets_handled"}, &_handled);
-    _traceComp = sys.tracer().registerComponent(name);
 }
 
 void
@@ -129,8 +133,7 @@ Hib::inject(Packet &&pkt, bool track)
     // HIB-internal traffic) start their lifecycle here.
     if (pkt.traceId == 0)
         pkt.traceId = _sys.tracer().beginOp(opKindOf(pkt.type));
-    _sys.tracer().record(pkt.traceId, trace::Span::HibLaunch, now(),
-                         _traceComp);
+    _sys.tracer().record(pkt.traceId, trace::Span::HibLaunch, now());
     // The backlog models the HIB's internal queueing: writes are latched
     // at TurboChannel speed and drain into the network at link speed
     // ("short batches of write operations may take advantage of
@@ -200,13 +203,11 @@ Hib::cpuRemoteWrite(PAddr pa, Word value, OnDone latched,
 void
 Hib::cpuRemoteRead(PAddr pa, OnWord done, std::uint64_t traceId)
 {
-    // "In the current version of Telegraphos there can be no more than
-    // one outstanding read operation" (paper footnote, section 2.3.5).
-    // The blocking CPU enforces this naturally; the check documents the
-    // hardware invariant.
-    if (_readsInFlight >= config().maxOutstandingReads)
+    // The blocking CPU enforces the one-read limit naturally; the check
+    // documents the hardware invariant.
+    if (_readsInFlight >= kMaxOutstandingReads)
         panic("%s: %u remote reads in flight (limit %u)", _name.c_str(),
-              _readsInFlight + 1, config().maxOutstandingReads);
+              _readsInFlight + 1, kMaxOutstandingReads);
     ++_readsInFlight;
 
     Packet pkt;
@@ -487,8 +488,7 @@ Hib::pumpIngress()
         ++_handled;
         system().ledger().onDelivered();
         mixPacket(system().events().trace(), pkt);
-        _sys.tracer().record(pkt.traceId, trace::Span::HibHandle, now(),
-                             _traceComp);
+        _sys.tracer().record(pkt.traceId, trace::Span::HibHandle, now());
         handlePacket(std::move(pkt), [this] {
             _ingressBusy = false;
             pumpIngress();
@@ -541,8 +541,7 @@ Hib::deliverReply(const Packet &pkt)
              (unsigned long long)pkt.ticket);
         return;
     }
-    _sys.tracer().record(pkt.traceId, trace::Span::Completion, now(),
-                         _traceComp);
+    _sys.tracer().record(pkt.traceId, trace::Span::Completion, now());
     cb(pkt.value);
 }
 
@@ -745,8 +744,7 @@ Hib::handleCopyData(Packet &&pkt, OnDone finished)
     const std::uint64_t traceId = pkt.traceId;
     schedule(cost, [this, ticket, traceId,
                     finished = std::move(finished)] {
-        _sys.tracer().record(traceId, trace::Span::Completion, now(),
-                             _traceComp);
+        _sys.tracer().record(traceId, trace::Span::Completion, now());
         _outstanding.complete();
         if (OnWord cb = takeReply(ticket))
             cb(0);
@@ -765,8 +763,7 @@ Hib::handlePacket(Packet &&pkt, OnDone finished)
       case PacketType::WriteAck:
       case PacketType::UpdateAck:
         // The ack closes the originating write's lifecycle.
-        _sys.tracer().record(pkt.traceId, trace::Span::Completion, now(),
-                             _traceComp);
+        _sys.tracer().record(pkt.traceId, trace::Span::Completion, now());
         _outstanding.complete();
         finished();
         return;

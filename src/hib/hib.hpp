@@ -276,7 +276,6 @@ class Hib : public SimObject, public net::NodeEndpoint
     std::uint64_t _handled = 0;
     std::uint32_t _readsInFlight = 0;
     std::uint64_t _wireFailures = 0;
-    std::uint16_t _traceComp = 0;
 };
 
 } // namespace tg::hib

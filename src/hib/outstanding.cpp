@@ -16,7 +16,6 @@ Outstanding::Outstanding(System &sys, const std::string &name)
     reg.add({_name, "peak"}, &_peak);
     reg.add({_name, "total"}, &_total);
     reg.add({_name, "lost"}, &_lost);
-    _traceComp = sys.tracer().registerComponent(name);
 }
 
 void
@@ -80,11 +79,9 @@ Outstanding::wakeWaiters()
 void
 Outstanding::waitDrain(Fn<void()> cb, std::uint64_t traceId)
 {
-    _sys.tracer().record(traceId, trace::Span::FenceStart, now(),
-                         _traceComp, _current);
+    _sys.tracer().record(traceId, trace::Span::FenceStart, now());
     if (_current == 0 && !_draining) {
-        _sys.tracer().record(traceId, trace::Span::FenceWake, now(),
-                             _traceComp);
+        _sys.tracer().record(traceId, trace::Span::FenceWake, now());
         cb();
         return;
     }
@@ -94,8 +91,7 @@ Outstanding::waitDrain(Fn<void()> cb, std::uint64_t traceId)
     // still zero.
     if (traceId != 0 && _sys.tracer().enabled()) {
         _waiters.push([this, traceId, cb = std::move(cb)] {
-            _sys.tracer().record(traceId, trace::Span::FenceWake, now(),
-                                 _traceComp);
+            _sys.tracer().record(traceId, trace::Span::FenceWake, now());
             cb();
         });
     } else {

@@ -69,7 +69,6 @@ class Outstanding : public SimObject
     std::uint64_t _lost = 0;
     Ring<Fn<void()>> _waiters;
     bool _draining = false;
-    std::uint16_t _traceComp = 0;
 };
 
 } // namespace tg::hib

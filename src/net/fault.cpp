@@ -7,6 +7,7 @@
 #include "net/fault.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/glob.hpp"
 
@@ -36,21 +37,9 @@ FaultInjector::FaultInjector(const FaultSpec &spec, std::uint64_t seed,
     _active = spec.enabled() &&
               (spec.linkFilter.empty() ||
                link_name.find(spec.linkFilter) != std::string::npos);
-}
 
-bool
-FaultInjector::windowApplies(const FaultWindow &w) const
-{
-    if (!w.target.empty())
-        return globMatch(w.target, _name);
-    return _active;
-}
-
-std::vector<FaultWindow>
-FaultInjector::mergedDownWindows() const
-{
     std::vector<FaultWindow> mine;
-    for (const auto &w : _spec.downWindows) {
+    for (const auto &w : spec.downWindows) {
         if (windowApplies(w))
             mine.push_back(FaultWindow{w.from, w.until, {}});
     }
@@ -59,14 +48,22 @@ FaultInjector::mergedDownWindows() const
                   return a.from != b.from ? a.from < b.from
                                           : a.until < b.until;
               });
-    std::vector<FaultWindow> merged;
+    // Coalesce overlapping and abutting windows: every outage query
+    // answers from this one disjoint, sorted list.
     for (const auto &w : mine) {
-        if (!merged.empty() && w.from <= merged.back().until)
-            merged.back().until = std::max(merged.back().until, w.until);
+        if (!_down.empty() && w.from <= _down.back().until)
+            _down.back().until = std::max(_down.back().until, w.until);
         else
-            merged.push_back(w);
+            _down.push_back(w);
     }
-    return merged;
+}
+
+bool
+FaultInjector::windowApplies(const FaultWindow &w) const
+{
+    if (!w.target.empty())
+        return globMatch(w.target, _name);
+    return _active;
 }
 
 bool
@@ -93,62 +90,44 @@ FaultInjector::corruptBit(std::uint32_t bits)
     return static_cast<std::uint32_t>(_rng.below(bits));
 }
 
+const FaultWindow *
+FaultInjector::outageAt(Tick now) const
+{
+    // The last window starting at or before @p now is the only one that
+    // can cover it (the list is disjoint and sorted).
+    auto it = std::upper_bound(
+        _down.begin(), _down.end(), now,
+        [](Tick t, const FaultWindow &w) { return t < w.from; });
+    if (it == _down.begin() || now >= std::prev(it)->until)
+        return nullptr;
+    return &*std::prev(it);
+}
+
 bool
 FaultInjector::isDown(Tick now) const
 {
-    for (const auto &w : _spec.downWindows) {
-        if (now >= w.from && now < w.until && windowApplies(w))
-            return true;
-    }
-    return false;
+    return outageAt(now) != nullptr;
 }
 
 Tick
 FaultInjector::downUntil(Tick now) const
 {
-    Tick until = now;
-    // Windows may overlap or abut; extend across the union of applicable
-    // windows covering `until` so one wake-up lands past the whole
-    // outage.
-    bool grew = true;
-    while (grew) {
-        grew = false;
-        for (const auto &w : _spec.downWindows) {
-            if (until >= w.from && until < w.until && windowApplies(w)) {
-                until = w.until;
-                grew = true;
-            }
-        }
-    }
-    return until;
+    const FaultWindow *w = outageAt(now);
+    return w ? w->until : now;
 }
 
 Tick
 FaultInjector::downStart(Tick now) const
 {
-    if (!isDown(now))
-        return now;
-    // Start of the union of applicable windows covering `now`.
-    Tick start = now;
-    bool grew = true;
-    while (grew) {
-        grew = false;
-        for (const auto &w : _spec.downWindows) {
-            if (w.from < start && w.until > start && windowApplies(w)) {
-                start = w.from;
-                grew = true;
-            }
-        }
-    }
-    return start;
+    const FaultWindow *w = outageAt(now);
+    return w ? w->from : now;
 }
 
 bool
 FaultInjector::downPastDeadline(Tick now) const
 {
-    if (!isDown(now))
-        return false;
-    return now - downStart(now) > _spec.linkDownDeadline;
+    const FaultWindow *w = outageAt(now);
+    return w && now - w->from > _spec.linkDownDeadline;
 }
 
 } // namespace tg::net

@@ -56,8 +56,12 @@ class FaultInjector
 
     /** Union-merged down-windows applicable to this link, sorted by
      *  start (abutting/overlapping windows coalesced).  The fabric-level
-     *  rerouter plans routing epochs from this. */
-    std::vector<FaultWindow> mergedDownWindows() const;
+     *  rerouter plans routing epochs from this, and every outage query
+     *  below answers from it, so both agree on where an outage starts. */
+    const std::vector<FaultWindow> &mergedDownWindows() const
+    {
+        return _down;
+    }
 
     // ------------------------------------------------------------------
     // Per-transmission decisions (each consumes RNG state; call exactly
@@ -98,10 +102,14 @@ class FaultInjector
     const FaultSpec &spec() const { return _spec; }
 
   private:
+    /** The merged window covering @p now, or nullptr when up. */
+    const FaultWindow *outageAt(Tick now) const;
+
     const FaultSpec &_spec;
     std::string _name;
     bool _active;
     Rng _rng;
+    std::vector<FaultWindow> _down; ///< merged, disjoint, sorted
 };
 
 } // namespace tg::net

@@ -41,7 +41,6 @@ Channel::Channel(System &sys, const std::string &name,
         lane.up->onData([this] { pump(); });
         lane.down->onSpace([this] { pump(); });
     }
-    _traceComp = sys.tracer().registerComponent(name);
 }
 
 Channel::Channel(System &sys, const std::string &name,
@@ -53,14 +52,14 @@ Channel::Channel(System &sys, const std::string &name,
 }
 
 Tick
-Channel::serTicks(std::uint32_t wire_bytes) const
+Channel::serTicks(std::uint32_t wire_bytes, double bytes_per_tick)
 {
     // Bandwidth is configured in (fractional) bytes per tick; ceil keeps
     // the serialization time integral and pessimistic, and IEEE division
     // of exact integers is bit-identical across platforms.
     // tglint: allow(tick-float)
     return static_cast<Tick>(
-        std::ceil(static_cast<double>(wire_bytes) / _bw));
+        std::ceil(static_cast<double>(wire_bytes) / bytes_per_tick));
 }
 
 void
@@ -101,19 +100,18 @@ Channel::pump()
     const PacketHandle h = _lanes[li].up->popHandle();
     const Packet &p = _arena->packet(h);
     const std::uint32_t bytes = p.wireBytes(config().packetHeaderBytes);
-    const Tick ser = serTicks(bytes);
+    const Tick ser = serTicks(bytes, _bw);
     ++_packets;
     _bytes += bytes;
 
-    _sys.tracer().record(p.traceId, trace::Span::LinkTx, now(), _traceComp,
-                         ser);
+    _sys.tracer().record(p.traceId, trace::Span::LinkTx, now());
     // The packet lands after serialization + propagation delay; the wire
     // frees after serialization.  The arrival is scheduled first so that
     // at an equal tick (a zero-delay link) the packet is delivered before
     // the freed wire's pump decides.
     schedule(ser + _delay, [this, li, h] {
         _sys.tracer().record(_arena->packet(h).traceId, trace::Span::LinkRx,
-                             now(), _traceComp);
+                             now());
         _lanes[li].down->pushReservedHandle(h);
     });
     schedule(ser, [this, ser] { wireFree(ser); });
@@ -232,13 +230,12 @@ Channel::pumpReliable()
     }
 
     const std::uint32_t bytes = wire.wireBytes(config().packetHeaderBytes);
-    const Tick ser = serTicks(bytes);
+    const Tick ser = serTicks(bytes, _bw);
 
     ++_packets;
     _bytes += bytes;
 
-    _sys.tracer().record(wire.traceId, trace::Span::LinkTx, now(),
-                         _traceComp, ser);
+    _sys.tracer().record(wire.traceId, trace::Span::LinkTx, now());
     schedule(ser, [this, ser] { wireFree(ser); });
     if (drop) {
         // The transfer vanishes on the wire; the reserved slot frees when
@@ -280,8 +277,7 @@ Channel::deliver(std::size_t li, Packet &&wire, bool dup_follows)
     if (wire.lseq == ls.rxExpected) {
         ++ls.rxExpected;
         const std::uint64_t acked = wire.lseq;
-        _sys.tracer().record(wire.traceId, trace::Span::LinkRx, now(),
-                             _traceComp);
+        _sys.tracer().record(wire.traceId, trace::Span::LinkRx, now());
         lane.down->pushReserved(std::move(wire));
         schedule(_delay, [this, li, acked] { onAck(li, acked); });
         return;
@@ -339,7 +335,7 @@ Channel::onNack(std::size_t li)
         return;
     const std::uint32_t head_bytes =
         ls.unacked.front().pkt.wireBytes(config().packetHeaderBytes);
-    ls.nackMuteUntil = now() + serTicks(head_bytes) + 2 * _delay;
+    ls.nackMuteUntil = now() + serTicks(head_bytes, _bw) + 2 * _delay;
     ls.resend = 0;
     armTimer(li);
     pump();

@@ -88,6 +88,10 @@ class Channel : public SimObject
     Channel(System &sys, const std::string &name, BoundedQueue &upstream,
             BoundedQueue &downstream, double bytes_per_tick, Tick delay);
 
+    /** Serialization time of @p wire_bytes on a link moving
+     *  @p bytes_per_tick: what every transmission charges the wire. */
+    static Tick serTicks(std::uint32_t wire_bytes, double bytes_per_tick);
+
     /** Install the permanent-delivery-failure handler. */
     void setFailureHandler(FailureHandler h) { _failHandler = std::move(h); }
 
@@ -165,9 +169,6 @@ class Channel : public SimObject
      *  deadline): the failover path. */
     void failFast();
 
-    /** Serialization time of @p wire_bytes on this channel. */
-    Tick serTicks(std::uint32_t wire_bytes) const;
-
     /** Lane after @p c in round-robin order (compare-and-wrap). */
     std::size_t
     nextLane(std::size_t c) const
@@ -198,7 +199,6 @@ class Channel : public SimObject
     std::uint64_t _dupDiscards = 0;
     std::uint64_t _outOfWindow = 0;
     std::uint64_t _wireFailures = 0;
-    std::uint16_t _traceComp = 0;
 };
 
 } // namespace tg::net

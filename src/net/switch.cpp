@@ -30,7 +30,6 @@ Switch::Switch(System &sys, const std::string &name, SwitchTotals &totals,
                 [this, o = idx(p, v)] { wakeWaiters(o); });
         }
     }
-    _traceComp = sys.tracer().registerComponent(name);
 }
 
 void
@@ -129,8 +128,7 @@ Switch::pump(std::size_t port, std::size_t vc)
         p.vc = out_vc;
         ++p.hopsDone;
         ++_totals.forwarded;
-        _sys.tracer().record(p.traceId, trace::Span::SwitchFwd, now(),
-                             _traceComp, p.hopsDone);
+        _sys.tracer().record(p.traceId, trace::Span::SwitchFwd, now());
         _out[idx(out, out_vc)]->pushReservedHandle(h);
         _busy[idx(port, vc)] = false;
         pump(port, vc);

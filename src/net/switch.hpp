@@ -158,7 +158,6 @@ class Switch : public SimObject
     std::vector<std::size_t> _routes; // indexed by NodeId
     VcMap _vcMap;
     RouteFn _routeFn;
-    std::uint16_t _traceComp = 0;
 };
 
 } // namespace tg::net

@@ -18,7 +18,6 @@ Cpu::Cpu(System &sys, const std::string &name, NodeId node, Mmu &mmu,
 {
     sys.stats().add({_name, "ops_issued"}, &_opsIssued);
     sys.stats().add({_name, "context_switches"}, &_switches);
-    _traceComp = sys.tracer().registerComponent(name);
 }
 
 int
@@ -200,8 +199,7 @@ Cpu::execute(const CpuOp &op, Word *result, Fn<void()> done)
                  [this, done = std::move(done)]() mutable {
                      const std::uint64_t traceId =
                          _sys.tracer().beginOp(trace::OpKind::Fence);
-                     _sys.tracer().record(traceId, trace::Span::CpuIssue,
-                                          now(), _traceComp);
+                     _sys.tracer().record(traceId, trace::Span::CpuIssue, now());
                      waitWriteBufferEmpty(
                          [this, done = std::move(done), traceId]() mutable {
                              _hib.fence(std::move(done), traceId);
@@ -220,26 +218,32 @@ Cpu::execute(const CpuOp &op, Word *result, Fn<void()> done)
 
     if (!t.ok) {
         // Page fault / protection violation: hand to the OS.
-        schedule(charge, [this, op, result, done = std::move(done)]() mutable {
-            // The fault handler is a copyable std::function, so the
-            // move-only completion rides in a shared_ptr (cold path).
-            auto shared = std::make_shared<Fn<void()>>(std::move(done));
-            auto retry = [this, op, result, shared] {
-                execute(op, result, std::move(*shared));
-            };
-            auto kill = [this](std::string reason) {
-                killCurrent(reason);
-            };
-            if (_faultHandler)
-                _faultHandler(op.va, op.kind == CpuOp::Kind::Write,
-                              std::move(retry), std::move(kill));
-            else
-                killCurrent("unhandled fault");
-        });
+        trapToOs(op, result, charge, std::move(done), "unhandled fault");
         return;
     }
 
     performAccess(op, t, result, charge, std::move(done));
+}
+
+void
+Cpu::trapToOs(const CpuOp &op, Word *result, Tick charge, Fn<void()> done,
+              const char *unhandled)
+{
+    schedule(charge, [this, op, result, done = std::move(done),
+                      unhandled]() mutable {
+        // The fault handler is a copyable std::function, so the
+        // move-only completion rides in a shared_ptr (cold path).
+        auto shared = std::make_shared<Fn<void()>>(std::move(done));
+        auto retry = [this, op, result, shared] {
+            execute(op, result, std::move(*shared));
+        };
+        auto kill = [this](std::string reason) { killCurrent(reason); };
+        if (_faultHandler)
+            _faultHandler(op.va, op.kind == CpuOp::Kind::Write,
+                          std::move(retry), std::move(kill));
+        else
+            killCurrent(unhandled);
+    });
 }
 
 void
@@ -367,8 +371,7 @@ Cpu::performAccess(const CpuOp &op, const Translation &t, Word *result,
             schedule(charge, [this, pa, op, done = std::move(done)]() mutable {
                 const std::uint64_t traceId =
                     _sys.tracer().beginOp(trace::OpKind::RemoteWrite);
-                _sys.tracer().record(traceId, trace::Span::CpuIssue, now(),
-                                     _traceComp);
+                _sys.tracer().record(traceId, trace::Span::CpuIssue, now());
                 bufferStore(pa, op.value, std::move(done), traceId);
             });
         } else {
@@ -378,8 +381,7 @@ Cpu::performAccess(const CpuOp &op, const Translation &t, Word *result,
                               done = std::move(done)]() mutable {
                 const std::uint64_t traceId =
                     _sys.tracer().beginOp(trace::OpKind::RemoteRead);
-                _sys.tracer().record(traceId, trace::Span::CpuIssue, now(),
-                                     _traceComp);
+                _sys.tracer().record(traceId, trace::Span::CpuIssue, now());
                 waitWriteBufferEmpty([this, pa, result,
                                       done = std::move(done),
                                       traceId]() mutable {
@@ -431,24 +433,11 @@ Cpu::performAccess(const CpuOp &op, const Translation &t, Word *result,
         return;
       }
 
-      case PageMode::VsmAbsent: {
+      case PageMode::VsmAbsent:
         // Not present: fault into the VSM layer.
-        schedule(charge, [this, op, result, done = std::move(done)]() mutable {
-            auto shared = std::make_shared<Fn<void()>>(std::move(done));
-            auto retry = [this, op, result, shared] {
-                execute(op, result, std::move(*shared));
-            };
-            auto kill = [this](std::string reason) {
-                killCurrent(reason);
-            };
-            if (_faultHandler)
-                _faultHandler(op.va, op.kind == CpuOp::Kind::Write,
-                              std::move(retry), std::move(kill));
-            else
-                killCurrent("VSM access with no handler");
-        });
+        trapToOs(op, result, charge, std::move(done),
+                 "VSM access with no handler");
         return;
-      }
 
       case PageMode::Invalid:
         break;

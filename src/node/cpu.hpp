@@ -151,6 +151,12 @@ class Cpu : public SimObject
     void performAccess(const CpuOp &op, const Translation &t, Word *result,
                        Tick charge, Fn<void()> done);
 
+    /** After @p charge, trap @p op to the OS fault handler, which may
+     *  retry it or kill the thread; with no handler installed the thread
+     *  dies with @p unhandled. */
+    void trapToOs(const CpuOp &op, Word *result, Tick charge,
+                  Fn<void()> done, const char *unhandled);
+
     // ------------------------------------------------------------------
     // Uncached-store write buffer (Alpha 21064: 4 entries).  I/O-space
     // stores complete into the buffer; a drain engine issues them over
@@ -207,7 +213,6 @@ class Cpu : public SimObject
 
     std::uint64_t _opsIssued = 0;
     std::uint64_t _switches = 0;
-    std::uint16_t _traceComp = 0;
 };
 
 /** Awaitable wrapping one CpuOp (used by the api::Ctx helpers). */

@@ -16,7 +16,6 @@ TurboChannel::TurboChannel(System &sys, const std::string &name)
     reg.add({_name, "busy_ticks"}, &_busyTicks);
     reg.add({_name, "wait_ticks"}, &_waitTicks);
     reg.add({_name, "wait_hist"}, &_waitHist);
-    _traceComp = sys.tracer().registerComponent(name);
 }
 
 void
@@ -40,8 +39,7 @@ TurboChannel::grantNext()
     _waitTicks += now() - txn.enqueued;
     _busyTicks += txn.hold;
     _waitHist.sample(static_cast<double>(now() - txn.enqueued));
-    _sys.tracer().record(txn.traceId, trace::Span::TcGrant, now(),
-                         _traceComp, txn.hold);
+    _sys.tracer().record(txn.traceId, trace::Span::TcGrant, now());
 
     schedule(txn.hold, [this, done = std::move(txn.done)] {
         ++_count;

@@ -61,7 +61,6 @@ class TurboChannel : public SimObject
     Tick _waitTicks = 0;
     /** Arbitration wait-time distribution (ticks), 64 x 100-tick buckets. */
     Histogram _waitHist{100.0, 64};
-    std::uint16_t _traceComp = 0;
 };
 
 } // namespace tg::node

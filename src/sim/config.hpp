@@ -222,8 +222,6 @@ struct Config
     /** Fan-out (max children per node) of the NIC collective engine's
      *  k-ary reduction/multicast trees (DESIGN.md section 15). */
     std::uint32_t collFanout = 4;
-    /** Max outstanding remote reads per node (paper footnote: one). */
-    std::uint32_t maxOutstandingReads = 1;
 
     // ------------------------------------------------------------------
     // Telegraphos network (switches + ribbon-cable links)

@@ -32,9 +32,11 @@
 namespace tg::audit {
 
 namespace detail {
-// Header-visible so every TG_AUDIT reads it inline.  Flipped only by
-// tests and single-threaded setup, never mid-run.
-inline bool g_enabled = true; // tglint: shard(shared-guarded)
+// Header-visible so every TG_AUDIT reads it inline.  Shared by every
+// Cluster in the process; flipped only by tests and setup, never
+// mid-run, and it switches checks, not simulated behaviour.
+// tglint: allow(global-mutable-state)
+inline bool g_enabled = true;
 } // namespace detail
 
 /** True when TG_AUDIT checks fire (default: on). */

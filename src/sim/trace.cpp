@@ -1,14 +1,13 @@
 /**
  * @file
  * Packet-lifecycle tracer: streaming aggregation, bounded retention,
- * breakdown derivation and JSON exports.
+ * breakdown derivation and its JSON export.
  */
 
 #include "sim/trace.hpp"
 
 #include <algorithm>
 #include <iomanip>
-#include <map>
 #include <sstream>
 
 namespace tg::trace {
@@ -22,20 +21,6 @@ fmt(double v)
     std::ostringstream os;
     os << std::setprecision(12) << v;
     return os.str();
-}
-
-/** JSON-escape a component or kind name (names are plain ASCII). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
 }
 
 } // namespace
@@ -151,13 +136,6 @@ Breakdown::toJson() const
     return os.str();
 }
 
-std::uint16_t
-Tracer::registerComponent(const std::string &name)
-{
-    _comps.push_back(name);
-    return static_cast<std::uint16_t>(_comps.size() - 1);
-}
-
 std::uint64_t
 Tracer::beginOp(OpKind kind)
 {
@@ -217,30 +195,15 @@ Tracer::kindOf(std::uint64_t id) const
 }
 
 void
-Tracer::recordImpl(std::uint64_t id, Span sp, Tick t, std::uint16_t comp,
-                   std::uint64_t aux)
+Tracer::recordImpl(std::uint64_t id, Span sp, Tick t)
 {
     ++_recorded;
 
-    // Bounded raw window: drop the oldest half in one move when full.
-    // Aggregation below streams regardless, so the breakdown still
-    // covers the whole run.
-    if (_events.size() >= _eventCap) {
-        const std::size_t half = _eventCap / 2 + 1;
-        _events.erase(_events.begin(),
-                      _events.begin() +
-                          static_cast<std::ptrdiff_t>(half));
-        _droppedWindow += half;
-    }
-    _events.push_back(TraceEvent{id, sp, comp, t, aux});
-
+    // An evicted op (or an id that never came from beginOp) no longer
+    // aggregates.
     const std::size_t i = openIndex(id);
-    if (i == _open.size()) {
-        // The op was evicted (or the id never came from beginOp): the
-        // event stays in the raw window but no longer aggregates.
-        ++_lateEvents;
+    if (i == _open.size())
         return;
-    }
     OpState &st = _open[i].st;
     if (st.boundaries == 0) {
         st.first = st.last = t;
@@ -329,65 +292,6 @@ Tracer::opLifetimes(OpKind kind) const
 }
 
 void
-Tracer::writeChromeTrace(std::ostream &os) const
-{
-    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
-          "\"args\":{\"name\":\"telegraphos\"}}";
-
-    auto compName = [&](std::uint16_t c) -> std::string {
-        return c < _comps.size() ? _comps[c] : "?";
-    };
-
-    std::map<std::uint64_t, std::vector<std::size_t>> byOp;
-    for (std::size_t i = 0; i < _events.size(); ++i)
-        byOp[_events[i].id].push_back(i);
-
-    for (const auto &[id, idxs] : byOp) {
-        const char *kind = opKindName(kindOf(id));
-        os << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"
-           << id << ",\"args\":{\"name\":\"" << kind << "#" << id << "\"}}";
-        // First boundary as an instant event, every later boundary as a
-        // complete ("X") event spanning from the previous boundary.
-        for (std::size_t i = 0; i < idxs.size(); ++i) {
-            const TraceEvent &ev = _events[idxs[i]];
-            if (i == 0) {
-                os << ",\n{\"name\":\"" << spanName(ev.span)
-                   << "\",\"cat\":\"" << kind
-                   << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":"
-                   << fmt(static_cast<double>(ev.tick) / kTicksPerUs)
-                   << ",\"pid\":0,\"tid\":" << id << ",\"args\":{\"comp\":\""
-                   << jsonEscape(compName(ev.comp)) << "\"}}";
-                continue;
-            }
-            const TraceEvent &prev = _events[idxs[i - 1]];
-            os << ",\n{\"name\":\"" << spanName(ev.span) << "\",\"cat\":\""
-               << kind << "\",\"ph\":\"X\",\"ts\":"
-               << fmt(static_cast<double>(prev.tick) / kTicksPerUs)
-               << ",\"dur\":"
-               << fmt(static_cast<double>(ev.tick - prev.tick) / kTicksPerUs)
-               << ",\"pid\":0,\"tid\":" << id << ",\"args\":{\"comp\":\""
-               << jsonEscape(compName(ev.comp)) << "\",\"aux\":" << ev.aux
-               << "}}";
-        }
-    }
-    os << "\n]}\n";
-}
-
-void
-Tracer::setRetainedEventCap(std::size_t cap)
-{
-    _eventCap = std::max<std::size_t>(cap, 2);
-    if (_events.size() > _eventCap) {
-        const std::size_t drop = _events.size() - _eventCap;
-        _events.erase(_events.begin(),
-                      _events.begin() + static_cast<std::ptrdiff_t>(drop));
-        _droppedWindow += drop;
-        _events.shrink_to_fit();
-    }
-}
-
-void
 Tracer::setOpenOpCap(std::size_t cap)
 {
     _openCap = std::max<std::size_t>(cap, 1);
@@ -404,27 +308,22 @@ Tracer::setLifetimeSampleCap(std::size_t cap)
 std::size_t
 Tracer::approxBytes() const
 {
-    std::size_t bytes = _events.capacity() * sizeof(TraceEvent);
-    bytes += _open.capacity() * sizeof(OpenOp);
+    std::size_t bytes = _open.capacity() * sizeof(OpenOp);
     for (const KindAgg &agg : _agg)
         bytes += agg.exact.capacity() * sizeof(Tick);
-    for (const std::string &c : _comps)
-        bytes += sizeof(std::string) + c.capacity();
     return bytes;
 }
 
 void
 Tracer::reset()
 {
-    _events.clear();
-    _events.shrink_to_fit();
     _open = Ring<OpenOp>{};
     for (auto &row : _cells)
         for (auto &cell : row)
             cell = Cell{};
     for (KindAgg &agg : _agg)
         agg = KindAgg{};
-    _recorded = _droppedWindow = _evictedOps = _lateEvents = 0;
+    _recorded = _evictedOps = 0;
     _nextId = 1;
 }
 

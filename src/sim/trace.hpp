@@ -5,9 +5,9 @@
  * The paper's evidence for its latency claims is a logic-analyzer
  * timeline: section 3.2 accounts for every nanosecond of the 0.70 us
  * remote write and the 7.2 us remote read.  The tracer is the simulator's
- * substitute for that instrument.  When enabled it records a timestamped
- * span event at every boundary a packet (or CPU-issued remote operation)
- * crosses:
+ * substitute for that instrument.  When enabled it is told, at every
+ * boundary a packet (or CPU-issued remote operation) crosses, which
+ * operation crossed which boundary and when:
  *
  *   CPU issue -> TurboChannel grant -> HIB launch -> link serialization
  *   -> switch forward -> remote HIB handle -> ack/completion
@@ -15,13 +15,14 @@
  *
  * keyed by a monotonic operation id that rides in Packet::traceId and is
  * copied into replies/acks, so one id covers the full request/response
- * lifecycle.  From the recording the tracer derives
+ * lifecycle.  The crossings are not stored: each one streams straight
+ * into fixed aggregates, from which the tracer derives
  *
  *  - a per-operation latency *breakdown* table: for every op kind the
  *    mean time spent between consecutive boundaries; components sum to
  *    the mean end-to-end lifecycle by construction, and
- *  - a Chrome trace_event JSON export for visual timelines
- *    (chrome://tracing or https://ui.perfetto.dev).
+ *  - per-kind first->last lifetimes (the p50/p99 latency columns) and
+ *    switch-hop counts.
  *
  * Scale contract (section 14.4): the tracer's memory is *bounded* no
  * matter how long the run or how many nodes trace into it.  Breakdown
@@ -29,11 +30,10 @@
  * operations live in a tg::Ring ordered by id, capped by setOpenOpCap():
  * ids are monotone, so a new op is pushed at the back, the oldest-id op
  * is evicted by pop(), and a lookup indexes the ring by the id's
- * distance from the front (binary search when sampling leaves gaps);
+ * distance from the front (binary search when sampling leaves gaps); and
  * per-kind lifetimes keep an exact sample set up to a cap and drop the
- * rest; and the raw-event window retains only the most recent events for
- * the Chrome export.  approxBytes() reports the footprint, counting the
- * open-op ring at its capacity, so tests can assert the bound.
+ * rest.  approxBytes() reports the footprint, counting the open-op ring
+ * at its capacity, so tests can assert the bound.
  *
  * Sampling contract: setSampleShift(s) records 1 in 2^s operations,
  * chosen by a splitmix64 hash of the operation id — a pure function of
@@ -69,7 +69,7 @@ enum class Span : std::uint8_t
     CpuIssue,   ///< CPU issued the remote operation
     TcGrant,    ///< TurboChannel granted the transaction carrying it
     HibLaunch,  ///< HIB latched the packet into its egress path
-    LinkTx,     ///< link started serializing the packet (aux = ser ticks)
+    LinkTx,     ///< link started serializing the packet
     LinkRx,     ///< packet landed at the downstream end of a link
     SwitchFwd,  ///< switch forwarded the packet to an output queue
     HibHandle,  ///< a HIB consumed the packet from its ingress FIFO
@@ -120,16 +120,6 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** One recorded boundary crossing. */
-struct TraceEvent
-{
-    std::uint64_t id;   ///< operation id (Packet::traceId), monotonic
-    Span span;          ///< which boundary
-    std::uint16_t comp; ///< registered component that recorded it
-    Tick tick;          ///< when
-    std::uint64_t aux;  ///< span-specific payload (LinkTx: ser ticks)
-};
-
 /** One component row of an operation-kind breakdown. */
 struct BreakdownRow
 {
@@ -168,9 +158,9 @@ struct Breakdown
 };
 
 /**
- * The recorder.  One per System; components register themselves once at
- * construction and call record() at packet boundaries.  All methods are
- * no-ops (without allocation) while disabled.
+ * The recorder.  One per System; components call record() at packet
+ * boundaries.  All methods are no-ops (without allocation) while
+ * disabled.
  */
 class Tracer
 {
@@ -200,16 +190,6 @@ class Tracer
     }
 
     /**
-     * Register a recording component (a HIB, link, switch, bus, CPU).
-     * Called once per component at construction time, never on the
-     * packet path.  @return the component's id for record().
-     */
-    std::uint16_t registerComponent(const std::string &name);
-
-    /** Names of all registered components, indexed by component id. */
-    const std::vector<std::string> &components() const { return _comps; }
-
-    /**
      * Allocate a fresh operation id of @p kind.  Returns the null id (0,
      * which record() ignores) while disabled.  The id counter advances —
      * and the real id is returned — for sampled and unsampled ops alike,
@@ -224,26 +204,17 @@ class Tracer
     /** Record one boundary crossing.  Constant-time branch when the
      *  tracer is disabled or @p id is the null id. */
     void
-    record(std::uint64_t id, Span sp, Tick t, std::uint16_t comp,
-           std::uint64_t aux = 0)
+    record(std::uint64_t id, Span sp, Tick t)
     {
         if (!_enabled || id == 0)
             return;
         if (_sampleShift != 0 && !sampled(id, _sampleShift))
             return;
-        recordImpl(id, sp, t, comp, aux);
+        recordImpl(id, sp, t);
     }
 
-    /** Retained raw-event window, in recording (= chronological) order.
-     *  Holds every event until the setRetainedEventCap() cap, then the
-     *  most recent ones (aggregates keep streaming regardless). */
-    const std::vector<TraceEvent> &events() const { return _events; }
-
-    /** Events recorded over the run, including any beyond the window. */
+    /** Boundary crossings recorded over the run. */
     std::uint64_t recordedEvents() const { return _recorded; }
-
-    /** Events dropped from the raw window to respect the cap. */
-    std::uint64_t droppedEvents() const { return _droppedWindow; }
 
     /** Open operations force-retired to respect the open-op cap. */
     std::uint64_t evictedOps() const { return _evictedOps; }
@@ -263,18 +234,12 @@ class Tracer
      */
     std::vector<Tick> opLifetimes(OpKind kind) const;
 
-    /** Write a Chrome trace_event JSON document of the retained window. */
-    void writeChromeTrace(std::ostream &os) const;
-
-    /** Drop recorded events and op ids (components stay registered). */
+    /** Drop recorded events and op ids. */
     void reset();
 
     // ------------------------------------------------------------------
     // Bounds (defaults hold every existing test/bench workload exactly)
     // ------------------------------------------------------------------
-
-    /** Cap on the raw-event window (oldest half drops when exceeded). */
-    void setRetainedEventCap(std::size_t cap);
 
     /** Cap on concurrently open (un-retired) operations. */
     void setOpenOpCap(std::size_t cap);
@@ -330,8 +295,7 @@ class Tracer
         OpState st{};
     };
 
-    void recordImpl(std::uint64_t id, Span sp, Tick t, std::uint16_t comp,
-                    std::uint64_t aux);
+    void recordImpl(std::uint64_t id, Span sp, Tick t);
     void retire(const OpState &st);
 
     /** Ring position of open op @p id, or _open.size() when not open. */
@@ -343,22 +307,15 @@ class Tracer
     bool _enabled = false;
     std::uint32_t _sampleShift = 0;
     std::uint64_t _nextId = 1;
-
-    std::vector<TraceEvent> _events; ///< bounded raw window
-    std::size_t _eventCap = std::size_t(1) << 18;
     std::uint64_t _recorded = 0;
-    std::uint64_t _droppedWindow = 0;
 
     Ring<OpenOp> _open; ///< open ops, ids increasing from the front
     std::size_t _openCap = std::size_t(1) << 15;
     std::uint64_t _evictedOps = 0;
-    std::uint64_t _lateEvents = 0; ///< events for evicted/unknown ops
 
     Cell _cells[kNumKinds][kNumSpans] = {};
     KindAgg _agg[kNumKinds];
     std::size_t _lifetimeCap = 4096;
-
-    std::vector<std::string> _comps;
 };
 
 } // namespace tg::trace

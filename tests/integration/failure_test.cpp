@@ -148,12 +148,5 @@ TEST(ConfigValidate, RejectsZeroCollFanout)
     EXPECT_DEATH(cfg.validate(), "collFanout");
 }
 
-TEST(ConfigValidate, RejectsZeroOutstandingReads)
-{
-    Config cfg;
-    cfg.maxOutstandingReads = 0;
-    EXPECT_DEATH(cfg.validate(), "maxOutstandingReads");
-}
-
 } // namespace
 } // namespace tg

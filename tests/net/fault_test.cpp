@@ -77,6 +77,23 @@ TEST(FaultInjector, DownWindowsAndDeadline)
     EXPECT_EQ(inj.downStart(250), 100u);
     EXPECT_FALSE(inj.downPastDeadline(120));
     EXPECT_TRUE(inj.downPastDeadline(250));
+
+    // Abutting windows are one outage as well: it starts at the first
+    // window's start, so the deadline counts from 100 and the link
+    // fails fast from 1101 — the tick FabricRerouter, planning from
+    // mergedDownWindows(), flips its routes.
+    FaultSpec abut;
+    abut.downWindows = {{100, 600, ""}, {600, 5000, ""}};
+    abut.linkDownDeadline = 1000;
+    FaultInjector joined(abut, 1, "ch");
+    ASSERT_EQ(joined.mergedDownWindows().size(), 1u);
+    EXPECT_TRUE(joined.isDown(600));
+    EXPECT_EQ(joined.downUntil(700), 5000u);
+    EXPECT_EQ(joined.downStart(700), 100u);
+    EXPECT_FALSE(joined.downPastDeadline(1100));
+    EXPECT_TRUE(joined.downPastDeadline(1101));
+    EXPECT_TRUE(joined.downPastDeadline(1600));
+    EXPECT_FALSE(joined.isDown(5000));
 }
 
 // ---------------------------------------------------------------------

@@ -234,7 +234,6 @@ TEST(PacketAllocTest, TracedContendedFatTreeWaveDoesNotAllocate)
     trace::Tracer &t = h.sys.tracer();
     t.setEnabled(true);
     t.setOpenOpCap(32);
-    t.setRetainedEventCap(256);
     t.setLifetimeSampleCap(16);
     constexpr std::size_t kBurst = 8;
 

@@ -65,7 +65,7 @@ runWorkload(std::uint64_t seed, bool traced, std::uint32_t shift)
     r.end = c.run();
     r.hash = c.traceHash();
     r.opsBegun = c.tracer().opsBegun();
-    r.events = c.tracer().events().size();
+    r.events = c.tracer().recordedEvents();
     return r;
 }
 
@@ -93,7 +93,7 @@ TEST(Sampling, OpIdsConsumedIndependentOfShift)
     // consumes an id whether or not it is recorded.
     EXPECT_EQ(sampled.opsBegun, full.opsBegun);
     EXPECT_GT(full.opsBegun, 0u);
-    // The sampled run records strictly less raw event data.
+    // The sampled run records strictly fewer boundary crossings.
     EXPECT_LT(sampled.events, full.events);
 }
 
@@ -136,7 +136,6 @@ TEST(Sampling, TracerMemoryStaysBoundedUnderCaps)
     Cluster c(spec);
     Segment &seg = c.allocShared("data", 65536, 0);
     // Tiny caps so a modest workload overflows every bound.
-    c.tracer().setRetainedEventCap(256);
     c.tracer().setOpenOpCap(32);
     c.tracer().setLifetimeSampleCap(16);
 
@@ -150,11 +149,9 @@ TEST(Sampling, TracerMemoryStaysBoundedUnderCaps)
     }
     c.run();
 
-    // Far more events were recorded than retained...
-    EXPECT_GT(c.tracer().recordedEvents(), 256u);
-    EXPECT_LE(c.tracer().events().size(), 256u);
-    EXPECT_GT(c.tracer().droppedEvents(), 0u);
-    // ...and the breakdown still aggregates every retired operation.
+    // Far more operations were traced than the open-op cap holds, and
+    // the breakdown still aggregates every retired operation.
+    EXPECT_GT(c.tracer().evictedOps(), 0u);
     const trace::Breakdown b = c.tracer().breakdown();
     std::uint64_t ops = 0;
     for (const auto &k : b.ops)
@@ -185,7 +182,6 @@ runEvicting(std::uint32_t shift)
     Cluster c(spec);
     Segment &seg = c.allocShared("data", 65536, 0);
     c.tracer().setOpenOpCap(32);
-    c.tracer().setRetainedEventCap(256);
     c.tracer().setLifetimeSampleCap(8);
 
     for (NodeId n = 1; n <= 2; ++n) {
@@ -354,9 +350,6 @@ TEST(Sampling, ThousandNodeTracedRunStaysBounded)
     ClusterSpec spec = ClusterSpec::fatTree(1024, 8).seed(11).trace(true);
     Cluster c(spec);
     Segment &seg = c.allocShared("data", 1 << 20, 0);
-    c.tracer().setRetainedEventCap(1 << 12);
-    c.tracer().setOpenOpCap(1 << 10);
-    c.tracer().setLifetimeSampleCap(512);
 
     // 64 writers spread across the tree, 8 writes + fence each.
     for (NodeId n = 1; n <= 64; ++n) {
@@ -375,8 +368,31 @@ TEST(Sampling, ThousandNodeTracedRunStaysBounded)
     ASSERT_TRUE(c.auditQuiescent());
 
     EXPECT_GT(c.tracer().recordedEvents(), 0u);
-    // Hard bound: caps (4096 events * 32B, 1024 open ops, 512 lifetimes
-    // per kind) keep the tracer under 2 MB however large the run is.
+    // Hard bound: the default caps keep the tracer under 2 MB however
+    // large the run is.
+    EXPECT_LT(c.tracer().approxBytes(), 2u * 1024u * 1024u);
+}
+
+TEST(Sampling, LongTracedRunStaysUnderTwoMiBAtDefaultCaps)
+{
+    // The aggregates are the only recording: a run that crosses far more
+    // boundaries than any window would hold keeps a footprint set by the
+    // default caps (open-op ring, per-kind lifetime samples) alone.
+    Cluster c(ClusterSpec::star(2).seed(7).trace(true));
+    Segment &seg = c.allocShared("data", 8192, 0);
+    c.spawn(1, [&seg](Ctx &ctx) -> Task<void> {
+        for (int i = 0; i < 24000; ++i)
+            co_await ctx.write(seg.word(std::size_t(i) % 64), Word(i));
+        co_await ctx.fence();
+    });
+    c.run();
+    ASSERT_TRUE(c.allDone());
+
+    EXPECT_GT(c.tracer().recordedEvents(), std::uint64_t(1) << 18);
+    const trace::Breakdown b = c.tracer().breakdown();
+    const trace::OpBreakdown *w = b.of(trace::OpKind::RemoteWrite);
+    ASSERT_NE(w, nullptr);
+    EXPECT_EQ(w->ops, 24000u);
     EXPECT_LT(c.tracer().approxBytes(), 2u * 1024u * 1024u);
 }
 

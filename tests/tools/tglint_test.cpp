@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for tglint: every rule must fire on its fixture, the
- * allow() / shard() escape hatches must silence findings, clean code
+ * allow() escape hatch must silence findings, clean code
  * must pass, the baseline ratchet must admit exactly the triaged
  * findings, and rule disabling / output rendering (human, JSON, SARIF)
  * must behave.
@@ -27,7 +27,6 @@ using tglint::BaselineEntry;
 using tglint::Finding;
 using tglint::Options;
 using tglint::Report;
-using tglint::ShardAnnotation;
 
 std::string
 fixture(const std::string &name)
@@ -209,26 +208,9 @@ TEST(TglintTest, GlobalMutableStateFixtureFires)
     auto fs = lintFixture("global_mutable_state.cpp");
     EXPECT_EQ(rulesOf(fs), std::set<std::string>{"global-mutable-state"});
     // Namespace-scope variable + function-local static + static member;
-    // const/constexpr/thread_local and the allow()/shard() forms pass.
-    EXPECT_EQ(fs.size(), 3u);
-}
-
-TEST(TglintTest, ShardAnnotationIsRecordedNotReported)
-{
-    tglint::ProjectIndex index;
-    ASSERT_TRUE(index.addPath(fixture("global_mutable_state.cpp"),
-                              Options{}));
-    index.finalize();
-
-    std::vector<Finding> out;
-    std::vector<ShardAnnotation> ann;
-    tglint::runRules(index, Options{}, out, &ann);
-
-    EXPECT_EQ(out.size(), 3u); // the annotated decl is not among them
-    ASSERT_EQ(ann.size(), 1u);
-    EXPECT_EQ(ann[0].symbol, "g_traceMask");
-    EXPECT_EQ(ann[0].kind, "shared-guarded");
-    EXPECT_NE(ann[0].file.find("global_mutable_state.cpp"),
+    // const/constexpr/thread_local and both allow() forms pass.
+    ASSERT_EQ(fs.size(), 3u);
+    EXPECT_NE(fs[0].message.find("shared by every Cluster"),
               std::string::npos);
 }
 
@@ -422,13 +404,12 @@ TEST(TglintBaselineTest, CommittedBaselineAdmitsNoFreshSrcFindings)
 // Report rendering
 // ---------------------------------------------------------------------
 
-TEST(TglintReportTest, ReportJsonCarriesAnnotationsAndStale)
+TEST(TglintReportTest, ReportJsonCarriesCountsAndStale)
 {
     Report rep;
     rep.fresh.push_back({"a.cpp", 3, "raw-new", "msg"});
     rep.baselined.push_back({"b.cpp", 7, "banned-api", "old"});
     rep.stale.push_back({"gone.cpp", "tick-float", 2});
-    rep.shardAnnotations.push_back({"c.cpp", 9, "g_x", "shared-guarded"});
 
     std::ostringstream os;
     tglint::printJson(rep, os);
@@ -436,8 +417,7 @@ TEST(TglintReportTest, ReportJsonCarriesAnnotationsAndStale)
     EXPECT_NE(j.find("\"count\":1"), std::string::npos);
     EXPECT_NE(j.find("\"baselinedCount\":1"), std::string::npos);
     EXPECT_NE(j.find("\"file\":\"gone.cpp\""), std::string::npos);
-    EXPECT_NE(j.find("\"symbol\":\"g_x\""), std::string::npos);
-    EXPECT_NE(j.find("\"kind\":\"shared-guarded\""), std::string::npos);
+    EXPECT_NE(j.find("\"rule\":\"tick-float\""), std::string::npos);
 }
 
 TEST(TglintReportTest, SarifSmoke)
@@ -468,12 +448,10 @@ TEST(TglintReportTest, HumanReportSummarizesCounts)
 {
     Report rep;
     rep.baselined.push_back({"b.cpp", 7, "banned-api", "old"});
-    rep.shardAnnotations.push_back({"c.cpp", 9, "g_x", "local"});
     std::ostringstream os;
     tglint::printHuman(rep, os);
     EXPECT_NE(os.str().find("clean"), std::string::npos);
     EXPECT_NE(os.str().find("1 baselined"), std::string::npos);
-    EXPECT_NE(os.str().find("1 shard annotation"), std::string::npos);
 }
 
 TEST(TglintTest, JsonOutputIsWellFormed)

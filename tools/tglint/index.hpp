@@ -44,7 +44,7 @@ struct VarDecl
     int line = 0;     ///< 1-based declaration line
     Scope scope = Scope::Namespace;
     bool isConst = false;       ///< const / constexpr anywhere in the decl
-    bool isThreadLocal = false; ///< thread_local => per-shard by design
+    bool isThreadLocal = false; ///< thread_local => per-thread by design
 };
 
 /** One quoted #include directive. */
@@ -58,7 +58,7 @@ struct IncludeEdge
 struct FileRecord
 {
     std::string path;    ///< path as given to the scanner
-    LexResult lex;       ///< token stream + allow/shard annotations
+    LexResult lex;       ///< token stream + allow annotations
     std::vector<std::string> namespaces; ///< declared namespace components
     std::vector<VarDecl> vars;           ///< scope-scanner output
     std::vector<IncludeEdge> includes;   ///< quoted includes, in order

@@ -54,24 +54,6 @@ parseAllows(const std::string &comment)
     return rules;
 }
 
-/** Extract "tglint: shard(kind)"; empty string when absent/invalid. */
-std::string
-parseShard(const std::string &comment)
-{
-    const std::size_t at = findDirective(comment, "shard");
-    const std::size_t end =
-        at == std::string::npos ? std::string::npos : comment.find(')', at);
-    if (at == std::string::npos || end == std::string::npos)
-        return "";
-    std::string kind;
-    for (std::size_t i = at + 1; i < end; ++i)
-        if (!std::isspace((unsigned char)comment[i]))
-            kind += comment[i];
-    if (kind != "local" && kind != "shared-guarded")
-        return "";
-    return kind;
-}
-
 /** Encoding prefixes that may precede a raw string's R. */
 bool
 isRawPrefix(const std::string &ident)
@@ -121,12 +103,6 @@ tokenize(const std::string &source)
             // A comment alone on its line shields the next line instead.
             if (pureCommentLine)
                 r.allows[startLine + 1].insert(rules.begin(), rules.end());
-        }
-        const std::string shard = parseShard(text);
-        if (!shard.empty()) {
-            r.shards[startLine] = shard;
-            if (pureCommentLine)
-                r.shards[startLine + 1] = shard;
         }
     };
 

@@ -4,11 +4,10 @@
  *
  * Produces identifier / number / punctuation / literal tokens with line
  * numbers, strips comments and string contents (so commented-out code
- * never fires a rule), and harvests two kinds of structured comments
- * keyed by the line they shield:
+ * never fires a rule), and harvests the structured comment that
+ * suppresses rules, keyed by the line it shields:
  *
  *   tglint: allow(rule, ...)          per-line rule suppression
- *   tglint: shard(local|shared-guarded)  mutable-state triage annotation
  *
  * Raw string literals — including the u8R / uR / UR / LR prefixed
  * forms — collapse to one content-free Literal token attributed to the
@@ -52,14 +51,6 @@ struct LexResult
 
     /** line -> set of rule slugs suppressed on that line ("*" = all). */
     std::map<int, std::set<std::string>> allows;
-
-    /**
-     * line -> shard-safety triage annotation covering that line:
-     * "local" (state is per-shard by design) or "shared-guarded"
-     * (deliberately shared; mutation confined to single-threaded phases
-     * or an explicit guard documented at the site).
-     */
-    std::map<int, std::string> shards;
 
     /** True when the file opens with a doc comment containing "@file". */
     bool hasFileDoc = false;

@@ -110,11 +110,9 @@ main(int argc, char **argv)
     index.finalize();
 
     std::vector<tglint::Finding> findings;
-    std::vector<tglint::ShardAnnotation> annotations;
-    tglint::runRules(index, opts, findings, &annotations);
+    tglint::runRules(index, opts, findings);
 
-    tglint::Report report = tglint::applyBaseline(findings, baseline);
-    report.shardAnnotations = annotations;
+    const tglint::Report report = tglint::applyBaseline(findings, baseline);
 
     if (!sarifPath.empty()) {
         std::ofstream sarif(sarifPath, std::ios::binary);

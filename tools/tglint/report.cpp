@@ -355,9 +355,6 @@ printHuman(const Report &rep, std::ostream &os)
         os << "tglint: clean";
         if (!rep.baselined.empty())
             os << " (" << rep.baselined.size() << " baselined)";
-        if (!rep.shardAnnotations.empty())
-            os << " (" << rep.shardAnnotations.size()
-               << " shard annotation(s))";
         os << "\n";
     } else {
         os << "tglint: " << rep.fresh.size() << " new finding(s)";
@@ -382,14 +379,6 @@ printJson(const Report &rep, std::ostream &os)
         os << (i ? "," : "") << "{\"file\":\"" << jsonEscape(e.file)
            << "\",\"rule\":\"" << jsonEscape(e.rule)
            << "\",\"count\":" << e.count << "}";
-    }
-    os << "],\"shardAnnotations\":[";
-    for (std::size_t i = 0; i < rep.shardAnnotations.size(); ++i) {
-        const ShardAnnotation &a = rep.shardAnnotations[i];
-        os << (i ? "," : "") << "{\"file\":\"" << jsonEscape(a.file)
-           << "\",\"line\":" << a.line << ",\"symbol\":\""
-           << jsonEscape(a.symbol) << "\",\"kind\":\"" << jsonEscape(a.kind)
-           << "\"}";
     }
     os << "]}\n";
 }

@@ -51,8 +51,8 @@ const std::set<std::string> kHotPathNamespaces = {"sim", "net", "node",
  *  shared by every Cluster in the process, and address-dependent order
  *  varies with allocation history, so either makes one run's trace hash
  *  depend on what else ran before it in the same process. */
-const std::set<std::string> kShardNamespaces = {"sim", "net", "hib",
-                                                "node", "coherence"};
+const std::set<std::string> kModelStateNamespaces = {"sim", "net", "hib",
+                                                     "node", "coherence"};
 
 /** Calls that read wall-clock / host entropy (never legal in the model). */
 const std::set<std::string> kBannedCalls = {
@@ -446,28 +446,20 @@ scopeNoun(VarDecl::Scope s)
 }
 
 void
-ruleGlobalMutableState(FileCtx &ctx, std::vector<ShardAnnotation> *ann)
+ruleGlobalMutableState(FileCtx &ctx)
 {
-    if (!inNamespaces(ctx, kShardNamespaces))
+    if (!inNamespaces(ctx, kModelStateNamespaces))
         return;
     for (const VarDecl &v : ctx.rec.vars) {
         if (v.isConst || v.isThreadLocal)
-            continue; // immutable, or per-shard by construction
-        auto it = ctx.rec.lex.shards.find(v.line);
-        if (it != ctx.rec.lex.shards.end()) {
-            // Triaged: record the annotation instead of a finding.
-            if (ann != nullptr && !ctx.ruleDisabled(kGlobalMutable))
-                ann->push_back(ShardAnnotation{ctx.path(), v.line, v.name,
-                                               it->second});
-            continue;
-        }
+            continue; // immutable, or per-thread by construction
         ctx.emit(v.line, kGlobalMutable,
                  std::string("mutable ") + scopeNoun(v.scope) + " '" +
                      v.name +
-                     "' becomes a cross-shard race once the event engine "
-                     "is sharded; demote it into an owning object, make "
-                     "it thread_local, or triage it with 'tglint: "
-                     "shard(local|shared-guarded)'");
+                     "' is shared by every Cluster in the process, so one "
+                     "run's trace hash could depend on what ran before "
+                     "it; demote it into an owning object, or justify it "
+                     "with 'tglint: allow(global-mutable-state)'");
     }
 }
 
@@ -517,7 +509,7 @@ pointerVectorNames(const std::vector<Token> &t)
 void
 rulePointerKeyedOrder(FileCtx &ctx)
 {
-    if (!inNamespaces(ctx, kShardNamespaces))
+    if (!inNamespaces(ctx, kModelStateNamespaces))
         return;
     const std::vector<Token> &t = ctx.tokens();
 
@@ -548,8 +540,8 @@ rulePointerKeyedOrder(FileCtx &ctx)
             ctx.emit(t[i].line, kPointerKeyed,
                      "std::" + t[i].text +
                          " keyed by a pointer orders elements by allocation "
-                         "address — iteration order changes across runs and "
-                         "shard counts; key by a stable id instead");
+                         "address — iteration order changes across runs; "
+                         "key by a stable id instead");
     }
 
     // std::sort(v.begin(), v.end()) over a vector of pointers: the
@@ -713,7 +705,8 @@ ruleDescription(const std::string &rule)
          "per-element-allocating container (deque/list) on a packet/event "
          "hot path"},
         {kGlobalMutable,
-         "mutable namespace-scope/static state in a shard namespace"},
+         "mutable namespace-scope/static state in a model-state "
+         "namespace"},
         {kPointerKeyed,
          "container ordered by pointer values (address-dependent order)"},
         {kIncludeCycle, "cyclic quoted-include edges"},
@@ -724,8 +717,7 @@ ruleDescription(const std::string &rule)
 
 void
 runRules(const ProjectIndex &index, const Options &opts,
-         std::vector<Finding> &out,
-         std::vector<ShardAnnotation> *annotations)
+         std::vector<Finding> &out)
 {
     for (const FileRecord &rec : index.files()) {
         FileCtx ctx{rec, opts, out};
@@ -736,7 +728,7 @@ runRules(const ProjectIndex &index, const Options &opts,
         ruleRawNew(ctx);
         ruleHotStdFunction(ctx);
         ruleHotHeapAlloc(ctx);
-        ruleGlobalMutableState(ctx, annotations);
+        ruleGlobalMutableState(ctx);
         rulePointerKeyedOrder(ctx);
     }
     ruleIncludeCycle(index, opts, out);
@@ -758,7 +750,7 @@ lintSource(const std::string &path, const std::string &source,
     ProjectIndex index;
     index.addSource(path, source);
     index.finalize();
-    runRules(index, opts, out, nullptr);
+    runRules(index, opts, out);
 }
 
 bool
@@ -768,7 +760,7 @@ lintPath(const std::string &path, const Options &opts,
     ProjectIndex index;
     const bool ok = index.addPath(path, opts);
     index.finalize();
-    runRules(index, opts, out, nullptr);
+    runRules(index, opts, out);
     return ok;
 }
 

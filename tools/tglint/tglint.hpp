@@ -1,11 +1,10 @@
 /**
  * @file
- * tglint: the Telegraphos determinism & shard-safety analyzer.
+ * tglint: the Telegraphos determinism analyzer.
  *
  * A standalone two-pass static-analysis tool (no libclang) for the
  * hazard classes that silently break the simulator's bit-for-bit
- * determinism contract and — ahead of the sharded PDES engine — its
- * cross-shard safety (DESIGN.md section 7).  Pass 1 builds a
+ * determinism contract (DESIGN.md section 7).  Pass 1 builds a
  * project-wide index over every source handed to it (token streams,
  * declared scopes, mutable globals, include edges); pass 2 runs the
  * rule families against the index:
@@ -19,9 +18,9 @@
  *   file-doc             missing leading "@file" documentation header
  *   hot-path-std-function  std::function on scheduling hot paths
  *   global-mutable-state   non-const namespace-scope / static-local /
- *                        static-member state in the shard namespaces
- *                        (sim, net, hib, node, coherence) — a
- *                        cross-shard race once the engine is sharded
+ *                        static-member state in the model-state
+ *                        namespaces (sim, net, hib, node, coherence) —
+ *                        shared by every Cluster in the process
  *   pointer-keyed-order  ordered containers keyed by pointers, or
  *                        sorting pointer vectors by address — iteration
  *                        order then depends on allocation addresses
@@ -31,12 +30,6 @@
  * same line or the line immediately above:
  *
  *     // tglint: allow(tick-float)  rounding contract documented here
- *
- * global-mutable-state additionally understands a triage annotation
- * that the analyzer records and reports (JSON "shardAnnotations"):
- *
- *     // tglint: shard(local)           per-shard / thread_local by design
- *     // tglint: shard(shared-guarded)  shared; mutation single-threaded
  *
  * A committed baseline (tools/tglint/baseline.json) ratchets findings:
  * pre-existing triaged entries pass, new findings fail.  --sarif emits
@@ -62,15 +55,6 @@ struct Finding
     int line = 0;        ///< 1-based line number
     std::string rule;    ///< rule slug ("banned-api", ...)
     std::string message; ///< human-readable explanation
-};
-
-/** One recorded "tglint: shard(...)" triage annotation. */
-struct ShardAnnotation
-{
-    std::string file;   ///< path as given to the scanner
-    int line = 0;       ///< 1-based line of the annotated declaration
-    std::string symbol; ///< the annotated variable
-    std::string kind;   ///< "local" or "shared-guarded"
 };
 
 /** Scanner configuration. */
@@ -120,7 +104,6 @@ struct Report
     std::vector<Finding> fresh;       ///< NEW findings (fail the build)
     std::vector<Finding> baselined;   ///< matched a baseline entry
     std::vector<BaselineEntry> stale; ///< baseline capacity never used
-    std::vector<ShardAnnotation> shardAnnotations; ///< triage registry
 };
 
 /** All rule slugs tglint knows, in reporting order. */
@@ -135,13 +118,10 @@ std::string ruleDescription(const std::string &rule);
 
 /**
  * Run every rule family against @p index.  Findings are appended to
- * @p out sorted by (file, line, rule); shard annotations that
- * suppressed a global-mutable-state finding are appended to
- * @p annotations when non-null.
+ * @p out sorted by (file, line, rule).
  */
 void runRules(const ProjectIndex &index, const Options &opts,
-              std::vector<Finding> &out,
-              std::vector<ShardAnnotation> *annotations = nullptr);
+              std::vector<Finding> &out);
 
 // ---------------------------------------------------------------------
 // Single-file convenience API (unit tests, editor integration)
@@ -193,11 +173,10 @@ void printHuman(const std::vector<Finding> &findings, std::ostream &os);
 /** Render findings as a JSON document {"count":N,"findings":[...]}. */
 void printJson(const std::vector<Finding> &findings, std::ostream &os);
 
-/** Render a full report (fresh + baselined + stale + annotations). */
+/** Render a full report (fresh + baselined + stale). */
 void printHuman(const Report &report, std::ostream &os);
 
-/** JSON document with counts, fresh findings, stale entries and the
- *  shard-annotation registry. */
+/** JSON document with counts, fresh findings and stale entries. */
 void printJson(const Report &report, std::ostream &os);
 
 /** SARIF 2.1.0 document; baselined findings carry baselineState
