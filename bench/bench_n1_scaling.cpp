@@ -24,6 +24,9 @@
  * bisection-predicted value (baseline x surviving/full cut crossings),
  * and two same-seed faulted runs must produce identical trace hashes.
  *
+ * Every run holds all of its traced ops open, so the latency columns
+ * cover every write; a run whose tracer evicted an op fails the bench.
+ *
  * Flags: --nodes=N   run only the N-node tier (CI smoke uses 64)
  *        --json[=p]  write the tg-bench-v1 document (with the topology
  *                    object and per-hop breakdown of the torus run)
@@ -58,6 +61,7 @@ struct RunResult
     std::uint64_t wireFailures = 0;
     std::uint64_t routingEpochs = 0;
     std::uint64_t reroutes = 0;
+    std::uint64_t evictedOps = 0; ///< tracer ops force-retired (must be 0)
 };
 
 constexpr int kOpsPerNode = 60;
@@ -85,6 +89,13 @@ run(const ClusterSpec &spec, const std::string &pattern,
     cfg.ops = kOpsPerNode;
     cfg.readFraction = kReadFraction;
     cfg.gap = 0; // back-to-back: measures the fabric's saturation point
+
+    // The p50/p99 columns need every write's full lifetime: hold every op
+    // the run begins (one per read/write plus each node's closing fence)
+    // open, so none is evicted mid-flight or dropped past the lifetime cap.
+    const std::size_t ops = nodes * (kOpsPerNode + 1);
+    cluster.tracer().setOpenOpCap(ops);
+    cluster.tracer().setLifetimeSampleCap(ops);
     for (NodeId n = 0; n < NodeId(nodes); ++n) {
         if (pattern == "transpose")
             cluster.spawn(n, workload::transposeTraffic(segs, cfg));
@@ -119,6 +130,7 @@ run(const ClusterSpec &spec, const std::string &pattern,
     r.wireFailures = cluster.network().wireFailures();
     r.routingEpochs = cluster.network().routingEpochs();
     r.reroutes = cluster.network().reroutesApplied();
+    r.evictedOps = cluster.tracer().evictedOps();
     return r;
 }
 
@@ -285,6 +297,18 @@ main(int argc, char **argv)
     ResultTable table({"pattern", "topology", "nodes", "goodput MB/s",
                        "p50 wr us", "p99 wr us", "hops/wr", "drained"});
 
+    // Runs whose tracer evicted ops: their latency columns would come
+    // from a truncated subset, so the bench fails.
+    int truncated = 0;
+    auto checkTrace = [&truncated](const RunResult &r,
+                                   const std::string &tag) {
+        if (r.evictedOps == 0)
+            return;
+        ++truncated;
+        std::printf("check %s: tracer evicted %llu ops  [FAIL]\n",
+                    tag.c_str(), (unsigned long long)r.evictedOps);
+    };
+
     // Star baseline: one crossbar, only sensible small.
     if (!only_nodes || only_nodes == 16) {
         for (const std::string &pattern : patterns) {
@@ -298,6 +322,7 @@ main(int argc, char **argv)
                           r.drained ? "yes" : "NO"});
             report.metric(pattern + ".star.16.goodput_mbs", r.goodputMBs,
                           "MB/s");
+            checkTrace(r, pattern + ".star.16");
         }
     }
 
@@ -334,6 +359,7 @@ main(int argc, char **argv)
                 report.metric(tag + ".p50_write_us", r.p50WriteUs, "us");
                 report.metric(tag + ".p99_write_us", r.p99WriteUs, "us");
                 report.metric(tag + ".mean_hops", r.meanHops, "hops");
+                checkTrace(r, tag);
             }
         }
     }
@@ -410,5 +436,5 @@ main(int argc, char **argv)
         report.breakdown(torus_bd);
     }
     report.write();
-    return failures ? 1 : 0;
+    return failures || truncated ? 1 : 0;
 }

@@ -4,14 +4,12 @@
  *
  * A checkpoint captures the *semantic* state of a quiescent cluster —
  * everything that influences the future schedule, packet contents or
- * trace hash — as a self-contained text blob (schema tg-ckpt-v2):
+ * trace hash — as a self-contained text blob (schema tg-ckpt-v3):
  *
  *  - simulation clock, event sequence counter, executed-event count
  *  - the determinism trace hash (value + words mixed)
  *  - the RNG stream state (spawn keys and Ctx forks continue exactly)
  *  - the packet-conservation ledger
- *  - the tracer's operation-id counter (sampling decisions are a pure
- *    function of the id, so sampled subsets stay aligned)
  *  - per node: memory words, cache tags, TLB contents, page tables,
  *    allocator cursors, scheduler shape and HIB ticket/seq/page-counter
  *    state
@@ -40,7 +38,7 @@ namespace tg {
 
 namespace {
 
-constexpr const char *kMagic = "tg-ckpt-v2";
+constexpr const char *kMagic = "tg-ckpt-v3";
 
 /** Token-stream reader: whitespace-separated tags and unsigned values,
  *  fatal() on any shape mismatch (a checkpoint is machine-written, so a
@@ -127,7 +125,6 @@ Cluster::checkpoint()
     const auto &ledger = _sys->ledger();
     os << "ledger " << ledger.injected << " " << ledger.delivered << " "
        << ledger.dropped << "\n";
-    os << "tracer " << _sys->tracer().nextOpId() << "\n";
     os << "va " << _vaNext << "\n";
 
     os << "nodes " << _nodes.size() << "\n";
@@ -238,8 +235,6 @@ Cluster::restore(const std::string &blob)
         ledger.delivered = r.u64();
         ledger.dropped = r.u64();
     }
-    r.expect("tracer");
-    _sys->tracer().setNextOpId(r.u64());
     r.expect("va");
     _vaNext = r.u64();
 

@@ -163,13 +163,6 @@ ClusterSpec::trace(bool on)
 }
 
 ClusterSpec &
-ClusterSpec::traceSample(std::uint32_t shift)
-{
-    config.traceSampleShift = shift;
-    return *this;
-}
-
-ClusterSpec &
 ClusterSpec::seed(std::uint64_t s)
 {
     config.seed = s;

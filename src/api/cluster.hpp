@@ -148,12 +148,6 @@ struct ClusterSpec
     /** Record packet-lifecycle spans (latency breakdowns, p50/p99). */
     ClusterSpec &trace(bool on = true);
 
-    /** Trace only 1 in 2^shift operations (deterministic id-hash subset;
-     *  0 restores full tracing).  @p shift must be in [0, 63]; anything
-     *  larger is rejected by Config::validate().  See
-     *  Config::traceSampleShift. */
-    ClusterSpec &traceSample(std::uint32_t shift);
-
     /** Seed for all stochastic decisions (determinism contract). */
     ClusterSpec &seed(std::uint64_t s);
 
@@ -368,7 +362,7 @@ class Cluster : public coherence::Fabric
 
     /**
      * Serialize the cluster's semantic state into a self-contained text
-     * blob (schema tg-ckpt-v2): simulation clock + event sequence, trace
+     * blob (schema tg-ckpt-v3): simulation clock + event sequence, trace
      * hash, RNG stream, packet ledger, per-node memory / cache / TLB /
      * page-table / HIB-ticket state, the page directory and every stat
      * field and histogram (StatRegistry::save).

@@ -271,12 +271,6 @@ struct Config
      *  predicted branch and no allocation to the packet fast path. */
     bool tracePackets = false;
 
-    /** Trace 1 in 2^traceSampleShift operations (0 = every one; at most
-     *  63).  The sampled subset is a pure hash of the operation id
-     *  (DESIGN.md section 14.4), so it is identical across seeds and
-     *  the simulated schedule never depends on it. */
-    std::uint32_t traceSampleShift = 0;
-
     /**
      * Sanity-check the configuration; fatal() on nonsense (zero page
      * size, zero bandwidth, ...).  Called by System's constructor.

@@ -5,7 +5,6 @@
 
 #include "sim/stats.hpp"
 
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -31,34 +30,8 @@ Sampler::sample(double v)
     double delta = v - _welfordMean;
     _welfordMean += delta / static_cast<double>(_n);
     _m2 += delta * (v - _welfordMean);
-    if (_samples.size() < _cap) {
-        _samples.push_back(v);
-        _sorted = false;
-    } else {
-        spill(v);
-    }
-}
-
-int
-Sampler::bucketOf(double v)
-{
-    if (!(v > 0))
-        return 0;
-    int exp = 0;
-    (void)std::frexp(v, &exp); // v = m * 2^exp, m in [0.5, 1)
-    // Bucket b spans [2^(b-kBias), 2^(b-kBias+1)); frexp's exponent is
-    // one above the power-of-two floor.
-    int b = exp - 1 + kBias;
-    return std::clamp(b, 0, kBuckets - 1);
-}
-
-void
-Sampler::spill(double v)
-{
-    if (_buckets.empty())
-        _buckets.assign(kBuckets, 0);
-    ++_buckets[static_cast<std::size_t>(bucketOf(v))];
-    ++_sketched;
+    _samples.push_back(v);
+    _sorted = false;
 }
 
 double
@@ -82,81 +55,16 @@ Sampler::quantile(double q) const
     // Clamp out-of-range (and NaN) q explicitly: std::clamp(NaN) and the
     // index arithmetic below are both unsafe outside [0, 1].  The
     // negated comparison routes NaN to the low extreme.
-    if (_sketched == 0) {
-        if (!(q > 0.0) || _samples.size() == 1)
-            return _samples.front();
-        if (q >= 1.0)
-            return _samples.back();
-        double pos = q * static_cast<double>(_samples.size() - 1);
-        std::size_t lo = static_cast<std::size_t>(pos);
-        double frac = pos - static_cast<double>(lo);
-        if (lo + 1 >= _samples.size())
-            return _samples[lo];
-        return _samples[lo] + frac * (_samples[lo + 1] - _samples[lo]);
-    }
-
-    // Spilled: interpolate inside the histogram bucket holding the
-    // target rank (exactly retained samples re-binned on the fly), then
-    // clamp to the exact running extremes.
-    if (!(q > 0.0))
-        return _min;
+    if (!(q > 0.0) || _samples.size() == 1)
+        return _samples.front();
     if (q >= 1.0)
-        return _max;
-    std::array<std::uint64_t, kBuckets> counts{};
-    for (std::size_t b = 0; b < _buckets.size(); ++b)
-        counts[b] = _buckets[b];
-    for (double v : _samples)
-        ++counts[static_cast<std::size_t>(bucketOf(v))];
-    const double rank = q * static_cast<double>(_n - 1);
-    std::uint64_t seen = 0;
-    for (int b = 0; b < kBuckets; ++b) {
-        const std::uint64_t c = counts[static_cast<std::size_t>(b)];
-        if (c == 0)
-            continue;
-        if (static_cast<double>(seen + c) > rank) {
-            const double lo = b == 0 ? 0.0 : std::ldexp(1.0, b - kBias);
-            const double hi = std::ldexp(1.0, b - kBias + 1);
-            const double within =
-                (rank - static_cast<double>(seen)) / static_cast<double>(c);
-            return std::clamp(lo + within * (hi - lo), _min, _max);
-        }
-        seen += c;
-    }
-    return _max;
-}
-
-void
-Sampler::setSampleCap(std::size_t cap)
-{
-    _cap = std::max<std::size_t>(cap, 1);
-    if (_samples.size() > _cap) {
-        // Lowered below the retained set: spill the tail into the sketch
-        // (which samples spill is deterministic — insertion order).
-        for (std::size_t i = _cap; i < _samples.size(); ++i)
-            spill(_samples[i]);
-        _samples.resize(_cap);
-        _samples.shrink_to_fit();
-    }
-}
-
-std::size_t
-Sampler::approxBytes() const
-{
-    return _samples.capacity() * sizeof(double) +
-           _buckets.capacity() * sizeof(std::uint64_t);
-}
-
-void
-Sampler::reset()
-{
-    _n = 0;
-    _sum = _welfordMean = _m2 = _min = _max = 0;
-    _sketched = 0;
-    _buckets.clear();
-    _buckets.shrink_to_fit();
-    _samples.clear();
-    _samples.shrink_to_fit();
-    _sorted = true;
+        return _samples.back();
+    double pos = q * static_cast<double>(_samples.size() - 1);
+    std::size_t lo = static_cast<std::size_t>(pos);
+    double frac = pos - static_cast<double>(lo);
+    if (lo + 1 >= _samples.size())
+        return _samples[lo];
+    return _samples[lo] + frac * (_samples[lo + 1] - _samples[lo]);
 }
 
 Histogram::Histogram(double bucket_width, std::size_t nbuckets)

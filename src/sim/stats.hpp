@@ -27,12 +27,9 @@ namespace tg {
 /**
  * Running sample statistics: count, mean, min, max, stddev and quantiles.
  *
- * Memory is bounded (DESIGN.md section 14.4): the first setSampleCap()
- * samples (65536 by default) are retained exactly, so small experiments get exact
- * interpolated quantiles; past the cap, samples spill into a lazily
- * allocated binary-exponent histogram and quantiles interpolate inside
- * the bucket holding the target rank (clamped to the exact running
- * min/max).  Count, mean, min, max and stddev stream exactly forever.
+ * Every sample is retained, so quantiles are exact; the footprint is
+ * one double per sample, which suits the per-experiment latency sets
+ * the benches feed it.  Count, mean, min, max and stddev stream.
  */
 class Sampler
 {
@@ -50,33 +47,11 @@ class Sampler
      * Quantile in [0,1] with linear interpolation between order
      * statistics (rank q*(n-1)); sorts lazily.  Interpolation (rather
      * than nearest-rank rounding) keeps p99 < max for small n and p50
-     * unbiased for even n.  Past the sample cap the answer is a
-     * histogram interpolation (still deterministic, approximate).
+     * unbiased for even n.
      */
     double quantile(double q) const;
 
-    /** True once samples spilled into the histogram sketch. */
-    bool spilled() const { return _sketched != 0; }
-
-    /** Cap on exactly retained samples (existing samples beyond a
-     *  lowered cap spill into the sketch). */
-    void setSampleCap(std::size_t cap);
-
-    /** Approximate heap footprint (bounded-memory assertions). */
-    std::size_t approxBytes() const;
-
-    void reset();
-
   private:
-    static constexpr std::size_t kDefaultCap = 65536;
-    /** Sketch buckets: bucket b covers [2^(b-kBias), 2^(b-kBias+1)),
-     *  with everything <= 0 in bucket 0. */
-    static constexpr int kBuckets = 128;
-    static constexpr int kBias = 64;
-
-    static int bucketOf(double v);
-    void spill(double v);
-
     std::uint64_t _n = 0;
     double _sum = 0;
     // Welford running-variance state: immune to the catastrophic
@@ -84,9 +59,6 @@ class Sampler
     // a large offset (e.g. tick timestamps ~1e9).
     double _welfordMean = 0, _m2 = 0;
     double _min = 0, _max = 0;
-    std::size_t _cap = kDefaultCap;
-    std::uint64_t _sketched = 0;
-    std::vector<std::uint64_t> _buckets; ///< empty until first spill
     mutable std::vector<double> _samples;
     mutable bool _sorted = true;
 };

@@ -88,8 +88,6 @@ Config::validate() const
         fatal("hibBacklogPackets must be >= 1");
     if (collFanout == 0)
         fatal("collFanout must be >= 1");
-    if (traceSampleShift > 63)
-        fatal("traceSampleShift must be <= 63 (got %u)", traceSampleShift);
     fault.validate();
 }
 
@@ -99,7 +97,6 @@ System::System(const Config &cfg)
 {
     _config.validate();
     _tracer.setEnabled(cfg.tracePackets);
-    _tracer.setSampleShift(cfg.traceSampleShift);
     _stats.add("sim.events", &_events,
                [](const EventQueue &q) { return q.executed(); });
 }

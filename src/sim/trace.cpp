@@ -141,14 +141,7 @@ Tracer::beginOp(OpKind kind)
 {
     if (!_enabled)
         return 0;
-    // The id is consumed whether or not the op is sampled: numbering is
-    // a function of the workload alone, never of the sampling shift.
-    // Unsampled ops still get their (real) id back — callers tag packets
-    // with it so downstream layers know the op already began — but no
-    // open-op state is kept and record() drops their events.
     const std::uint64_t id = _nextId++;
-    if (!sampled(id, _sampleShift))
-        return id;
     // Deterministic eviction: the oldest (smallest-id) open op is
     // force-retired into the aggregates.
     if (_open.size() >= _openCap)
@@ -160,24 +153,13 @@ Tracer::beginOp(OpKind kind)
 std::size_t
 Tracer::openIndex(std::uint64_t id) const
 {
-    const std::size_t n = _open.size();
-    if (n == 0 || id < _open.front().id || id > _open.back().id)
-        return n;
-    // Ids rise by at least one per position, so op @p id sits at most
-    // (id - oldest) positions in -- exactly there when every op is
-    // sampled.  Sampling leaves gaps: binary-search below that bound.
-    std::size_t hi = std::min<std::uint64_t>(id - _open.front().id, n - 1);
-    if (_open[hi].id == id)
-        return hi;
-    std::size_t lo = 0;
-    while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        if (_open[mid].id < id)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return _open[lo].id == id ? lo : n;
+    // Every op is pushed in id order, so the ring's ids are contiguous.
+    // An id below the front wraps to an offset past size(), so the one
+    // comparison bounds both sides.
+    if (_open.empty())
+        return 0;
+    const std::uint64_t i = id - _open.front().id;
+    return i < _open.size() ? static_cast<std::size_t>(i) : _open.size();
 }
 
 void
@@ -312,19 +294,6 @@ Tracer::approxBytes() const
     for (const KindAgg &agg : _agg)
         bytes += agg.exact.capacity() * sizeof(Tick);
     return bytes;
-}
-
-void
-Tracer::reset()
-{
-    _open = Ring<OpenOp>{};
-    for (auto &row : _cells)
-        for (auto &cell : row)
-            cell = Cell{};
-    for (KindAgg &agg : _agg)
-        agg = KindAgg{};
-    _recorded = _evictedOps = 0;
-    _nextId = 1;
 }
 
 } // namespace tg::trace

@@ -26,23 +26,14 @@
  *
  * Scale contract (section 14.4): the tracer's memory is *bounded* no
  * matter how long the run or how many nodes trace into it.  Breakdown
- * aggregates stream into fixed (kind, span) cells as events arrive; open
- * operations live in a tg::Ring ordered by id, capped by setOpenOpCap():
- * ids are monotone, so a new op is pushed at the back, the oldest-id op
- * is evicted by pop(), and a lookup indexes the ring by the id's
- * distance from the front (binary search when sampling leaves gaps); and
- * per-kind lifetimes keep an exact sample set up to a cap and drop the
- * rest.  approxBytes() reports the footprint, counting the open-op ring
- * at its capacity, so tests can assert the bound.
- *
- * Sampling contract: setSampleShift(s) records 1 in 2^s operations,
- * chosen by a splitmix64 hash of the operation id — a pure function of
- * the id, so the choice is stable across seeds, runs and machines.
- * beginOp() consumes — and returns — an id whether or not the op is
- * sampled (numbering is identical with sampling on and off, and
- * downstream layers see a real id either way), while record()
- * re-derives the sampling decision from the id and drops events for
- * unsampled ops before touching any tracer state.
+ * aggregates stream into fixed (kind, span) cells as events arrive.
+ * Open operations live in a tg::Ring capped by setOpenOpCap().  Every
+ * operation of an enabled run is traced and pushed at the back in id
+ * order, so the ring's ids are contiguous: the oldest op is evicted by
+ * pop(), and op id sits at position id - front().id.  Per-kind
+ * lifetimes keep an exact sample set up to a cap and drop the rest.
+ * approxBytes() reports the footprint, counting the open-op ring at its
+ * capacity, so tests can assert the bound.
  *
  * Overhead contract: tracing is disabled by default; every record() call
  * is a single branch on the fast path and performs no heap allocation and
@@ -106,20 +97,6 @@ inline constexpr std::size_t kNumKinds = 11;
 /** Short mnemonic for an op kind. */
 const char *opKindName(OpKind k);
 
-/**
- * splitmix64 finalizer: the sampling hash.  A pure function of the
- * operation id — no seed, no global state — so the sampled subset is
- * identical across runs and seeds.
- */
-constexpr std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 /** One component row of an operation-kind breakdown. */
 struct BreakdownRow
 {
@@ -172,29 +149,9 @@ class Tracer
     void setEnabled(bool on) { _enabled = on; }
 
     /**
-     * Record 1 in 2^shift operations (0 = every op).  The subset is a
-     * pure hash of the op id (mix64), so it is identical across seeds
-     * and runs; beginOp() still consumes an id for unsampled ops,
-     * keeping the numbering independent of the shift.  Config::validate()
-     * rejects a shift above 63.
-     */
-    void setSampleShift(std::uint32_t shift) { _sampleShift = shift; }
-    std::uint32_t sampleShift() const { return _sampleShift; }
-
-    /** True when op @p id is in the sampled subset for @p shift. */
-    static bool
-    sampled(std::uint64_t id, std::uint32_t shift)
-    {
-        return shift == 0 ||
-               (mix64(id) & ((std::uint64_t(1) << shift) - 1)) == 0;
-    }
-
-    /**
      * Allocate a fresh operation id of @p kind.  Returns the null id (0,
-     * which record() ignores) while disabled.  The id counter advances —
-     * and the real id is returned — for sampled and unsampled ops alike,
-     * so numbering is a pure function of the workload; record() drops
-     * events for ids outside the sampled subset.
+     * which record() ignores) while disabled.  Ids are handed out in
+     * increasing order, one per operation.
      */
     std::uint64_t beginOp(OpKind kind);
 
@@ -207,8 +164,6 @@ class Tracer
     record(std::uint64_t id, Span sp, Tick t)
     {
         if (!_enabled || id == 0)
-            return;
-        if (_sampleShift != 0 && !sampled(id, _sampleShift))
             return;
         recordImpl(id, sp, t);
     }
@@ -234,11 +189,9 @@ class Tracer
      */
     std::vector<Tick> opLifetimes(OpKind kind) const;
 
-    /** Drop recorded events and op ids. */
-    void reset();
-
     // ------------------------------------------------------------------
-    // Bounds (defaults hold every existing test/bench workload exactly)
+    // Bounds (the defaults hold every test workload exactly; a run that
+    // begins more ops sizes them to its run, as bench_n1_scaling does)
     // ------------------------------------------------------------------
 
     /** Cap on concurrently open (un-retired) operations. */
@@ -250,20 +203,8 @@ class Tracer
     /** Approximate heap footprint in bytes (bounded-memory assertion). */
     std::size_t approxBytes() const;
 
-    // ------------------------------------------------------------------
-    // Checkpoint support (DESIGN.md section 14.5)
-    // ------------------------------------------------------------------
-
-    /** The next operation id beginOp() would hand out. */
-    std::uint64_t nextOpId() const { return _nextId; }
-
-    /** Restore the id counter (checkpoint restore, into a cluster that
-     *  has not run, so no operation is open: the open-op ring relies on
-     *  ids being handed out in increasing order). */
-    void setNextOpId(std::uint64_t id) { _nextId = id; }
-
   private:
-    /** Live state of one sampled, not-yet-retired operation. */
+    /** Live state of one not-yet-retired operation. */
     struct OpState
     {
         OpKind kind;
@@ -305,11 +246,10 @@ class Tracer
     void evictOldest();
 
     bool _enabled = false;
-    std::uint32_t _sampleShift = 0;
     std::uint64_t _nextId = 1;
     std::uint64_t _recorded = 0;
 
-    Ring<OpenOp> _open; ///< open ops, ids increasing from the front
+    Ring<OpenOp> _open; ///< open ops, ids contiguous from the front
     std::size_t _openCap = std::size_t(1) << 15;
     std::uint64_t _evictedOps = 0;
 
