@@ -13,7 +13,8 @@
  * whole-cluster communicator at 64/256/1024 nodes on the 2D-torus,
  * 3D-torus and fat-tree fabrics, reporting the mean per-member
  * operation latency from the lifecycle tracer (CpuIssue ->
- * Completion).  Like bench_n1_scaling, the fat-tree stops at 256
+ * Completion) over every operation: a run whose tracer evicted an op
+ * fails the bench.  Like bench_n1_scaling, the fat-tree stops at 256
  * nodes: at 4 nodes/switch the two-level fabric's spines become
  * 256-port switches, and their per-hop VOQ state makes the simulation
  * cost quadratic while the fabric itself is already bisection-bound.
@@ -34,6 +35,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -58,6 +60,7 @@ struct CollTimes
     bool drained = false;
     bool valuesOk = false; ///< every Result ok, every value correct
     std::uint64_t traceHash = 0;
+    std::uint64_t evictedOps = 0; ///< tracer ops force-retired (must be 0)
 };
 
 double
@@ -80,6 +83,15 @@ run(net::TopologyKind kind, std::size_t nodes, CollectiveBackend backend)
                                  .collectives(backend);
     Cluster cluster(spec);
     const std::size_t n_nodes = cluster.numNodes();
+
+    // The means need every collective's lifetime, so the tracer must
+    // hold every op the run begins.  Host completion polls are remote
+    // reads whose number depends on timing, so no count fixed before the
+    // run bounds them: lift both caps.  The open-op ring still grows
+    // only to the ops actually begun (~141k at the 1024-node 3D torus).
+    constexpr std::size_t kEveryOp = std::numeric_limits<std::size_t>::max();
+    cluster.tracer().setOpenOpCap(kEveryOp);
+    cluster.tracer().setLifetimeSampleCap(kEveryOp);
 
     std::vector<NodeId> members;
     for (NodeId n = 0; n < NodeId(n_nodes); ++n)
@@ -129,6 +141,7 @@ run(net::TopologyKind kind, std::size_t nodes, CollectiveBackend backend)
     t.bcastUs =
         meanUs(cluster.tracer().opLifetimes(trace::OpKind::CollBcast));
     t.traceHash = cluster.traceHash();
+    t.evictedOps = cluster.tracer().evictedOps();
     return t;
 }
 
@@ -193,6 +206,15 @@ main(int argc, char **argv)
                               t.valuesOk ? "ok" : "BAD"});
                 if (!t.drained || !t.valuesOk)
                     ++failures;
+                // Evicted ops would make the means cover a truncated
+                // subset, so the bench fails.
+                if (t.evictedOps != 0) {
+                    ++failures;
+                    std::printf("check %s n%zu %s: tracer evicted %llu "
+                                "ops  [FAIL]\n",
+                                fname, nodes, bname.c_str(),
+                                (unsigned long long)t.evictedOps);
+                }
                 us["barrier"][fname][nodes][bname] = t.barrierUs;
                 us["reduce"][fname][nodes][bname] = t.reduceUs;
                 us["bcast"][fname][nodes][bname] = t.bcastUs;

@@ -36,7 +36,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <new> // tglint: allow(raw-new)
+#include <new>
 #include <type_traits>
 #include <utility>
 

@@ -40,10 +40,6 @@ class Ring
     T &front() { return _slots[_head]; }
     const T &front() const { return _slots[_head]; }
 
-    /** Newest element; the ring must be non-empty. */
-    T &back() { return (*this)[_count - 1]; }
-    const T &back() const { return (*this)[_count - 1]; }
-
     /** Append @p v behind every element already queued. */
     void
     push(T &&v)

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,6 +26,7 @@
 #include "net/network.hpp"
 #include "net/reroute.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/system.hpp"
 
 namespace tg::net {
@@ -101,14 +101,14 @@ bfsDistances(const TopologySpec &spec, std::size_t skip = SIZE_MAX)
         nsw, std::vector<std::size_t>(nsw, kInf));
     for (std::size_t s = 0; s < nsw; ++s) {
         dist[s][s] = 0;
-        std::deque<std::size_t> q{s};
+        Ring<std::size_t> q;
+        q.push(std::size_t(s));
         while (!q.empty()) {
-            const std::size_t u = q.front();
-            q.pop_front();
+            const std::size_t u = q.pop();
             for (std::size_t v : adj[u]) {
                 if (dist[s][v] == kInf) {
                     dist[s][v] = dist[s][u] + 1;
-                    q.push_back(v);
+                    q.push(std::size_t(v));
                 }
             }
         }

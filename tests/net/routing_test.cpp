@@ -10,13 +10,13 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "net/network.hpp"
 #include "sim/random.hpp"
+#include "sim/ring.hpp"
 #include "sim/system.hpp"
 
 namespace tg::net {
@@ -91,14 +91,14 @@ bfsDistances(const TopologySpec &spec)
         nsw, std::vector<std::size_t>(nsw, kInf));
     for (std::size_t s = 0; s < nsw; ++s) {
         dist[s][s] = 0;
-        std::deque<std::size_t> q{s};
+        Ring<std::size_t> q;
+        q.push(std::size_t(s));
         while (!q.empty()) {
-            const std::size_t u = q.front();
-            q.pop_front();
+            const std::size_t u = q.pop();
             for (std::size_t v : adj[u]) {
                 if (dist[s][v] == kInf) {
                     dist[s][v] = dist[s][u] + 1;
-                    q.push_back(v);
+                    q.push(std::size_t(v));
                 }
             }
         }

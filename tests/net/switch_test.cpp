@@ -93,6 +93,7 @@ TEST(Switch, PerSourceInOrderDelivery)
     // source's sequence must come out in order.
     Rng rng(99);
     std::map<NodeId, Word> next_seq;
+    std::map<NodeId, Word> seen;
     for (int round = 0; round < 50; ++round) {
         for (NodeId src = 0; src < 3; ++src) {
             if (!sw.inQueue(src).full())
@@ -100,7 +101,6 @@ TEST(Switch, PerSourceInOrderDelivery)
         }
         sys.events().run();
         while (!sw.outQueue(3).empty()) {
-            static std::map<NodeId, Word> seen;
             const Packet p = sw.outQueue(3).pop();
             auto it = seen.find(p.src);
             if (it != seen.end()) {

@@ -37,6 +37,8 @@ TEST(FnTest, DefaultAndNullptrConstructedAreEmpty)
 
 TEST(FnTest, NullStdFunctionAndFunctionPointerStayEmpty)
 {
+    // The std::function adapter is the behaviour under test.
+    // tglint: allow(hot-path-std-function)
     std::function<void()> nullFn;
     Event a = std::move(nullFn);
     EXPECT_FALSE(a);
@@ -45,6 +47,7 @@ TEST(FnTest, NullStdFunctionAndFunctionPointerStayEmpty)
     Event b = nullPtr;
     EXPECT_FALSE(b);
 
+    // tglint: allow(hot-path-std-function)  adapter under test
     std::function<void()> realFn = [] {};
     Event c = std::move(realFn);
     EXPECT_TRUE(c);

@@ -38,7 +38,7 @@ def tg_doc(bench, metrics):
 
 
 def run_compare(tmpdir, baseline, candidate, *extra):
-    bpath = os.path.join(tmpdir, "baseline.json")
+    bpath = os.path.join(tmpdir, "committed.json")
     cpath = os.path.join(tmpdir, "candidate.json")
     with open(bpath, "w", encoding="utf-8") as fh:
         json.dump(baseline, fh)

@@ -1,7 +1,10 @@
 /**
  * @file
- * tglint fixture: raw new / delete outside an allocator shim.
+ * tglint fixture: raw new / delete.  The "#include <new>" header name
+ * is not an allocation and must not fire.
  */
+
+#include <new>
 
 int
 leaky()

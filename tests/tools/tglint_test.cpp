@@ -1,15 +1,11 @@
 /**
  * @file
  * Unit tests for tglint: every rule must fire on its fixture, the
- * allow() escape hatch must silence findings, clean code
- * must pass, the baseline ratchet must admit exactly the triaged
- * findings, and rule disabling / output rendering (human, JSON, SARIF)
- * must behave.
+ * allow() escape hatch must silence findings, clean code must pass,
+ * and the output renderers (human, JSON, SARIF) must behave.
  */
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,11 +18,8 @@
 
 namespace {
 
-using tglint::Baseline;
-using tglint::BaselineEntry;
 using tglint::Finding;
 using tglint::Options;
-using tglint::Report;
 
 std::string
 fixture(const std::string &name)
@@ -79,7 +72,8 @@ TEST(TglintTest, RawNewFixtureFires)
 {
     auto fs = lintFixture("raw_new.cpp");
     EXPECT_EQ(rulesOf(fs), std::set<std::string>{"raw-new"});
-    EXPECT_EQ(fs.size(), 2u); // new + delete
+    // new + delete; the "#include <new>" header name does not fire.
+    EXPECT_EQ(fs.size(), 2u);
 }
 
 TEST(TglintTest, FileDocFixtureFires)
@@ -148,13 +142,6 @@ TEST(TglintTest, CleanFixtureIsClean)
     EXPECT_TRUE(lintFixture("clean.cpp").empty());
 }
 
-TEST(TglintTest, DisabledRuleIsSkipped)
-{
-    Options opts;
-    opts.disabledRules.push_back("banned-api");
-    EXPECT_TRUE(lintFixture("banned_api.cpp", opts).empty());
-}
-
 TEST(TglintTest, DirectoryScanCoversAllFixtures)
 {
     std::vector<Finding> out;
@@ -172,15 +159,33 @@ TEST(TglintTest, DirectoryScanCoversAllFixtures)
                                }));
 }
 
-TEST(TglintTest, GetenvExemptPathIsAllowed)
+TEST(TglintTest, GetenvFiresOnEveryPath)
 {
-    // The config loader is the one legal getenv site.
+    // No path is exempt: settings reach the model through Config.
     std::vector<Finding> out;
     tglint::lintSource("src/sim/config.cpp",
                        "/** @file config */\n"
                        "const char *v = std::getenv(\"TG_SEED\");\n",
                        Options{}, out);
-    EXPECT_TRUE(out.empty());
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].rule, "banned-api");
+}
+
+TEST(TglintTest, RawNewFiresOnAllocatorPaths)
+{
+    // No path is exempt: an allocator shim justifies each site inline.
+    std::vector<Finding> out;
+    tglint::lintSource("src/sim/alloc_pool.cpp",
+                       "/** @file pool */\n"
+                       "int *make(bool b) {\n"
+                       "  if (b) return new int(1);\n"
+                       "  // tglint: allow(raw-new)  the pool owns it\n"
+                       "  return new int(2);\n"
+                       "}\n",
+                       Options{}, out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].rule, "raw-new");
+    EXPECT_EQ(out[0].line, 3);
 }
 
 TEST(TglintTest, OrderInsensitiveNamespaceMayIterateUnordered)
@@ -279,155 +284,17 @@ TEST(TglintTest, RelaxedPathsDisableOnlyTheRelaxedRules)
 }
 
 // ---------------------------------------------------------------------
-// Baseline ratchet
-// ---------------------------------------------------------------------
-
-TEST(TglintBaselineTest, BaselinedFindingsPassNewOnesFail)
-{
-    auto fs = lintFixture("raw_new.cpp"); // 2 raw-new findings
-    Baseline base;
-    base.entries.push_back({"raw_new.cpp", "raw-new", 1});
-
-    Report rep = tglint::applyBaseline(fs, base);
-    EXPECT_EQ(rep.baselined.size(), 1u); // entry absorbs one
-    ASSERT_EQ(rep.fresh.size(), 1u);     // the second is NEW -> fails
-    EXPECT_EQ(rep.fresh[0].rule, "raw-new");
-    EXPECT_TRUE(rep.stale.empty());
-}
-
-TEST(TglintBaselineTest, FullyBaselinedRunIsClean)
-{
-    auto fs = lintFixture("raw_new.cpp");
-    Baseline base;
-    base.entries.push_back({"raw_new.cpp", "raw-new", 2});
-
-    Report rep = tglint::applyBaseline(fs, base);
-    EXPECT_TRUE(rep.fresh.empty());
-    EXPECT_EQ(rep.baselined.size(), 2u);
-    EXPECT_TRUE(rep.stale.empty());
-}
-
-TEST(TglintBaselineTest, UnusedCapacityIsReportedStale)
-{
-    auto fs = lintFixture("raw_new.cpp");
-    Baseline base;
-    base.entries.push_back({"raw_new.cpp", "raw-new", 5});
-    base.entries.push_back({"gone/file.cpp", "banned-api", 1});
-
-    Report rep = tglint::applyBaseline(fs, base);
-    EXPECT_TRUE(rep.fresh.empty());
-    ASSERT_EQ(rep.stale.size(), 2u);
-    EXPECT_EQ(rep.stale[0].file, "raw_new.cpp");
-    EXPECT_EQ(rep.stale[0].count, 3); // 5 triaged, only 2 still fire
-    EXPECT_EQ(rep.stale[1].file, "gone/file.cpp");
-}
-
-TEST(TglintBaselineTest, EntryPathMatchesAsSuffix)
-{
-    // Committed baselines use repo-relative paths; ctest and CI hand the
-    // scanner absolute paths.  "fixtures/raw_new.cpp" must match
-    // "<abs>/tests/tools/fixtures/raw_new.cpp".
-    auto fs = lintFixture("raw_new.cpp");
-    Baseline base;
-    base.entries.push_back({"fixtures/raw_new.cpp", "raw-new", 2});
-    EXPECT_TRUE(tglint::applyBaseline(fs, base).fresh.empty());
-
-    // A suffix of the filename alone must NOT match.
-    Baseline wrong;
-    wrong.entries.push_back({"new.cpp", "raw-new", 2});
-    EXPECT_EQ(tglint::applyBaseline(fs, wrong).fresh.size(), 2u);
-}
-
-TEST(TglintBaselineTest, LoadParsesSchemaAndEntries)
-{
-    const std::string path =
-        ::testing::TempDir() + "/tglint_baseline_ok.json";
-    {
-        std::ofstream f(path);
-        f << "{\n  \"schema\": \"tglint-baseline-v1\",\n"
-             "  \"entries\": [\n"
-             "    {\"file\": \"src/a.cpp\", \"rule\": \"raw-new\", "
-             "\"count\": 2},\n"
-             "    {\"file\": \"src/b.cpp\", \"rule\": \"banned-api\", "
-             "\"count\": 1}\n  ]\n}\n";
-    }
-    Baseline base;
-    std::string err;
-    ASSERT_TRUE(tglint::loadBaseline(path, base, err)) << err;
-    ASSERT_EQ(base.entries.size(), 2u);
-    EXPECT_EQ(base.entries[0].file, "src/a.cpp");
-    EXPECT_EQ(base.entries[0].rule, "raw-new");
-    EXPECT_EQ(base.entries[0].count, 2);
-    std::remove(path.c_str());
-}
-
-TEST(TglintBaselineTest, LoadRejectsWrongSchemaAndMalformedJson)
-{
-    const std::string path =
-        ::testing::TempDir() + "/tglint_baseline_bad.json";
-    Baseline base;
-    std::string err;
-
-    {
-        std::ofstream f(path);
-        f << "{\"schema\": \"tglint-baseline-v9\", \"entries\": []}";
-    }
-    EXPECT_FALSE(tglint::loadBaseline(path, base, err));
-    EXPECT_NE(err.find("schema"), std::string::npos);
-
-    {
-        std::ofstream f(path);
-        f << "{\"entries\": [";
-    }
-    EXPECT_FALSE(tglint::loadBaseline(path, base, err));
-
-    EXPECT_FALSE(tglint::loadBaseline(path + ".missing", base, err));
-    std::remove(path.c_str());
-}
-
-TEST(TglintBaselineTest, CommittedBaselineAdmitsNoFreshSrcFindings)
-{
-    // The acceptance gate of the ratchet itself: a finding the baseline
-    // does not know about must surface as fresh.
-    Baseline base;
-    base.entries.push_back(
-        {"tests/sim/event_fn_test.cpp", "hot-path-std-function", 2});
-    std::vector<Finding> fs;
-    fs.push_back({"/repo/src/sim/queue.cpp", 10, "pointer-keyed-order",
-                  "restored pointer-keyed map"});
-    Report rep = tglint::applyBaseline(fs, base);
-    ASSERT_EQ(rep.fresh.size(), 1u);
-    EXPECT_EQ(rep.fresh[0].rule, "pointer-keyed-order");
-}
-
-// ---------------------------------------------------------------------
 // Report rendering
 // ---------------------------------------------------------------------
 
-TEST(TglintReportTest, ReportJsonCarriesCountsAndStale)
-{
-    Report rep;
-    rep.fresh.push_back({"a.cpp", 3, "raw-new", "msg"});
-    rep.baselined.push_back({"b.cpp", 7, "banned-api", "old"});
-    rep.stale.push_back({"gone.cpp", "tick-float", 2});
-
-    std::ostringstream os;
-    tglint::printJson(rep, os);
-    const std::string j = os.str();
-    EXPECT_NE(j.find("\"count\":1"), std::string::npos);
-    EXPECT_NE(j.find("\"baselinedCount\":1"), std::string::npos);
-    EXPECT_NE(j.find("\"file\":\"gone.cpp\""), std::string::npos);
-    EXPECT_NE(j.find("\"rule\":\"tick-float\""), std::string::npos);
-}
-
 TEST(TglintReportTest, SarifSmoke)
 {
-    Report rep;
-    rep.fresh.push_back({"src/a.cpp", 3, "raw-new", "fresh \"msg\""});
-    rep.baselined.push_back({"src/b.cpp", 7, "banned-api", "old"});
+    std::vector<Finding> fs;
+    fs.push_back({"src/a.cpp", 3, "raw-new", "fresh \"msg\""});
+    fs.push_back({"src/b.cpp", 7, "banned-api", "old"});
 
     std::ostringstream os;
-    tglint::printSarif(rep, os);
+    tglint::printSarif(fs, os);
     const std::string s = os.str();
 
     EXPECT_NE(s.find("\"version\":\"2.1.0\""), std::string::npos);
@@ -437,21 +304,24 @@ TEST(TglintReportTest, SarifSmoke)
     for (const std::string &rule : tglint::allRules())
         EXPECT_NE(s.find("\"id\":\"" + rule + "\""), std::string::npos)
             << rule;
-    EXPECT_NE(s.find("\"baselineState\":\"new\""), std::string::npos);
-    EXPECT_NE(s.find("\"baselineState\":\"unchanged\""), std::string::npos);
+    // One result per finding.
+    EXPECT_NE(s.find("\"ruleId\":\"raw-new\""), std::string::npos);
+    EXPECT_NE(s.find("\"ruleId\":\"banned-api\""), std::string::npos);
     EXPECT_NE(s.find("\"startLine\":3"), std::string::npos);
+    EXPECT_NE(s.find("\"startLine\":7"), std::string::npos);
     // Quotes inside messages are escaped: the document stays valid JSON.
     EXPECT_NE(s.find("fresh \\\"msg\\\""), std::string::npos);
 }
 
 TEST(TglintReportTest, HumanReportSummarizesCounts)
 {
-    Report rep;
-    rep.baselined.push_back({"b.cpp", 7, "banned-api", "old"});
-    std::ostringstream os;
-    tglint::printHuman(rep, os);
-    EXPECT_NE(os.str().find("clean"), std::string::npos);
-    EXPECT_NE(os.str().find("1 baselined"), std::string::npos);
+    std::ostringstream clean;
+    tglint::printHuman({}, clean);
+    EXPECT_EQ(clean.str(), "tglint: clean\n");
+
+    std::ostringstream dirty;
+    tglint::printHuman(lintFixture("raw_new.cpp"), dirty);
+    EXPECT_NE(dirty.str().find("tglint: 2 finding(s)"), std::string::npos);
 }
 
 TEST(TglintTest, JsonOutputIsWellFormed)

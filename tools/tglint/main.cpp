@@ -3,16 +3,15 @@
  * tglint command-line driver.
  *
  * Usage:
- *   tglint [--json] [--sarif=<path>] [--baseline=<file>]
- *          [--disable <rule>]... [--list-rules] <path>...
+ *   tglint [--json] [--sarif=<path>] [--list-rules] <path>...
  *
  * Paths may be files or directories (recursed for *.cpp / *.hpp / *.h).
  * The CLI (not the library) applies the project scan policy: the rule
  * fixture corpus under tests/tools/fixtures is skipped entirely, and
  * file-doc is relaxed for files under tests/.
  *
- * Exit status: 0 clean (all findings baselined), 1 new findings,
- * 2 usage or I/O error.
+ * Exit status: 0 clean (no finding left once allow() comments apply),
+ * 1 findings, 2 usage or I/O error.
  */
 
 #include <fstream>
@@ -39,8 +38,8 @@ flagValue(const std::string &arg, const char *flag, std::string &value)
 void
 usage(std::ostream &os)
 {
-    os << "usage: tglint [--json] [--sarif=<path>] [--baseline=<file>]\n"
-          "              [--disable <rule>]... [--list-rules] <path>...\n";
+    os << "usage: tglint [--json] [--sarif=<path>] [--list-rules] "
+          "<path>...\n";
 }
 
 } // namespace
@@ -50,7 +49,6 @@ main(int argc, char **argv)
 {
     bool json = false;
     std::string sarifPath;
-    std::string baselinePath;
     tglint::Options opts;
     // Project scan policy: fixture corpora violate rules on purpose and
     // are skipped; tests keep every determinism rule but not file-doc.
@@ -67,18 +65,10 @@ main(int argc, char **argv)
             json = true;
         } else if (flagValue(arg, "--sarif", value)) {
             sarifPath = value;
-        } else if (flagValue(arg, "--baseline", value)) {
-            baselinePath = value;
         } else if (arg == "--list-rules") {
             for (const std::string &r : tglint::allRules())
                 std::cout << r << "\n";
             return 0;
-        } else if (arg == "--disable") {
-            if (i + 1 >= argc) {
-                std::cerr << "tglint: --disable needs a rule name\n";
-                return 2;
-            }
-            opts.disabledRules.push_back(argv[++i]);
         } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
@@ -94,15 +84,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    tglint::Baseline baseline;
-    if (!baselinePath.empty()) {
-        std::string err;
-        if (!tglint::loadBaseline(baselinePath, baseline, err)) {
-            std::cerr << "tglint: " << err << "\n";
-            return 2;
-        }
-    }
-
     tglint::ProjectIndex index;
     bool ok = true;
     for (const std::string &p : paths)
@@ -112,25 +93,23 @@ main(int argc, char **argv)
     std::vector<tglint::Finding> findings;
     tglint::runRules(index, opts, findings);
 
-    const tglint::Report report = tglint::applyBaseline(findings, baseline);
-
     if (!sarifPath.empty()) {
         std::ofstream sarif(sarifPath, std::ios::binary);
         if (!sarif) {
             std::cerr << "tglint: cannot write '" << sarifPath << "'\n";
             return 2;
         }
-        tglint::printSarif(report, sarif);
+        tglint::printSarif(findings, sarif);
     }
 
     if (json)
-        tglint::printJson(report, std::cout);
+        tglint::printJson(findings, std::cout);
     else
-        tglint::printHuman(report, std::cout);
+        tglint::printHuman(findings, std::cout);
 
     if (!ok) {
         std::cerr << "tglint: some paths could not be read\n";
         return 2;
     }
-    return report.fresh.empty() ? 0 : 1;
+    return findings.empty() ? 0 : 1;
 }

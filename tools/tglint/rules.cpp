@@ -84,9 +84,6 @@ struct FileCtx
     bool
     ruleDisabled(const std::string &rule) const
     {
-        if (std::find(opts.disabledRules.begin(), opts.disabledRules.end(),
-                      rule) != opts.disabledRules.end())
-            return true;
         // Relaxed paths (tests): some rules are off wholesale.
         for (const std::string &sub : opts.relaxedPathSubstrings) {
             if (!pathContains(rec.path, sub))
@@ -158,12 +155,11 @@ ruleBannedApi(FileCtx &ctx)
                          "EventQueue::now()");
             continue;
         }
-        if (call && (name == "getenv" || name == "secure_getenv") &&
-            !pathContains(ctx.path(), ctx.opts.getenvExemptSubstring)) {
+        if (call && (name == "getenv" || name == "secure_getenv")) {
             ctx.emit(t[i].line, kBannedApi,
                      "'" + name +
-                         "()' outside sim/config makes runs depend on the "
-                         "host environment");
+                         "()' makes runs depend on the host environment; "
+                         "pass settings through Config");
         }
     }
 }
@@ -355,14 +351,15 @@ ruleTickFloat(FileCtx &ctx)
 void
 ruleRawNew(FileCtx &ctx)
 {
-    if (pathContains(ctx.path(), ctx.opts.allocatorExemptSubstring))
-        return;
     const std::vector<Token> &t = ctx.tokens();
     for (std::size_t i = 0; i < t.size(); ++i) {
         if (t[i].kind != TokKind::Ident)
             continue;
         const bool opOverload = i > 0 && t[i - 1].is("operator");
-        if (t[i].is("new") && !opOverload) {
+        // "#include <new>" names the header, not an allocation.
+        const bool headerName = i >= 3 && t[i - 1].is("<") &&
+                                t[i - 2].is("include") && t[i - 3].is("#");
+        if (t[i].is("new") && !opOverload && !headerName) {
             ctx.emit(t[i].line, kRawNew,
                      "raw 'new'; own allocations with std::make_unique / "
                      "containers so teardown order stays deterministic");
@@ -697,7 +694,7 @@ ruleDescription(const std::string &rule)
          "iteration over an unordered container in an order-sensitive "
          "namespace"},
         {kTickFloat, "floating-point arithmetic feeding an integral Tick"},
-        {kRawNew, "raw new/delete outside the allocator shims"},
+        {kRawNew, "raw new/delete"},
         {kFileDoc, "missing leading @file documentation header"},
         {kHotStdFunction,
          "std::function on a scheduling hot path heap-allocates"},

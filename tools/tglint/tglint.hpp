@@ -14,9 +14,11 @@
  *                        order-sensitive namespaces (net, hib,
  *                        coherence, sim)
  *   tick-float           floating-point arithmetic feeding a Tick
- *   raw-new              raw new / delete outside allocator shims
+ *   raw-new              raw new / delete
  *   file-doc             missing leading "@file" documentation header
  *   hot-path-std-function  std::function on scheduling hot paths
+ *   hot-path-heap-alloc  std::deque / std::list / std::forward_list on
+ *                        scheduling hot paths
  *   global-mutable-state   non-const namespace-scope / static-local /
  *                        static-member state in the model-state
  *                        namespaces (sim, net, hib, node, coherence) —
@@ -26,14 +28,13 @@
  *                        order then depends on allocation addresses
  *   include-cycle        cyclic quoted-include edges
  *
- * Any finding can be suppressed with a justification comment on the
- * same line or the line immediately above:
+ * The one way a finding passes is a justification comment on the same
+ * line or the line immediately above:
  *
  *     // tglint: allow(tick-float)  rounding contract documented here
  *
- * A committed baseline (tools/tglint/baseline.json) ratchets findings:
- * pre-existing triaged entries pass, new findings fail.  --sarif emits
- * a SARIF 2.1.0 report for CI annotation.
+ * Every other finding fails the run.  --sarif emits a SARIF 2.1.0
+ * report for CI annotation.
  */
 
 #ifndef TELEGRAPHOS_TOOLS_TGLINT_HPP
@@ -60,15 +61,6 @@ struct Finding
 /** Scanner configuration. */
 struct Options
 {
-    /** Disable individual rules by slug. */
-    std::vector<std::string> disabledRules;
-
-    /** Paths whose findings for getenv are exempt (the config loader). */
-    std::string getenvExemptSubstring = "sim/config";
-
-    /** Paths exempt from the raw-new rule (allocator shims). */
-    std::string allocatorExemptSubstring = "/alloc";
-
     /** Files skipped entirely (rule-fixture corpora violate rules on
      *  purpose).  Substring match; empty by default for library users —
      *  the CLI adds "tests/tools/fixtures". */
@@ -81,29 +73,6 @@ struct Options
     /** Rules disabled on the relaxed paths (CLI default: file-doc off
      *  under tests/). */
     std::vector<std::string> relaxedRules;
-};
-
-/** One triaged baseline entry: up to @p count findings of @p rule in
- *  @p file are pre-existing and pass the ratchet. */
-struct BaselineEntry
-{
-    std::string file; ///< repo-relative path (suffix-matched)
-    std::string rule; ///< rule slug
-    int count = 0;    ///< triaged finding count
-};
-
-/** A parsed baseline file. */
-struct Baseline
-{
-    std::vector<BaselineEntry> entries;
-};
-
-/** The analyzer's result after baseline application. */
-struct Report
-{
-    std::vector<Finding> fresh;       ///< NEW findings (fail the build)
-    std::vector<Finding> baselined;   ///< matched a baseline entry
-    std::vector<BaselineEntry> stale; ///< baseline capacity never used
 };
 
 /** All rule slugs tglint knows, in reporting order. */
@@ -143,27 +112,6 @@ bool lintPath(const std::string &path, const Options &opts,
               std::vector<Finding> &out);
 
 // ---------------------------------------------------------------------
-// Baseline ratchet
-// ---------------------------------------------------------------------
-
-/**
- * Parse a baseline JSON document ({"schema":"tglint-baseline-v1",
- * "entries":[{"file":...,"rule":...,"count":N},...]}).
- * @return false and sets @p err on parse failure.
- */
-bool loadBaseline(const std::string &path, Baseline &out, std::string &err);
-
-/**
- * Split @p findings into fresh vs baselined.  A finding matches a
- * baseline entry when the rules are equal and the entry's file equals
- * the finding's path or is a path suffix of it ("src/sim/log.cpp"
- * matches "/repo/src/sim/log.cpp"); each entry absorbs at most
- * `count` findings.  Entries with unused capacity are reported stale.
- */
-Report applyBaseline(const std::vector<Finding> &findings,
-                     const Baseline &baseline);
-
-// ---------------------------------------------------------------------
 // Output
 // ---------------------------------------------------------------------
 
@@ -173,15 +121,9 @@ void printHuman(const std::vector<Finding> &findings, std::ostream &os);
 /** Render findings as a JSON document {"count":N,"findings":[...]}. */
 void printJson(const std::vector<Finding> &findings, std::ostream &os);
 
-/** Render a full report (fresh + baselined + stale). */
-void printHuman(const Report &report, std::ostream &os);
-
-/** JSON document with counts, fresh findings and stale entries. */
-void printJson(const Report &report, std::ostream &os);
-
-/** SARIF 2.1.0 document; baselined findings carry baselineState
- *  "unchanged", fresh ones "new". */
-void printSarif(const Report &report, std::ostream &os);
+/** SARIF 2.1.0 document: the rule catalogue plus one result per
+ *  finding. */
+void printSarif(const std::vector<Finding> &findings, std::ostream &os);
 
 } // namespace tglint
 
