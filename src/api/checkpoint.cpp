@@ -4,14 +4,14 @@
  *
  * A checkpoint captures the *semantic* state of a quiescent cluster —
  * everything that influences the future schedule, packet contents or
- * trace hash — as a self-contained text blob (schema tg-ckpt-v3):
+ * trace hash — as a self-contained text blob (schema tg-ckpt-v4):
  *
  *  - simulation clock, event sequence counter, executed-event count
  *  - the determinism trace hash (value + words mixed)
  *  - the RNG stream state (spawn keys and Ctx forks continue exactly)
  *  - the packet-conservation ledger
  *  - per node: memory words, cache tags, TLB contents, page tables,
- *    allocator cursors, scheduler shape and HIB ticket/seq/page-counter
+ *    allocator cursors, scheduler shape and HIB ticket/page-counter
  *    state
  *  - the shared-page directory (owner, copies, rings)
  *  - every statistic: the StatRegistry's own section (StatRegistry::save)
@@ -38,7 +38,7 @@ namespace tg {
 
 namespace {
 
-constexpr const char *kMagic = "tg-ckpt-v3";
+constexpr const char *kMagic = "tg-ckpt-v4";
 
 /** Token-stream reader: whitespace-separated tags and unsigned values,
  *  fatal() on any shape mismatch (a checkpoint is machine-written, so a
@@ -138,8 +138,7 @@ Cluster::checkpoint()
             os << " " << c;
         os << "\n";
         os << "cpu " << ws.cpu().numThreads() << "\n";
-        os << "hib " << ws.hib().peekTicket() << " " << ws.hib().peekSeq()
-           << "\n";
+        os << "hib " << ws.hib().peekTicket() << "\n";
 
         const auto words = ws.mem().dumpWords();
         os << "mem " << words.size() << "\n";
@@ -263,10 +262,7 @@ Cluster::restore(const std::string &blob)
         r.expect("cpu");
         ws.cpu().restoreScheduler(r.u64());
         r.expect("hib");
-        {
-            const std::uint64_t ticket = r.u64();
-            ws.hib().restoreCounters(ticket, r.u64());
-        }
+        ws.hib().restoreCounters(r.u64());
 
         r.expect("mem");
         for (std::uint64_t i = 0, count = r.u64(); i < count; ++i) {

@@ -224,50 +224,12 @@ Cluster::Cluster(const ClusterSpec &spec)
         std::make_unique<coherence::InvalidateProtocol>(*_sys, *this));
 
     if (spec.config.fault.enabled()) {
-        _net->setFailureHandler(
-            [this](net::Packet &&pkt) { wireFailure(std::move(pkt)); });
+        // The victim's HIB decides what the loss means and keeps the
+        // node's one count of it.
+        _net->setFailureHandler([this](net::Packet &&pkt) {
+            hibOf(hib::victimOf(pkt)).onWireFailure(pkt);
+        });
     }
-}
-
-void
-Cluster::wireFailure(net::Packet &&pkt)
-{
-    // Who loses an expected completion when this packet vanishes?  For
-    // replies and acks it is the node still waiting for them (dst); for
-    // coherence updates it is the write's origin (whose outstanding
-    // counter tracks the reflected copies); for requests it is the
-    // sender.
-    NodeId victim;
-    switch (pkt.type) {
-      case net::PacketType::WriteAck:
-      case net::PacketType::UpdateAck:
-      case net::PacketType::ReadReply:
-      case net::PacketType::AtomicReply:
-      case net::PacketType::CopyData:
-      case net::PacketType::InvAck:
-      case net::PacketType::PageData:
-      // Collective tree traffic: the receiving NIC synthesizes the lost
-      // arrival/release so every member still completes (coll_engine).
-      case net::PacketType::CollUp:
-      case net::PacketType::CollDown:
-        victim = pkt.dst;
-        break;
-      case net::PacketType::Update:
-      case net::PacketType::RingUpdate:
-      case net::PacketType::WriteOwner:
-        victim = pkt.origin;
-        break;
-      default:
-        victim = pkt.src;
-        break;
-    }
-
-    for (auto &ctx : _ctxs) {
-        if (ctx->self() == victim)
-            ctx->noteWireFailure();
-    }
-    _kernels[victim]->onWireFailure(pkt);
-    hibOf(victim).onWireFailure(pkt);
 }
 
 Cluster::~Cluster() = default;

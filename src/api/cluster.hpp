@@ -362,7 +362,7 @@ class Cluster : public coherence::Fabric
 
     /**
      * Serialize the cluster's semantic state into a self-contained text
-     * blob (schema tg-ckpt-v3): simulation clock + event sequence, trace
+     * blob (schema tg-ckpt-v4): simulation clock + event sequence, trace
      * hash, RNG stream, packet ledger, per-node memory / cache / TLB /
      * page-table / HIB-ticket state, the page directory and every stat
      * field and histogram (StatRegistry::save).
@@ -390,11 +390,6 @@ class Cluster : public coherence::Fabric
 
     VAddr allocVa(std::size_t pages);
     int spawnIn(NodeId n, node::AddressSpace &as, Body body);
-
-    /** Network failure handler: the reliability layer permanently gave
-     *  up on @p pkt.  Routes the loss to the victim node's HIB (counter
-     *  conservation) and marks that node's contexts with LinkFailure. */
-    void wireFailure(net::Packet &&pkt);
 
     std::unique_ptr<System> _sys;
     std::unique_ptr<coherence::Directory> _dir;

@@ -29,6 +29,12 @@ Ctx::now() const
     return _cluster.system().now();
 }
 
+std::uint64_t
+Ctx::wireFailures() const
+{
+    return _cluster.hibOf(_self).wireFailures();
+}
+
 OpResult<Word>
 Ctx::read(VAddr va)
 {

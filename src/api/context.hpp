@@ -47,7 +47,7 @@ shadowOf(VAddr va)
 /**
  * co_await-able remote operation yielding Result<T>.
  *
- * Wraps the CPU's raw OpAwaiter and snapshots the context's wire-failure
+ * Wraps the CPU's raw OpAwaiter and snapshots the node's wire-failure
  * count across the suspension: a failure charged to this node while the
  * operation was in flight surfaces as OpError::LinkFailure on exactly
  * the operation that observed it (the lost read that unblocked empty,
@@ -87,32 +87,9 @@ class Ctx
 
     void setLaunchMode(LaunchMode m) { _mode = m; }
 
-    // ------------------------------------------------------------------
-    // Error status (fault model; see DESIGN.md "Fault model")
-    // ------------------------------------------------------------------
-
-    /**
-     * Sticky status of this node's remote operations.  LinkFailure means
-     * at least one operation since the last clearError() was lost by the
-     * network after exhausting its retry budget (or was failed over
-     * during an administrative outage): the operation completed — the
-     * fence drained, a blocked read unblocked with value 0 — but its
-     * effect did not happen remotely.
-     */
-    OpError lastError() const { return _lastError; }
-
-    /** Reset lastError() to OpError::None. */
-    void clearError() { _lastError = OpError::None; }
-
-    /** Wire failures charged to this node so far. */
-    std::uint64_t wireFailures() const { return _wireFailureCount; }
-
-    /** Record a wire failure against this context (Cluster failure path). */
-    void noteWireFailure()
-    {
-        _lastError = OpError::LinkFailure;
-        ++_wireFailureCount;
-    }
+    /** Wire failures charged to this node so far: its HIB's count
+     *  (Hib::wireFailures), which OpResult compares across a wait. */
+    std::uint64_t wireFailures() const;
 
     // ------------------------------------------------------------------
     // Single-instruction operations
@@ -219,8 +196,6 @@ class Ctx
     VAddr _specialRegVa; ///< where the Telegraphos I register page is mapped
     Rng _rng;
     LaunchMode _mode = LaunchMode::Default;
-    OpError _lastError = OpError::None;
-    std::uint64_t _wireFailureCount = 0;
 };
 
 template <typename T>

@@ -16,7 +16,8 @@
  *
  * The implicit conversion keeps `Word v = co_await ctx.read(va)` working
  * unchanged; callers that care about delivery inspect ok()/error().
- * (Ctx::lastError() remains as a sticky per-context aggregate.)
+ * Result<T> is the one per-operation error channel: it compares the
+ * node's HIB wire-failure count across the operation's wait.
  */
 
 #ifndef TELEGRAPHOS_API_RESULT_HPP
@@ -24,7 +25,7 @@
 
 namespace tg {
 
-/** Error status of a remote operation (or of a context's history). */
+/** Error status of a remote operation. */
 enum class OpError
 {
     None,        ///< delivered normally

@@ -46,7 +46,6 @@ GalacticaRingProtocol::sendRing(NodeId from, PageEntry &e, PAddr home_addr,
     pkt.addr = home_addr;
     pkt.value = value;
     pkt.origin = from;
-    pkt.seq = hib.nextSeq();
     pkt.ticket = corrective ? kCorrective : 0;
     hib.inject(std::move(pkt), /*track=*/true);
 }

@@ -34,7 +34,6 @@ NaiveMulticastProtocol::multicastFrom(NodeId src, PageEntry &e,
         upd.addr = home_addr;
         upd.value = value;
         upd.origin = src;
-        upd.seq = hib.nextSeq();
         hib.inject(std::move(upd), track);
     }
 }

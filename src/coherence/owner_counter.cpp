@@ -37,7 +37,6 @@ OwnerCounterProtocol::ownerMulticast(PageEntry &e, PAddr home_addr,
         upd.addr = home_addr;
         upd.value = value;
         upd.origin = origin;
-        upd.seq = owner_hib.nextSeq();
         owner_hib.inject(std::move(upd), track_at_owner);
         ++_reflected;
     }
@@ -79,7 +78,6 @@ OwnerCounterProtocol::localWrite(NodeId n, PageEntry &e, PAddr local_addr,
         pkt.addr = home_addr;
         pkt.value = value;
         pkt.origin = n;
-        pkt.seq = hib.nextSeq();
         hib.inject(std::move(pkt), /*track=*/false);
         done();
     };

@@ -124,7 +124,6 @@ void
 Hib::inject(Packet &&pkt, bool track)
 {
     pkt.src = _node;
-    pkt.tracked = track;
     if (track)
         _outstanding.add();
     system().ledger().onInjected();
@@ -192,7 +191,6 @@ Hib::cpuRemoteWrite(PAddr pa, Word value, OnDone latched,
     pkt.addr = pa;
     pkt.value = value;
     pkt.origin = _node;
-    pkt.seq = nextSeq();
     pkt.traceId = traceId;
     inject(std::move(pkt), /*track=*/true);
     // "Write requests do not stall the processor and release the
@@ -377,7 +375,6 @@ Hib::localSharedWrite(PAddr local_addr, Word value, OnDone done)
             pkt.addr = d.pageFrame + off;
             pkt.value = value;
             pkt.origin = _node;
-            pkt.seq = nextSeq();
             inject(std::move(pkt), /*track=*/true);
         }
     }
@@ -550,9 +547,34 @@ Hib::failReply(std::uint64_t ticket)
 {
     // The operation's result is gone; deliver 0 so the blocked CPU
     // unblocks.  The error itself is visible through the wire-failure
-    // counters and the owning context's lastError().
+    // count, which the operation's Result compares across its wait.
     if (OnWord cb = takeReply(ticket))
         cb(0);
+}
+
+NodeId
+victimOf(const Packet &pkt)
+{
+    switch (pkt.type) {
+      case PacketType::WriteAck:
+      case PacketType::UpdateAck:
+      case PacketType::ReadReply:
+      case PacketType::AtomicReply:
+      case PacketType::CopyData:
+      case PacketType::InvAck:
+      case PacketType::PageData:
+      // Collective tree traffic: the receiving NIC synthesizes the lost
+      // arrival/release so every member still completes (coll_engine).
+      case PacketType::CollUp:
+      case PacketType::CollDown:
+        return pkt.dst;
+      case PacketType::Update:
+      case PacketType::RingUpdate:
+      case PacketType::WriteOwner:
+        return pkt.origin;
+      default:
+        return pkt.src;
+    }
 }
 
 void

@@ -174,29 +174,24 @@ class Hib : public SimObject, public net::NodeEndpoint
     /** Allocate a reply-matching ticket and register its callback. */
     std::uint64_t expectReply(OnWord cb);
 
-    /** Next per-origin sequence number (coherence packet ordering). */
-    std::uint64_t nextSeq() { return _nextSeq++; }
-
     std::uint64_t packetsHandled() const { return _handled; }
 
     // ------------------------------------------------------------------
     // Checkpointing (DESIGN.md section 14.5)
     // ------------------------------------------------------------------
 
-    /** Upcoming ticket / sequence values without consuming them. */
+    /** Upcoming ticket value without consuming it. */
     std::uint64_t peekTicket() const { return _nextTicket; }
-    std::uint64_t peekSeq() const { return _nextSeq; }
 
-    /** Restore the ticket/seq counters captured at quiescence (no
-     *  pending replies or copies may exist). */
+    /** Restore the ticket counter captured at quiescence (no pending
+     *  replies or copies may exist). */
     void
-    restoreCounters(std::uint64_t next_ticket, std::uint64_t next_seq)
+    restoreCounters(std::uint64_t next_ticket)
     {
         TG_AUDIT(_pendingReplies.empty(),
                  "%s: counter restore with pending operations",
                  _name.c_str());
         _nextTicket = next_ticket;
-        _nextSeq = next_seq;
     }
 
     // ------------------------------------------------------------------
@@ -205,7 +200,7 @@ class Hib : public SimObject, public net::NodeEndpoint
 
     /**
      * The network permanently failed to deliver @p pkt and this node is
-     * the victim of the loss (sender awaiting an ack, reader awaiting a
+     * the loss's victimOf() (sender awaiting an ack, reader awaiting a
      * reply, ...).  Restores the conservation invariant: every expected
      * completion the lost packet represented is drained or failed, so
      * fences still drain and blocked CPUs still unblock — with a visible
@@ -213,7 +208,8 @@ class Hib : public SimObject, public net::NodeEndpoint
      */
     void onWireFailure(const net::Packet &pkt);
 
-    /** Remote operations this node lost to wire failures. */
+    /** Remote operations this node lost to wire failures: the one
+     *  per-node record of a loss (Ctx::wireFailures reads it). */
     std::uint64_t wireFailures() const { return _wireFailures; }
 
   private:
@@ -272,11 +268,19 @@ class Hib : public SimObject, public net::NodeEndpoint
     // ignores the word) all draw tickets from _nextTicket.
     std::map<std::uint64_t, OnWord> _pendingReplies;
     std::uint64_t _nextTicket = 1;
-    std::uint64_t _nextSeq = 1;
     std::uint64_t _handled = 0;
     std::uint32_t _readsInFlight = 0;
     std::uint64_t _wireFailures = 0;
 };
+
+/**
+ * The node that loses an expected completion when the network
+ * permanently fails to deliver @p pkt: the node still waiting for a
+ * reply or ack (its dst), the write's origin for coherence updates
+ * (whose outstanding counter tracks the reflected copies), and the
+ * sender for requests.
+ */
+NodeId victimOf(const net::Packet &pkt);
 
 } // namespace tg::hib
 

@@ -12,7 +12,7 @@
  *
  * Each packet lives in exactly one slot, and the slot is the packet:
  * the datapath reads and writes its fields in place through packet().
- * The fields a hop touches (src/dst/vc/hopsDone/payloadBytes/traceId)
+ * The fields a hop touches (src/dst/vc/payloadBytes/traceId)
  * sit in the first 24 bytes of the Packet (net/packet.hpp), so a switch
  * or link reads only the front of the slot and never the cold body
  * (addresses, operands, CRC, bulk payload).

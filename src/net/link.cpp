@@ -34,12 +34,22 @@ Channel::Channel(System &sys, const std::string &name,
     }
 
     _arena = &_lanes.front().up->arena();
-    for (auto &lane : _lanes) {
+    for (std::size_t i = 0; i < _lanes.size(); ++i) {
+        const Lane &lane = _lanes[i];
         TG_AUDIT(&lane.up->arena() == _arena &&
                      &lane.down->arena() == _arena,
                  "%s: lanes span different packet arenas", _name.c_str());
-        lane.up->onData([this] { pump(); });
-        lane.down->onSpace([this] { pump(); });
+        // Lanes may share a queue (a node's down-link drains both VCs
+        // into one ingress FIFO): subscribe to each queue once.
+        bool up_seen = false, down_seen = false;
+        for (std::size_t j = 0; j < i; ++j) {
+            up_seen |= _lanes[j].up == lane.up;
+            down_seen |= _lanes[j].down == lane.down;
+        }
+        if (!up_seen)
+            lane.up->onData([this] { pump(); });
+        if (!down_seen)
+            lane.down->onSpace([this] { pump(); });
     }
 }
 
@@ -158,13 +168,17 @@ Channel::pumpReliable()
         return;
     }
 
-    // Fail entries whose retry budget is spent before committing any
-    // downstream reservation to them.
+    // Give up on lane heads whose retry budget is spent, before
+    // committing any downstream reservation to them.  Only after a
+    // rewind (every copy of the head has been sent) and only while the
+    // receiver still waits for it: an entry the receiver accepted waits
+    // for its cumulative ACK instead of being reported lost.
     for (std::size_t li = 0; li < _lanes.size(); ++li) {
         LaneState &ls = _ls[li];
-        while (ls.resend < ls.unacked.size() &&
-               ls.unacked[ls.resend].tries > _inj.spec().maxRetries)
-            failEntry(li, ls.resend);
+        while (ls.resend == 0 && !ls.unacked.empty() &&
+               ls.unacked.front().tries > _inj.spec().maxRetries &&
+               ls.unacked.front().pkt.lseq == ls.rxExpected)
+            failEntry(li, 0);
     }
 
     // Round-robin lane selection: a lane is eligible when it has either a
@@ -346,7 +360,6 @@ Channel::armTimer(std::size_t li)
 {
     LaneState &ls = _ls[li];
     const std::uint64_t gen = ++ls.timerGen;
-    ls.timerArmed = true;
     const std::uint32_t shift =
         std::min(ls.backoff, _inj.spec().backoffCap);
     schedule(_inj.spec().retryTimeout << shift, [this, li, gen] {
@@ -367,7 +380,6 @@ Channel::cancelTimer(std::size_t li)
 {
     LaneState &ls = _ls[li];
     ++ls.timerGen;
-    ls.timerArmed = false;
     ls.backoff = 0;
 }
 
@@ -380,6 +392,10 @@ Channel::failEntry(std::size_t li, std::size_t pos)
                      static_cast<std::ptrdiff_t>(pos));
     if (ls.resend > pos)
         --ls.resend;
+    // The give-up notice on the control lines: the receiver moves past
+    // this sequence number, so a copy still on the wire lands as a
+    // duplicate and the lane's later packets are in window.
+    ls.rxExpected = std::max(ls.rxExpected, pkt.lseq + 1);
     ++_wireFailures;
     warn("%s: giving up on %s after %u retries", _name.c_str(),
          pkt.toString().c_str(), _inj.spec().maxRetries);
@@ -404,8 +420,14 @@ Channel::failFast()
     // the outage.
     for (std::size_t li = 0; li < _lanes.size(); ++li) {
         LaneState &ls = _ls[li];
-        while (!ls.unacked.empty())
-            failEntry(li, 0);
+        // Entries the receiver already accepted (a prefix) wait for
+        // their cumulative ACK.
+        std::size_t accepted = 0;
+        while (accepted < ls.unacked.size() &&
+               ls.unacked[accepted].pkt.lseq < ls.rxExpected)
+            ++accepted;
+        while (ls.unacked.size() > accepted)
+            failEntry(li, accepted);
         ls.resend = 0;
         while (!_lanes[li].up->empty()) {
             Packet pkt = _lanes[li].up->pop();

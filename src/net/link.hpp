@@ -33,7 +33,10 @@
  *    administratively down past Config::fault.linkDownDeadline — is
  *    handed to the failure handler (wired by net::Network to the cluster)
  *    so upper layers complete the operation with a visible error instead
- *    of wedging.
+ *    of wedging.  The sender gives up only on a lane's head, after a
+ *    rewind, and only while the receiver has not accepted it; the
+ *    give-up notice moves the receiver past that sequence number, so a
+ *    late copy lands as a duplicate and the lane keeps flowing.
  *
  * With the default (inert) FaultSpec the original zero-overhead fast path
  * is used and timing is bit-identical to the calibrated model.
@@ -138,7 +141,6 @@ class Channel : public SimObject
         std::uint64_t txNext = 1;    ///< next sequence number to assign
         std::uint64_t rxExpected = 1; ///< receiver: next in-order sequence
         std::uint64_t timerGen = 0;  ///< cancels superseded timeout events
-        bool timerArmed = false;
         std::uint32_t backoff = 0;   ///< current backoff doublings
         Tick nackMuteUntil = 0;      ///< ignore NACKs until a resend RTT
     };
@@ -162,7 +164,8 @@ class Channel : public SimObject
     void armTimer(std::size_t li);
     void cancelTimer(std::size_t li);
 
-    /** Permanently fail the entry at position @p pos of lane @p li. */
+    /** Permanently fail the entry at position @p pos of lane @p li and
+     *  move the lane's receiver past it. */
     void failEntry(std::size_t li, std::size_t pos);
 
     /** Fail every queued and unacknowledged packet (outage past the

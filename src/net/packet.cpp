@@ -70,8 +70,7 @@ Packet::computeCrc() const
     c = crc32cWord(c, value);
     c = crc32cWord(c, value2);
     c = crc32cWord(c, static_cast<std::uint64_t>(aop) |
-                          (std::uint64_t(payloadBytes) << 8) |
-                          (std::uint64_t(tracked) << 40));
+                          (std::uint64_t(payloadBytes) << 8));
     c = crc32cWord(c, seq);
     c = crc32cWord(c, ticket);
     if (bulk) {

@@ -3,10 +3,10 @@
  * Network packet format of the simulated Telegraphos interconnect.
  *
  * Every remote operation of the HIB maps onto one or two packet types
- * (request/reply).  Packets also carry the origin node and a per-origin
- * sequence number: the owner-based coherence protocol (paper section
- * 2.3.3) needs to recognise "the reflected write that resulted from my own
- * store", which it does by origin tag.
+ * (request/reply).  Packets also carry the origin node: the owner-based
+ * coherence protocol (paper section 2.3.3) needs to recognise "the
+ * reflected write that resulted from my own store", which it does by
+ * origin tag.
  */
 
 #ifndef TELEGRAPHOS_NET_PACKET_HPP
@@ -38,7 +38,7 @@ enum class PacketType : std::uint8_t
 
     // Coherence traffic (paper sections 2.2.7, 2.3)
     EagerWrite,   ///< raw eager-update to a destination-local page (2.2.7)
-    Update,       ///< protocol update multicast write (carries origin + seq)
+    Update,       ///< protocol update multicast write (carries origin)
     UpdateAck,    ///< ack so the sender's fence counter can drain
     WriteOwner,   ///< write forwarded to the owner of a page
     RingUpdate,   ///< Galactica-style update circulating a sharing ring
@@ -76,9 +76,6 @@ struct Packet
     NodeId src = 0;       ///< node/HIB that injected this packet
     NodeId dst = 0;       ///< destination node
     std::uint8_t vc = 0;  ///< virtual channel (dateline deadlock avoidance)
-    /** Switches traversed so far (multi-hop accounting).  Observability
-     *  like traceId: excluded from computeCrc() and the audit hash. */
-    std::uint8_t hopsDone = 0;
     std::uint32_t payloadBytes = 8; ///< payload size for serialization
     /** Lifecycle-tracer operation id (0 = untraced).  Pure observability:
      *  excluded from computeCrc() and from the audit trace hash, so runs
@@ -91,7 +88,9 @@ struct Packet
     Word value2 = 0;      ///< second operand (compare&swap new value)
     AtomicOp aop = AtomicOp::FetchAndStore;
     NodeId origin = 0;    ///< node whose store originally caused this
-    std::uint64_t seq = 0;     ///< per-origin sequence number
+    /** NIC collective sequence number (CollUp / CollDown only; set and
+     *  read by hib::CollEngine). */
+    std::uint64_t seq = 0;
     std::uint64_t ticket = 0;  ///< requester-side matching ticket
 
     // ------------------------------------------------------------------
@@ -102,9 +101,6 @@ struct Packet
     std::uint64_t lseq = 0;
     /** CRC over header + payload as computed by the hop's sender. */
     std::uint32_t crc = 0;
-    /** True when the injecting HIB charged this packet to its
-     *  outstanding-operation counter (fence conservation on loss). */
-    bool tracked = false;
 
     /** Bulk word data for CopyData / PageData transfers.  Shared so that
      *  copying packets through queues stays cheap. */

@@ -21,8 +21,6 @@
 #ifndef TELEGRAPHOS_NET_QUEUE_HPP
 #define TELEGRAPHOS_NET_QUEUE_HPP
 
-#include <vector>
-
 #include "net/arena.hpp"
 #include "net/packet.hpp"
 #include "sim/event.hpp"
@@ -36,10 +34,12 @@ namespace tg::net {
  * Bounded FIFO with slot reservation.
  *
  * Capacity counts both queued packets and outstanding reservations.
- * Listeners (onData / onSpace) are invoked synchronously; they must be
- * idempotent "pump" functions that re-check state.  A failed reserve()
- * has no side effects, so a producer refused a slot may wait for this
- * queue's next onSpace and retry then: nothing else can make room.
+ * Each end has one listener (onData for the consumer, onSpace for the
+ * producer); registering a second one panics.  Listeners are invoked
+ * synchronously; they must be idempotent "pump" functions that re-check
+ * state.  A failed reserve() has no side effects, so a producer refused
+ * a slot may wait for this queue's next onSpace and retry then: nothing
+ * else can make room.
  * The switch relies on this to wake only the inputs blocked on the
  * output that drained (net/switch.hpp).
  */
@@ -172,17 +172,25 @@ class BoundedQueue
         return p;
     }
 
-    /** Subscribe to "a packet was enqueued". */
-    void onData(Listener l) { _onData.push_back(std::move(l)); }
+    /** Subscribe the consumer to "a packet was enqueued". */
+    void onData(Listener l) { listen(_onData, std::move(l)); }
 
-    /** Subscribe to "a slot was freed". */
-    void onSpace(Listener l) { _onSpace.push_back(std::move(l)); }
+    /** Subscribe the producer to "a slot was freed". */
+    void onSpace(Listener l) { listen(_onSpace, std::move(l)); }
 
   private:
-    void
-    notify(std::vector<Listener> &ls)
+    static void
+    listen(Listener &slot, Listener l)
     {
-        for (auto &l : ls)
+        if (slot)
+            panic("BoundedQueue: second listener on one queue end");
+        slot = std::move(l);
+    }
+
+    static void
+    notify(Listener &l)
+    {
+        if (l)
             l();
     }
 
@@ -199,8 +207,8 @@ class BoundedQueue
     Ring<PacketHandle> _ring;
     std::size_t _capacity;
     std::size_t _reserved = 0;
-    std::vector<Listener> _onData;
-    std::vector<Listener> _onSpace;
+    Listener _onData;
+    Listener _onSpace;
 };
 
 } // namespace tg::net

@@ -126,7 +126,6 @@ Switch::pump(std::size_t port, std::size_t vc)
         const PacketHandle h = _in[idx(port, vc)]->popHandle();
         Packet &p = _arena->packet(h);
         p.vc = out_vc;
-        ++p.hopsDone;
         ++_totals.forwarded;
         _sys.tracer().record(p.traceId, trace::Span::SwitchFwd, now());
         _out[idx(out, out_vc)]->pushReservedHandle(h);

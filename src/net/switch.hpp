@@ -17,7 +17,7 @@
  *
  * Queues hold arena handles (net/arena.hpp).  Arbitration reads the head
  * packet's per-hop fields in its arena slot, and forwarding rewrites the
- * slot's vc and hopsDone in place; the packet is never copied.
+ * slot's vc in place; the packet is never copied.
  *
  * Wake-up rule: an input whose head cannot reserve its output buffer
  * marks itself as a waiter on that output (one bit per (port, VC)

@@ -16,7 +16,6 @@ OsKernel::OsKernel(System &sys, const std::string &name,
 {
     sys.stats().add({_name, "faults"}, &_faults);
     sys.stats().add({_name, "alarms"}, &_alarms);
-    sys.stats().add({_name, "link_failure_irqs"}, &_linkFailIrqs);
 }
 
 void
@@ -42,14 +41,6 @@ void
 OsKernel::setAlarmPolicy(AlarmPolicy policy)
 {
     _alarmPolicy = std::move(policy);
-}
-
-void
-OsKernel::onWireFailure(const net::Packet &)
-{
-    // Pure accounting: the handler's interrupt cost is not charged, so
-    // the counter is observable regardless of when the run stops.
-    ++_linkFailIrqs;
 }
 
 void

@@ -49,17 +49,8 @@ class OsKernel : public SimObject
     /** Set the policy consulted on page-counter alarms. */
     void setAlarmPolicy(AlarmPolicy policy);
 
-    /**
-     * The HIB raised a link-failure interrupt: the network permanently
-     * gave up on @p pkt with this node as the victim.  The kernel
-     * accounts the event; the user-visible half of the signal is the
-     * owning context's OpError::LinkFailure.
-     */
-    void onWireFailure(const net::Packet &pkt);
-
     std::uint64_t faults() const { return _faults; }
     std::uint64_t alarms() const { return _alarms; }
-    std::uint64_t linkFailureInterrupts() const { return _linkFailIrqs; }
 
   private:
     void handleFault(VAddr va, bool is_write, std::function<void()> retry,
@@ -71,7 +62,6 @@ class OsKernel : public SimObject
     AlarmPolicy _alarmPolicy;
     std::uint64_t _faults = 0;
     std::uint64_t _alarms = 0;
-    std::uint64_t _linkFailIrqs = 0;
 };
 
 } // namespace tg::os

@@ -85,7 +85,6 @@ accessorCounters(Cluster &c)
         const std::string k = kernel.name() + ".";
         put(k + "faults", double(kernel.faults()));
         put(k + "alarms", double(kernel.alarms()));
-        put(k + "link_failure_irqs", double(kernel.linkFailureInterrupts()));
     }
     auto &oc = dynamic_cast<coherence::OwnerCounterProtocol &>(
         c.protocol(coherence::ProtocolKind::OwnerCounter));
