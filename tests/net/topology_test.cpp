@@ -39,6 +39,28 @@ torus3d(std::size_t x, std::size_t y, std::size_t z, std::size_t nps)
     return s;
 }
 
+TopologySpec
+linear(TopologyKind kind, std::size_t nodes, std::size_t nps)
+{
+    TopologySpec s;
+    s.kind = kind;
+    s.nodes = nodes;
+    s.nodesPerSwitch = nps;
+    return s;
+}
+
+TopologySpec
+ring(std::size_t nodes, std::size_t nps)
+{
+    return linear(TopologyKind::Ring, nodes, nps);
+}
+
+TopologySpec
+chain(std::size_t nodes, std::size_t nps)
+{
+    return linear(TopologyKind::Chain, nodes, nps);
+}
+
 /** FNV-1a over a stream of integers and strings. */
 class Digest
 {
@@ -66,10 +88,13 @@ class Digest
     std::uint64_t _h = 0xcbf29ce484222325ull;
 };
 
-/** Everything a torus model decides about @p s, folded into one digest:
- *  the trunk list, routePort for every (switch, dst), vcFor for every
- *  (switch, in_port, out_port, in_vc), hops for every node pair, the
- *  bisection width and describe(). */
+/** Everything a direct-network model decides about @p s that a Network
+ *  can observe, folded into one digest: the trunk list, routePort for
+ *  every (switch, dst), whether a dateline VC map is installed and, when
+ *  it is, vcFor for every (switch, in_port, in_vc, out_port) a Network
+ *  can feed it (node up-links inject on VC0 only, so a node port never
+ *  carries VC1 in), hops for every node pair, the bisection width and
+ *  describe(). */
 std::uint64_t
 modelDigest(const TopologySpec &s)
 {
@@ -83,15 +108,20 @@ modelDigest(const TopologySpec &s)
         d.add(t.swB);
         d.add(t.portB);
     }
+    d.add(m.usesDateline());
     for (std::size_t sw = 0; sw < nsw; ++sw) {
         const std::size_t ports = s.portsOf(sw);
         d.add(ports);
         for (std::size_t dst = 0; dst < s.nodes; ++dst)
             d.add(m.routePort(s, sw, 0, NodeId(dst)));
-        for (std::size_t in = 0; in < ports; ++in)
-            for (std::size_t out = 0; out < ports; ++out)
-                for (std::uint8_t vc = 0; vc < 2; ++vc)
+        if (!m.usesDateline())
+            continue;
+        for (std::size_t in = 0; in < ports; ++in) {
+            const std::uint8_t vcs = in < s.nodesPerSwitch ? 1 : 2;
+            for (std::uint8_t vc = 0; vc < vcs; ++vc)
+                for (std::size_t out = 0; out < ports; ++out)
                     d.add(m.vcFor(s, sw, in, out, vc));
+        }
     }
     for (std::size_t a = 0; a < s.nodes; ++a)
         for (std::size_t b = 0; b < s.nodes; ++b)
@@ -263,19 +293,43 @@ TEST(Topology, Torus3dDescribeReportsGrid)
 
 TEST(Topology, TorusModelsMatchGoldenDigests)
 {
-    // Pinned from the separate 2D and 3D torus classes this model
-    // replaced: any change to trunk order, routing, the dateline VC map,
-    // hop counts, bisection or describe() changes a digest.
+    // Any change to trunk order, routing, the dateline VC map, hop
+    // counts, bisection or describe() changes a digest.
     const struct
     {
         TopologySpec spec;
         std::uint64_t digest;
     } golden[] = {
-        {torus(4, 4, 4), 0x479cb9af5bc2c270ull},
-        {torus(3, 5, 2), 0x13c3cf4bf180a5d7ull},
-        {torus3d(2, 2, 2, 1), 0x93433afb0600385aull},
-        {torus3d(3, 4, 5, 2), 0xab4f31dfab0cb284ull},
-        {torus3d(4, 4, 4, 4), 0x920f5b0b9c00aadbull},
+        {torus(4, 4, 4), 0xa60ecd937eb8d319ull},
+        {torus(3, 5, 2), 0x771062c00fb3fc96ull},
+        {torus3d(2, 2, 2, 1), 0x9822463ec2417d35ull},
+        {torus3d(3, 4, 5, 2), 0xde1ab1cf3acf0ae9ull},
+        {torus3d(4, 4, 4, 4), 0xb489266fe09462a6ull},
+    };
+    for (const auto &g : golden) {
+        SCOPED_TRACE(g.spec.describe());
+        ASSERT_TRUE(g.spec.validate().ok());
+        const std::uint64_t got = modelDigest(g.spec);
+        EXPECT_EQ(got, g.digest) << std::hex << "got 0x" << got;
+    }
+}
+
+TEST(Topology, RingAndChainModelsMatchGoldenDigests)
+{
+    // As above, for the 1-D shapes: covers partly filled last switches
+    // (ring(11, 2), chain(10, 4)) and a single-switch chain.
+    const struct
+    {
+        TopologySpec spec;
+        std::uint64_t digest;
+    } golden[] = {
+        {ring(12, 4), 0x7d1a9a1c99da26a5ull},
+        {ring(24, 2), 0xffb352685a4695e1ull},
+        {ring(9, 3), 0x639f62fb9754081full},
+        {ring(11, 2), 0x0f9c3277bedd93ceull},
+        {chain(16, 2), 0xc67264206c8405c9ull},
+        {chain(10, 4), 0x152652f8ee83fd48ull},
+        {chain(4, 4), 0xeb018a696670bc4dull},
     };
     for (const auto &g : golden) {
         SCOPED_TRACE(g.spec.describe());

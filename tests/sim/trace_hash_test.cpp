@@ -5,8 +5,10 @@
  * same cluster + workload twice with one seed, runs both to completion
  * and requires the full FNV event/packet traces to be bit-identical;
  * different seeds must (for these workloads) diverge, proving the hash
- * actually observes the schedule.  Packet conservation is checked at
- * quiescence on every run.
+ * actually observes the schedule.  Golden values pin the hash, trace
+ * length and end tick of each run at its seed, so a schedule change
+ * fails even when it is deterministic.  Packet conservation is checked
+ * at quiescence on every run.
  */
 
 #include <cstdint>
@@ -57,9 +59,9 @@ runHotspot(std::uint64_t seed)
 }
 
 Trace
-runTraffic(std::uint64_t seed)
+runTraffic(std::uint64_t seed,
+           tg::ClusterSpec spec = tg::ClusterSpec::chain(kNodes, 2))
 {
-    tg::ClusterSpec spec = tg::ClusterSpec::chain(kNodes, 2);
     spec.config.seed = seed;
     tg::Cluster c(spec);
 
@@ -110,6 +112,48 @@ TEST(TraceHashTest, TrafficDifferentSeedsDiverge)
     // randomTraffic draws targets from the seeded Rng, so distinct seeds
     // must produce distinct schedules — otherwise the hash is blind.
     EXPECT_NE(runTraffic(7).hash, runTraffic(4242).hash);
+}
+
+void
+expectGolden(const Trace &got, const Trace &want)
+{
+    EXPECT_EQ(got.hash, want.hash) << std::hex << "got 0x" << got.hash;
+    EXPECT_EQ(got.words, want.words);
+    EXPECT_EQ(got.end, want.end);
+}
+
+TEST(TraceHashTest, RunsMatchGoldenTraces)
+{
+    // Pinned values: a change in any of them is a model change, and the
+    // change that makes it states so and re-pins them.  The ring run
+    // (one node per switch, four switches) crosses the wrap link and
+    // its dateline VC.  The hotspot workload draws nothing from the
+    // seeded Rng, so its two seeds share one trace.
+    {
+        SCOPED_TRACE("chain hotspot seed 1");
+        expectGolden(runHotspot(1),
+                     {0xc3bec655175be85fULL, 6728, 301206});
+    }
+    {
+        SCOPED_TRACE("chain hotspot seed 99");
+        expectGolden(runHotspot(99),
+                     {0xc3bec655175be85fULL, 6728, 301206});
+    }
+    {
+        SCOPED_TRACE("chain traffic seed 7");
+        expectGolden(runTraffic(7),
+                     {0x1bb3da7ce9845329ULL, 11540, 157507});
+    }
+    {
+        SCOPED_TRACE("chain traffic seed 4242");
+        expectGolden(runTraffic(4242),
+                     {0xc4f09162e49c1d97ULL, 11504, 150870});
+    }
+    {
+        SCOPED_TRACE("ring traffic seed 7");
+        expectGolden(runTraffic(7, tg::ClusterSpec::ring(kNodes, 1)),
+                     {0xe888dc0deb009b07ULL, 13100, 169409});
+    }
 }
 
 } // namespace
