@@ -1,7 +1,8 @@
 /**
  * @file
  * Topology model table: per-shape switch/port/route/VC functions for
- * star, chain, ring, 2D/3D torus and two-level fat-tree fabrics.
+ * the star, the k-ary n-cube (chain, ring, 2D/3D torus) and the
+ * two-level fat-tree.
  */
 
 #include "net/topology.hpp"
@@ -135,190 +136,27 @@ class StarModel final : public TopologyModel
     }
 };
 
-// ---------------------------------------------------- Chain and Ring
-
-/** Shared layout for the 1D shapes: nodes fill switches in index
- *  order; trunk ports sit just above the node ports. */
-class LinearModel : public TopologyModel
-{
-  public:
-    std::size_t numSwitches(const TopologySpec &s) const override
-    {
-        return (s.nodes + s.nodesPerSwitch - 1) / s.nodesPerSwitch;
-    }
-
-    std::size_t
-    switchOf(const TopologySpec &s, std::size_t node) const override
-    {
-        return node / s.nodesPerSwitch;
-    }
-
-    std::size_t
-    portOf(const TopologySpec &s, std::size_t node) const override
-    {
-        return node % s.nodesPerSwitch;
-    }
-
-    std::size_t portsOf(const TopologySpec &s, std::size_t) const override
-    {
-        // node ports + right trunk + left trunk
-        return s.nodesPerSwitch + 2;
-    }
-
-  protected:
-    /** Trunk port towards switch s+1. */
-    static std::size_t right(const TopologySpec &s)
-    {
-        return s.nodesPerSwitch;
-    }
-
-    /** Trunk port towards switch s-1. */
-    static std::size_t left(const TopologySpec &s)
-    {
-        return s.nodesPerSwitch + 1;
-    }
-};
-
-class ChainModel final : public LinearModel
-{
-  public:
-    const char *name() const override { return "chain"; }
-
-    std::vector<Trunk> trunks(const TopologySpec &s) const override
-    {
-        std::vector<Trunk> out;
-        const std::size_t nsw = numSwitches(s);
-        for (std::size_t i = 0; i + 1 < nsw; ++i)
-            out.push_back(Trunk{i, right(s), i + 1, left(s)});
-        return out;
-    }
-
-    std::size_t
-    routePort(const TopologySpec &s, std::size_t sw, NodeId,
-              NodeId dst) const override
-    {
-        const std::size_t t = switchOf(s, dst);
-        if (t == sw)
-            return portOf(s, dst);
-        return t > sw ? right(s) : left(s);
-    }
-
-    std::size_t
-    hops(const TopologySpec &s, NodeId a, NodeId b) const override
-    {
-        if (a == b)
-            return 0;
-        const std::size_t sa = switchOf(s, a);
-        const std::size_t sb = switchOf(s, b);
-        return 1 + (sa > sb ? sa - sb : sb - sa);
-    }
-
-    std::size_t bisectionWidth(const TopologySpec &s) const override
-    {
-        return numSwitches(s) > 1 ? 1 : s.nodes / 2;
-    }
-
-    Expected<void, ConfigError>
-    validate(const TopologySpec &s) const override
-    {
-        if (auto r = checkCommon(s, /*usesPerSwitch=*/true); !r)
-            return r;
-        return checkPorts(s);
-    }
-};
-
-class RingModel final : public LinearModel
-{
-  public:
-    const char *name() const override { return "ring"; }
-
-    std::vector<Trunk> trunks(const TopologySpec &s) const override
-    {
-        std::vector<Trunk> out;
-        const std::size_t nsw = numSwitches(s);
-        for (std::size_t i = 0; i + 1 < nsw; ++i)
-            out.push_back(Trunk{i, right(s), i + 1, left(s)});
-        // Wrap link last, matching historic construction order (channel
-        // names seed the per-link fault RNGs; order must stay stable).
-        out.push_back(Trunk{nsw - 1, right(s), 0, left(s)});
-        return out;
-    }
-
-    std::size_t
-    routePort(const TopologySpec &s, std::size_t sw, NodeId,
-              NodeId dst) const override
-    {
-        const std::size_t t = switchOf(s, dst);
-        if (t == sw)
-            return portOf(s, dst);
-        return ringForward(sw, t, numSwitches(s)) ? right(s) : left(s);
-    }
-
-    bool usesDateline() const override { return true; }
-
-    std::uint8_t
-    vcFor(const TopologySpec &s, std::size_t sw, std::size_t /*in_port*/,
-          std::size_t out_port, std::uint8_t in_vc) const override
-    {
-        // Dateline deadlock avoidance (paper reference [17]: VC-level
-        // flow control): a packet crossing the wrap link is bumped to
-        // the escape VC, breaking the cyclic buffer dependency.
-        const std::size_t nsw = numSwitches(s);
-        if (out_port == right(s) && sw == nsw - 1)
-            return 1;
-        if (out_port == left(s) && sw == 0)
-            return 1;
-        return in_vc;
-    }
-
-    std::size_t
-    hops(const TopologySpec &s, NodeId a, NodeId b) const override
-    {
-        if (a == b)
-            return 0;
-        const std::size_t sa = switchOf(s, a);
-        const std::size_t sb = switchOf(s, b);
-        if (sa == sb)
-            return 1;
-        return 1 + ringDist(sa, sb, numSwitches(s));
-    }
-
-    std::size_t bisectionWidth(const TopologySpec &) const override
-    {
-        // Any half/half cut of the cycle severs exactly two trunks.
-        return 2;
-    }
-
-    Expected<void, ConfigError>
-    validate(const TopologySpec &s) const override
-    {
-        if (auto r = checkCommon(s, /*usesPerSwitch=*/true); !r)
-            return r;
-        if (numSwitches(s) < 3)
-            return reject(
-                "a ring needs at least 3 switches (%zu nodes / %zu per "
-                "switch)",
-                s.nodes, s.nodesPerSwitch);
-        return checkPorts(s);
-    }
-};
-
-// ------------------------------------------------------ Torus2D, Torus3D
+// ------------------------------------------- Chain, Ring, Torus2D, Torus3D
 
 /**
- * A k-ary n-cube of switches, n = 2 (Torus2D) or 3 (Torus3D): one ring
- * per dimension through every switch, nodes filling switches in id
- * order.  Switch ids are mixed-radix coordinates with X fastest,
- * id = (z * gy + y) * gx + x; dimension d's trunk ports sit above the
- * node ports, + at nps + 2d and - at nps + 2d + 1.
+ * A k-ary n-cube of switches.  Chain and Ring are its n = 1 instances,
+ * without and with the wrap link; Torus2D and Torus3D are its n = 2 and
+ * n = 3 tori.  Nodes fill switches in id order.  Switch ids are
+ * mixed-radix coordinates with X fastest, id = (z * gy + y) * gx + x;
+ * dimension d's trunk ports sit above the node ports, + at nps + 2d and
+ * - at nps + 2d + 1.  A 1-D cube spans the ceil(nodes / nps) switches
+ * its nodes need, so its last switch may be partly filled; an n >= 2
+ * cube takes its extents from torusX/Y/Z and must be full.
  */
-class TorusModel final : public TopologyModel
+class CubeModel final : public TopologyModel
 {
   public:
-    explicit TorusModel(std::size_t dims) : _dims(dims) {}
+    CubeModel(std::size_t dims, bool wrap) : _dims(dims), _wrap(wrap) {}
 
     const char *name() const override
     {
+        if (_dims == 1)
+            return _wrap ? "ring" : "chain";
         return _dims == 2 ? "torus2d" : "torus3d";
     }
 
@@ -349,13 +187,16 @@ class TorusModel final : public TopologyModel
     {
         // One dimension at a time (X rings, then Y, then Z), switches in
         // id order within each; every ring's wrap link falls out at its
-        // extent-1 coordinate.
+        // extent-1 coordinate, and a cube without wrap links skips it.
+        // Channel names, and so the per-link fault RNG seeds, follow
+        // this order: it is part of the trace-hash contract.
         std::vector<Trunk> out;
         const std::size_t nsw = numSwitches(s);
         for (std::size_t d = 0; d < _dims; ++d)
             for (std::size_t sw = 0; sw < nsw; ++sw)
-                out.push_back(
-                    Trunk{sw, pos(s, d), next(s, sw, d), neg(s, d)});
+                if (_wrap || coord(s, sw, d) + 1 < extent(s, d))
+                    out.push_back(
+                        Trunk{sw, pos(s, d), next(s, sw, d), neg(s, d)});
         return out;
     }
 
@@ -364,22 +205,23 @@ class TorusModel final : public TopologyModel
               NodeId dst) const override
     {
         // Dimension-ordered routing (Dally & Seitz): correct X fully,
-        // then Y, then Z; shortest direction per dimension, ties
-        // towards +.
+        // then Y, then Z; around a ring the shortest direction, ties
+        // towards +, and without a wrap link towards the target.
         const std::size_t t = switchOf(s, dst);
         if (t == sw)
             return portOf(s, dst);
         std::size_t d = 0;
         while (coord(s, sw, d) == coord(s, t, d))
             ++d;
-        return ringForward(coord(s, sw, d), coord(s, t, d), extent(s, d))
-                   ? pos(s, d)
-                   : neg(s, d);
+        const std::size_t a = coord(s, sw, d);
+        const std::size_t b = coord(s, t, d);
+        const bool up = _wrap ? ringForward(a, b, extent(s, d)) : a < b;
+        return up ? pos(s, d) : neg(s, d);
     }
 
-    bool usesDateline() const override { return true; }
+    bool usesDateline() const override { return _wrap; }
 
-    bool multiPath() const override { return true; }
+    bool multiPath() const override { return _wrap || _dims > 1; }
 
     std::uint8_t
     vcFor(const TopologySpec &s, std::size_t sw, std::size_t in_port,
@@ -390,7 +232,8 @@ class TorusModel final : public TopologyModel
         // or a turn of dimension-ordered routing) and is bumped to the
         // escape VC when it crosses that dimension's wrap link; it can
         // never cross the same wrap twice, so no buffer-wait cycle
-        // closes in either VC.
+        // closes in either VC.  Only wrapping cubes install this map
+        // (usesDateline()).
         const std::size_t nps = s.nodesPerSwitch;
         if (out_port < nps)
             return in_vc; // ejection to a node port
@@ -411,21 +254,30 @@ class TorusModel final : public TopologyModel
         const std::size_t sa = switchOf(s, a);
         const std::size_t sb = switchOf(s, b);
         std::size_t h = 1;
-        for (std::size_t d = 0; d < _dims; ++d)
-            h += ringDist(coord(s, sa, d), coord(s, sb, d), extent(s, d));
+        for (std::size_t d = 0; d < _dims; ++d) {
+            const std::size_t ca = coord(s, sa, d);
+            const std::size_t cb = coord(s, sb, d);
+            h += _wrap ? ringDist(ca, cb, extent(s, d))
+                       : (ca > cb ? ca - cb : cb - ca);
+        }
         return h;
     }
 
     std::size_t bisectionWidth(const TopologySpec &s) const override
     {
         // Cut perpendicular to the longest dimension: every ring in that
-        // dimension crosses the cut twice, and there are nsw / extent
-        // such rings — the longest extent minimizes the crossing count
-        // (in 2D, 2 * min(gx, gy)).
+        // dimension crosses the cut twice (a line without its wrap link
+        // once), and there are nsw / extent such rings — the longest
+        // extent minimizes the crossing count (in 2D, 2 * min(gx, gy)).
+        // A single switch is limited by the node links crossing the
+        // cut, as in a star.
+        const std::size_t nsw = numSwitches(s);
+        if (nsw == 1)
+            return s.nodes / 2;
         std::size_t gmax = 0;
         for (std::size_t d = 0; d < _dims; ++d)
             gmax = std::max(gmax, extent(s, d));
-        return 2 * (numSwitches(s) / gmax);
+        return (_wrap ? 2 : 1) * (nsw / gmax);
     }
 
     Expected<void, ConfigError>
@@ -436,13 +288,16 @@ class TorusModel final : public TopologyModel
         if (_dims == 2 && s.torusZ != 0)
             return reject("torus2d takes no Z extent (got torusZ = %zu)",
                           s.torusZ);
+        // A ring needs two switches to have a wrap link; a line of one
+        // switch is still a line.
+        const std::size_t least = _wrap ? 2 : 1;
         for (std::size_t d = 0; d < _dims; ++d)
-            if (extent(s, d) < 2)
+            if (extent(s, d) < least)
                 return reject("%s dimensions must be at least %s (got %s)",
-                              name(), join({2, 2, 2}).c_str(),
+                              name(), join({least, least, least}).c_str(),
                               grid(s).c_str());
         const std::size_t want = numSwitches(s) * s.nodesPerSwitch;
-        if (s.nodes != want)
+        if (_dims > 1 && s.nodes != want)
             return reject(
                 "non-rectangular %s: %zu nodes does not fill %s switches "
                 "at %zu per switch (want %zu)",
@@ -450,7 +305,7 @@ class TorusModel final : public TopologyModel
         return checkPorts(s);
     }
 
-    /** The switch grid, extents joined with 'x' ("4x4", "3x4x5"). */
+    /** The switch grid, extents joined with 'x' ("12", "4x4", "3x4x5"). */
     std::string grid(const TopologySpec &s) const
     {
         return join(extents(s));
@@ -458,20 +313,25 @@ class TorusModel final : public TopologyModel
 
   private:
     std::size_t _dims;
+    bool _wrap;
 
-    static std::array<std::size_t, 3> extents(const TopologySpec &s)
+    std::array<std::size_t, 3> extents(const TopologySpec &s) const
     {
-        return {s.torusX, s.torusY, s.torusZ};
+        if (_dims > 1)
+            return {s.torusX, s.torusY, s.torusZ};
+        const std::size_t nsw =
+            (s.nodes + s.nodesPerSwitch - 1) / s.nodesPerSwitch;
+        return {nsw, 0, 0};
     }
 
-    static std::size_t extent(const TopologySpec &s, std::size_t d)
+    std::size_t extent(const TopologySpec &s, std::size_t d) const
     {
         return extents(s)[d];
     }
 
     /** Switch-id distance between neighbours in dimension @p d (the
      *  product of the lower extents). */
-    static std::size_t stride(const TopologySpec &s, std::size_t d)
+    std::size_t stride(const TopologySpec &s, std::size_t d) const
     {
         std::size_t st = 1;
         for (std::size_t i = 0; i < d; ++i)
@@ -479,15 +339,15 @@ class TorusModel final : public TopologyModel
         return st;
     }
 
-    static std::size_t
-    coord(const TopologySpec &s, std::size_t sw, std::size_t d)
+    std::size_t
+    coord(const TopologySpec &s, std::size_t sw, std::size_t d) const
     {
         return (sw / stride(s, d)) % extent(s, d);
     }
 
     /** The + neighbour of @p sw in dimension @p d (wrapping). */
-    static std::size_t
-    next(const TopologySpec &s, std::size_t sw, std::size_t d)
+    std::size_t
+    next(const TopologySpec &s, std::size_t sw, std::size_t d) const
     {
         const std::size_t st = stride(s, d);
         const std::size_t c = coord(s, sw, d);
@@ -666,10 +526,10 @@ const TopologyModel &
 topologyModel(TopologyKind kind)
 {
     static const StarModel star;
-    static const ChainModel chain;
-    static const RingModel ring;
-    static const TorusModel torus2d{2};
-    static const TorusModel torus3d{3};
+    static const CubeModel chain{1, /*wrap=*/false};
+    static const CubeModel ring{1, /*wrap=*/true};
+    static const CubeModel torus2d{2, /*wrap=*/true};
+    static const CubeModel torus3d{3, /*wrap=*/true};
     static const FatTreeModel fatTree;
     switch (kind) {
     case TopologyKind::Star:
@@ -702,10 +562,10 @@ std::string
 TopologySpec::describe() const
 {
     char buf[128];
-    if (const auto *torus = dynamic_cast<const TorusModel *>(&model()))
+    if (const auto *cube = dynamic_cast<const CubeModel *>(&model()))
         std::snprintf(buf, sizeof(buf),
                       "%s(%zu nodes, %s switches, bisection %zu)",
-                      torus->name(), nodes, torus->grid(*this).c_str(),
+                      cube->name(), nodes, cube->grid(*this).c_str(),
                       bisectionWidth());
     else if (kind == TopologyKind::FatTree)
         std::snprintf(

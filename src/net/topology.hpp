@@ -8,16 +8,14 @@
  * model the configurations that matter for scaling studies:
  *
  *  - Star:    one central switch, every node one hop away
- *  - Chain:   switches in a line, nodes spread across them
- *  - Ring:    switches in a cycle, shortest-direction routing with a
- *             dateline escape VC (deadlock freedom)
- *  - Torus2D, Torus3D: the 2- and 3-dimensional instances of one
- *             k-ary n-cube model (APEnet+/QCDSP-style): a gx x gy
- *             (x gz) grid of switches with a wraparound ring in every
- *             dimension, dimension-ordered X-then-Y(-then-Z) routing
- *             (Dally & Seitz), and one dateline escape VC per
- *             dimension that keeps it deadlock-free under the
- *             credit/back-pressure flow control
+ *  - Chain, Ring, Torus2D, Torus3D: the instances of one k-ary n-cube
+ *             model (APEnet+/QCDSP-style), a grid of switches routed in
+ *             dimension order, X then Y then Z (Dally & Seitz).  Chain
+ *             is the 1-D line without a wrap link; Ring is the 1-D
+ *             ring; the tori are gx x gy (x gz) grids with a ring in
+ *             every dimension.  Every ring routes the shortest way
+ *             round and has one dateline escape VC that keeps it
+ *             deadlock-free under the credit/back-pressure flow control
  *  - FatTree: a two-level folded Clos — leaf switches holding the node
  *             ports, spine switches above them, deterministic per-flow
  *             uplink hashing; up/down routing is cycle-free by layering
@@ -27,7 +25,7 @@
  * generically.  Adding a topology means adding a model, not editing the
  * network builder.
  *
- * Multi-path shapes (tori, fat-tree) additionally support fault-aware
+ * Multi-path shapes (ring, tori, fat-tree) additionally support fault-aware
  * routing: net::FabricRerouter precomputes per-epoch routes around
  * trunks that FaultSpec down-windows disable (DESIGN.md, "Routing
  * epochs"), using multiPath() / routePortAvoiding() below.
@@ -52,10 +50,10 @@ struct TopologySpec;
 enum class TopologyKind
 {
     Star,    ///< one central switch, every node one hop away
-    Chain,   ///< switches in a line, nodes spread across them
-    Ring,    ///< switches in a cycle, shortest-direction routing
-    Torus2D, ///< 2D torus of switches, dimension-ordered (X-Y) routing
-    Torus3D, ///< 3D torus of switches, dimension-ordered (X-Y-Z) routing
+    Chain,   ///< 1-D k-ary n-cube without the wrap link: a line
+    Ring,    ///< 1-D k-ary n-cube: a cycle, shortest-direction routing
+    Torus2D, ///< 2-D k-ary n-cube, dimension-ordered (X-Y) routing
+    Torus3D, ///< 3-D k-ary n-cube, dimension-ordered (X-Y-Z) routing
     FatTree, ///< two-level folded Clos, up/down routing with uplink hash
 };
 
@@ -66,7 +64,8 @@ constexpr std::size_t kMaxSwitchPorts = 1024;
  * Per-topology behaviour table consumed by net::Network.
  *
  * One stateless instance exists per TopologyKind (see topologyModel());
- * the two torus kinds are two instances of the same torus model.
+ * chain, ring and the two torus kinds are four instances of one k-ary
+ * n-cube model.
  * All functions take the spec explicitly so models carry no per-cluster
  * state and can be shared.
  */
@@ -116,7 +115,7 @@ class TopologyModel
     virtual bool srcDependentRouting() const { return false; }
 
     /** True when the shape offers redundant switch-to-switch paths a
-     *  fault-aware routing layer can exploit (tori, fat-tree). */
+     *  fault-aware routing layer can exploit (ring, tori, fat-tree). */
     virtual bool multiPath() const { return false; }
 
     /**

@@ -178,6 +178,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(makeSpec(TopologyKind::Star, 4),
                       makeSpec(TopologyKind::Star, 8),
                       makeSpec(TopologyKind::Chain, 6, 2),
+                      makeSpec(TopologyKind::Ring, 4, 2),
                       makeSpec(TopologyKind::Ring, 6, 2),
                       makeSpec(TopologyKind::Ring, 9, 3),
                       makeTorus(2, 2, 2),

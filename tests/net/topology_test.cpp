@@ -1,7 +1,9 @@
 /**
  * @file
  * Unit tests of topology math (switch counts, port assignment, trunk
- * tables, bisection widths) across all five fabric models.
+ * tables, bisection widths, validation) across the three fabric models:
+ * the star, the k-ary n-cube (chain, ring, 2D and 3D torus) and the
+ * fat-tree.
  */
 
 #include <gtest/gtest.h>
@@ -158,28 +160,74 @@ TEST(Topology, ChainSpreadsNodes)
     EXPECT_EQ(s.switchOf(9), 2u);
     EXPECT_EQ(s.portOf(5), 1u);
     EXPECT_EQ(s.bisectionWidth(), 1u);
+
+    // One switch is a line without trunks, limited by the node links
+    // crossing the cut.
+    const TopologySpec one = chain(4, 4);
+    ASSERT_TRUE(one.validate().ok());
+    EXPECT_TRUE(one.model().trunks(one).empty());
+    EXPECT_EQ(one.bisectionWidth(), 2u);
 }
 
-TEST(Topology, RingNeedsThreeSwitches)
+TEST(Topology, RingNeedsTwoSwitches)
 {
-    TopologySpec s;
-    s.kind = TopologyKind::Ring;
-    s.nodes = 12;
-    s.nodesPerSwitch = 4;
-    EXPECT_EQ(s.numSwitches(), 3u);
-    EXPECT_TRUE(s.validate().ok());
-    EXPECT_EQ(s.bisectionWidth(), 2u);
+    // The 1-D torus: every dimension that wraps needs extent >= 2.  Two
+    // switches make a ring of two parallel cables, wrap link last.
+    const TopologySpec two = ring(8, 4);
+    ASSERT_TRUE(two.validate().ok());
+    EXPECT_EQ(two.numSwitches(), 2u);
+    const auto trunks = two.model().trunks(two);
+    ASSERT_EQ(trunks.size(), 2u);
+    EXPECT_EQ(trunks[0].swA, 0u);
+    EXPECT_EQ(trunks[0].swB, 1u);
+    EXPECT_EQ(trunks[1].swA, 1u);
+    EXPECT_EQ(trunks[1].swB, 0u);
+    EXPECT_EQ(two.bisectionWidth(), 2u);
+    EXPECT_EQ(two.describe(), "ring(8 nodes, 2 switches, bisection 2)");
+
+    const TopologySpec three = ring(12, 4);
+    ASSERT_TRUE(three.validate().ok());
+    EXPECT_EQ(three.numSwitches(), 3u);
+    EXPECT_EQ(three.bisectionWidth(), 2u);
 }
 
-TEST(Topology, TooSmallRingIsRejected)
+TEST(Topology, SingleSwitchRingIsRejected)
 {
-    TopologySpec s;
-    s.kind = TopologyKind::Ring;
-    s.nodes = 4;
-    s.nodesPerSwitch = 4;
-    auto v = s.validate();
+    auto v = ring(4, 4).validate();
     ASSERT_FALSE(v.ok());
     EXPECT_NE(v.error().message.find("ring"), std::string::npos);
+}
+
+TEST(Topology, OneDimensionalValidation)
+{
+    // A chain accepts every node count, partly filled last switch
+    // included; a ring accepts every spec that spans at least two
+    // switches.
+    for (std::size_t nps = 1; nps <= 6; ++nps) {
+        for (std::size_t nodes = 1; nodes <= 40; ++nodes) {
+            SCOPED_TRACE(::testing::Message()
+                         << nodes << " nodes, " << nps << " per switch");
+            const std::size_t nsw = (nodes + nps - 1) / nps;
+            EXPECT_TRUE(chain(nodes, nps).validate().ok());
+            EXPECT_EQ(ring(nodes, nps).validate().ok(), nsw >= 2);
+        }
+    }
+    EXPECT_FALSE(chain(4, 0).validate().ok());
+    EXPECT_FALSE(ring(0, 2).validate().ok());
+}
+
+TEST(Topology, SecondPathFollowsWrapLinkOrDimensions)
+{
+    // multiPath(): some dimension wraps or there are at least two, so a
+    // detour exists.  A chain has neither and keeps its single path and
+    // its VC; a ring gains routing epochs under down windows.
+    EXPECT_FALSE(chain(16, 2).model().multiPath());
+    EXPECT_FALSE(chain(16, 2).model().usesDateline());
+    EXPECT_TRUE(ring(16, 2).model().multiPath());
+    EXPECT_TRUE(ring(16, 2).model().usesDateline());
+    EXPECT_TRUE(torus(3, 3, 2).model().multiPath());
+    EXPECT_TRUE(torus3d(2, 2, 2, 1).model().multiPath());
+    EXPECT_FALSE(TopologySpec().model().multiPath()); // star
 }
 
 TEST(Topology, TorusGridMath)
