@@ -4,12 +4,14 @@
  *
  * A checkpoint captures the *semantic* state of a quiescent cluster —
  * everything that influences the future schedule, packet contents or
- * trace hash — as a self-contained text blob (schema tg-ckpt-v4):
+ * trace hash — as a self-contained text blob (schema tg-ckpt-v5):
  *
  *  - simulation clock, event sequence counter, executed-event count
  *  - the determinism trace hash (value + words mixed)
  *  - the RNG stream state (spawn keys and Ctx forks continue exactly)
  *  - the packet-conservation ledger
+ *  - per host communicator: the roots whose broadcast pages are mapped
+ *    with their per-member cursors, and the per-member reduce rounds
  *  - per node: memory words, cache tags, TLB contents, page tables,
  *    allocator cursors, scheduler shape and HIB ticket/page-counter
  *    state
@@ -21,15 +23,17 @@
  * frames (finished programs have none; restored clusters spawn their
  * next programs fresh).  The restore contract is: rebuild the cluster
  * from the same spec, replay the same setup calls (allocShared/
- * allocPrivate/segment replication), restore, then continue the
- * workload — the trace hash and the statistics evolve bit-identically
- * to a run that never checkpointed (DESIGN.md section 14.5).
+ * allocPrivate/segment replication/communicator), restore, then
+ * continue the workload — the trace hash and the statistics evolve
+ * bit-identically to a run that never checkpointed (DESIGN.md section
+ * 14.5).
  */
 
 #include "api/cluster.hpp"
 
 #include <sstream>
 
+#include "api/collectives.hpp"
 #include "api/segment.hpp"
 #include "hib/hib.hpp"
 #include "net/packet.hpp"
@@ -38,7 +42,7 @@ namespace tg {
 
 namespace {
 
-constexpr const char *kMagic = "tg-ckpt-v4";
+constexpr const char *kMagic = "tg-ckpt-v5";
 
 /** Token-stream reader: whitespace-separated tags and unsigned values,
  *  fatal() on any shape mismatch (a checkpoint is machine-written, so a
@@ -126,6 +130,30 @@ Cluster::checkpoint()
     os << "ledger " << ledger.injected << " " << ledger.delivered << " "
        << ledger.dropped << "\n";
     os << "va " << _vaNext << "\n";
+
+    // Host communicators: the roots whose broadcast pages are mapped,
+    // with their cursors, and the reduce rounds.  Written ahead of the
+    // nodes so restore maps those pages again before the node records
+    // overwrite the page tables, TLBs and memory the mapping touches.
+    os << "comms " << _comms.size() << "\n";
+    for (const auto &comm : _comms) {
+        std::size_t mapped = 0;
+        for (const auto &root : comm->_bcast)
+            mapped += root.seg != nullptr;
+        os << "comm " << comm->size() << " " << mapped << "\n";
+        for (std::size_t rank = 0; rank < comm->_bcast.size(); ++rank) {
+            if (!comm->_bcast[rank].seg)
+                continue;
+            os << "root " << rank;
+            for (std::uint64_t seen : comm->_bcast[rank].seen)
+                os << " " << seen;
+            os << "\n";
+        }
+        os << "reduce " << comm->_reduceRound.size();
+        for (std::uint64_t round : comm->_reduceRound)
+            os << " " << round;
+        os << "\n";
+    }
 
     os << "nodes " << _nodes.size() << "\n";
     for (std::size_t n = 0; n < _nodes.size(); ++n) {
@@ -236,6 +264,29 @@ Cluster::restore(const std::string &blob)
     }
     r.expect("va");
     _vaNext = r.u64();
+
+    r.expect("comms");
+    if (r.u64() != _comms.size())
+        fatal("restore: checkpoint has a different communicator count "
+              "(replay the same communicator() calls first)");
+    for (auto &comm : _comms) {
+        r.expect("comm");
+        if (r.u64() != comm->size())
+            fatal("restore: communicator member count differs");
+        for (std::uint64_t i = 0, mapped = r.u64(); i < mapped; ++i) {
+            r.expect("root");
+            const std::uint64_t rank = r.u64();
+            if (rank >= comm->_bcast.size())
+                fatal("restore: broadcast root out of range");
+            for (std::uint64_t &seen : comm->bcastRoot(rank).seen)
+                seen = r.u64();
+        }
+        r.expect("reduce");
+        if (r.u64() != comm->_reduceRound.size())
+            fatal("restore: communicator reduce-round count differs");
+        for (std::uint64_t &round : comm->_reduceRound)
+            round = r.u64();
+    }
 
     r.expect("nodes");
     if (r.u64() != _nodes.size())

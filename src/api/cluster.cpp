@@ -258,9 +258,17 @@ Cluster::allocShared(const std::string &name, std::size_t bytes,
 {
     const std::size_t page_bytes = config().pageBytes;
     const std::size_t pages = (bytes + page_bytes - 1) / page_bytes;
+    // Reserve, then map: the two cursor bumps hand out the addresses,
+    // mapShared() installs them.
     const VAddr va = allocVa(pages);
     const PAddr home = node(owner).allocShmFrames(pages);
+    return mapShared(name, va, pages, owner, home);
+}
 
+Segment &
+Cluster::mapShared(const std::string &name, VAddr va, std::size_t pages,
+                   NodeId owner, PAddr home)
+{
     for (std::size_t i = 0; i < _nodes.size(); ++i) {
         Pte pte;
         pte.frame = home;

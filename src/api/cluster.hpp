@@ -235,6 +235,8 @@ class Cluster : public coherence::Fabric
      * backend (ClusterSpec::collectives).  This is the only construction
      * path: group ids, NIC engine registration and host scratch memory
      * are cluster-managed.  @p max_words is the widest broadcast payload.
+     * On the host backend this reserves every root's broadcast page
+     * and maps none: a root's page is mapped on its first broadcast.
      */
     Communicator &communicator(const std::string &name,
                                std::vector<NodeId> members,
@@ -362,8 +364,9 @@ class Cluster : public coherence::Fabric
 
     /**
      * Serialize the cluster's semantic state into a self-contained text
-     * blob (schema tg-ckpt-v4): simulation clock + event sequence, trace
-     * hash, RNG stream, packet ledger, per-node memory / cache / TLB /
+     * blob (schema tg-ckpt-v5): simulation clock + event sequence, trace
+     * hash, RNG stream, packet ledger, each host communicator's mapped
+     * broadcast roots and cursors, per-node memory / cache / TLB /
      * page-table / HIB-ticket state, the page directory and every stat
      * field and histogram (StatRegistry::save).
      *
@@ -378,17 +381,28 @@ class Cluster : public coherence::Fabric
     /**
      * Restore a checkpoint() blob.  Must be called on a freshly built
      * cluster *after* replaying the identical setup sequence (same spec,
-     * same allocShared/allocPrivate/segment-replication calls, no spawns
-     * or runs yet).  After restore, continuing the workload produces
-     * bit-identical trace hashes and stats to a run that never
-     * checkpointed.  fatal()s on schema/shape mismatches.
+     * same allocShared/allocPrivate/segment-replication/communicator
+     * calls, no spawns or runs yet).  After restore, continuing the
+     * workload produces bit-identical trace hashes and stats to a run
+     * that never checkpointed.  fatal()s on schema/shape mismatches.
      */
     void restore(const std::string &blob);
 
   private:
+    friend class Communicator;
     friend class Segment;
 
     VAddr allocVa(std::size_t pages);
+
+    /**
+     * The map half of allocShared(): install @p pages at @p va, homed at
+     * @p home on @p owner, in every node's default address space and
+     * return the new segment.  The caller reserved @p va (allocVa) and
+     * @p home (@p owner's allocShmFrames) beforehand.
+     */
+    Segment &mapShared(const std::string &name, VAddr va, std::size_t pages,
+                       NodeId owner, PAddr home);
+
     int spawnIn(NodeId n, node::AddressSpace &as, Body body);
 
     std::unique_ptr<System> _sys;

@@ -29,8 +29,8 @@ Communicator::Communicator(BuildKey, Cluster &cluster,
                            std::vector<NodeId> members,
                            CollectiveBackend backend,
                            std::uint32_t group_id, std::size_t max_words)
-    : _cluster(cluster), _members(std::move(members)), _backend(backend),
-      _groupId(group_id), _maxWords(max_words)
+    : _cluster(cluster), _name(name), _members(std::move(members)),
+      _backend(backend), _groupId(group_id), _maxWords(max_words)
 {
     if (_members.size() < 2)
         fatal("Communicator %s: needs at least 2 members", name.c_str());
@@ -47,23 +47,36 @@ Communicator::Communicator(BuildKey, Cluster &cluster,
         return;
     }
 
-    for (std::size_t r = 0; r < _members.size(); ++r) {
-        Segment &seg = cluster.allocShared(
-            name + ".bcast" + std::to_string(r), (8 + max_words) * 8,
-            _members[r]);
-        for (NodeId m : _members) {
-            if (m != _members[r])
-                seg.eagerTo(m);
-        }
-        _bcast.push_back(&seg);
-    }
+    // Reserve every root's broadcast slot, one cursor bump each; a run
+    // maps only the roots that broadcast (bcastRoot()).
+    const std::size_t page_bytes = cluster.config().pageBytes;
+    _pages = ((8 + max_words) * 8 + page_bytes - 1) / page_bytes;
+    const std::size_t block = _members.size() * _pages;
+    _bcastVa = cluster.allocVa(block);
+    for (NodeId m : _members)
+        _bcastFrames.push_back(cluster.node(m).allocShmFrames(block));
+    _bcast.resize(_members.size());
     _scratch = &cluster.allocShared(name + ".scratch",
                                     (2 * kRounds + 8) * 8, _members[0]);
+    _reduceRound.assign(_members.size(), 0);
+}
 
-    for (NodeId m : _members) {
-        _bcastSeen[m].assign(_members.size(), 0);
-        _reduceRound[m] = 0;
+Communicator::BcastRoot &
+Communicator::bcastRoot(std::size_t rank)
+{
+    BcastRoot &root = _bcast[rank];
+    if (root.seg)
+        return root;
+    const PAddr slot = PAddr(rank * _pages) * _cluster.config().pageBytes;
+    root.seg = &_cluster.mapShared(_name + ".bcast" + std::to_string(rank),
+                                   _bcastVa + slot, _pages, _members[rank],
+                                   _bcastFrames[rank] + slot);
+    for (std::size_t m = 0; m < _members.size(); ++m) {
+        if (m != rank)
+            root.seg->eagerTo(_members[m], _bcastFrames[m] + slot);
     }
+    root.seen.assign(_members.size(), 0);
+    return root;
 }
 
 std::size_t
@@ -152,12 +165,12 @@ Communicator::hostBroadcast(Ctx &ctx, std::vector<Word> &io, NodeId root,
                             std::uint64_t before)
 {
     const std::size_t root_rank = rankOf(root);
-    std::uint64_t &seen = _bcastSeen[ctx.self()][root_rank];
-    const std::uint64_t gen = ++seen;
+    const std::uint64_t gen =
+        ++bcastRoot(root_rank).seen[rankOf(ctx.self())];
     const std::uint64_t op = hostTraceBegin(trace::OpKind::CollBcast);
 
     if (ctx.self() == root) {
-        // Local stores into the eagerly-mapped page: the HIB multicasts
+        // Local stores into the eager-update page: the HIB multicasts
         // them to every member's receive copy (section 2.2.7).
         for (std::size_t w = 0; w < io.size(); ++w)
             co_await ctx.write(bcastWordVa(root_rank, w), io[w]);
@@ -195,7 +208,7 @@ Communicator::reduceSum(Ctx &ctx, Word contribution, NodeId root)
     }
 
     const std::uint64_t op = hostTraceBegin(trace::OpKind::CollReduce);
-    const std::uint64_t round = _reduceRound[ctx.self()]++;
+    const std::uint64_t round = _reduceRound[rankOf(ctx.self())]++;
     const std::size_t slot = round % kRounds;
     const Word parties = Word(_members.size());
 

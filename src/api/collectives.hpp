@@ -7,7 +7,8 @@
  * backends chosen at cluster construction (ClusterSpec::collectives):
  *
  *  - CollectiveBackend::Host composes the paper's primitives in
- *    software: broadcast through eagerly-mapped pages (section 2.2.7),
+ *    software: broadcast through eager-update pages (section 2.2.7),
+ *    each root's page mapped out on that root's first broadcast,
  *    reduce through remote fetch&add at a scratch home (2.2.3), barrier
  *    through sense-reversing atomics with the MEMORY_BARRIER embedded
  *    (2.3.5).  The CPU drives every step and polls for completion.
@@ -32,7 +33,6 @@
 #ifndef TELEGRAPHOS_API_COLLECTIVES_HPP
 #define TELEGRAPHOS_API_COLLECTIVES_HPP
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -96,7 +96,16 @@ class Communicator
     Task<Result<Word>> allReduceSum(Ctx &ctx, Word contribution);
 
   private:
+    friend class Cluster; // checkpoint()/restore() carry the host state
+
     static constexpr std::size_t kRounds = 4; ///< host reduce rotation
+
+    /** A root whose broadcast page is mapped (host backend). */
+    struct BcastRoot
+    {
+        Segment *seg = nullptr;          ///< null until materialised
+        std::vector<std::uint64_t> seen; ///< per-member cursor, by rank
+    };
 
     std::size_t rankOf(NodeId n) const;
 
@@ -114,23 +123,32 @@ class Communicator
     std::uint64_t hostTraceBegin(trace::OpKind kind);
     void hostTraceEnd(std::uint64_t id);
 
-    // Host broadcast segment layout (per member m, homed at m,
-    // eager-mapped to all other members):
+    // Host broadcast layout.  Construction reserves, mapping nothing,
+    // one VA block of size() x _pages and, on every member, one
+    // shared-frame block of the same size.  Root r's slot is offset
+    // r x _pages in each block: its page lives at that VA, is homed in
+    // that slot of root r's block and is received into that slot of
+    // every other member's block.  The first broadcast from r maps it
+    // (bcastRoot()).  Within a root's page:
     //   word 0:            generation counter
     //   word 1:            payload word count
     //   words 8..8+max:    payload
     VAddr bcastGenVa(std::size_t rank) const
     {
-        return _bcast[rank]->word(0);
+        return _bcast[rank].seg->word(0);
     }
     VAddr bcastCountVa(std::size_t rank) const
     {
-        return _bcast[rank]->word(1);
+        return _bcast[rank].seg->word(1);
     }
     VAddr bcastWordVa(std::size_t rank, std::size_t w) const
     {
-        return _bcast[rank]->word(8 + w);
+        return _bcast[rank].seg->word(8 + w);
     }
+
+    /** Root @p rank's broadcast state, its page mapped at the reserved
+     *  addresses (and its cursors zeroed) on first use. */
+    BcastRoot &bcastRoot(std::size_t rank);
 
     // Host reduce scratch (homed at members[0]), rotated over kRounds
     // slots: slot s accumulator at word(s), arrivals at word(kRounds+s).
@@ -147,18 +165,19 @@ class Communicator
                                      NodeId root, std::uint64_t before);
 
     Cluster &_cluster;
+    std::string _name;
     std::vector<NodeId> _members;
     CollectiveBackend _backend;
     std::uint32_t _groupId;
     std::size_t _maxWords;
 
     // Host-backend state (empty/null on the NIC backend).
-    std::vector<Segment *> _bcast; ///< one per member (owner = member)
+    std::size_t _pages = 0;          ///< pages per root's slot
+    VAddr _bcastVa = 0;              ///< reserved VA block
+    std::vector<PAddr> _bcastFrames; ///< reserved frame block, by rank
+    std::vector<BcastRoot> _bcast;   ///< by root rank
     Segment *_scratch = nullptr;
-
-    /** Host-side per-node cursors (each node's private progress). */
-    std::map<NodeId, std::vector<std::uint64_t>> _bcastSeen;
-    std::map<NodeId, std::uint64_t> _reduceRound;
+    std::vector<std::uint64_t> _reduceRound; ///< by rank
 };
 
 } // namespace tg

@@ -43,11 +43,10 @@ Segment::homePage(std::size_t p) const
 }
 
 PAddr
-Segment::mapLocalCopy(NodeId n, std::size_t p)
+Segment::mapLocalCopy(NodeId n, std::size_t p, PAddr local)
 {
     const std::uint32_t page_bytes = _cluster.config().pageBytes;
-    const PAddr local = _cluster.node(n).allocShmFrames(1);
-    // Instant (setup-time) content copy.
+    // Instant (untimed) content copy.
     _cluster.memOf(n).copy(node::offsetOf(local), _cluster.memOf(_owner),
                            node::offsetOf(homePage(p)), page_bytes / 8);
 
@@ -81,7 +80,8 @@ Segment::replicate(NodeId n, ProtocolKind kind)
         if (e->hasCopy(n))
             continue;
 
-        dir.addCopy(*e, n, mapLocalCopy(n, p));
+        dir.addCopy(*e, n,
+                    mapLocalCopy(n, p, _cluster.node(n).allocShmFrames(1)));
         proto.onCopyAdded(*e, n);
     }
 }
@@ -89,14 +89,22 @@ Segment::replicate(NodeId n, ProtocolKind kind)
 void
 Segment::eagerTo(NodeId reader)
 {
+    eagerTo(reader, _cluster.node(reader).allocShmFrames(_pages));
+}
+
+void
+Segment::eagerTo(NodeId reader, PAddr frames)
+{
     if (reader == _owner)
         fatal("segment %s: eagerTo(owner) is meaningless", _name.c_str());
 
     // A receive copy mapped locally at the reader, and the owner's page
     // mapped out to it (HIB multicast list).
+    const std::uint32_t page_bytes = _cluster.config().pageBytes;
     for (std::size_t p = 0; p < _pages; ++p)
         _cluster.hibOf(_owner).multicast().addEntry(
-            homePage(p), reader, mapLocalCopy(reader, p));
+            homePage(p), reader,
+            mapLocalCopy(reader, p, frames + PAddr(p) * page_bytes));
 }
 
 void

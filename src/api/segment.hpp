@@ -64,9 +64,14 @@ class Segment
      * Raw eager-update mapping (paper section 2.2.7, message-passing
      * flavour): give @p reader a local receive copy and map the owner's
      * pages out to it through the HIB multicast list.  No directory
-     * entry is created; single-writer usage is assumed.
+     * entry is created; single-writer usage is assumed.  The receive
+     * copy takes fresh frames from @p reader's shared-memory cursor.
      */
     void eagerTo(NodeId reader);
+
+    /** eagerTo() into pages() contiguous receive frames at @p frames,
+     *  which the caller reserved on @p reader beforehand. */
+    void eagerTo(NodeId reader, PAddr frames);
 
     /**
      * Program the access counters for this segment's pages on node
@@ -87,8 +92,9 @@ class Segment
   private:
     friend class Cluster;
 
-    /** Map a fresh local copy of page @p p at @p n; returns its frame. */
-    PAddr mapLocalCopy(NodeId n, std::size_t p);
+    /** Map page @p p's local copy at @p n onto frame @p local; returns
+     *  @p local. */
+    PAddr mapLocalCopy(NodeId n, std::size_t p, PAddr local);
 
     Cluster &_cluster;
     std::string _name;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "api/cluster.hpp"
+#include "api/collectives.hpp"
 #include "api/context.hpp"
 #include "api/segment.hpp"
 
@@ -138,6 +139,93 @@ TEST(Checkpoint, RoundTripContinuesBitIdentically)
         SCOPED_TRACE("torus(2, 2, 1)");
         expectRoundTrip(specUnderTest(ClusterSpec::torus(2, 2, 1)));
     }
+}
+
+/** One host-collective round on star(4): a broadcast from each of
+ *  @p roots, a barrier, then a reduce at node 0.  @p got[n] collects
+ *  what node n received: every broadcast payload, then the sum at the
+ *  root. */
+void
+collRound(Cluster &c, Communicator &comm, Word base,
+          std::vector<NodeId> roots, std::vector<std::vector<Word>> &got)
+{
+    for (NodeId n = 0; n < 4; ++n) {
+        c.spawn(n, [&comm, &got, base, roots, n](Ctx &ctx) -> Task<void> {
+            for (const NodeId root : roots) {
+                std::vector<Word> io;
+                if (n == root)
+                    io = {base + 10 * root, base + 10 * root + 1};
+                EXPECT_TRUE((co_await comm.broadcast(ctx, io, root)).ok());
+                got[n].insert(got[n].end(), io.begin(), io.end());
+            }
+            EXPECT_TRUE((co_await comm.barrier(ctx)).ok());
+            const Result<ReduceOut> red =
+                co_await comm.reduceSum(ctx, base + n, 0);
+            EXPECT_TRUE(red.ok());
+            if (red.value().atRoot)
+                got[n].push_back(red.value().value);
+        });
+    }
+}
+
+TEST(Checkpoint, HostCollectivesContinueAcrossRestore)
+{
+    // Round 1 maps root 0's broadcast page; round 2 broadcasts from it
+    // again (its cursors must carry over) and from root 3, first mapped
+    // after the restore.
+    const ClusterSpec spec =
+        specUnderTest().collectives(CollectiveBackend::Host);
+    const std::vector<NodeId> members = {0, 1, 2, 3};
+    const std::vector<NodeId> round1 = {0}, round2 = {0, 3};
+
+    Cluster ref(spec);
+    Communicator &ref_comm = ref.communicator("comm", members, 8);
+    std::vector<std::vector<Word>> ref_got(4);
+    collRound(ref, ref_comm, 100, round1, ref_got);
+    ref.run();
+    ASSERT_TRUE(ref.allDone());
+    collRound(ref, ref_comm, 200, round2, ref_got);
+    ref.run();
+    ASSERT_TRUE(ref.allDone());
+
+    std::vector<std::vector<Word>> got(4);
+    std::string blob;
+    {
+        Cluster a(spec);
+        Communicator &comm = a.communicator("comm", members, 8);
+        collRound(a, comm, 100, round1, got);
+        a.run();
+        ASSERT_TRUE(a.allDone());
+        blob = a.checkpoint();
+    }
+
+    Cluster b(spec);
+    Communicator &b_comm = b.communicator("comm", members, 8);
+    b.restore(blob);
+    {
+        // A cluster restored from the blob checkpoints it back verbatim.
+        Cluster c(spec);
+        c.communicator("comm", members, 8);
+        c.restore(blob);
+        EXPECT_EQ(c.checkpoint(), blob);
+    }
+    {
+        // A replay that skipped communicator() cannot take the blob.
+        Cluster c(spec);
+        EXPECT_DEATH(c.restore(blob), "different communicator count");
+    }
+    collRound(b, b_comm, 200, round2, got);
+    b.run();
+    ASSERT_TRUE(b.allDone());
+    ASSERT_TRUE(b.auditQuiescent());
+
+    EXPECT_EQ(got[1], (std::vector<Word>{100, 101, 200, 201, 230, 231}));
+    EXPECT_EQ(got[0], (std::vector<Word>{100, 101, 406, 200, 201, 230,
+                                         231, 806}));
+    EXPECT_EQ(got, ref_got);
+    EXPECT_EQ(b.traceHash(), ref.traceHash());
+    EXPECT_EQ(b.traceLength(), ref.traceLength());
+    EXPECT_EQ(statsJson(b), statsJson(ref));
 }
 
 /** @p blob with the stats line of @p stat replaced by @p edit(line). */

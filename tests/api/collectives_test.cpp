@@ -358,11 +358,13 @@ TEST(Collectives, CollCountersAlwaysOnStatsSurface)
 
 TEST(Collectives, HostSetupMaterialisesNoZeroPages)
 {
-    // Regression: the Host backend maps every root's broadcast page out
-    // to every other member.  While reads of untouched memory allocated,
-    // that set-up materialised 64 x 63 zero pages (~33 MB) before any
-    // collective ran; absent memory reading as zero keeps it to the few
-    // chunks set-up actually writes.
+    // Regression: the Host backend once mapped every root's broadcast
+    // page out to every other member at set-up, and while reads of
+    // untouched memory allocated, that materialised 64 x 63 zero pages
+    // (~33 MB) before any collective ran.  Set-up now only reserves the
+    // pages (a root's page is mapped on its first broadcast), and absent
+    // memory reads as zero; the bound keeps set-up to the few chunks it
+    // actually writes.
     constexpr std::size_t kNodes = 64;
     ClusterSpec spec =
         ClusterSpec::forKind(net::TopologyKind::Torus2D, kNodes, 4)
@@ -380,6 +382,56 @@ TEST(Collectives, HostSetupMaterialisesNoZeroPages)
                        .find("node" + std::to_string(n) + ".mem.touched_bytes")
                        .value();
     EXPECT_LE(touched, double(kNodes) * 4 * 8192) << touched;
+}
+
+TEST(Collectives, HostSetupIsLinearAndMapsARootOnItsFirstBroadcast)
+{
+    // Set-up reserves every root's broadcast page and maps none of them:
+    // no multicast entry exists until a root broadcasts, and then only
+    // that root's page is mapped out, to each other member.
+    for (const std::size_t nodes : {64, 256}) {
+        SCOPED_TRACE(nodes);
+        ClusterSpec spec =
+            ClusterSpec::forKind(net::TopologyKind::Torus2D, nodes, 4)
+                .collectives(CollectiveBackend::Host);
+        Cluster c(spec);
+        std::vector<NodeId> members;
+        for (NodeId n = 0; n < NodeId(nodes); ++n)
+            members.push_back(n);
+        // A payload over one page wide: every page of the root's slot
+        // is mapped out.
+        constexpr std::size_t kMaxWords = 1100;
+        const std::size_t page_bytes = c.config().pageBytes;
+        const std::size_t pages =
+            ((8 + kMaxWords) * 8 + page_bytes - 1) / page_bytes;
+        ASSERT_EQ(pages, 2u);
+        Communicator &comm = c.communicator("comm", members, kMaxWords);
+
+        auto multicastEntries = [&c, nodes] {
+            std::size_t used = 0;
+            for (NodeId n = 0; n < NodeId(nodes); ++n)
+                used += c.hibOf(n).multicast().used();
+            return used;
+        };
+        EXPECT_EQ(multicastEntries(), 0u);
+
+        std::size_t delivered = 0;
+        for (NodeId n = 0; n < NodeId(nodes); ++n) {
+            c.spawn(n, [&comm, &delivered, n](Ctx &ctx) -> Task<void> {
+                std::vector<Word> io;
+                if (n == 0)
+                    io = {11, 12};
+                const Result<void> r = co_await comm.broadcast(ctx, io, 0);
+                if (r.ok() && io == std::vector<Word>{11, 12})
+                    ++delivered;
+            });
+        }
+        c.run(400'000'000'000ULL);
+        ASSERT_TRUE(c.allDone());
+        EXPECT_EQ(delivered, nodes);
+        EXPECT_EQ(c.hibOf(0).multicast().used(), (nodes - 1) * pages);
+        EXPECT_EQ(multicastEntries(), (nodes - 1) * pages);
+    }
 }
 
 } // namespace

@@ -32,10 +32,13 @@
 namespace tg::net {
 namespace {
 
+// The helpers value-initialise their spec, as network_test.cpp's
+// blankSpec() does: gtest prints each case's parameter as a byte dump,
+// padding included, in the test name.
 TopologySpec
 torus(std::size_t x, std::size_t y, std::size_t nps)
 {
-    TopologySpec s;
+    TopologySpec s = TopologySpec();
     s.kind = TopologyKind::Torus2D;
     s.torusX = x;
     s.torusY = y;
@@ -47,7 +50,7 @@ torus(std::size_t x, std::size_t y, std::size_t nps)
 TopologySpec
 torus3d(std::size_t x, std::size_t y, std::size_t z, std::size_t nps)
 {
-    TopologySpec s;
+    TopologySpec s = TopologySpec();
     s.kind = TopologyKind::Torus3D;
     s.torusX = x;
     s.torusY = y;
@@ -60,7 +63,7 @@ torus3d(std::size_t x, std::size_t y, std::size_t z, std::size_t nps)
 TopologySpec
 ring(std::size_t nodes, std::size_t nps)
 {
-    TopologySpec s;
+    TopologySpec s = TopologySpec();
     s.kind = TopologyKind::Ring;
     s.nodes = nodes;
     s.nodesPerSwitch = nps;
@@ -70,7 +73,7 @@ ring(std::size_t nodes, std::size_t nps)
 TopologySpec
 fatTree(std::size_t nodes, std::size_t nps, std::size_t spines)
 {
-    TopologySpec s;
+    TopologySpec s = TopologySpec();
     s.kind = TopologyKind::FatTree;
     s.nodes = nodes;
     s.nodesPerSwitch = nps;

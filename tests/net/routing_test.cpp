@@ -22,10 +22,13 @@
 namespace tg::net {
 namespace {
 
+// The helpers value-initialise their spec, as network_test.cpp's
+// blankSpec() does: gtest prints each case's parameter as a byte dump,
+// padding included, in the test name.
 TopologySpec
 star(std::size_t nodes)
 {
-    TopologySpec s;
+    TopologySpec s = TopologySpec();
     s.nodes = nodes;
     return s;
 }
@@ -33,7 +36,7 @@ star(std::size_t nodes)
 TopologySpec
 linear(TopologyKind kind, std::size_t nodes, std::size_t nps)
 {
-    TopologySpec s;
+    TopologySpec s = TopologySpec();
     s.kind = kind;
     s.nodes = nodes;
     s.nodesPerSwitch = nps;
@@ -43,7 +46,7 @@ linear(TopologyKind kind, std::size_t nodes, std::size_t nps)
 TopologySpec
 torus(std::size_t x, std::size_t y, std::size_t nps)
 {
-    TopologySpec s;
+    TopologySpec s = TopologySpec();
     s.kind = TopologyKind::Torus2D;
     s.torusX = x;
     s.torusY = y;
@@ -55,7 +58,7 @@ torus(std::size_t x, std::size_t y, std::size_t nps)
 TopologySpec
 torus3d(std::size_t x, std::size_t y, std::size_t z, std::size_t nps)
 {
-    TopologySpec s;
+    TopologySpec s = TopologySpec();
     s.kind = TopologyKind::Torus3D;
     s.torusX = x;
     s.torusY = y;
@@ -68,7 +71,7 @@ torus3d(std::size_t x, std::size_t y, std::size_t z, std::size_t nps)
 TopologySpec
 fatTree(std::size_t nodes, std::size_t nps, std::size_t spines)
 {
-    TopologySpec s;
+    TopologySpec s = TopologySpec();
     s.kind = TopologyKind::FatTree;
     s.nodes = nodes;
     s.nodesPerSwitch = nps;

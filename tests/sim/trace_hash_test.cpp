@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "api/cluster.hpp"
+#include "api/collectives.hpp"
 #include "api/context.hpp"
 #include "api/segment.hpp"
 #include "workload/hotspot.hpp"
@@ -83,6 +84,45 @@ runTraffic(std::uint64_t seed,
     return t;
 }
 
+/** Host-backend collectives: barrier, reduce at node 0 and a
+ *  broadcast from a root that moves each round, so the run maps more
+ *  than one root's broadcast page. */
+Trace
+runHostCollectives(std::uint64_t seed)
+{
+    tg::ClusterSpec spec = tg::ClusterSpec::star(kNodes).collectives(
+        tg::CollectiveBackend::Host);
+    spec.config.seed = seed;
+    tg::Cluster c(spec);
+
+    tg::Communicator &comm = c.communicator("comm", {0, 1, 2, 3}, 4);
+    for (tg::NodeId n = 0; n < kNodes; ++n) {
+        c.spawn(n, [&comm, n](tg::Ctx &ctx) -> tg::Task<void> {
+            for (int r = 0; r < 3; ++r) {
+                EXPECT_TRUE((co_await comm.barrier(ctx)).ok());
+                EXPECT_TRUE(
+                    (co_await comm.reduceSum(ctx, tg::Word(n + r), 0)).ok());
+                const tg::NodeId root = tg::NodeId(r + 1);
+                std::vector<tg::Word> io;
+                if (n == root)
+                    io = {tg::Word(100 * r + 1), tg::Word(100 * r + 2)};
+                EXPECT_TRUE((co_await comm.broadcast(ctx, io, root)).ok());
+                EXPECT_EQ(io, (std::vector<tg::Word>{tg::Word(100 * r + 1),
+                                                     tg::Word(100 * r + 2)}));
+            }
+        });
+    }
+
+    Trace t;
+    t.end = c.run(kLimit);
+    t.hash = c.traceHash();
+    t.words = c.traceLength();
+    EXPECT_TRUE(c.allDone());
+    std::string why;
+    EXPECT_TRUE(c.auditQuiescent(&why)) << why;
+    return t;
+}
+
 TEST(TraceHashTest, HotspotSameSeedSameTrace)
 {
     for (std::uint64_t seed : {1ULL, 99ULL}) {
@@ -128,7 +168,9 @@ TEST(TraceHashTest, RunsMatchGoldenTraces)
     // change that makes it states so and re-pins them.  The ring run
     // (one node per switch, four switches) crosses the wrap link and
     // its dateline VC.  The hotspot workload draws nothing from the
-    // seeded Rng, so its two seeds share one trace.
+    // seeded Rng, so its two seeds share one trace.  The host
+    // collectives run pins the addresses of every broadcast page, home
+    // and receive copy: moving any of them changes the packets.
     {
         SCOPED_TRACE("chain hotspot seed 1");
         expectGolden(runHotspot(1),
@@ -153,6 +195,11 @@ TEST(TraceHashTest, RunsMatchGoldenTraces)
         SCOPED_TRACE("ring traffic seed 7");
         expectGolden(runTraffic(7, tg::ClusterSpec::ring(kNodes, 1)),
                      {0xe888dc0deb009b07ULL, 13100, 169409});
+    }
+    {
+        SCOPED_TRACE("star host collectives seed 1");
+        expectGolden(runHostCollectives(1),
+                     {0x67b850c603c26cdeULL, 6308, 224291});
     }
 }
 

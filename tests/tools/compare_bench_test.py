@@ -177,6 +177,54 @@ def main():
         rc, out = run_compare(tmp, base, half, "--threshold=0.5")
         check("threshold flag honored", rc == 0, out)
 
+        # --threshold=0 is exact: a change in either direction fails,
+        # on both schemas, and only an identical run passes.
+        better = gb_doc(
+            {
+                "BM_A": {"items_per_second": 1001.0},
+                "BM_B": {"events_per_s": 500.0},
+            }
+        )
+        rc, out = run_compare(tmp, base, better, "--threshold=0")
+        check("exact gate fails a rate gain", rc == 1 and "BM_A" in out, out)
+        rc, out = run_compare(tmp, base, base, "--threshold=0")
+        check("exact gate passes an identical run", rc == 0, out)
+        tfast = tg_doc("n1", [("goodput", 100.0, "MB/s"), ("p99", 9.5, "us")])
+        rc, out = run_compare(tmp, tbase, tfast, "--threshold=0")
+        check(
+            "exact gate fails a latency drop",
+            rc == 1 and "p99" in out and "exact gate" in out,
+            out,
+        )
+        rc, out = run_compare(tmp, tbase, tlat, "--threshold=0")
+        check("exact gate fails a latency rise", rc == 1, out)
+        # A positive threshold keeps its one-sided meaning.
+        rc, out = run_compare(tmp, tbase, tfast, "--threshold=0.01")
+        check("positive threshold passes an improvement", rc == 0, out)
+
+        # The exact gate also compares metrics with no better side
+        # (hops, unitless, zero), which a positive threshold ignores.
+        thops = tg_doc(
+            "n1",
+            [("goodput", 100.0, "MB/s"), ("hops", 10.25, "hops"),
+             ("epochs", 2, None), ("lost", 0, None)],
+        )
+        for metric, moved in (("hops", 99.0), ("epochs", 3), ("lost", 1)):
+            cand_doc = tg_doc(
+                "n1",
+                [(n, moved if n == metric else v, u)
+                 for n, v, u in [("goodput", 100.0, "MB/s"),
+                                 ("hops", 10.25, "hops"),
+                                 ("epochs", 2, None), ("lost", 0, None)]],
+            )
+            rc, out = run_compare(tmp, thops, cand_doc, "--threshold=0")
+            check(f"exact gate fails a moved {metric}",
+                  rc == 1 and metric in out, out)
+            rc, out = run_compare(tmp, thops, cand_doc, "--threshold=0.01")
+            check(f"positive threshold ignores {metric}", rc == 0, out)
+        rc, out = run_compare(tmp, thops, thops, "--threshold=0")
+        check("exact gate passes identical ungated metrics", rc == 0, out)
+
     if FAILURES:
         print(f"\n{len(FAILURES)} check(s) failed: {', '.join(FAILURES)}")
         return 1

@@ -16,20 +16,25 @@ Two input schemas are auto-detected per file:
                      units (MB/s, ops/s, .../s) gate on drops;
                      latency units (ns, us, ms) gate on increases.
                      Unitless and count-like metrics (hops, bytes)
-                     are informational only.
+                     are informational only, except under the exact
+                     gate below.
 
 Exits non-zero when any gated metric regressed by more than the
 threshold (default 25%), or when a bench / metric present in the
 baseline is missing from the candidate — a bench that stops emitting a
 gated counter must fail the gate, not slip through it.  Improvements
 and new benchmarks never fail; re-baseline by committing a fresh JSON
-(see DESIGN.md section 9).
+(see DESIGN.md section 9).  The one exception is `--threshold=0`, the
+exact gate: it compares every numeric tg-bench-v1 metric, unitless and
+zero-valued ones included, and any difference fails, in either
+direction, since a deterministic metric that improved still means the
+model changed.
 
 `--metric-filter=SUBSTR` restricts the comparison to metrics whose
-name contains SUBSTR on both sides.  CI smoke jobs use it when the
-candidate ran a subset of the committed sweep (e.g. bench_collectives
---nodes=64 against the full BENCH_collectives.json: filter `.n64.`),
-so the baseline's other tiers don't count as missing.
+name contains SUBSTR on both sides.  Use it when the candidate ran a
+subset of the committed sweep (e.g. bench_collectives --nodes=64
+against the full BENCH_collectives.json: filter `.n64.`), so the
+baseline's other tiers don't count as missing.
 
 The default gate is deliberately loose: CI machines are noisy, and for
 host-time benches (bench_sim_throughput) the job's purpose is catching
@@ -57,8 +62,10 @@ def _tg_direction(unit):
     return None
 
 
-def load_metrics(path):
-    """Map benchmark name -> {metric: (value, direction)}."""
+def load_metrics(path, exact=False):
+    """Map benchmark name -> {metric: (value, direction)}.  Only
+    positive metrics with a direction, unless @p exact keeps every
+    numeric tg-bench-v1 metric (direction None: no better side)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
 
@@ -67,10 +74,10 @@ def load_metrics(path):
         metrics = {}
         for m in doc.get("metrics", []):
             value = m.get("value")
-            if not isinstance(value, (int, float)) or value <= 0:
+            if not isinstance(value, (int, float)):
                 continue
-            direction = _tg_direction(m.get("unit", ""))
-            if direction is not None:
+            direction = _tg_direction(m.get("unit") or "")
+            if exact or (value > 0 and direction is not None):
                 metrics[m["name"]] = (float(value), direction)
         if metrics:
             out[doc.get("bench", path)] = metrics
@@ -116,8 +123,9 @@ def main():
     )
     args = parser.parse_args()
 
-    base = load_metrics(args.baseline)
-    cand = load_metrics(args.candidate)
+    exact = args.threshold == 0
+    base = load_metrics(args.baseline, exact)
+    cand = load_metrics(args.candidate, exact)
     if args.metric_filter:
         base = _filter_metrics(base, args.metric_filter)
         cand = _filter_metrics(cand, args.metric_filter)
@@ -139,12 +147,14 @@ def main():
                 continue
             cand_value, _ = entry
             compared += 1
-            ratio = cand_value / base_value
+            ratio = cand_value / base_value if base_value else float("nan")
             line = (
                 f"{name}/{metric}: baseline {base_value:.3g}, "
                 f"candidate {cand_value:.3g} ({ratio:.2f}x)"
             )
-            if direction == "up":
+            if exact:
+                regressed = cand_value != base_value
+            elif direction == "up":
                 regressed = ratio < 1.0 - args.threshold
             else:
                 regressed = ratio > 1.0 + args.threshold
@@ -163,7 +173,13 @@ def main():
             f"the candidate run: {', '.join(missing)}",
             file=sys.stderr,
         )
-    if failures:
+    if failures and exact:
+        print(
+            f"\n{len(failures)} metric(s) differ from {args.baseline} "
+            f"under the exact gate",
+            file=sys.stderr,
+        )
+    elif failures:
         print(
             f"\n{len(failures)} benchmark(s) regressed more than "
             f"{args.threshold:.0%} vs {args.baseline}",
