@@ -1,11 +1,15 @@
 /**
  * @file
- * Network implementation: topology construction, routing
- * tables and node attachment.
+ * Network implementation: topology construction, the switches'
+ * routing hook and node attachment.
  *
  * The builder is topology-agnostic: everything shape-specific (switch
  * count, trunk list, route/VC functions) comes from the spec's
- * TopologyModel, so adding a fabric never touches this file.
+ * TopologyModel, so adding a fabric never touches this file.  Every
+ * switch routes through one hook, Network::route(), which asks the
+ * model (or, on a fabric with planned outages, the rerouter) per hop:
+ * no switch holds a per-destination table, so set-up memory is linear
+ * in the node count.
  *
  * Determinism note: channel names seed the per-link fault RNGs and
  * construction order fixes event ordering, so both are part of the
@@ -22,7 +26,7 @@ namespace tg::net {
 
 Network::Network(System &sys, const std::string &name,
                  const TopologySpec &spec)
-    : SimObject(sys, name), _spec(spec)
+    : SimObject(sys, name), _spec(spec), _model(&_spec.model())
 {
     // A Network is only built from a valid spec: a rejection is fatal().
     // Callers wanting a recoverable error go through Cluster::build(),
@@ -30,12 +34,16 @@ Network::Network(System &sys, const std::string &name,
     if (auto valid = _spec.validate(); !valid)
         fatal("%s: %s", name.c_str(), valid.error().message.c_str());
 
-    const TopologyModel &model = _spec.model();
+    const TopologyModel &model = *_model;
     const std::size_t nsw = _spec.numSwitches();
     for (std::size_t s = 0; s < nsw; ++s) {
         _switches.push_back(std::make_unique<Switch>(
             sys, name + ".sw" + std::to_string(s), _switchTotals,
-            _spec.portsOf(s), /*vcs=*/2));
+            _spec.portsOf(s), /*vcs=*/2,
+            [this, s](const Packet &p, std::size_t in_port,
+                      std::uint8_t in_vc) {
+                return route(s, p, in_port, in_vc);
+            }));
     }
 
     // Trunk channels between switches.  Each direction is one physical
@@ -77,36 +85,6 @@ Network::Network(System &sys, const std::string &name,
             sws.push_back(sw.get());
         _rerouter = std::make_unique<FabricRerouter>(
             sys, name + ".reroute", _spec, std::move(sws), trunk_refs);
-    }
-
-    // Escape-VC maps (dateline deadlock avoidance on ring/torus).
-    if (model.usesDateline()) {
-        for (std::size_t s = 0; s < nsw; ++s) {
-            _switches[s]->setVcMap(
-                [this, s](const Packet &, std::size_t in_port,
-                          std::size_t out_port,
-                          std::uint8_t in_vc) -> std::uint8_t {
-                    return _spec.model().vcFor(_spec, s, in_port, out_port,
-                                               in_vc);
-                });
-        }
-    }
-
-    // Routing: a static destination table when the path depends only on
-    // dst, a per-packet function when it also depends on src (fat-tree
-    // per-flow uplink hashing).
-    if (model.srcDependentRouting()) {
-        for (std::size_t s = 0; s < nsw; ++s) {
-            _switches[s]->setRouteFn([this, s](const Packet &pkt) {
-                const TopologyModel &m = _spec.model();
-                if (_rerouter)
-                    return m.routePortAvoiding(_spec, s, pkt.src, pkt.dst,
-                                               *_rerouter);
-                return m.routePort(_spec, s, pkt.src, pkt.dst);
-            });
-        }
-    } else {
-        buildRoutes();
     }
 
     // The reliability sums are registered unconditionally: the layer runs
@@ -159,18 +137,17 @@ Network::attach(NodeId id, NodeEndpoint &ep)
         bw, delay));
 }
 
-void
-Network::buildRoutes()
+Switch::Hop
+Network::route(std::size_t sw, const Packet &p, std::size_t in_port,
+               std::uint8_t in_vc) const
 {
-    const TopologyModel &model = _spec.model();
-    for (std::size_t s = 0; s < _switches.size(); ++s) {
-        for (std::size_t n = 0; n < _spec.nodes; ++n) {
-            _switches[s]->setRoute(
-                static_cast<NodeId>(n),
-                model.routePort(_spec, s, /*src=*/0,
-                                static_cast<NodeId>(n)));
-        }
-    }
+    if (p.dst >= _spec.nodes)
+        panic("%s.sw%zu: no route for node %u", _name.c_str(), sw,
+              unsigned(p.dst));
+    const std::size_t out =
+        _rerouter ? _rerouter->route(sw, p.src, p.dst)
+                  : _model->routePort(_spec, sw, p.src, p.dst);
+    return {out, _model->vcFor(_spec, sw, in_port, out, in_vc)};
 }
 
 void
@@ -225,7 +202,7 @@ Network::wireFailures() const
 std::size_t
 Network::hops(NodeId a, NodeId b) const
 {
-    return _spec.model().hops(_spec, a, b);
+    return _model->hops(_spec, a, b);
 }
 
 } // namespace tg::net

@@ -97,9 +97,15 @@ class Network : public SimObject
     }
 
   private:
-    void buildRoutes();
+    /** The routing hook of switch @p sw (Switch::Router): the
+     *  rerouter's port when fault-aware routing is on, the model's
+     *  otherwise, and the model's VC.  Panics on a destination beyond
+     *  the topology. */
+    Switch::Hop route(std::size_t sw, const Packet &p, std::size_t in_port,
+                      std::uint8_t in_vc) const;
 
     TopologySpec _spec;
+    const TopologyModel *_model; ///< _spec.model(), looked up once
     SwitchTotals _switchTotals;
     std::vector<std::unique_ptr<Switch>> _switches;
     std::vector<std::unique_ptr<Channel>> _channels;

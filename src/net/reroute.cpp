@@ -18,8 +18,8 @@ FabricRerouter::FabricRerouter(System &sys, const std::string &name,
                                const TopologySpec &spec,
                                std::vector<Switch *> switches,
                                const std::vector<TrunkRef> &trunks)
-    : SimObject(sys, name), _spec(spec), _switches(std::move(switches)),
-      _stride(spec.portsPerSwitch())
+    : SimObject(sys, name), _spec(spec), _model(&_spec.model()),
+      _switches(std::move(switches)), _stride(spec.portsPerSwitch())
 {
     const FaultSpec &fs = config().fault;
     const std::uint64_t seed = config().seed;
@@ -84,7 +84,7 @@ FabricRerouter::FabricRerouter(System &sys, const std::string &name,
         _epochs.push_back(std::move(ep));
     }
 
-    if (!_spec.model().srcDependentRouting()) {
+    if (!_model->srcDependentRouting()) {
         for (std::size_t k = 1; k < _epochs.size(); ++k)
             computeNextHops(_epochs[k]);
     }
@@ -115,7 +115,7 @@ void
 FabricRerouter::computeNextHops(Epoch &ep) const
 {
     const std::size_t nsw = _switches.size();
-    const TopologyModel &model = _spec.model();
+    const TopologyModel &model = *_model;
 
     // Adjacency over the surviving trunk graph.
     struct Hop
@@ -196,30 +196,26 @@ FabricRerouter::computeNextHops(Epoch &ep) const
     }
 }
 
+std::size_t
+FabricRerouter::route(std::size_t sw, NodeId src, NodeId dst) const
+{
+    const Epoch &ep = _epochs[_current];
+    if (ep.nextHop.empty())
+        return _model->routePortAvoiding(_spec, sw, src, dst, *this);
+    const std::size_t t = _model->switchOf(_spec, dst);
+    return t == sw ? _model->portOf(_spec, dst) : ep.nextHop[sw][t];
+}
+
 void
 FabricRerouter::applyEpoch(std::size_t k)
 {
+    // Every switch's routing hook reads _current: re-evaluate stalled
+    // heads switch by switch, in index order (deterministic event
+    // content).
     _current = k;
     ++_flips;
-    const Epoch &ep = _epochs[k];
-    if (!ep.nextHop.empty()) {
-        // Destination-routed fabric: swap whole tables, switch by
-        // switch, in index order (deterministic event content).
-        for (std::size_t sw = 0; sw < _switches.size(); ++sw) {
-            std::vector<std::size_t> routes(_spec.nodes, SIZE_MAX);
-            for (std::size_t n = 0; n < _spec.nodes; ++n) {
-                const std::size_t ds = _spec.switchOf(n);
-                routes[n] = ds == sw ? _spec.portOf(n)
-                                     : ep.nextHop[sw][ds];
-            }
-            _switches[sw]->applyRoutes(std::move(routes));
-        }
-    } else {
-        // Src-routed fabric: the per-packet route function reads this
-        // rerouter's current epoch; just re-evaluate stalled heads.
-        for (Switch *sw : _switches)
-            sw->refreshRoutes();
-    }
+    for (Switch *sw : _switches)
+        sw->refreshRoutes();
 }
 
 } // namespace tg::net

@@ -12,16 +12,19 @@
  * intervals into a sequence of *routing epochs* — (tick, set of dead
  * trunks) pairs at which the fabric's routes flip atomically.
  *
- * At each flip the rerouter either swaps whole per-switch routing tables
- * (destination-routed fabrics: per-epoch BFS over the surviving trunk
- * graph, tie-broken towards the baseline port so recovery epochs restore
- * the original routes exactly) or republishes itself as the DeadView a
- * per-packet routing function consults (fat-tree alternate-spine
- * rehash).  Because the flip tick coincides with the dead trunk's
- * fail-fast flush, a flow is never live on both the old and the new path
- * at once (DESIGN.md, "Routing epochs").
+ * On such a fabric every switch's routing hook asks route() for its
+ * output port.  Each epoch answers from one of two sources: on
+ * destination-routed fabrics a switch-to-switch next-hop table, planned
+ * by BFS over the surviving trunk graph and tie-broken towards the
+ * baseline port so recovery epochs restore the original routes exactly;
+ * on src-routed fabrics the model's routePortAvoiding() against this
+ * rerouter's DeadView (fat-tree alternate-spine rehash).  A flip only
+ * moves the current epoch and re-evaluates the stalled heads of every
+ * switch.  Because the flip tick coincides with the dead trunk's
+ * fail-fast flush, a flow is never live on both the old and the new
+ * path at once (DESIGN.md, "Routing epochs").
  *
- * Everything — epoch ticks, route tables, flip events — is a pure
+ * Everything — epoch ticks, next-hop tables, flip events — is a pure
  * function of (seed, spec, topology), so faulted runs keep the
  * same-seed trace-hash reproducibility contract.
  */
@@ -57,9 +60,15 @@ class FabricRerouter : public SimObject, public TopologyModel::DeadView
                    std::vector<Switch *> switches,
                    const std::vector<TrunkRef> &trunks);
 
+    /** Output port at switch @p sw for @p src -> @p dst in the current
+     *  epoch: the destination's port on its own switch, the epoch's
+     *  next hop towards that switch elsewhere, or, in an epoch without
+     *  next hops, the model's routePortAvoiding() against this view. */
+    std::size_t route(std::size_t sw, NodeId src, NodeId dst) const;
+
     /** Is the trunk leaving @p sw through @p port dead in the current
-     *  epoch?  (TopologyModel::DeadView; consulted by per-packet route
-     *  functions on src-routed fabrics.) */
+     *  epoch?  (TopologyModel::DeadView, which route() hands to
+     *  src-routed models.) */
     bool trunkDead(std::size_t sw, std::size_t port) const override;
 
     /** Number of planned route flips (epochs beyond the baseline). */
@@ -90,8 +99,9 @@ class FabricRerouter : public SimObject, public TopologyModel::DeadView
     {
         Tick at = 0;
         std::vector<std::uint8_t> dead; ///< by sw * stride + port
-        /** Per switch: destination switch -> output port (empty on
-         *  src-routed fabrics, which consult the DeadView instead). */
+        /** Per switch: destination switch -> output port (empty in the
+         *  baseline epoch and on src-routed fabrics, which route by the
+         *  model against the DeadView). */
         std::vector<std::vector<std::size_t>> nextHop;
     };
 
@@ -103,6 +113,7 @@ class FabricRerouter : public SimObject, public TopologyModel::DeadView
     }
 
     TopologySpec _spec;
+    const TopologyModel *_model; ///< _spec.model(), looked up once
     std::vector<Switch *> _switches;
     std::size_t _stride; ///< ports on the widest switch (bitset stride)
     std::vector<Edge> _edges;

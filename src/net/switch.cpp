@@ -10,10 +10,10 @@
 namespace tg::net {
 
 Switch::Switch(System &sys, const std::string &name, SwitchTotals &totals,
-               std::size_t ports, std::size_t vcs)
+               std::size_t ports, std::size_t vcs, Router router)
     : SimObject(sys, name), _totals(totals), _ports(ports), _vcs(vcs),
       _arena(&sys.arena()), _busy(ports * vcs, false),
-      _maskWords((ports * vcs + 63) / 64)
+      _maskWords((ports * vcs + 63) / 64), _router(std::move(router))
 {
     if (vcs == 0)
         fatal("%s: need at least one VC", name.c_str());
@@ -30,35 +30,6 @@ Switch::Switch(System &sys, const std::string &name, SwitchTotals &totals,
                 [this, o = idx(p, v)] { wakeWaiters(o); });
         }
     }
-}
-
-void
-Switch::setRoute(NodeId node, std::size_t port)
-{
-    if (port >= _ports)
-        fatal("%s: route to port %zu of %zu", _name.c_str(), port, _ports);
-    if (_routes.size() <= node)
-        _routes.resize(node + 1, SIZE_MAX);
-    _routes[node] = port;
-}
-
-void
-Switch::applyRoutes(std::vector<std::size_t> routes)
-{
-    for (std::size_t p : routes)
-        if (p != SIZE_MAX && p >= _ports)
-            fatal("%s: epoch route to port %zu of %zu", _name.c_str(), p,
-                  _ports);
-    _routes = std::move(routes);
-    pumpAll();
-}
-
-std::size_t
-Switch::route(NodeId node) const
-{
-    if (node >= _routes.size() || _routes[node] == SIZE_MAX)
-        panic("%s: no route for node %u", _name.c_str(), unsigned(node));
-    return _routes[node];
 }
 
 void
@@ -101,13 +72,10 @@ Switch::pump(std::size_t port, std::size_t vc)
     // arena slot; the cold packet body is never touched on the switch
     // path (DESIGN.md section 14).
     const Packet &head = _arena->packet(in.frontHandle());
-    const std::size_t out = _routeFn ? _routeFn(head) : route(head.dst);
+    const auto [out, out_vc] = _router(head, port, std::uint8_t(vc));
     if (out >= _ports)
         panic("%s: route produced port %zu of %zu", _name.c_str(), out,
               _ports);
-    const std::uint8_t out_vc =
-        _vcMap ? _vcMap(head, port, out, std::uint8_t(vc))
-               : std::uint8_t(vc);
     if (out_vc >= _vcs)
         panic("%s: VC map produced vc %u of %zu", _name.c_str(),
               unsigned(out_vc), _vcs);

@@ -9,10 +9,13 @@
  *  - one input FIFO and one output FIFO per (port, virtual channel)
  *    (shares of the pipelined shared buffer),
  *  - a per-(port, VC) cut-through pipeline of fixed latency,
- *  - a static routing table (destination node -> output port),
- *  - a VC-mapping hook so topologies can implement dateline deadlock
- *    avoidance (packets crossing a ring's wrap link are bumped to the
- *    escape VC), and
+ *  - one routing hook per switch: (head packet, in port, in VC) ->
+ *    (out port, out VC).  The network installs it at construction; it
+ *    asks the topology model (or the fault-aware rerouter) for the port
+ *    and the model's VC function for the VC, so dateline deadlock
+ *    avoidance (a packet crossing a ring's wrap link is bumped to the
+ *    escape VC) is the same decision as the route.  The switch keeps no
+ *    route table, and
  *  - reservation-based back-pressure between stages.
  *
  * Queues hold arena handles (net/arena.hpp).  Arbitration reads the head
@@ -26,9 +29,10 @@
  * ascending input index; each one that blocks again re-marks itself.
  * This is schedule-identical to re-pumping every input: a failed pump
  * has no side effects, and an idle non-empty input can only succeed
- * once the one output its head routes to has room.  Route changes
- * (applyRoutes, refreshRoutes) still re-pump every input, because a
- * new route can point a stalled head at an output with room.
+ * once the one output its head routes to has room.  A route change
+ * (refreshRoutes, at a routing-epoch flip) still re-pumps every input,
+ * because the hook may now point a stalled head at an output with
+ * room.
  *
  * In-order delivery per (source, destination) follows from deterministic
  * single-path routing plus FIFO queueing at every stage — a flow always
@@ -57,8 +61,8 @@ struct SwitchTotals
     /** Input heads examined: every pump of a (port, VC) input, whether
      *  it found the input busy, empty, blocked or forwarding.  Two per
      *  forwarded packet (one when it arrives, one after it leaves), plus
-     *  one per wake-up of a blocked input and ports x VCs per route
-     *  change. */
+     *  one per wake-up of a blocked input and ports x VCs per
+     *  refreshRoutes(). */
     std::uint64_t headEvals = 0;
 };
 
@@ -66,23 +70,21 @@ struct SwitchTotals
 class Switch : public SimObject
 {
   public:
-    /**
-     * Choose the outgoing VC for a packet:
-     * (packet, in_port, out_port, in_vc) -> out_vc.  The input port
-     * lets dimension-ordered schemes distinguish a dimension turn
-     * (restart on VC0) from continued travel.  Defaults to keeping the
-     * incoming VC.  The hooks get the packet's arena slot and read only
-     * its leading per-hop fields (DESIGN.md section 14).
-     */
-    using VcMap = Fn<std::uint8_t(const Packet &, std::size_t, std::size_t,
-                                  std::uint8_t)>;
+    /** Where a head packet leaves: output port and output VC. */
+    struct Hop
+    {
+        std::size_t port;
+        std::uint8_t vc;
+    };
 
     /**
-     * Per-packet output-port selection: packet -> out_port.  Installed
-     * instead of the static route table when routing depends on more
-     * than the destination (fat-tree per-flow uplink hashing).
+     * The routing hook: (head packet, in_port, in_vc) -> Hop.  The
+     * input port lets dimension-ordered schemes tell a dimension turn
+     * (restart on VC0) from continued travel.  The hook gets the
+     * packet's arena slot and reads only its leading per-hop fields
+     * (DESIGN.md section 14).
      */
-    using RouteFn = Fn<std::size_t(const Packet &)>;
+    using Router = Fn<Hop(const Packet &, std::size_t, std::uint8_t)>;
 
     /**
      * @param sys    owning system
@@ -90,9 +92,11 @@ class Switch : public SimObject
      * @param totals work counts this switch adds to
      * @param ports  number of bidirectional ports
      * @param vcs    virtual channels per port (>= 1)
+     * @param router the routing hook, asked once per head evaluation
+     *               that finds the input idle and non-empty
      */
     Switch(System &sys, const std::string &name, SwitchTotals &totals,
-           std::size_t ports, std::size_t vcs = 2);
+           std::size_t ports, std::size_t vcs, Router router);
 
     /** Queue a link delivers into (switch ingress side). */
     BoundedQueue &inQueue(std::size_t port, std::size_t vc = 0)
@@ -106,30 +110,9 @@ class Switch : public SimObject
         return *_out[idx(port, vc)];
     }
 
-    /** Install/overwrite a routing entry: packets for @p node leave @p port. */
-    void setRoute(NodeId node, std::size_t port);
-
-    /**
-     * Atomically replace the whole routing table (one entry per node;
-     * SIZE_MAX = unrouted) and re-evaluate every stalled input.  The
-     * fabric rerouter swaps tables with this at routing-epoch flips so a
-     * switch never forwards under a half-updated table.
-     */
-    void applyRoutes(std::vector<std::size_t> routes);
-
-    /** Re-evaluate every stalled input head (route function changed
-     *  underneath us: a routing-epoch flip on a per-packet-routed
-     *  fabric). */
+    /** Re-evaluate every stalled input head: the routing hook's answer
+     *  changed underneath us (a routing-epoch flip). */
     void refreshRoutes() { pumpAll(); }
-
-    /** Routing lookup (panics on unrouted destination). */
-    std::size_t route(NodeId node) const;
-
-    /** Install the VC-mapping hook (dateline schemes). */
-    void setVcMap(VcMap map) { _vcMap = std::move(map); }
-
-    /** Install a per-packet route function (overrides the table). */
-    void setRouteFn(RouteFn fn) { _routeFn = std::move(fn); }
 
   private:
     std::size_t idx(std::size_t port, std::size_t vc) const
@@ -155,9 +138,7 @@ class Switch : public SimObject
      *  frees a slot. */
     std::vector<std::uint64_t> _waiters;
     std::size_t _maskWords;
-    std::vector<std::size_t> _routes; // indexed by NodeId
-    VcMap _vcMap;
-    RouteFn _routeFn;
+    Router _router;
 };
 
 } // namespace tg::net

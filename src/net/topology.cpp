@@ -66,13 +66,14 @@ ringDist(std::size_t a, std::size_t b, std::size_t g)
 }
 
 /** True when the shortest a -> b direction is +1 (ties towards +1, so
- *  routing is deterministic — required for in-order delivery). */
+ *  routing is deterministic — required for in-order delivery).  The
+ *  two directions' distances sum to g, so + is shortest when it covers
+ *  at most half the ring. */
 bool
 ringForward(std::size_t a, std::size_t b, std::size_t g)
 {
-    const std::size_t fwd = (b + g - a) % g;
-    const std::size_t bwd = (a + g - b) % g;
-    return fwd <= bwd;
+    const std::size_t fwd = b >= a ? b - a : b + g - a;
+    return 2 * fwd <= g;
 }
 
 // ---------------------------------------------------------------- Star
@@ -162,7 +163,7 @@ class CubeModel final : public TopologyModel
 
     std::size_t numSwitches(const TopologySpec &s) const override
     {
-        return stride(s, _dims);
+        return stride(extents(s), _dims);
     }
 
     std::size_t
@@ -191,12 +192,13 @@ class CubeModel final : public TopologyModel
         // Channel names, and so the per-link fault RNG seeds, follow
         // this order: it is part of the trace-hash contract.
         std::vector<Trunk> out;
-        const std::size_t nsw = numSwitches(s);
+        const Extents ext = extents(s);
+        const std::size_t nsw = stride(ext, _dims);
         for (std::size_t d = 0; d < _dims; ++d)
             for (std::size_t sw = 0; sw < nsw; ++sw)
-                if (_wrap || coord(s, sw, d) + 1 < extent(s, d))
+                if (_wrap || coords(ext, sw)[d] + 1 < ext[d])
                     out.push_back(
-                        Trunk{sw, pos(s, d), next(s, sw, d), neg(s, d)});
+                        Trunk{sw, pos(s, d), next(ext, sw, d), neg(s, d)});
         return out;
     }
 
@@ -210,12 +212,14 @@ class CubeModel final : public TopologyModel
         const std::size_t t = switchOf(s, dst);
         if (t == sw)
             return portOf(s, dst);
+        const Extents ext = extents(s);
+        const Extents a = coords(ext, sw);
+        const Extents b = coords(ext, t);
         std::size_t d = 0;
-        while (coord(s, sw, d) == coord(s, t, d))
+        while (a[d] == b[d])
             ++d;
-        const std::size_t a = coord(s, sw, d);
-        const std::size_t b = coord(s, t, d);
-        const bool up = _wrap ? ringForward(a, b, extent(s, d)) : a < b;
+        const bool up =
+            _wrap ? ringForward(a[d], b[d], ext[d]) : a[d] < b[d];
         return up ? pos(s, d) : neg(s, d);
     }
 
@@ -232,14 +236,17 @@ class CubeModel final : public TopologyModel
         // or a turn of dimension-ordered routing) and is bumped to the
         // escape VC when it crosses that dimension's wrap link; it can
         // never cross the same wrap twice, so no buffer-wait cycle
-        // closes in either VC.  Only wrapping cubes install this map
-        // (usesDateline()).
+        // closes in either VC.  A line has no wrap link to cross, so a
+        // chain keeps every packet on the VC it was injected on.
+        if (!_wrap)
+            return in_vc;
         const std::size_t nps = s.nodesPerSwitch;
         if (out_port < nps)
             return in_vc; // ejection to a node port
         const std::size_t d = dimOf(s, out_port);
-        const std::size_t c = coord(s, sw, d);
-        if (out_port == pos(s, d) ? c == extent(s, d) - 1 : c == 0)
+        const Extents ext = extents(s);
+        const std::size_t c = coords(ext, sw)[d];
+        if (out_port == pos(s, d) ? c == ext[d] - 1 : c == 0)
             return 1; // crossing this dimension's wrap link
         if (in_port < nps || dimOf(s, in_port) != d)
             return 0; // injection or dimension turn: a new ring
@@ -253,12 +260,13 @@ class CubeModel final : public TopologyModel
             return 0;
         const std::size_t sa = switchOf(s, a);
         const std::size_t sb = switchOf(s, b);
+        const Extents ext = extents(s);
+        const Extents ca = coords(ext, sa);
+        const Extents cb = coords(ext, sb);
         std::size_t h = 1;
         for (std::size_t d = 0; d < _dims; ++d) {
-            const std::size_t ca = coord(s, sa, d);
-            const std::size_t cb = coord(s, sb, d);
-            h += _wrap ? ringDist(ca, cb, extent(s, d))
-                       : (ca > cb ? ca - cb : cb - ca);
+            h += _wrap ? ringDist(ca[d], cb[d], ext[d])
+                       : (ca[d] > cb[d] ? ca[d] - cb[d] : cb[d] - ca[d]);
         }
         return h;
     }
@@ -312,10 +320,14 @@ class CubeModel final : public TopologyModel
     }
 
   private:
+    /** One value per dimension (extents or coordinates), X first;
+     *  unused dimensions 0. */
+    using Extents = std::array<std::size_t, 3>;
+
     std::size_t _dims;
     bool _wrap;
 
-    std::array<std::size_t, 3> extents(const TopologySpec &s) const
+    Extents extents(const TopologySpec &s) const
     {
         if (_dims > 1)
             return {s.torusX, s.torusY, s.torusZ};
@@ -331,27 +343,37 @@ class CubeModel final : public TopologyModel
 
     /** Switch-id distance between neighbours in dimension @p d (the
      *  product of the lower extents). */
-    std::size_t stride(const TopologySpec &s, std::size_t d) const
+    static std::size_t stride(const Extents &ext, std::size_t d)
     {
         std::size_t st = 1;
         for (std::size_t i = 0; i < d; ++i)
-            st *= extent(s, i);
+            st *= ext[i];
         return st;
     }
 
-    std::size_t
-    coord(const TopologySpec &s, std::size_t sw, std::size_t d) const
+    /**
+     * The grid coordinates of switch @p sw, X first.  Routing asks for
+     * them on every hop, so the division is 32-bit, several times
+     * cheaper than 64-bit on x86: a switch id is below the node count,
+     * which NodeId holds in 16 bits.
+     */
+    Extents coords(const Extents &ext, std::size_t sw) const
     {
-        return (sw / stride(s, d)) % extent(s, d);
+        Extents c{};
+        auto rest = std::uint32_t(sw);
+        for (std::size_t d = 0; d < _dims; ++d) {
+            c[d] = rest % std::uint32_t(ext[d]);
+            rest /= std::uint32_t(ext[d]);
+        }
+        return c;
     }
 
     /** The + neighbour of @p sw in dimension @p d (wrapping). */
-    std::size_t
-    next(const TopologySpec &s, std::size_t sw, std::size_t d) const
+    std::size_t next(const Extents &ext, std::size_t sw, std::size_t d) const
     {
-        const std::size_t st = stride(s, d);
-        const std::size_t c = coord(s, sw, d);
-        return sw - c * st + (c + 1) % extent(s, d) * st;
+        const std::size_t st = stride(ext, d);
+        const std::size_t c = coords(ext, sw)[d];
+        return sw - c * st + (c + 1) % ext[d] * st;
     }
 
     static std::size_t pos(const TopologySpec &s, std::size_t d)
@@ -371,7 +393,7 @@ class CubeModel final : public TopologyModel
     }
 
     /** The first _dims values joined with 'x'. */
-    std::string join(const std::array<std::size_t, 3> &v) const
+    std::string join(const Extents &v) const
     {
         std::string out = std::to_string(v[0]);
         for (std::size_t d = 1; d < _dims; ++d) {

@@ -111,7 +111,8 @@ class TopologyModel
                                   NodeId src, NodeId dst) const = 0;
 
     /** True when routePort() depends on src (fat-tree uplink hashing);
-     *  the network then routes per packet instead of per destination. */
+     *  routing epochs then route by routePortAvoiding() instead of
+     *  planned switch-to-switch next hops. */
     virtual bool srcDependentRouting() const { return false; }
 
     /** True when the shape offers redundant switch-to-switch paths a
@@ -147,13 +148,15 @@ class TopologyModel
         return routePort(s, sw, src, dst);
     }
 
-    /** True when the shape needs a dateline escape-VC map installed. */
+    /** True when vcFor() can move a packet to the dateline escape VC
+     *  (the shape has wrap links). */
     virtual bool usesDateline() const { return false; }
 
     /**
      * Escape-VC selection (dateline deadlock avoidance): the outgoing VC
      * for a packet entering switch @p sw on @p in_port / @p in_vc and
-     * leaving on @p out_port.  Default: keep the incoming VC.
+     * leaving on @p out_port.  Every switch asks it on every hop, so a
+     * shape without a dateline keeps the default: the incoming VC.
      */
     virtual std::uint8_t
     vcFor(const TopologySpec &, std::size_t /*sw*/, std::size_t /*in_port*/,

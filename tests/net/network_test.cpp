@@ -16,6 +16,8 @@
 #include "sim/random.hpp"
 #include "sim/system.hpp"
 
+#include "topology_print.hpp"
+
 namespace tg::net {
 namespace {
 
@@ -68,21 +70,10 @@ struct Harness
     std::vector<std::unique_ptr<StubEndpoint>> eps;
 };
 
-/**
- * gtest names each case after a byte dump of its parameter, padding
- * included.  Value-initialisation zeroes that padding, so the names are
- * the same from one run (and one build) to the next.
- */
-TopologySpec
-blankSpec()
-{
-    return TopologySpec();
-}
-
 TopologySpec
 makeSpec(TopologyKind kind, std::size_t nodes, std::size_t nps = 2)
 {
-    TopologySpec s = blankSpec();
+    TopologySpec s;
     s.kind = kind;
     s.nodes = nodes;
     s.nodesPerSwitch = nps;
@@ -92,7 +83,7 @@ makeSpec(TopologyKind kind, std::size_t nodes, std::size_t nps = 2)
 TopologySpec
 makeTorus(std::size_t x, std::size_t y, std::size_t nps)
 {
-    TopologySpec s = blankSpec();
+    TopologySpec s;
     s.kind = TopologyKind::Torus2D;
     s.torusX = x;
     s.torusY = y;
@@ -104,7 +95,7 @@ makeTorus(std::size_t x, std::size_t y, std::size_t nps)
 TopologySpec
 makeFatTree(std::size_t nodes, std::size_t nps, std::size_t spines)
 {
-    TopologySpec s = blankSpec();
+    TopologySpec s;
     s.kind = TopologyKind::FatTree;
     s.nodes = nodes;
     s.nodesPerSwitch = nps;
@@ -251,6 +242,24 @@ TEST(Network, SwitchForwardedCounts)
     h.eps[0]->send(0, 2, 2);
     h.sys.events().run();
     EXPECT_EQ(h.net.switchForwarded(), 2u);
+}
+
+TEST(NetworkDeathTest, UnroutedDestinationPanics)
+{
+    // A destination beyond the topology has no route on any fabric; the
+    // routing hook panics as soon as the packet heads a switch input.
+    for (const TopologySpec &spec :
+         {makeSpec(TopologyKind::Star, 2), makeSpec(TopologyKind::Ring, 4, 2),
+          makeFatTree(4, 2, 2)}) {
+        EXPECT_DEATH(
+            {
+                Harness h(spec);
+                h.eps[0]->send(0, NodeId(spec.nodes), 1);
+                h.sys.events().run();
+            },
+            "no route")
+            << spec.describe();
+    }
 }
 
 } // namespace

@@ -9,6 +9,10 @@
  * extends the claim to contended switch outputs and to a tracer whose
  * open-op table is full.
  *
+ * The same allocator sums the bytes it hands out, which bounds the
+ * set-up side: building a Network allocates the same heap per node at
+ * any size (ROADMAP: no O(N^2) set-up memory).
+ *
  * The counting allocator is linked into the whole net_tests binary; it
  * only counts, so the other suites are unaffected.
  */
@@ -20,7 +24,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "net/network.hpp"
 #include "sim/stats.hpp"
@@ -29,9 +36,11 @@
 
 namespace {
 // The replaced global operator new has no object to live in, so its
-// counter is process-wide; it only counts and never feeds the model.
+// counters are process-wide; they only count and never feed the model.
 // tglint: allow(global-mutable-state)
 std::atomic<std::uint64_t> g_newCalls{0};
+// tglint: allow(global-mutable-state)
+std::atomic<std::uint64_t> g_newBytes{0};
 
 std::uint64_t
 allocCount()
@@ -39,10 +48,17 @@ allocCount()
     return g_newCalls.load(std::memory_order_relaxed);
 }
 
+std::uint64_t
+allocBytes()
+{
+    return g_newBytes.load(std::memory_order_relaxed);
+}
+
 void *
 countedAlloc(std::size_t n)
 {
     g_newCalls.fetch_add(1, std::memory_order_relaxed);
+    g_newBytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -293,6 +309,49 @@ TEST(PacketAllocTest, ArenaRecyclesSlotsLifo)
     EXPECT_EQ(allocCount(), mid);
     EXPECT_EQ(a.live(), 0u);
     (void)before;
+}
+
+/** Heap bytes per node that building a Network on @p spec allocates:
+ *  the constructor plus attaching every node (the endpoints exist
+ *  before the count starts). */
+double
+setupBytesPerNode(const TopologySpec &spec)
+{
+    System sys{Config{}};
+    std::vector<std::unique_ptr<CountingEndpoint>> eps;
+    for (std::size_t n = 0; n < spec.nodes; ++n)
+        eps.push_back(std::make_unique<CountingEndpoint>(sys.arena()));
+
+    const std::uint64_t before = allocBytes();
+    Network net(sys, "net", spec);
+    for (std::size_t n = 0; n < spec.nodes; ++n)
+        net.attach(NodeId(n), *eps[n]);
+    return double(allocBytes() - before) / double(spec.nodes);
+}
+
+TEST(PacketAllocTest, NetworkSetupHeapIsLinearInNodes)
+{
+    // A 3-D torus, four nodes per switch, at 1024 and 4096 nodes: the
+    // switches, queues and channels cost the same per node at both
+    // sizes.  A per-switch table with one entry per destination would
+    // grow the per-node cost with the node count.
+    auto torus3d = [](std::size_t z) {
+        TopologySpec s;
+        s.kind = TopologyKind::Torus3D;
+        s.torusX = 8;
+        s.torusY = 8;
+        s.torusZ = z;
+        s.nodesPerSwitch = 4;
+        s.nodes = 8 * 8 * z * 4;
+        return s;
+    };
+    const double small = setupBytesPerNode(torus3d(4));
+    const double large = setupBytesPerNode(torus3d(16));
+    RecordProperty("bytes_per_node_1024", std::to_string(small));
+    RecordProperty("bytes_per_node_4096", std::to_string(large));
+    EXPECT_GT(small, 0.0);
+    EXPECT_LE(large, 1.05 * small)
+        << small << " B/node at 1024 nodes, " << large << " at 4096";
 }
 
 TEST(SwitchWakeups, HotSpotFatTreeRoutesFewHeadsPerForward)

@@ -29,16 +29,15 @@
 #include "sim/ring.hpp"
 #include "sim/system.hpp"
 
+#include "topology_print.hpp"
+
 namespace tg::net {
 namespace {
 
-// The helpers value-initialise their spec, as network_test.cpp's
-// blankSpec() does: gtest prints each case's parameter as a byte dump,
-// padding included, in the test name.
 TopologySpec
 torus(std::size_t x, std::size_t y, std::size_t nps)
 {
-    TopologySpec s = TopologySpec();
+    TopologySpec s;
     s.kind = TopologyKind::Torus2D;
     s.torusX = x;
     s.torusY = y;
@@ -50,7 +49,7 @@ torus(std::size_t x, std::size_t y, std::size_t nps)
 TopologySpec
 torus3d(std::size_t x, std::size_t y, std::size_t z, std::size_t nps)
 {
-    TopologySpec s = TopologySpec();
+    TopologySpec s;
     s.kind = TopologyKind::Torus3D;
     s.torusX = x;
     s.torusY = y;
@@ -63,7 +62,7 @@ torus3d(std::size_t x, std::size_t y, std::size_t z, std::size_t nps)
 TopologySpec
 ring(std::size_t nodes, std::size_t nps)
 {
-    TopologySpec s = TopologySpec();
+    TopologySpec s;
     s.kind = TopologyKind::Ring;
     s.nodes = nodes;
     s.nodesPerSwitch = nps;
@@ -73,7 +72,7 @@ ring(std::size_t nodes, std::size_t nps)
 TopologySpec
 fatTree(std::size_t nodes, std::size_t nps, std::size_t spines)
 {
-    TopologySpec s = TopologySpec();
+    TopologySpec s;
     s.kind = TopologyKind::FatTree;
     s.nodes = nodes;
     s.nodesPerSwitch = nps;
@@ -134,10 +133,10 @@ bfsDistances(const TopologySpec &spec, std::size_t skip = SIZE_MAX)
 // shortest surviving path, and recovery restores the baseline
 // ---------------------------------------------------------------------
 
-/** Standalone fabric: real switches + rerouter, no channels or traffic.
- *  Trunk channel names copy the Network's naming contract, so the
- *  downTrunk() patterns select the same outage schedule a full Network
- *  would see. */
+/** Standalone fabric: real switches + rerouter, no channels or traffic
+ *  (so the switches never ask their routing hook).  Trunk channel names
+ *  copy the Network's naming contract, so the downTrunk() patterns
+ *  select the same outage schedule a full Network would see. */
 struct Fabric
 {
     Fabric(System &sys, const TopologySpec &s) : spec(s)
@@ -145,16 +144,8 @@ struct Fabric
         const TopologyModel &model = spec.model();
         for (std::size_t i = 0; i < spec.numSwitches(); ++i)
             switches.push_back(std::make_unique<Switch>(
-                sys, "net.sw" + std::to_string(i), totals, spec.portsOf(i)));
-
-        // Baseline routes, exactly as Network::buildRoutes installs them.
-        if (!model.srcDependentRouting()) {
-            for (std::size_t sw = 0; sw < switches.size(); ++sw)
-                for (std::size_t n = 0; n < spec.nodes; ++n)
-                    switches[sw]->setRoute(
-                        NodeId(n),
-                        model.routePort(spec, sw, /*src=*/0, NodeId(n)));
-        }
+                sys, "net.sw" + std::to_string(i), totals, spec.portsOf(i),
+                2, nullptr));
 
         std::vector<FabricRerouter::TrunkRef> refs;
         for (const TopologyModel::Trunk &t : model.trunks(spec)) {
@@ -172,15 +163,12 @@ struct Fabric
             sys, "net.reroute", spec, std::move(raw), refs);
     }
 
-    /** Current output port for src->dst at switch @p sw, through
-     *  whichever mechanism the fabric routes by. */
+    /** Current output port for src->dst at switch @p sw: the port a
+     *  Network's routing hook takes from the rerouter. */
     std::size_t routeAt(std::size_t sw, std::size_t src,
                         std::size_t dst) const
     {
-        if (spec.model().srcDependentRouting())
-            return spec.model().routePortAvoiding(
-                spec, sw, NodeId(src), NodeId(dst), *rerouter);
-        return switches[sw]->route(NodeId(dst));
+        return rerouter->route(sw, NodeId(src), NodeId(dst));
     }
 
     TopologySpec spec;

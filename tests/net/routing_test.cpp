@@ -19,16 +19,15 @@
 #include "sim/ring.hpp"
 #include "sim/system.hpp"
 
+#include "topology_print.hpp"
+
 namespace tg::net {
 namespace {
 
-// The helpers value-initialise their spec, as network_test.cpp's
-// blankSpec() does: gtest prints each case's parameter as a byte dump,
-// padding included, in the test name.
 TopologySpec
 star(std::size_t nodes)
 {
-    TopologySpec s = TopologySpec();
+    TopologySpec s;
     s.nodes = nodes;
     return s;
 }
@@ -36,7 +35,7 @@ star(std::size_t nodes)
 TopologySpec
 linear(TopologyKind kind, std::size_t nodes, std::size_t nps)
 {
-    TopologySpec s = TopologySpec();
+    TopologySpec s;
     s.kind = kind;
     s.nodes = nodes;
     s.nodesPerSwitch = nps;
@@ -46,7 +45,7 @@ linear(TopologyKind kind, std::size_t nodes, std::size_t nps)
 TopologySpec
 torus(std::size_t x, std::size_t y, std::size_t nps)
 {
-    TopologySpec s = TopologySpec();
+    TopologySpec s;
     s.kind = TopologyKind::Torus2D;
     s.torusX = x;
     s.torusY = y;
@@ -58,7 +57,7 @@ torus(std::size_t x, std::size_t y, std::size_t nps)
 TopologySpec
 torus3d(std::size_t x, std::size_t y, std::size_t z, std::size_t nps)
 {
-    TopologySpec s = TopologySpec();
+    TopologySpec s;
     s.kind = TopologyKind::Torus3D;
     s.torusX = x;
     s.torusY = y;
@@ -71,7 +70,7 @@ torus3d(std::size_t x, std::size_t y, std::size_t z, std::size_t nps)
 TopologySpec
 fatTree(std::size_t nodes, std::size_t nps, std::size_t spines)
 {
-    TopologySpec s = TopologySpec();
+    TopologySpec s;
     s.kind = TopologyKind::FatTree;
     s.nodes = nodes;
     s.nodesPerSwitch = nps;

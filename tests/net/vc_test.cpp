@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests of virtual-channel machinery: multi-lane channels share
- * the wire fairly, a blocked lane never stalls the other, and the
- * switch VC map moves packets between lanes (the dateline mechanism of
- * paper reference [17]).
+ * the wire fairly, a blocked lane never stalls the other, and the VC
+ * half of the switch's routing hook moves packets between lanes (the
+ * dateline mechanism of paper reference [17]).
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +24,13 @@ mkPkt(NodeId dst, Word v, std::uint8_t vc = 0)
     p.vc = vc;
     return p;
 }
+
+/** Routing hook: out of the port numbered like the destination, on the
+ *  VC it came in on. */
+constexpr auto toDstPort = [](const Packet &p, std::size_t,
+                              std::uint8_t vc) {
+    return Switch::Hop{p.dst, vc};
+};
 
 TEST(MultiLaneChannel, RoundRobinSharesTheWire)
 {
@@ -75,12 +82,12 @@ TEST(SwitchVc, VcMapBumpsPacketsToEscapeLane)
 {
     System sys{Config{}};
     SwitchTotals totals;
-    Switch sw(sys, "sw", totals, 2, /*vcs=*/2);
-    sw.setRoute(1, 1);
-    sw.setVcMap([](const Packet &, std::size_t, std::size_t out_port,
-                   std::uint8_t vc) {
-        return out_port == 1 ? std::uint8_t(1) : vc;
-    });
+    Switch sw(sys, "sw", totals, 2, /*vcs=*/2,
+              [](const Packet &p, std::size_t, std::uint8_t vc) {
+                  const std::size_t out_port = p.dst;
+                  return Switch::Hop{out_port,
+                                     out_port == 1 ? std::uint8_t(1) : vc};
+              });
 
     sw.inQueue(0, 0).push(mkPkt(1, 42, 0));
     sys.events().run();
@@ -97,8 +104,7 @@ TEST(SwitchVc, VcsHaveIndependentBuffers)
     cfg.switchQueuePackets = 1;
     System sys{cfg};
     SwitchTotals totals;
-    Switch sw(sys, "sw", totals, 2, 2);
-    sw.setRoute(1, 1);
+    Switch sw(sys, "sw", totals, 2, 2, toDstPort);
 
     // Fill VC0's output; VC1 traffic must still flow.
     sw.inQueue(0, 0).push(mkPkt(1, 1, 0));
@@ -114,11 +120,10 @@ TEST(SwitchVcDeathTest, VcMapOutOfRangePanics)
 {
     System sys{Config{}};
     SwitchTotals totals;
-    Switch sw(sys, "sw", totals, 2, 2);
-    sw.setRoute(1, 1);
-    sw.setVcMap([](const Packet &, std::size_t, std::size_t, std::uint8_t) {
-        return std::uint8_t(7);
-    });
+    Switch sw(sys, "sw", totals, 2, 2,
+              [](const Packet &p, std::size_t, std::uint8_t) {
+                  return Switch::Hop{p.dst, 7};
+              });
     EXPECT_DEATH(
         {
             sw.inQueue(0, 0).push(mkPkt(1, 1));

@@ -65,13 +65,14 @@ runTraffic(std::uint64_t seed,
 {
     spec.config.seed = seed;
     tg::Cluster c(spec);
+    const std::size_t nodes = spec.topology().nodes;
 
     std::vector<tg::Segment *> segs;
-    for (tg::NodeId n = 0; n < kNodes; ++n)
+    for (tg::NodeId n = 0; n < nodes; ++n)
         segs.push_back(&c.allocShared("t" + std::to_string(n), 8192, n));
     tg::workload::TrafficConfig cfg;
     cfg.ops = 48;
-    for (tg::NodeId n = 0; n < kNodes; ++n)
+    for (tg::NodeId n = 0; n < nodes; ++n)
         c.spawn(n, tg::workload::randomTraffic(segs, cfg));
 
     Trace t;
@@ -79,9 +80,25 @@ runTraffic(std::uint64_t seed,
     t.hash = c.traceHash();
     t.words = c.traceLength();
     EXPECT_TRUE(c.allDone());
+    // Every planned routing epoch (none on a fault-free fabric) flipped
+    // inside the run.
+    EXPECT_EQ(c.network().reroutesApplied(), c.network().routingEpochs());
     std::string why;
     EXPECT_TRUE(c.auditQuiescent(&why)) << why;
     return t;
+}
+
+/** @p spec with trunk @p a <-> @p b down for ticks [20'000, 90'000) of
+ *  a traffic run: long enough past the link-down deadline that the
+ *  fabric routes around it for a while, then back. */
+tg::ClusterSpec
+withDeadTrunk(tg::ClusterSpec spec, std::size_t a, std::size_t b)
+{
+    tg::FaultSpec f;
+    f.retryTimeout = 1'000;
+    f.linkDownDeadline = 2'000;
+    f.downTrunk(a, b, 20'000, 90'000);
+    return spec.faults(f);
 }
 
 /** Host-backend collectives: barrier, reduce at node 0 and a
@@ -170,7 +187,11 @@ TEST(TraceHashTest, RunsMatchGoldenTraces)
     // its dateline VC.  The hotspot workload draws nothing from the
     // seeded Rng, so its two seeds share one trace.  The host
     // collectives run pins the addresses of every broadcast page, home
-    // and receive copy: moving any of them changes the packets.
+    // and receive copy: moving any of them changes the packets.  The
+    // two faulted runs pin both sources of a routing epoch's routes: the
+    // 3x3 torus detours around its dead X trunk by per-epoch BFS
+    // next hops, the fat-tree rehashes the flows of its dead leaf-spine
+    // trunk onto the other spine.
     {
         SCOPED_TRACE("chain hotspot seed 1");
         expectGolden(runHotspot(1),
@@ -200,6 +221,20 @@ TEST(TraceHashTest, RunsMatchGoldenTraces)
         SCOPED_TRACE("star host collectives seed 1");
         expectGolden(runHostCollectives(1),
                      {0x67b850c603c26cdeULL, 6308, 224291});
+    }
+    {
+        SCOPED_TRACE("torus faulted traffic seed 7");
+        const tg::ClusterSpec spec =
+            withDeadTrunk(tg::ClusterSpec::torus(3, 3, 1), 0, 1);
+        expectGolden(runTraffic(7, spec),
+                     {0xd152e607a5f4362cULL, 42978, 218800});
+    }
+    {
+        SCOPED_TRACE("fattree faulted traffic seed 7");
+        const tg::ClusterSpec spec =
+            withDeadTrunk(tg::ClusterSpec::fatTree(4, 2, 2), 0, 2);
+        expectGolden(runTraffic(7, spec),
+                     {0xb435b5bb11f35218ULL, 18230, 171512});
     }
 }
 
