@@ -202,9 +202,9 @@ Ctx::collLaunch(std::uint32_t group, hib::CollOp op, std::uint32_t root,
                 Word datum)
 {
     // Same shape as launchContexts: uncached descriptor writes into the
-    // per-thread context page, then one blocking GO read.  The CPU
-    // releases the TurboChannel before the read stalls (hib::Hib::regRead),
-    // so the bus stays free while the tree protocol runs NIC-to-NIC.
+    // per-thread context page, then one blocking GO read.  The TC
+    // transaction ends when the HIB decodes the read (hib::Hib::load), so
+    // the bus stays free while the tree protocol runs NIC-to-NIC.
     co_await write(ctxReg(node::kCtxCollOp), static_cast<Word>(op));
     co_await write(ctxReg(node::kCtxCollGroup), group);
     co_await write(ctxReg(node::kCtxCollRoot), root);

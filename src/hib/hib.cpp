@@ -77,8 +77,12 @@ using net::PacketType;
 using node::kRegOutstanding;
 using node::kRegSpecialMode;
 using node::kRegSpecialResult;
+using node::isShadow;
 using node::nodeOf;
 using node::offsetOf;
+using node::Region;
+using node::regionOf;
+using node::stripShadow;
 
 Hib::Hib(System &sys, const std::string &name, NodeId node,
          node::MainMemory &storage, node::TurboChannel &tc)
@@ -178,8 +182,52 @@ Hib::expectReply(OnWord cb)
 }
 
 // ---------------------------------------------------------------------
-// CPU-side operations
+// TurboChannel interface
 // ---------------------------------------------------------------------
+
+void
+Hib::store(PAddr pa, Word value, OnDone done, std::uint64_t traceId)
+{
+    const PAddr offset = offsetOf(pa);
+    if (isShadow(pa)) {
+        shadowStore(stripShadow(pa), value, std::move(done));
+    } else if (regionOf(offset) == Region::HibReg) {
+        regWrite(offset, value, std::move(done));
+    } else if (_specialOps.specialMode()) {
+        // Telegraphos I special mode: a store to shared space passes its
+        // address as an argument instead of being performed (2.2.4).
+        shadowStore(pa, value, std::move(done));
+    } else if (nodeOf(pa) != _node) {
+        cpuRemoteWrite(pa, value, std::move(done), traceId);
+    } else if (config().prototype == Prototype::TelegraphosI) {
+        // This node's shared data lives in HIB SRAM.  The functional
+        // apply happens in localSharedWrite so that protocol-managed
+        // pages update at the protocol-defined moment.
+        schedule(config().hibLatch + config().hibSram,
+                 [this, pa, value, done = std::move(done)]() mutable {
+                     localSharedWrite(pa, value, std::move(done));
+                 });
+    } else {
+        localSharedWrite(pa, value, std::move(done));
+    }
+}
+
+void
+Hib::load(PAddr pa, OnWord done, std::uint64_t traceId)
+{
+    const PAddr offset = offsetOf(pa);
+    if (regionOf(offset) == Region::HibReg) {
+        regRead(offset, std::move(done));
+    } else if (nodeOf(pa) != _node) {
+        cpuRemoteRead(pa, std::move(done), traceId);
+    } else {
+        // Telegraphos I: this node's shared data lives in HIB SRAM.
+        schedule(config().hibLatch + config().hibSram,
+                 [this, offset, done = std::move(done)] {
+                     done(_storage.read(offset));
+                 });
+    }
+}
 
 void
 Hib::cpuRemoteWrite(PAddr pa, Word value, OnDone latched,
@@ -224,25 +272,6 @@ Hib::cpuRemoteRead(PAddr pa, OnWord done, std::uint64_t traceId)
     schedule(config().hibLatch,
              [this, pkt = std::move(pkt)]() mutable {
                  inject(std::move(pkt), /*track=*/false);
-             });
-}
-
-void
-Hib::cpuLocalShmWrite(PAddr offset, Word value, OnDone done)
-{
-    // Timing only: the functional apply happens in localSharedWrite so
-    // that protocol-managed pages update at the protocol-defined moment.
-    (void)offset;
-    (void)value;
-    schedule(config().hibLatch + config().hibSram, std::move(done));
-}
-
-void
-Hib::cpuLocalShmRead(PAddr offset, OnWord done)
-{
-    schedule(config().hibLatch + config().hibSram,
-             [this, offset, done = std::move(done)] {
-                 done(_storage.read(offset));
              });
 }
 
@@ -309,16 +338,16 @@ Hib::regRead(PAddr offset, OnWord done)
 }
 
 void
-Hib::shadowStore(PAddr stripped_pa, Word store_value, OnDone done)
+Hib::shadowStore(PAddr pa, Word store_value, OnDone done)
 {
     if (_specialOps.specialMode()) {
         // Telegraphos I: in special mode every store to shared space is an
         // argument-passing command, not a memory operation (section 2.2.4).
-        _specialOps.captureAddress(stripped_pa);
+        _specialOps.captureAddress(pa);
     } else if (hib::isFlashShadowArg(store_value)) {
-        _specialOps.shadowCapturePid(stripped_pa, store_value);
+        _specialOps.shadowCapturePid(pa, store_value);
     } else {
-        _specialOps.shadowCapture(stripped_pa, store_value);
+        _specialOps.shadowCapture(pa, store_value);
     }
     schedule(config().hibLatch, std::move(done));
 }
@@ -585,8 +614,6 @@ Hib::onWireFailure(const Packet &pkt)
     // inject(), delivered at ingress pop): a permanently lost packet is
     // "dropped" once its loss is routed to the victim HIB here.
     system().ledger().onDropped();
-    warn("%s: wire failure victim of lost %s", _name.c_str(),
-         pkt.toString().c_str());
 
     switch (pkt.type) {
       case PacketType::WriteReq:

@@ -19,7 +19,10 @@
  * Structure mirrors Table 1 of the paper: TurboChannel interface,
  * incoming/outgoing link interfaces (the bounded FIFOs exposed as the
  * network endpoint), atomic-operation unit, multicast unit, page access
- * counters, plus central control (this class).
+ * counters, plus central control (this class).  The TurboChannel
+ * interface is store() and load(): the CPU issues an uncached access by
+ * physical address and the HIB decodes it to a remote word, a shadow
+ * argument, a register or its own shared memory.
  */
 
 #ifndef TELEGRAPHOS_HIB_HIB_HPP
@@ -80,14 +83,32 @@ class Hib : public SimObject, public net::NodeEndpoint
     net::BoundedQueue &ingress() override { return _ingress; }
 
     // ------------------------------------------------------------------
-    // CPU-side entry points (the Cpu calls these after winning the
-    // TurboChannel for the programmed-I/O transaction)
+    // TurboChannel interface: the CPU reaches the HIB only through
+    // uncached loads and stores by physical address, each after winning
+    // the TurboChannel for the programmed-I/O transaction.  The HIB
+    // alone decodes what the address is (sections 2.2.1-2.2.5).
     // ------------------------------------------------------------------
 
-    /** Remote write: released as soon as the HIB latches it (2.2.1).
-     *  @p traceId tags the packet for the lifecycle tracer (0 = none). */
-    void cpuRemoteWrite(PAddr pa, Word value, OnDone latched,
-                        std::uint64_t traceId = 0);
+    /**
+     * Uncached store of @p value to @p pa, decoded in this order: a
+     * shadow address (argument capture, 2.2.4); a HIB register; any
+     * address while Telegraphos I special mode is on (argument capture);
+     * another node's word (remote write, released once latched, 2.2.1);
+     * this node's shared word (its coherence protocol or the eager
+     * multicast table, after the SRAM write on Telegraphos I).  @p done
+     * releases the processor; @p traceId tags a remote write's packet
+     * for the lifecycle tracer (0 = none).
+     */
+    void store(PAddr pa, Word value, OnDone done, std::uint64_t traceId = 0);
+
+    /**
+     * Uncached load of @p pa, decoded in this order: a HIB register
+     * (special result, GO, outstanding count); another node's word
+     * (blocking remote read, 2.2.1); this node's shared word in HIB
+     * SRAM (Telegraphos I).  @p done receives the word when it reaches
+     * the CPU; @p traceId tags a remote read's request and reply.
+     */
+    void load(PAddr pa, OnWord done, std::uint64_t traceId = 0);
 
     /**
      * Back-pressure towards the processor: @p ready fires once the HIB
@@ -96,32 +117,6 @@ class Hib : public SimObject, public net::NodeEndpoint
      * the TurboChannel transaction.
      */
     void waitWriteSpace(OnDone ready);
-
-    /** Remote read: @p done fires when the reply reaches the CPU.
-     *  @p traceId tags request + reply for the lifecycle tracer. */
-    void cpuRemoteRead(PAddr pa, OnWord done, std::uint64_t traceId = 0);
-
-    /** Telegraphos I local shared-memory access (HIB SRAM via the TC). */
-    void cpuLocalShmWrite(PAddr offset, Word value, OnDone done);
-    void cpuLocalShmRead(PAddr offset, OnWord done);
-
-    /** HIB register access (special mode, contexts, counters, GO). */
-    void regWrite(PAddr offset, Word value, OnDone done);
-    void regRead(PAddr offset, OnWord done);
-
-    /** Store seen through shadow space: capture a physical address. */
-    void shadowStore(PAddr stripped_pa, Word store_value, OnDone done);
-
-    // ------------------------------------------------------------------
-    // Shared-page hooks (invoked by the Cpu model)
-    // ------------------------------------------------------------------
-
-    /**
-     * The CPU stored @p value at @p local_addr (already applied to the
-     * local copy).  Routes to the page's coherence protocol or to the raw
-     * eager-multicast table; @p done releases the processor.
-     */
-    void localSharedWrite(PAddr local_addr, Word value, OnDone done);
 
     /** Account one remote access against the page counters (2.2.6). */
     void countRemoteAccess(PAddr page_frame, bool is_write);
@@ -213,6 +208,29 @@ class Hib : public SimObject, public net::NodeEndpoint
     std::uint64_t wireFailures() const { return _wireFailures; }
 
   private:
+    // The ports store() and load() decode an address to.
+
+    /** Remote write: released as soon as the HIB latches it (2.2.1). */
+    void cpuRemoteWrite(PAddr pa, Word value, OnDone latched,
+                        std::uint64_t traceId);
+
+    /** Remote read: @p done fires when the reply reaches the CPU. */
+    void cpuRemoteRead(PAddr pa, OnWord done, std::uint64_t traceId);
+
+    /** HIB register access (special mode, contexts, counters, GO). */
+    void regWrite(PAddr offset, Word value, OnDone done);
+    void regRead(PAddr offset, OnWord done);
+
+    /** Argument-passing store: capture physical address @p pa (2.2.4). */
+    void shadowStore(PAddr pa, Word store_value, OnDone done);
+
+    /**
+     * The CPU stored @p value at this node's shared word @p local_addr.
+     * Routes to the page's coherence protocol or to the raw
+     * eager-multicast table; @p done releases the processor.
+     */
+    void localSharedWrite(PAddr local_addr, Word value, OnDone done);
+
     void pumpEgressBacklog();
     void pumpIngress();
 

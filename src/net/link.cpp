@@ -396,11 +396,15 @@ Channel::failEntry(std::size_t li, std::size_t pos)
     // this sequence number, so a copy still on the wire lands as a
     // duplicate and the lane's later packets are in window.
     ls.rxExpected = std::max(ls.rxExpected, pkt.lseq + 1);
-    ++_wireFailures;
-    warn("%s: giving up on %s after %u retries", _name.c_str(),
-         pkt.toString().c_str(), _inj.spec().maxRetries);
     if (ls.unacked.empty())
         cancelTimer(li);
+    failPacket(std::move(pkt));
+}
+
+void
+Channel::failPacket(Packet &&pkt)
+{
+    ++_wireFailures;
     if (_failHandler) {
         // Deferred: the handler drains counters and may wake programs
         // that inject new traffic, which must not re-enter a pump that is
@@ -429,17 +433,8 @@ Channel::failFast()
         while (ls.unacked.size() > accepted)
             failEntry(li, accepted);
         ls.resend = 0;
-        while (!_lanes[li].up->empty()) {
-            Packet pkt = _lanes[li].up->pop();
-            ++_wireFailures;
-            warn("%s: link down past deadline, failing %s", _name.c_str(),
-                 pkt.toString().c_str());
-            if (_failHandler) {
-                schedule(0, [this, p = std::move(pkt)]() mutable {
-                    _failHandler(std::move(p));
-                });
-            }
-        }
+        while (!_lanes[li].up->empty())
+            failPacket(_lanes[li].up->pop());
     }
 }
 

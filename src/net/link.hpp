@@ -168,6 +168,9 @@ class Channel : public SimObject
      *  move the lane's receiver past it. */
     void failEntry(std::size_t li, std::size_t pos);
 
+    /** Count @p pkt as lost and hand it to the failure handler. */
+    void failPacket(Packet &&pkt);
+
     /** Fail every queued and unacknowledged packet (outage past the
      *  deadline): the failover path. */
     void failFast();

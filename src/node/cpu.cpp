@@ -198,8 +198,7 @@ Cpu::execute(const CpuOp &op, Word *result, Fn<void()> done)
         schedule(cfg.cpuInstruction + cfg.cpuMemIssue,
                  [this, done = std::move(done)]() mutable {
                      const std::uint64_t traceId =
-                         _sys.tracer().beginOp(trace::OpKind::Fence);
-                     _sys.tracer().record(traceId, trace::Span::CpuIssue, now());
+                         openOp(trace::OpKind::Fence);
                      waitWriteBufferEmpty(
                          [this, done = std::move(done), traceId]() mutable {
                              _hib.fence(std::move(done), traceId);
@@ -253,196 +252,112 @@ Cpu::performAccess(const CpuOp &op, const Translation &t, Word *result,
     const Config &cfg = config();
     const bool is_write = op.kind == CpuOp::Kind::Write;
     const PAddr pa = t.paddr;
-    const PAddr offset = offsetOf(pa);
+    const PageMode mode = t.pte.mode;
+    // A store through shadow space passes an argument to the HIB (2.2.4):
+    // an uncached store, whatever the page mode.
+    const bool shadow = isShadow(pa);
 
-    // Shadow store: communicate a physical address to the HIB (2.2.4).
-    // An uncached store, so it completes into the write buffer.
-    if (t.shadow) {
-        schedule(charge, [this, pa, op, done = std::move(done)]() mutable {
-            bufferStore(pa, op.value, std::move(done));
-        });
+    if (mode == PageMode::VsmAbsent) {
+        // Not present: fault into the VSM layer.
+        trapToOs(op, result, charge, std::move(done),
+                 "VSM access with no handler");
         return;
     }
+    if (mode == PageMode::Invalid)
+        panic("%s: access to invalid page mode", _name.c_str());
 
-    switch (t.pte.mode) {
-      case PageMode::Private: {
-        const Tick lat = _cache.access(pa, is_write);
-        if (is_write) {
-            schedule(charge + lat,
-                     [this, offset, v = op.value, done = std::move(done)] {
-                         _mem.write(offset, v);
-                         done();
-                     });
-        } else {
+    // Private pages go through the cache.  Telegraphos II keeps shared
+    // data in uncached main memory (Telegraphos I in HIB SRAM, below).
+    const bool shared = mode == PageMode::SharedLocal;
+    if (!shadow && (mode == PageMode::Private ||
+                    (shared && cfg.prototype == Prototype::TelegraphosII))) {
+        const Tick lat = shared ? cfg.memAccess : _cache.access(pa, is_write);
+        const PAddr offset = offsetOf(pa);
+        if (!is_write) {
             schedule(charge + lat,
                      [this, offset, result, done = std::move(done)] {
                          *result = _mem.read(offset);
                          done();
                      });
-        }
-        return;
-      }
-
-      case PageMode::SharedLocal: {
-        if (cfg.prototype == Prototype::TelegraphosI) {
-            // Shared data lives in HIB SRAM: every access crosses the TC.
-            // Accesses drain the write buffer first to preserve the order
-            // of launch sequences against buffered argument stores.
-            if (is_write) {
-                schedule(charge, [this, offset, pa, op,
-                                  done = std::move(done)]() mutable {
-                    waitWriteBufferEmpty([this, offset, pa, op,
-                                          done = std::move(done)]() mutable {
-                        _tc.transact(
-                            config().cpuUncachedOverhead +
-                                config().tcWriteTxn(2),
-                            [this, offset, pa, op,
-                             done = std::move(done)]() mutable {
-                                if (_hib.specialOps().specialMode()) {
-                                    // Special mode: the store is an
-                                    // argument-passing command (2.2.4).
-                                    _hib.shadowStore(pa, op.value,
-                                                     std::move(done));
-                                    return;
-                                }
-                                _hib.cpuLocalShmWrite(
-                                    offset, op.value,
-                                    [this, pa, op,
-                                     done = std::move(done)]() mutable {
-                                        _hib.localSharedWrite(
-                                            pa, op.value, std::move(done));
-                                    });
-                            });
-                    });
-                });
-            } else {
-                schedule(charge, [this, offset, result,
-                                  done = std::move(done)]() mutable {
-                    waitWriteBufferEmpty([this, offset, result,
-                                          done = std::move(done)]() mutable {
-                        _tc.transact(
-                            config().cpuUncachedOverhead +
-                                config().tcReadTxn(),
-                            [this, offset, result,
-                             done = std::move(done)]() mutable {
-                                _hib.cpuLocalShmRead(
-                                    offset,
-                                    [result,
-                                     done = std::move(done)](Word v) mutable {
-                                        *result = v;
-                                        done();
-                                    });
-                            });
-                    });
-                });
-            }
-        } else {
-            // Telegraphos II: shared data in (uncached) main memory.
-            // The functional apply happens inside localSharedWrite so
-            // protocol-managed pages update at the right moment.
-            if (is_write) {
-                schedule(charge + cfg.memAccess,
-                         [this, pa, op, done = std::move(done)]() mutable {
-                             if (_hib.specialOps().specialMode()) {
-                                 _hib.shadowStore(pa, op.value,
-                                                  std::move(done));
-                                 return;
-                             }
-                             _hib.localSharedWrite(pa, op.value,
-                                                   std::move(done));
-                         });
-            } else {
-                schedule(charge + cfg.memAccess,
-                         [this, offset, result, done = std::move(done)] {
-                             *result = _mem.read(offset);
-                             done();
-                         });
-            }
-        }
-        return;
-      }
-
-      case PageMode::SharedRemote: {
-        if (t.pte.counted)
-            _hib.countRemoteAccess(pa - (pa % cfg.pageBytes), is_write);
-        if (is_write) {
-            // Non-blocking: the store completes into the write buffer;
-            // the drain engine performs the TC transaction (2.2.1).
-            schedule(charge, [this, pa, op, done = std::move(done)]() mutable {
-                const std::uint64_t traceId =
-                    _sys.tracer().beginOp(trace::OpKind::RemoteWrite);
-                _sys.tracer().record(traceId, trace::Span::CpuIssue, now());
-                bufferStore(pa, op.value, std::move(done), traceId);
+        } else if (shared) {
+            // The HIB applies a shared store itself, so protocol-managed
+            // pages update at the protocol-defined moment.
+            schedule(charge + lat, [this, pa, v = op.value,
+                                    done = std::move(done)]() mutable {
+                _hib.store(pa, v, std::move(done));
             });
         } else {
-            // Blocking: drain buffered stores, then hold the read until
-            // the reply returns from the remote node.
-            schedule(charge, [this, pa, result,
-                              done = std::move(done)]() mutable {
-                const std::uint64_t traceId =
-                    _sys.tracer().beginOp(trace::OpKind::RemoteRead);
-                _sys.tracer().record(traceId, trace::Span::CpuIssue, now());
-                waitWriteBufferEmpty([this, pa, result,
-                                      done = std::move(done),
-                                      traceId]() mutable {
-                    _tc.transact(
-                        config().cpuUncachedOverhead + config().tcReadTxn(),
-                        [this, pa, result, done = std::move(done),
-                         traceId]() mutable {
-                            _hib.cpuRemoteRead(
-                                pa,
-                                [result,
-                                 done = std::move(done)](Word v) mutable {
-                                    *result = v;
-                                    done();
-                                },
-                                traceId);
-                        },
-                        traceId);
-                });
-            });
+            schedule(charge + lat,
+                     [this, offset, v = op.value, done = std::move(done)] {
+                         _mem.write(offset, v);
+                         done();
+                     });
         }
         return;
-      }
-
-      case PageMode::HibControl: {
-        if (is_write) {
-            schedule(charge, [this, pa, op, done = std::move(done)]() mutable {
-                bufferStore(pa, op.value, std::move(done));
-            });
-        } else {
-            schedule(charge, [this, offset, result,
-                              done = std::move(done)]() mutable {
-                waitWriteBufferEmpty([this, offset, result,
-                                      done = std::move(done)]() mutable {
-                    _tc.transact(
-                        config().cpuUncachedOverhead + config().tcReadTxn(),
-                        [this, offset, result,
-                         done = std::move(done)]() mutable {
-                            _hib.regRead(
-                                offset,
-                                [result,
-                                 done = std::move(done)](Word v) mutable {
-                                    *result = v;
-                                    done();
-                                });
-                        });
-                });
-            });
-        }
-        return;
-      }
-
-      case PageMode::VsmAbsent:
-        // Not present: fault into the VSM layer.
-        trapToOs(op, result, charge, std::move(done),
-                 "VSM access with no handler");
-        return;
-
-      case PageMode::Invalid:
-        break;
     }
-    panic("%s: access to invalid page mode", _name.c_str());
+
+    // Uncached accesses the HIB decodes: remote, register and shadow
+    // addresses, and Telegraphos I shared data.
+    const bool remote = !shadow && mode == PageMode::SharedRemote;
+    if (remote && t.pte.counted)
+        _hib.countRemoteAccess(pa - (pa % cfg.pageBytes), is_write);
+    if (is_write && (shadow || !shared)) {
+        // Non-blocking (2.2.1): the store completes into the write
+        // buffer, and the drain engine performs the TC transaction.
+        schedule(charge, [this, pa, v = op.value, remote,
+                          done = std::move(done)]() mutable {
+            const std::uint64_t traceId =
+                remote ? openOp(trace::OpKind::RemoteWrite) : 0;
+            bufferStore(pa, v, std::move(done), traceId);
+        });
+        return;
+    }
+    blockingAccess(op, pa, result, charge, remote, std::move(done));
+}
+
+void
+Cpu::blockingAccess(const CpuOp &op, PAddr pa, Word *result, Tick charge,
+                    bool remote, Fn<void()> done)
+{
+    const bool is_write = op.kind == CpuOp::Kind::Write;
+    schedule(charge, [this, is_write, pa, v = op.value, result, remote,
+                      done = std::move(done)]() mutable {
+        const std::uint64_t traceId =
+            remote ? openOp(is_write ? trace::OpKind::RemoteWrite
+                                     : trace::OpKind::RemoteRead)
+                   : 0;
+        // Drain buffered stores first: they precede this access, and a
+        // launch sequence's argument stores must reach the HIB before it.
+        waitWriteBufferEmpty([this, is_write, pa, v, result,
+                              done = std::move(done), traceId]() mutable {
+            const Config &cfg = config();
+            _tc.transact(
+                cfg.cpuUncachedOverhead +
+                    (is_write ? cfg.tcWriteTxn(2) : cfg.tcReadTxn()),
+                [this, is_write, pa, v, result, done = std::move(done),
+                 traceId]() mutable {
+                    if (is_write) {
+                        _hib.store(pa, v, std::move(done), traceId);
+                        return;
+                    }
+                    _hib.load(pa,
+                              [result, done = std::move(done)](Word w) {
+                                  *result = w;
+                                  done();
+                              },
+                              traceId);
+                },
+                traceId);
+        });
+    });
+}
+
+std::uint64_t
+Cpu::openOp(trace::OpKind kind)
+{
+    const std::uint64_t traceId = _sys.tracer().beginOp(kind);
+    _sys.tracer().record(traceId, trace::Span::CpuIssue, now());
+    return traceId;
 }
 
 // ---------------------------------------------------------------------
@@ -470,27 +385,6 @@ Cpu::bufferStore(PAddr pa, Word value, Fn<void()> done,
 }
 
 void
-Cpu::dispatchStore(const BufferedStore &s)
-{
-    if (isShadow(s.pa)) {
-        _hib.shadowStore(stripShadow(s.pa), s.value, [] {});
-        return;
-    }
-    const PAddr offset = offsetOf(s.pa);
-    if (regionOf(offset) == Region::HibReg) {
-        _hib.regWrite(offset, s.value, [] {});
-        return;
-    }
-    if (_hib.specialOps().specialMode()) {
-        // Telegraphos I special mode: stores to shared space communicate
-        // addresses instead of being performed (2.2.4).
-        _hib.shadowStore(s.pa, s.value, [] {});
-        return;
-    }
-    _hib.cpuRemoteWrite(s.pa, s.value, [] {}, s.traceId);
-}
-
-void
 Cpu::drainWriteBuffer()
 {
     if (_draining)
@@ -514,7 +408,9 @@ Cpu::drainWriteBuffer()
             config().tcWriteTxn(2),
             [this] {
                 const BufferedStore s = _writeBuffer.pop();
-                dispatchStore(s);
+                // The processor was released when the store entered the
+                // buffer, so the HIB's completion is unobserved.
+                _hib.store(s.pa, s.value, [] {}, s.traceId);
                 _draining = false;
                 if (_wbInsertWaiter) {
                     auto w = std::move(_wbInsertWaiter);

@@ -4,10 +4,12 @@
  *
  * Simulated programs are C++20 coroutines that co_await CpuOps.  The Cpu
  * charges per-instruction costs, translates addresses through the Mmu,
- * and routes accesses to the cache/main memory, the TurboChannel + HIB
- * (remote and I/O-space accesses), or the fault handler.  Multiple
- * threads time-share the CPU with a round-robin quantum; preemption can
- * be disabled to model PAL-code sequences (paper section 2.2.4).
+ * and sends each access to the cache/main memory, the fault handler, or
+ * the HIB as an uncached load or store over the TurboChannel.  The CPU
+ * decides only whether an uncached access is buffered or blocking; the
+ * HIB decodes its address (Hib::load / Hib::store).  Multiple threads
+ * time-share the CPU with a round-robin quantum; preemption can be
+ * disabled to model PAL-code sequences (paper section 2.2.4).
  */
 
 #ifndef TELEGRAPHOS_NODE_CPU_HPP
@@ -148,8 +150,22 @@ class Cpu : public SimObject
 
     /** Perform @p op; @p done runs at completion (result already stored). */
     void execute(const CpuOp &op, Word *result, Fn<void()> done);
+
+    /** Decide how a translated load or store is performed: through the
+     *  cache, into uncached memory, into the write buffer, or as one
+     *  blocking TC transaction (blockingAccess). */
     void performAccess(const CpuOp &op, const Translation &t, Word *result,
                        Tick charge, Fn<void()> done);
+
+    /** After @p charge: drain the write buffer, run one TC transaction
+     *  (the uncached overhead plus a read or write transaction), then
+     *  hand the access to Hib::load or Hib::store.  @p remote opens a
+     *  lifecycle-tracer op for it. */
+    void blockingAccess(const CpuOp &op, PAddr pa, Word *result,
+                        Tick charge, bool remote, Fn<void()> done);
+
+    /** Open a lifecycle-tracer op of @p kind issued now. */
+    std::uint64_t openOp(trace::OpKind kind);
 
     /** After @p charge, trap @p op to the OS fault handler, which may
      *  retry it or kill the thread; with no handler installed the thread
@@ -179,9 +195,6 @@ class Cpu : public SimObject
 
     /** Run @p cb once the write buffer has fully drained. */
     void waitWriteBufferEmpty(Fn<void()> cb);
-
-    /** Route one drained store to the right HIB port. */
-    void dispatchStore(const BufferedStore &s);
 
     void onOpComplete(int tid, std::coroutine_handle<> h);
     void onThreadDone(int tid);

@@ -94,7 +94,7 @@ Mmu::translate(VAddr va, bool is_write)
     if (!_as)
         panic("%s: translate with no address space", _name.c_str());
 
-    t.shadow = (va & kShadowBit) != 0;
+    const bool shadow = (va & kShadowBit) != 0;
     const VAddr base = va & ~kShadowBit;
     const VAddr vpn = base / _as->pageBytes();
 
@@ -107,11 +107,11 @@ Mmu::translate(VAddr va, bool is_write)
 
     // Shadow accesses must be stores (there is nothing to load from
     // shadow space) and require write permission on the base mapping.
-    if (t.shadow && !is_write)
+    if (shadow && !is_write)
         return t;
     if (is_write && !pte->write)
         return t;
-    if (t.shadow && pte->mode != PageMode::SharedRemote &&
+    if (shadow && pte->mode != PageMode::SharedRemote &&
         pte->mode != PageMode::SharedLocal) {
         // Only shared data has meaningful shadow physical addresses.
         return t;
@@ -120,7 +120,7 @@ Mmu::translate(VAddr va, bool is_write)
     t.ok = true;
     t.pte = *pte;
     t.paddr = pte->frame + (base % _as->pageBytes());
-    if (t.shadow)
+    if (shadow)
         t.paddr |= kShadowBit;
     return t;
 }

@@ -89,7 +89,6 @@ class AddressSpace
 struct Translation
 {
     bool ok = false;      ///< translation succeeded
-    bool shadow = false;  ///< access was through shadow space
     Pte pte;              ///< entry used (valid when ok)
     PAddr paddr = 0;      ///< full physical address (with shadow flag)
     Tick ticks = 0;       ///< TLB lookup/refill time

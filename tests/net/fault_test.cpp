@@ -525,6 +525,45 @@ TEST(FaultCluster, EveryLostPacketHasOneVictim)
     }
 }
 
+TEST(FaultCluster, LostPacketsAreCountedNotLogged)
+{
+    // A trunk down past the link-down deadline fails every packet queued
+    // on it, and a one-retry budget gives up on others.  Each loss is
+    // counted (net.wire_failures, and its victim's
+    // nodeN.hib.wire_failures), and none prints a line of its own, so a
+    // faulted run's stderr does not grow with its losses.
+    ClusterSpec spec = ClusterSpec::ring(8, 2);
+    spec.config.seed = 1;
+    FaultSpec f;
+    f.dropRate = 0.02;
+    f.maxRetries = 1;
+    f.retryTimeout = 1'000;
+    f.linkDownDeadline = 2'000;
+    f.downTrunk(0, 1, 20'000, 200'000);
+    spec.faults(f);
+    Cluster c(spec);
+    const auto nodes = NodeId(spec.topology().nodes);
+    std::vector<Segment *> segs;
+    for (NodeId n = 0; n < nodes; ++n)
+        segs.push_back(&c.allocShared("s" + std::to_string(n), 8192, n));
+    workload::TrafficConfig cfg;
+    cfg.ops = 100;
+    for (NodeId n = 0; n < nodes; ++n)
+        c.spawn(n, workload::randomTraffic(segs, cfg));
+
+    testing::internal::CaptureStderr();
+    c.run(10'000'000'000ULL);
+    const std::string err = testing::internal::GetCapturedStderr();
+
+    ASSERT_TRUE(c.allDone());
+    EXPECT_EQ(err, "");
+    std::uint64_t charged = 0;
+    for (NodeId n = 0; n < nodes; ++n)
+        charged += c.hibOf(n).wireFailures();
+    EXPECT_EQ(c.network().wireFailures(), 58u);
+    EXPECT_EQ(charged, c.network().wireFailures());
+}
+
 TEST(FaultCluster, LinkRecoversAfterRetryBudgetExhaustion)
 {
     // A packet the sender gives up on must not wedge its lane: the

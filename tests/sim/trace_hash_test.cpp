@@ -36,6 +36,20 @@ struct Trace
     tg::Tick end;
 };
 
+/** Run @p c to quiescence and check it finished and conserved packets. */
+Trace
+finish(tg::Cluster &c)
+{
+    Trace t;
+    t.end = c.run(kLimit);
+    t.hash = c.traceHash();
+    t.words = c.traceLength();
+    EXPECT_TRUE(c.allDone());
+    std::string why;
+    EXPECT_TRUE(c.auditQuiescent(&why)) << why;
+    return t;
+}
+
 Trace
 runHotspot(std::uint64_t seed)
 {
@@ -48,15 +62,7 @@ runHotspot(std::uint64_t seed)
     cfg.increments = 24;
     for (tg::NodeId n = 0; n < kNodes; ++n)
         c.spawn(n, tg::workload::hotspotWorker(ctr, cfg));
-
-    Trace t;
-    t.end = c.run(kLimit);
-    t.hash = c.traceHash();
-    t.words = c.traceLength();
-    EXPECT_TRUE(c.allDone());
-    std::string why;
-    EXPECT_TRUE(c.auditQuiescent(&why)) << why;
-    return t;
+    return finish(c);
 }
 
 Trace
@@ -74,17 +80,10 @@ runTraffic(std::uint64_t seed,
     cfg.ops = 48;
     for (tg::NodeId n = 0; n < nodes; ++n)
         c.spawn(n, tg::workload::randomTraffic(segs, cfg));
-
-    Trace t;
-    t.end = c.run(kLimit);
-    t.hash = c.traceHash();
-    t.words = c.traceLength();
-    EXPECT_TRUE(c.allDone());
+    const Trace t = finish(c);
     // Every planned routing epoch (none on a fault-free fabric) flipped
     // inside the run.
     EXPECT_EQ(c.network().reroutesApplied(), c.network().routingEpochs());
-    std::string why;
-    EXPECT_TRUE(c.auditQuiescent(&why)) << why;
     return t;
 }
 
@@ -129,15 +128,69 @@ runHostCollectives(std::uint64_t seed)
             }
         });
     }
+    return finish(c);
+}
 
-    Trace t;
-    t.end = c.run(kLimit);
-    t.hash = c.traceHash();
-    t.words = c.traceLength();
-    EXPECT_TRUE(c.allDone());
-    std::string why;
-    EXPECT_TRUE(c.auditQuiescent(&why)) << why;
-    return t;
+/** Telegraphos I: each node writes and reads a word of another node's
+ *  page (buffered remote write, blocking remote read), writes and reads
+ *  its own page (HIB SRAM across the TurboChannel), bumps a counter
+ *  homed at node 0 with a PAL-launched fetchAdd, then fences. */
+Trace
+runTelegraphosI(std::uint64_t seed)
+{
+    tg::ClusterSpec spec = tg::ClusterSpec::star(kNodes).prototype(
+        tg::Prototype::TelegraphosI);
+    spec.config.seed = seed;
+    tg::Cluster c(spec);
+
+    std::vector<tg::Segment *> segs;
+    for (tg::NodeId n = 0; n < kNodes; ++n)
+        segs.push_back(&c.allocShared("s" + std::to_string(n), 8192, n));
+    for (tg::NodeId n = 0; n < kNodes; ++n) {
+        c.spawn(n, [&segs, n](tg::Ctx &ctx) -> tg::Task<void> {
+            for (int r = 0; r < 3; ++r) {
+                const tg::Segment &peer = *segs[(n + 1 + r) % kNodes];
+                const tg::Segment &own = *segs[n];
+                co_await ctx.write(peer.word(n), tg::Word(10 * n + r));
+                co_await ctx.read(peer.word(kNodes + r));
+                co_await ctx.write(own.word(kNodes + r), tg::Word(r + 1));
+                EXPECT_EQ(co_await ctx.read(own.word(kNodes + r)),
+                          tg::Word(r + 1));
+                co_await ctx.fetchAdd(segs[0]->word(16));
+            }
+            EXPECT_TRUE((co_await ctx.fence()).ok());
+        });
+    }
+    return finish(c);
+}
+
+/** Telegraphos II: a page homed at node 0 is replicated on every node
+ *  under OwnerCounter; each node writes its own word through its local
+ *  replica, reads it back, and bumps a counter homed at node 1 with a
+ *  context-launched fetchAdd, then fences. */
+Trace
+runReplicated(std::uint64_t seed)
+{
+    tg::ClusterSpec spec = tg::ClusterSpec::star(kNodes);
+    spec.config.seed = seed;
+    tg::Cluster c(spec);
+
+    tg::Segment &page = c.allocShared("rep", 8192, 0);
+    for (tg::NodeId n = 1; n < kNodes; ++n)
+        page.replicate(n, tg::coherence::ProtocolKind::OwnerCounter);
+    tg::Segment &ctr = c.allocShared("ctr", 8192, 1);
+    for (tg::NodeId n = 0; n < kNodes; ++n) {
+        c.spawn(n, [&page, &ctr, n](tg::Ctx &ctx) -> tg::Task<void> {
+            for (int r = 0; r < 3; ++r) {
+                co_await ctx.write(page.word(n), tg::Word(10 * n + r));
+                EXPECT_EQ(co_await ctx.read(page.word(n)),
+                          tg::Word(10 * n + r));
+                co_await ctx.fetchAdd(ctr.word(0));
+            }
+            EXPECT_TRUE((co_await ctx.fence()).ok());
+        });
+    }
+    return finish(c);
 }
 
 TEST(TraceHashTest, HotspotSameSeedSameTrace)
@@ -191,7 +244,10 @@ TEST(TraceHashTest, RunsMatchGoldenTraces)
     // two faulted runs pin both sources of a routing epoch's routes: the
     // 3x3 torus detours around its dead X trunk by per-epoch BFS
     // next hops, the fat-tree rehashes the flows of its dead leaf-spine
-    // trunk onto the other spine.
+    // trunk onto the other spine.  The two star runs pin the CPU's
+    // uncached accesses on both prototypes: Telegraphos I HIB SRAM and
+    // PAL launches, Telegraphos II replica writes under OwnerCounter and
+    // context launches.
     {
         SCOPED_TRACE("chain hotspot seed 1");
         expectGolden(runHotspot(1),
@@ -235,6 +291,16 @@ TEST(TraceHashTest, RunsMatchGoldenTraces)
             withDeadTrunk(tg::ClusterSpec::fatTree(4, 2, 2), 0, 2);
         expectGolden(runTraffic(7, spec),
                      {0xb435b5bb11f35218ULL, 18230, 171512});
+    }
+    {
+        SCOPED_TRACE("star Telegraphos I seed 1");
+        expectGolden(runTelegraphosI(1),
+                     {0x10bb80419dc5f047ULL, 2306, 66700});
+    }
+    {
+        SCOPED_TRACE("star owner-counter replica seed 1");
+        expectGolden(runReplicated(1),
+                     {0xaaf50a58c69c0a4bULL, 2258, 35085});
     }
 }
 
