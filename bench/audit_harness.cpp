@@ -2,9 +2,10 @@
  * @file
  * Audit harness: the executable proof of the determinism contract.
  *
- * Runs a workload twice with the same configuration + seed, FNV-hashes
- * the full event trace of each run (every fired event plus every packet
- * crossing a HIB boundary) and fails loudly on any mismatch.  Also
+ * Runs a workload twice with the same configuration + seed, hashes the
+ * full event trace of each run (every fired event plus every packet
+ * crossing a HIB boundary, one word at a time: audit::TraceHash) and
+ * fails loudly on any mismatch.  Also
  * checks packet conservation at quiescence on both runs.
  *
  * Usage:

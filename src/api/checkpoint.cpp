@@ -4,7 +4,7 @@
  *
  * A checkpoint captures the *semantic* state of a quiescent cluster —
  * everything that influences the future schedule, packet contents or
- * trace hash — as a self-contained text blob (schema tg-ckpt-v5):
+ * trace hash — as a self-contained text blob (schema tg-ckpt-v6):
  *
  *  - simulation clock, event sequence counter, executed-event count
  *  - the determinism trace hash (value + words mixed)
@@ -42,7 +42,7 @@ namespace tg {
 
 namespace {
 
-constexpr const char *kMagic = "tg-ckpt-v5";
+constexpr const char *kMagic = "tg-ckpt-v6";
 
 /** Token-stream reader: whitespace-separated tags and unsigned values,
  *  fatal() on any shape mismatch (a checkpoint is machine-written, so a

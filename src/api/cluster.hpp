@@ -299,9 +299,10 @@ class Cluster : public coherence::Fabric
     // ------------------------------------------------------------------
 
     /**
-     * FNV-1a digest of the run so far: every fired event plus every
-     * packet crossing a HIB boundary.  Two same-seed runs of the same
-     * program must produce equal digests — the determinism contract.
+     * Digest of the run so far: every fired event plus every packet
+     * crossing a HIB boundary, folded one word at a time
+     * (audit::TraceHash).  Two same-seed runs of the same program must
+     * produce equal digests — the determinism contract.
      */
     std::uint64_t traceHash() const { return _sys->events().trace().value(); }
 
@@ -364,7 +365,7 @@ class Cluster : public coherence::Fabric
 
     /**
      * Serialize the cluster's semantic state into a self-contained text
-     * blob (schema tg-ckpt-v5): simulation clock + event sequence, trace
+     * blob (schema tg-ckpt-v6): simulation clock + event sequence, trace
      * hash, RNG stream, packet ledger, each host communicator's mapped
      * broadcast roots and cursors, per-node memory / cache / TLB /
      * page-table / HIB-ticket state, the page directory and every stat

@@ -243,7 +243,8 @@ Hib::cpuRemoteWrite(PAddr pa, Word value, OnDone latched,
     inject(std::move(pkt), /*track=*/true);
     // "Write requests do not stall the processor and release the
     // TurboChannel as soon as the write request is latched by the HIB."
-    schedule(config().hibLatch, std::move(latched));
+    if (latched)
+        schedule(config().hibLatch, std::move(latched));
 }
 
 void
@@ -288,7 +289,8 @@ Hib::regWrite(PAddr offset, Word value, OnDone done)
         warn("%s: write to unknown HIB register %llx", _name.c_str(),
              (unsigned long long)offset);
     }
-    schedule(config().hibLatch, std::move(done));
+    if (done)
+        schedule(config().hibLatch, std::move(done));
 }
 
 void
@@ -349,7 +351,8 @@ Hib::shadowStore(PAddr pa, Word store_value, OnDone done)
     } else {
         _specialOps.shadowCapture(pa, store_value);
     }
-    schedule(config().hibLatch, std::move(done));
+    if (done)
+        schedule(config().hibLatch, std::move(done));
 }
 
 void

@@ -96,8 +96,10 @@ class Hib : public SimObject, public net::NodeEndpoint
      * another node's word (remote write, released once latched, 2.2.1);
      * this node's shared word (its coherence protocol or the eager
      * multicast table, after the SRAM write on Telegraphos I).  @p done
-     * releases the processor; @p traceId tags a remote write's packet
-     * for the lifecycle tracer (0 = none).
+     * releases the processor; it may be empty for every case but the
+     * last (a drained write-buffer entry, which nothing waits on), and
+     * an empty one schedules no event.  @p traceId tags a remote
+     * write's packet for the lifecycle tracer (0 = none).
      */
     void store(PAddr pa, Word value, OnDone done, std::uint64_t traceId = 0);
 

@@ -409,8 +409,9 @@ Cpu::drainWriteBuffer()
             [this] {
                 const BufferedStore s = _writeBuffer.pop();
                 // The processor was released when the store entered the
-                // buffer, so the HIB's completion is unobserved.
-                _hib.store(s.pa, s.value, [] {}, s.traceId);
+                // buffer, so nothing waits on the HIB's completion and
+                // none is passed.
+                _hib.store(s.pa, s.value, {}, s.traceId);
                 _draining = false;
                 if (_wbInsertWaiter) {
                     auto w = std::move(_wbInsertWaiter);

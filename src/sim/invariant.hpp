@@ -1,14 +1,14 @@
 /**
  * @file
- * Runtime audit layer: TG_AUDIT-gated invariant checks and the FNV trace
+ * Runtime audit layer: TG_AUDIT-gated invariant checks and the trace
  * hash behind the determinism contract (DESIGN.md section 7).
  *
  * The simulator's whole experimental method rests on two properties:
  *
  *  1. *Determinism* — same configuration + seed => bit-identical run.
  *     TraceHash folds every fired event (and every packet crossing a HIB
- *     boundary) into one 64-bit FNV-1a accumulator, so two runs can be
- *     compared exhaustively by comparing one number.
+ *     boundary) into one 64-bit accumulator, one multiply per word, so
+ *     two runs can be compared exhaustively by comparing one number.
  *
  *  2. *Conservation* — nothing is silently lost.  PacketLedger counts
  *     packets at the HIB injection/consumption boundaries and at the
@@ -69,7 +69,7 @@ void setEnabled(bool on);
 namespace tg::audit {
 
 /**
- * FNV-1a 64-bit accumulator over the run's observable history.
+ * 64-bit word-at-a-time accumulator over the run's observable history.
  *
  * Mixed inputs: (tick, sequence) of every fired event, plus the
  * end-to-end fields of every packet injected into and consumed from the
@@ -79,17 +79,24 @@ namespace tg::audit {
 class TraceHash
 {
   public:
+    /** FNV-1a's 64-bit offset basis and prime: the start state and the
+     *  (odd) multiplier of every step. */
     static constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
     static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
 
-    /** Fold one 64-bit word, byte by byte (FNV-1a). */
+    /**
+     * Fold one 64-bit word: xor it in, multiply by the odd kPrime, fold
+     * the high half down.  For a fixed word each of the three steps is a
+     * bijection of the 64-bit state, so two equally long streams that
+     * differ in exactly one word always end in different digests.  One
+     * multiply per word, where byte-wise FNV-1a needs eight dependent
+     * ones.
+     */
     void
     mix(std::uint64_t v)
     {
-        for (int i = 0; i < 8; ++i) {
-            _h ^= (v >> (i * 8)) & 0xff;
-            _h *= kPrime;
-        }
+        _h = (_h ^ v) * kPrime;
+        _h ^= _h >> 32;
         ++_mixed;
     }
 

@@ -296,6 +296,12 @@ TEST(Checkpoint, RefusesMalformedBlobAndStartedCluster)
     const std::string blob = b.checkpoint();
     EXPECT_DEATH(b.restore(blob), "freshly built");
 
+    // A v5 blob carries a byte-wise FNV-1a hash state; continuing it with
+    // the word-wise mix would match neither stream.
+    ASSERT_EQ(blob.rfind("tg-ckpt-v6\n", 0), 0u);
+    EXPECT_DEATH(a.restore("tg-ckpt-v5\n" + blob.substr(11)),
+                 "expected 'tg-ckpt-v6', got 'tg-ckpt-v5'");
+
     // The stats section names a stat the rebuilt cluster never registered.
     const std::string unknown = editStatLine(
         blob, "node0.tc.busy_ticks", [](const std::string &line) {

@@ -119,6 +119,34 @@ TEST(WriteBuffer, FenceDrainsBufferBeforeCountingOutstanding)
     ASSERT_TRUE(c.allDone());
 }
 
+/** Events fired when node 1 posts @p n remote writes to node 0's page
+ *  and then fences. */
+std::uint64_t
+postedWriteEvents(int n)
+{
+    Cluster c(ClusterSpec::star(2));
+    Segment &seg = c.allocShared("s", 8192, 0);
+    c.spawn(1, [&seg, n](Ctx &ctx) -> Task<void> {
+        for (int i = 0; i < n; ++i)
+            co_await ctx.write(seg.word(i), Word(i + 1));
+        EXPECT_TRUE((co_await ctx.fence()).ok());
+    });
+    c.run(10'000'000'000ULL);
+    EXPECT_TRUE(c.allDone());
+    for (int i = 0; i < n; ++i)
+        EXPECT_EQ(seg.peek(i), Word(i + 1));
+    return c.system().events().executed();
+}
+
+TEST(WriteBuffer, DrainedStoresScheduleNoCompletionEvent)
+{
+    // The processor left each store in the buffer, so nothing waits on
+    // the HIB latching a drained one and no event is scheduled for it:
+    // one event per write fewer than a scheduled no-op latch would fire.
+    EXPECT_EQ(postedWriteEvents(8), 129u);
+    EXPECT_EQ(postedWriteEvents(32), 513u);
+}
+
 TEST(WriteBuffer, PrivateStoresBypassTheBuffer)
 {
     // Cacheable local stores never enter the uncached write buffer.

@@ -1,14 +1,17 @@
 /**
  * @file
- * Seeded double-run trace-hash tests: the executable form of the
- * determinism contract (DESIGN.md section 7).  Each case builds the
- * same cluster + workload twice with one seed, runs both to completion
- * and requires the full FNV event/packet traces to be bit-identical;
- * different seeds must (for these workloads) diverge, proving the hash
- * actually observes the schedule.  Golden values pin the hash, trace
- * length and end tick of each run at its seed, so a schedule change
- * fails even when it is deterministic.  Packet conservation is checked
- * at quiescence on every run.
+ * Trace-hash tests: the executable form of the determinism contract
+ * (DESIGN.md section 7).  The unit cases pin TraceHash itself: any
+ * single-bit change to one word of a fixed stream changes the digest,
+ * the digest of that stream is pinned, and a restored accumulator
+ * continues the stream.  The seeded double-run cases build the same
+ * cluster + workload twice with one seed, run both to completion and
+ * require the full event/packet traces to be bit-identical; different
+ * seeds must (for these workloads) diverge, proving the hash actually
+ * observes the schedule.  Golden values pin the hash, trace length and
+ * end tick of each run at its seed, so a schedule change fails even
+ * when it is deterministic.  Packet conservation is checked at
+ * quiescence on every run.
  */
 
 #include <cstdint>
@@ -21,6 +24,7 @@
 #include "api/collectives.hpp"
 #include "api/context.hpp"
 #include "api/segment.hpp"
+#include "sim/invariant.hpp"
 #include "workload/hotspot.hpp"
 #include "workload/traffic.hpp"
 
@@ -28,6 +32,74 @@ namespace {
 
 constexpr int kNodes = 4;
 constexpr tg::Tick kLimit = 4'000'000'000'000ULL;
+
+/** A fixed 64-word stream: distinct, dense words (splitmix64 of i). */
+std::vector<std::uint64_t>
+fixedStream()
+{
+    std::vector<std::uint64_t> words;
+    std::uint64_t x = 0;
+    for (int i = 0; i < 64; ++i) {
+        std::uint64_t z = (x += 0x9e3779b97f4a7c15ULL);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        words.push_back(z ^ (z >> 31));
+    }
+    return words;
+}
+
+tg::audit::TraceHash
+hashOf(const std::vector<std::uint64_t> &words)
+{
+    tg::audit::TraceHash h;
+    for (std::uint64_t w : words)
+        h.mix(w);
+    return h;
+}
+
+TEST(TraceHash, FixedStreamDigestIsPinned)
+{
+    const tg::audit::TraceHash h = hashOf(fixedStream());
+    EXPECT_EQ(h.value(), 0x89f28aa38ae024bcULL)
+        << std::hex << "got 0x" << h.value();
+    EXPECT_EQ(h.mixed(), 64u);
+    EXPECT_EQ(tg::audit::TraceHash().value(), tg::audit::TraceHash::kOffset);
+    EXPECT_EQ(tg::audit::TraceHash().mixed(), 0u);
+}
+
+TEST(TraceHash, AnySingleBitFlipChangesTheDigest)
+{
+    // Each mix step is a bijection of the state for a fixed word, so a
+    // stream that differs in exactly one word can never collide.
+    const std::vector<std::uint64_t> words = fixedStream();
+    const std::uint64_t base = hashOf(words).value();
+    for (std::size_t i = 0; i < words.size(); ++i) {
+        for (int bit = 0; bit < 64; ++bit) {
+            std::vector<std::uint64_t> flipped = words;
+            flipped[i] ^= std::uint64_t(1) << bit;
+            EXPECT_NE(hashOf(flipped).value(), base)
+                << "word " << i << " bit " << bit;
+        }
+    }
+}
+
+TEST(TraceHash, RestoreContinuesTheStream)
+{
+    const std::vector<std::uint64_t> words = fixedStream();
+    const tg::audit::TraceHash whole = hashOf(words);
+    for (std::size_t cut = 0; cut <= words.size(); ++cut) {
+        tg::audit::TraceHash head;
+        for (std::size_t i = 0; i < cut; ++i)
+            head.mix(words[i]);
+        tg::audit::TraceHash tail;
+        tail.mix(0xdeadbeef); // state the restore must overwrite
+        tail.restore(head.value(), head.mixed());
+        for (std::size_t i = cut; i < words.size(); ++i)
+            tail.mix(words[i]);
+        EXPECT_EQ(tail.value(), whole.value()) << "cut at " << cut;
+        EXPECT_EQ(tail.mixed(), whole.mixed()) << "cut at " << cut;
+    }
+}
 
 struct Trace
 {
@@ -247,60 +319,61 @@ TEST(TraceHashTest, RunsMatchGoldenTraces)
     // trunk onto the other spine.  The two star runs pin the CPU's
     // uncached accesses on both prototypes: Telegraphos I HIB SRAM and
     // PAL launches, Telegraphos II replica writes under OwnerCounter and
-    // context launches.
+    // context launches.  The end tick is the last fired event's, so an
+    // event that fires after the programs finish moves it.
     {
         SCOPED_TRACE("chain hotspot seed 1");
         expectGolden(runHotspot(1),
-                     {0xc3bec655175be85fULL, 6728, 301206});
+                     {0xb01e327b32bb3a54ULL, 6152, 301206});
     }
     {
         SCOPED_TRACE("chain hotspot seed 99");
         expectGolden(runHotspot(99),
-                     {0xc3bec655175be85fULL, 6728, 301206});
+                     {0xb01e327b32bb3a54ULL, 6152, 301206});
     }
     {
         SCOPED_TRACE("chain traffic seed 7");
         expectGolden(runTraffic(7),
-                     {0x1bb3da7ce9845329ULL, 11540, 157507});
+                     {0x88c851524da2419cULL, 11240, 157507});
     }
     {
         SCOPED_TRACE("chain traffic seed 4242");
         expectGolden(runTraffic(4242),
-                     {0xc4f09162e49c1d97ULL, 11504, 150870});
+                     {0x1e0698850ecc6dc3ULL, 11194, 150870});
     }
     {
         SCOPED_TRACE("ring traffic seed 7");
         expectGolden(runTraffic(7, tg::ClusterSpec::ring(kNodes, 1)),
-                     {0xe888dc0deb009b07ULL, 13100, 169409});
+                     {0x2f020650fa45ae9cULL, 12800, 169409});
     }
     {
         SCOPED_TRACE("star host collectives seed 1");
         expectGolden(runHostCollectives(1),
-                     {0x67b850c603c26cdeULL, 6308, 224291});
+                     {0xe510a68a62045474ULL, 6080, 224291});
     }
     {
         SCOPED_TRACE("torus faulted traffic seed 7");
         const tg::ClusterSpec spec =
             withDeadTrunk(tg::ClusterSpec::torus(3, 3, 1), 0, 1);
         expectGolden(runTraffic(7, spec),
-                     {0xd152e607a5f4362cULL, 42978, 218800});
+                     {0x2db048c4455ef234ULL, 42288, 218800});
     }
     {
         SCOPED_TRACE("fattree faulted traffic seed 7");
         const tg::ClusterSpec spec =
             withDeadTrunk(tg::ClusterSpec::fatTree(4, 2, 2), 0, 2);
         expectGolden(runTraffic(7, spec),
-                     {0xb435b5bb11f35218ULL, 18230, 171512});
+                     {0x474e71388739da3eULL, 17930, 171512});
     }
     {
         SCOPED_TRACE("star Telegraphos I seed 1");
         expectGolden(runTelegraphosI(1),
-                     {0x10bb80419dc5f047ULL, 2306, 66700});
+                     {0xfc24f99abe995e0aULL, 2168, 66580});
     }
     {
         SCOPED_TRACE("star owner-counter replica seed 1");
         expectGolden(runReplicated(1),
-                     {0xaaf50a58c69c0a4bULL, 2258, 35085});
+                     {0xdf7e7ec6f3abc6d8ULL, 2186, 35085});
     }
 }
 
