@@ -489,6 +489,25 @@ TEST(FaultCluster, LostReadUnblocksWithError)
     EXPECT_EQ(got, 0u);
 }
 
+/** @p c finished quiescent, lost packets, and charged each loss the
+ *  links report to exactly one of its @p nodes HIBs.  Every
+ *  pending-write counter was released: a lost reflected write
+ *  decrements its origin's counter as its arrival would have. */
+void
+expectOneVictimPerLoss(Cluster &c, NodeId nodes)
+{
+    ASSERT_TRUE(c.allDone());
+    std::string why;
+    EXPECT_TRUE(c.auditQuiescent(&why)) << why;
+    std::uint64_t charged = 0;
+    for (NodeId n = 0; n < nodes; ++n) {
+        charged += c.hibOf(n).wireFailures();
+        EXPECT_EQ(c.hibOf(n).counterCache().used(), 0u) << "node " << n;
+    }
+    EXPECT_GT(c.network().wireFailures(), 0u);
+    EXPECT_EQ(charged, c.network().wireFailures());
+}
+
 TEST(FaultCluster, EveryLostPacketHasOneVictim)
 {
     // A one-retry budget exhausts mid-window: a stale NACK rewinds the
@@ -514,14 +533,84 @@ TEST(FaultCluster, EveryLostPacketHasOneVictim)
             c.spawn(n, workload::randomTraffic(segs, cfg));
         c.run(10'000'000'000ULL);
 
-        ASSERT_TRUE(c.allDone());
-        std::string why;
-        EXPECT_TRUE(c.auditQuiescent(&why)) << why;
-        std::uint64_t charged = 0;
+        expectOneVictimPerLoss(c, nodes);
+    }
+
+    // Replicated pages: the same budget loses coherence traffic in
+    // flight (Update, UpdateAck, WriteOwner, RingUpdate, InvReq, InvAck,
+    // EagerWrite), whose victim is the write's origin or the round's
+    // writer.  Node 0 homes 100 pages replicated on every node; in
+    // round k each node writes its own word of page k through its local
+    // copy and reads a neighbour's, so every page sees a fresh
+    // invalidation round.  Under the raw eager multicast (kind None)
+    // only the owner writes, and the others read their receive copies.
+    using coherence::ProtocolKind;
+    for (ProtocolKind kind :
+         {ProtocolKind::OwnerCounter, ProtocolKind::Naive,
+          ProtocolKind::Invalidate, ProtocolKind::GalacticaRing,
+          ProtocolKind::None}) {
+        SCOPED_TRACE(coherence::protocolKindName(kind));
+        ClusterSpec spec = ClusterSpec::star(4);
+        spec.config.seed = 3;
+        spec.config.fault.dropRate = 0.1;
+        spec.config.fault.maxRetries = 1;
+        spec.config.fault.retryTimeout = 2000;
+        Cluster c(spec);
+        const auto nodes = NodeId(spec.topology().nodes);
+        constexpr int kPages = 100;
+        Segment &page = c.allocShared("rep", kPages * 8192, 0);
+        for (NodeId n = 1; n < nodes; ++n) {
+            if (kind == ProtocolKind::None)
+                page.eagerTo(n);
+            else
+                page.replicate(n, kind);
+        }
+        for (NodeId n = 0; n < nodes; ++n) {
+            const bool writes = kind != ProtocolKind::None || n == 0;
+            c.spawn(n, [&page, n, nodes, writes](Ctx &ctx) -> Task<void> {
+                for (int k = 0; k < kPages; ++k) {
+                    if (writes)
+                        co_await ctx.write(page.word(k * 1024 + n),
+                                           Word(n) << 32 | Word(k));
+                    (void)co_await ctx.read(
+                        page.word(k * 1024 + (n + 1) % nodes));
+                    co_await ctx.compute(300);
+                }
+                co_await ctx.fence();
+            });
+        }
+        c.run(10'000'000'000ULL);
+        expectOneVictimPerLoss(c, nodes);
+    }
+
+    // Remote copies: a lost CopyReq or CopyData both drains the
+    // requester's outstanding count and fails its ticket.
+    {
+        SCOPED_TRACE("remote copy");
+        ClusterSpec spec = ClusterSpec::star(4);
+        spec.config.seed = 3;
+        spec.config.fault.dropRate = 0.1;
+        spec.config.fault.maxRetries = 1;
+        spec.config.fault.retryTimeout = 2000;
+        Cluster c(spec);
+        const auto nodes = NodeId(spec.topology().nodes);
+        std::vector<Segment *> segs;
         for (NodeId n = 0; n < nodes; ++n)
-            charged += c.hibOf(n).wireFailures();
-        EXPECT_GT(c.network().wireFailures(), 0u);
-        EXPECT_EQ(charged, c.network().wireFailures());
+            segs.push_back(
+                &c.allocShared("s" + std::to_string(n), 8192, n));
+        for (NodeId n = 0; n < nodes; ++n) {
+            c.spawn(n, [&segs, n, nodes](Ctx &ctx) -> Task<void> {
+                const Segment &from = *segs[(n + 1) % nodes];
+                for (int k = 0; k < 100; ++k) {
+                    co_await ctx.copy(from.word(k % 64 * 8),
+                                      segs[n]->word(k % 64 * 8), 64);
+                    co_await ctx.compute(300);
+                }
+                co_await ctx.fence();
+            });
+        }
+        c.run(10'000'000'000ULL);
+        expectOneVictimPerLoss(c, nodes);
     }
 }
 

@@ -265,6 +265,46 @@ runReplicated(std::uint64_t seed)
     return finish(c);
 }
 
+/** Replicated pages on a lossy fabric: a one-retry budget loses
+ *  coherence traffic in flight.  Node 0 homes one page replicated on
+ *  every node under OwnerCounter and four pages under Invalidate; each
+ *  round a node writes its own word of the first, its own word of one
+ *  of the others (a fresh invalidation round per page) and bumps a
+ *  counter homed at node 1, then fences.  Fences and writes may fail
+ *  visibly; the run must still finish and conserve packets. */
+Trace
+runLossyReplicated(std::uint64_t seed)
+{
+    tg::ClusterSpec spec = tg::ClusterSpec::star(kNodes);
+    spec.config.seed = seed;
+    spec.config.fault.dropRate = 0.1;
+    spec.config.fault.maxRetries = 1;
+    spec.config.fault.retryTimeout = 2000;
+    tg::Cluster c(spec);
+
+    tg::Segment &upd = c.allocShared("upd", 8192, 0);
+    tg::Segment &inv = c.allocShared("inv", 4 * 8192, 0);
+    for (tg::NodeId n = 1; n < kNodes; ++n) {
+        upd.replicate(n, tg::coherence::ProtocolKind::OwnerCounter);
+        inv.replicate(n, tg::coherence::ProtocolKind::Invalidate);
+    }
+    tg::Segment &ctr = c.allocShared("ctr", 8192, 1);
+    for (tg::NodeId n = 0; n < kNodes; ++n) {
+        c.spawn(n, [&upd, &inv, &ctr, n](tg::Ctx &ctx) -> tg::Task<void> {
+            for (int r = 0; r < 12; ++r) {
+                co_await ctx.write(upd.word(n), tg::Word(10 * n + r));
+                co_await ctx.write(inv.word(r % 4 * 1024 + n),
+                                   tg::Word(10 * n + r));
+                co_await ctx.fetchAdd(ctr.word(0));
+            }
+            co_await ctx.fence();
+        });
+    }
+    const Trace t = finish(c);
+    EXPECT_GT(c.network().wireFailures(), 0u) << "the run lost nothing";
+    return t;
+}
+
 TEST(TraceHashTest, HotspotSameSeedSameTrace)
 {
     for (std::uint64_t seed : {1ULL, 99ULL}) {
@@ -374,6 +414,11 @@ TEST(TraceHashTest, RunsMatchGoldenTraces)
         SCOPED_TRACE("star owner-counter replica seed 1");
         expectGolden(runReplicated(1),
                      {0xdf7e7ec6f3abc6d8ULL, 2186, 35085});
+    }
+    {
+        SCOPED_TRACE("star lossy replicas seed 1");
+        expectGolden(runLossyReplicated(1),
+                     {0x4690f49a4d60ae80ULL, 16572, 302345});
     }
 }
 
