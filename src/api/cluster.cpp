@@ -224,10 +224,10 @@ Cluster::Cluster(const ClusterSpec &spec)
         std::make_unique<coherence::InvalidateProtocol>(*_sys, *this));
 
     if (spec.config.fault.enabled()) {
-        // The victim's HIB decides what the loss means and keeps the
-        // node's one count of it.
+        // The packet's kind names the victim; its HIB undoes what the
+        // loss means and keeps the node's one count of it.
         _net->setFailureHandler([this](net::Packet &&pkt) {
-            hibOf(hib::victimOf(pkt)).onWireFailure(pkt);
+            hibOf(net::victimOf(pkt)).onWireFailure(pkt);
         });
     }
 }

@@ -248,7 +248,7 @@ VsmDsm::handlePacket(NodeId n, const Packet &pkt)
         // Kernel service: read out the page and ship it.
         _cluster.system().events().schedule(
             _cluster.config().osMessage,
-            [this, &hib, pg, n, words, requester = pkt.origin] {
+            [this, &hib, pg, n, words, data = net::replyTo(pkt)]() mutable {
                 const NodeId src_node =
                     pg->frames.count(n) ? n : pg->owner;
                 const PAddr frame = frameFor(*pg, src_node);
@@ -258,9 +258,6 @@ VsmDsm::handlePacket(NodeId n, const Packet &pkt)
                 for (std::size_t w = 0; w < words; ++w)
                     bulk->push_back(
                         mem.read(node::offsetOf(frame) + PAddr(w) * 8));
-                Packet data;
-                data.type = PacketType::PageData;
-                data.dst = requester;
                 data.addr = pg->va;
                 data.value = words;
                 data.payloadBytes =

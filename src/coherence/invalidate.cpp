@@ -78,9 +78,7 @@ InvalidateProtocol::handlePacket(NodeId n, const net::Packet &pkt)
             _fabric.onCopyInvalidated(*e, n, pkt.addr2 ? pkt.addr2 : e->home);
             _fabric.directory().removeCopy(*e, n);
         }
-        Packet ack;
-        ack.type = PacketType::InvAck;
-        ack.dst = pkt.src;
+        Packet ack = net::replyTo(pkt);
         ack.addr = pkt.addr;
         ack.payloadBytes = 0;
         // Invalidation is handled by the OS: charge the interrupt path.

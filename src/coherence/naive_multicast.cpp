@@ -70,9 +70,7 @@ NaiveMulticastProtocol::handlePacket(NodeId n, const net::Packet &pkt)
     if (e->hasCopy(n))
         applyToCopy(n, *e, pkt.addr, pkt.value, pkt.origin);
 
-    Packet ack;
-    ack.type = PacketType::UpdateAck;
-    ack.dst = pkt.origin;
+    Packet ack = net::replyTo(pkt);
     ack.payloadBytes = 0;
     _fabric.hibOf(n).inject(std::move(ack), /*track=*/false);
     return true;

@@ -160,9 +160,7 @@ OwnerCounterProtocol::handlePacket(NodeId n, const net::Packet &pkt)
         applyToCopy(n, *e, pkt.addr, pkt.value, pkt.origin);
     }
 
-    Packet ack;
-    ack.type = PacketType::UpdateAck;
-    ack.dst = pkt.origin;
+    Packet ack = net::replyTo(pkt);
     ack.payloadBytes = 0;
     hib.inject(std::move(ack), /*track=*/false);
     return true;

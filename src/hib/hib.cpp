@@ -33,45 +33,9 @@ mixPacket(audit::TraceHash &h, const net::Packet &pkt)
  *  operation" (paper footnote, section 2.3.5). */
 constexpr std::uint32_t kMaxOutstandingReads = 1;
 
-/** Lifecycle-tracer op kind for a packet that was injected untagged. */
-trace::OpKind
-opKindOf(net::PacketType t)
-{
-    switch (t) {
-    case net::PacketType::WriteReq:
-    case net::PacketType::WriteAck:
-        return trace::OpKind::RemoteWrite;
-    case net::PacketType::ReadReq:
-    case net::PacketType::ReadReply:
-        return trace::OpKind::RemoteRead;
-    case net::PacketType::AtomicReq:
-    case net::PacketType::AtomicReply:
-        return trace::OpKind::RemoteAtomic;
-    case net::PacketType::CopyReq:
-    case net::PacketType::CopyData:
-        return trace::OpKind::RemoteCopy;
-    case net::PacketType::EagerWrite:
-    case net::PacketType::Update:
-    case net::PacketType::UpdateAck:
-    case net::PacketType::WriteOwner:
-    case net::PacketType::RingUpdate:
-    case net::PacketType::InvReq:
-    case net::PacketType::InvAck:
-        return trace::OpKind::Coherence;
-    case net::PacketType::PageReq:
-    case net::PacketType::PageData:
-    case net::PacketType::Message:
-        return trace::OpKind::Software;
-    case net::PacketType::CollUp:
-        return trace::OpKind::CollReduce;
-    case net::PacketType::CollDown:
-        return trace::OpKind::CollBcast;
-    }
-    return trace::OpKind::Other;
-}
-
 } // namespace
 
+using net::LossEffect;
 using net::Packet;
 using net::PacketType;
 using node::kRegOutstanding;
@@ -135,7 +99,7 @@ Hib::inject(Packet &&pkt, bool track)
     // Packets not tagged by a CPU-side issue point (coherence, software,
     // HIB-internal traffic) start their lifecycle here.
     if (pkt.traceId == 0)
-        pkt.traceId = _sys.tracer().beginOp(opKindOf(pkt.type));
+        pkt.traceId = _sys.tracer().beginOp(net::kindOf(pkt.type).op);
     _sys.tracer().record(pkt.traceId, trace::Span::HibLaunch, now());
     // The backlog models the HIB's internal queueing: writes are latched
     // at TurboChannel speed and drain into the network at link speed
@@ -584,31 +548,6 @@ Hib::failReply(std::uint64_t ticket)
         cb(0);
 }
 
-NodeId
-victimOf(const Packet &pkt)
-{
-    switch (pkt.type) {
-      case PacketType::WriteAck:
-      case PacketType::UpdateAck:
-      case PacketType::ReadReply:
-      case PacketType::AtomicReply:
-      case PacketType::CopyData:
-      case PacketType::InvAck:
-      case PacketType::PageData:
-      // Collective tree traffic: the receiving NIC synthesizes the lost
-      // arrival/release so every member still completes (coll_engine).
-      case PacketType::CollUp:
-      case PacketType::CollDown:
-        return pkt.dst;
-      case PacketType::Update:
-      case PacketType::RingUpdate:
-      case PacketType::WriteOwner:
-        return pkt.origin;
-      default:
-        return pkt.src;
-    }
-}
-
 void
 Hib::onWireFailure(const Packet &pkt)
 {
@@ -618,102 +557,65 @@ Hib::onWireFailure(const Packet &pkt)
     // "dropped" once its loss is routed to the victim HIB here.
     system().ledger().onDropped();
 
-    switch (pkt.type) {
-      case PacketType::WriteReq:
-      case PacketType::EagerWrite:
-        // We were charged at injection; the ack will never come.
+    switch (net::kindOf(pkt.type).loss) {
+      case LossEffect::None:
+        // The software layers see the failure through the stats.
+        return;
+
+      case LossEffect::Drain:
+        // We were charged at injection, or the remote side completed
+        // the work but its ack was lost: the ack will never come.
         _outstanding.drainLost();
         return;
 
-      case PacketType::WriteAck:
-      case PacketType::UpdateAck:
-        // The remote side completed the work but the ack was lost.
-        _outstanding.drainLost();
-        return;
-
-      case PacketType::ReadReq:
-      case PacketType::ReadReply:
-      case PacketType::AtomicReq:
-      case PacketType::AtomicReply:
+      case LossEffect::FailTicket:
         failReply(pkt.ticket);
         return;
 
-      case PacketType::CopyReq:
-      case PacketType::CopyData:
+      case LossEffect::DrainAndFail:
         _outstanding.drainLost();
         failReply(pkt.ticket);
         return;
 
-      case PacketType::Update:
+      case LossEffect::Collective:
+        // The engine synthesizes the lost arrival/release (error flag
+        // set) so every member of the collective still completes.
+        _collEngine.onWireFailure(pkt);
+        return;
+
+      case LossEffect::Protocol:
+        break;
+    }
+
+    coherence::PageEntry *e =
+        _dir ? _dir->byHome(_dir->pageOf(pkt.addr)) : nullptr;
+    if (pkt.type == PacketType::Update) {
         // The origin expected one completion per reflected update (an
         // UpdateAck, or — for its own reflected write — the update
         // itself, which also carries the pending-counter decrement).
         _outstanding.drainLost();
         if (pkt.dst == pkt.origin && _counterCache.enabled())
             _counterCache.decrement(pkt.addr);
-        return;
-
-      case PacketType::WriteOwner: {
+    } else if (pkt.type == PacketType::WriteOwner) {
         // The writer charged itself copies-1 completions and bumped its
         // pending-write counter when it sent the value to the owner; the
         // owner will never reflect it.
-        std::uint64_t expect = 1;
-        if (_dir) {
-            if (const auto *e = _dir->byHome(_dir->pageOf(pkt.addr));
-                e && e->copies.size() > 1)
-                expect = e->copies.size() - 1;
-        }
-        _outstanding.drainLost(expect);
+        _outstanding.drainLost(
+            e && e->copies.size() > 1 ? e->copies.size() - 1 : 1);
         if (_counterCache.enabled())
             _counterCache.decrement(pkt.addr);
-        return;
-      }
-
-      case PacketType::RingUpdate:
-        // Our update will never complete the loop around the ring.
-        _outstanding.drainLost();
-        return;
-
-      case PacketType::InvReq: {
-        // The holder will never ack.  Synthesize the ack so the pending
-        // invalidation round completes; the not-invalidated stale copy
-        // is the visible damage, accounted by the failure counters.
-        if (_dir) {
-            if (auto *e = _dir->byHome(_dir->pageOf(pkt.addr));
-                e && e->protocol) {
-                Packet ack;
-                ack.type = PacketType::InvAck;
-                ack.dst = _node;
-                ack.src = pkt.dst;
-                ack.addr = pkt.addr;
-                e->protocol->handlePacket(_node, ack);
-            }
+    } else if (e && e->protocol) {
+        // Invalidation round: a lost InvAck is processed here as if it
+        // arrived.  The holder of a lost InvReq will never ack, so its
+        // ack is synthesized; the not-invalidated stale copy is the
+        // visible damage, accounted by the failure counters.
+        Packet ack = pkt;
+        if (pkt.type == PacketType::InvReq) {
+            ack = net::replyTo(pkt);
+            ack.src = pkt.dst;
+            ack.addr = pkt.addr;
         }
-        return;
-      }
-
-      case PacketType::InvAck:
-        // The ack itself was lost: process it here as if it arrived.
-        if (_dir) {
-            if (auto *e = _dir->byHome(_dir->pageOf(pkt.addr));
-                e && e->protocol)
-                e->protocol->handlePacket(_node, pkt);
-        }
-        return;
-
-      case PacketType::PageReq:
-      case PacketType::PageData:
-      case PacketType::Message:
-        // Software-layer traffic: no hardware counters to restore; the
-        // software layers see the failure through the stats.
-        return;
-
-      case PacketType::CollUp:
-      case PacketType::CollDown:
-        // The engine synthesizes the lost arrival/release (error flag
-        // set) so every member of the collective still completes.
-        _collEngine.onWireFailure(pkt);
-        return;
+        e->protocol->handlePacket(_node, ack);
     }
 }
 
@@ -734,12 +636,8 @@ Hib::handleWriteReq(Packet &&pkt, OnDone finished)
                      if (e->protocol && e->owner == _node)
                          e->protocol->remoteWriteAtHome(_node, *e, pkt);
                  }
-                 Packet ack;
-                 ack.type = PacketType::WriteAck;
-                 ack.dst = pkt.src;
-                 ack.ticket = pkt.ticket;
+                 Packet ack = net::replyTo(pkt);
                  ack.payloadBytes = 0;
-                 ack.traceId = pkt.traceId;
                  inject(std::move(ack), /*track=*/false);
                  finished();
              },
@@ -762,16 +660,12 @@ Hib::handleCopyReq(Packet &&pkt, OnDone finished)
                 for (std::uint32_t w = 0; w < words; ++w)
                     bulk->push_back(_storage.read(offset + PAddr(w) * 8));
 
-                Packet data;
-                data.type = PacketType::CopyData;
-                data.dst = pkt.src;
+                Packet data = net::replyTo(pkt);
                 data.addr = pkt.addr;
                 data.addr2 = pkt.addr2;
                 data.value = words;
-                data.ticket = pkt.ticket;
                 data.payloadBytes = words * 8;
                 data.bulk = std::move(bulk);
-                data.traceId = pkt.traceId;
                 inject(std::move(data), /*track=*/false);
                 finished();
             },
@@ -826,12 +720,8 @@ Hib::handlePacket(Packet &&pkt, OnDone finished)
         readShm(offset,
                 [this, pkt = std::move(pkt),
                  finished = std::move(finished)](Word v) mutable {
-                    Packet reply;
-                    reply.type = PacketType::ReadReply;
-                    reply.dst = pkt.src;
+                    Packet reply = net::replyTo(pkt);
                     reply.value = v;
-                    reply.ticket = pkt.ticket;
-                    reply.traceId = pkt.traceId;
                     inject(std::move(reply), /*track=*/false);
                     finished();
                 },
@@ -847,17 +737,10 @@ Hib::handlePacket(Packet &&pkt, OnDone finished)
 
       case PacketType::AtomicReq: {
         // Handed to the atomic unit; the ingress pipeline moves on.
-        Packet p = std::move(pkt);
         _atomicUnit.request(
-            p.aop, offsetOf(p.addr), p.value, p.value2,
-            [this, src = p.src, ticket = p.ticket,
-             traceId = p.traceId](Word old) {
-                Packet reply;
-                reply.type = PacketType::AtomicReply;
-                reply.dst = src;
+            pkt.aop, offsetOf(pkt.addr), pkt.value, pkt.value2,
+            [this, reply = net::replyTo(pkt)](Word old) mutable {
                 reply.value = old;
-                reply.ticket = ticket;
-                reply.traceId = traceId;
                 inject(std::move(reply), /*track=*/false);
             });
         finished();
@@ -881,11 +764,8 @@ Hib::handlePacket(Packet &&pkt, OnDone finished)
                      if (_dir)
                          _dir->notifyApply(_node, pkt.addr, pkt.value,
                                            pkt.origin);
-                     Packet ack;
-                     ack.type = PacketType::UpdateAck;
-                     ack.dst = pkt.origin;
+                     Packet ack = net::replyTo(pkt);
                      ack.payloadBytes = 0;
-                     ack.traceId = pkt.traceId;
                      inject(std::move(ack), /*track=*/false);
                      finished();
                  },
@@ -907,19 +787,13 @@ Hib::handlePacket(Packet &&pkt, OnDone finished)
         // Page no longer tracked here: still drain the sender's
         // outstanding counter so fences cannot hang.
         if (pkt.type == PacketType::Update && pkt.origin != _node) {
-            Packet ack;
-            ack.type = PacketType::UpdateAck;
-            ack.dst = pkt.origin;
+            Packet ack = net::replyTo(pkt);
             ack.payloadBytes = 0;
-            ack.traceId = pkt.traceId;
             inject(std::move(ack), /*track=*/false);
         } else if (pkt.type == PacketType::InvReq) {
-            Packet ack;
-            ack.type = PacketType::InvAck;
-            ack.dst = pkt.src;
+            Packet ack = net::replyTo(pkt);
             ack.addr = pkt.addr;
             ack.payloadBytes = 0;
-            ack.traceId = pkt.traceId;
             inject(std::move(ack), /*track=*/false);
         }
         finished();

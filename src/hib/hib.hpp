@@ -197,11 +197,12 @@ class Hib : public SimObject, public net::NodeEndpoint
 
     /**
      * The network permanently failed to deliver @p pkt and this node is
-     * the loss's victimOf() (sender awaiting an ack, reader awaiting a
-     * reply, ...).  Restores the conservation invariant: every expected
-     * completion the lost packet represented is drained or failed, so
-     * fences still drain and blocked CPUs still unblock — with a visible
-     * error instead of silently wrong data.
+     * the loss's net::victimOf() (sender awaiting an ack, reader
+     * awaiting a reply, ...).  Restores the conservation invariant:
+     * every expected completion the lost packet represented is drained
+     * or failed, as its kind's net::LossEffect says, so fences still
+     * drain and blocked CPUs still unblock — with a visible error
+     * instead of silently wrong data.
      */
     void onWireFailure(const net::Packet &pkt);
 
@@ -292,15 +293,6 @@ class Hib : public SimObject, public net::NodeEndpoint
     std::uint32_t _readsInFlight = 0;
     std::uint64_t _wireFailures = 0;
 };
-
-/**
- * The node that loses an expected completion when the network
- * permanently fails to deliver @p pkt: the node still waiting for a
- * reply or ack (its dst), the write's origin for coherence updates
- * (whose outstanding counter tracks the reflected copies), and the
- * sender for requests.
- */
-NodeId victimOf(const net::Packet &pkt);
 
 } // namespace tg::hib
 

@@ -7,6 +7,10 @@
  * coherence protocol (paper section 2.3.3) needs to recognise "the
  * reflected write that resulted from my own store", which it does by
  * origin tag.
+ *
+ * What a packet kind means lives in one row of kPacketKinds, which
+ * packet.cpp checks at compile time; only the ingress handler
+ * (hib::Hib::handlePacket) keeps per-kind behaviour.
  */
 
 #ifndef TELEGRAPHOS_NET_PACKET_HPP
@@ -15,10 +19,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "sim/trace.hpp"
 #include "sim/types.hpp"
 
 namespace tg::net {
@@ -122,8 +128,97 @@ struct Packet
     std::string toString() const;
 };
 
+/** The node that loses an expected completion when a packet is lost. */
+enum class Victim : std::uint8_t
+{
+    Src,    ///< the requester, awaiting its reply or ack
+    Dst,    ///< the receiver: a reply's requester, a collective's NIC
+    Origin, ///< the node whose store caused a coherence update
+};
+
+/** What the victim's HIB undoes when a packet is lost. */
+enum class LossEffect : std::uint8_t
+{
+    None,         ///< software traffic: no hardware counter to restore
+    Drain,        ///< drain the one completion it was charged for
+    FailTicket,   ///< fail the pending reply ticket (result 0)
+    DrainAndFail, ///< both: a copy is outstanding and ticketed
+    Protocol,     ///< the page's coherence protocol's own rule
+    Collective,   ///< the NIC collective engine synthesizes the arrival
+};
+
+/** Everything a packet kind means outside its ingress handler. */
+struct PacketKind
+{
+    PacketType type;                 ///< the row's kind
+    const char *name;                ///< short mnemonic
+    trace::OpKind op;                ///< tracer kind of an op it begins
+    std::optional<PacketType> reply; ///< reply twin (none: posted)
+    Victim victim;                   ///< who a loss of it hurts
+    LossEffect loss;                 ///< what the victim undoes
+};
+
+namespace kinds {
+using P = PacketType;
+using O = trace::OpKind;
+using V = Victim;
+using L = LossEffect;
+
+/** One row per PacketType, in enumerator order (paper sections 2.2.1 -
+ *  2.2.3: write/ack, read/reply, copy/data, atomic/reply).  A reply goes
+ *  to its request's victim, so every twin's victim side is Dst.
+ *  UpdateAck answers both EagerWrite and Update; {} is no twin. */
+inline constexpr PacketKind kPacketKinds[] = {
+    // type, name, tracer kind, reply twin, victim side, loss effect
+    {P::WriteReq, "WriteReq", O::RemoteWrite, P::WriteAck, V::Src, L::Drain},
+    {P::WriteAck, "WriteAck", O::RemoteWrite, {}, V::Dst, L::Drain},
+    {P::ReadReq, "ReadReq", O::RemoteRead, P::ReadReply, V::Src, L::FailTicket},
+    {P::ReadReply, "ReadReply", O::RemoteRead, {}, V::Dst, L::FailTicket},
+    {P::CopyReq, "CopyReq", O::RemoteCopy, P::CopyData, V::Src,
+     L::DrainAndFail},
+    {P::CopyData, "CopyData", O::RemoteCopy, {}, V::Dst, L::DrainAndFail},
+    {P::AtomicReq, "AtomicReq", O::RemoteAtomic, P::AtomicReply, V::Src,
+     L::FailTicket},
+    {P::AtomicReply, "AtomicReply", O::RemoteAtomic, {}, V::Dst, L::FailTicket},
+    {P::EagerWrite, "EagerWrite", O::Coherence, P::UpdateAck, V::Src, L::Drain},
+    {P::Update, "Update", O::Coherence, P::UpdateAck, V::Origin, L::Protocol},
+    {P::UpdateAck, "UpdateAck", O::Coherence, {}, V::Dst, L::Drain},
+    {P::WriteOwner, "WriteOwner", O::Coherence, {}, V::Origin, L::Protocol},
+    {P::RingUpdate, "RingUpdate", O::Coherence, {}, V::Origin, L::Drain},
+    {P::InvReq, "InvReq", O::Coherence, P::InvAck, V::Src, L::Protocol},
+    {P::InvAck, "InvAck", O::Coherence, {}, V::Dst, L::Protocol},
+    {P::PageReq, "PageReq", O::Software, P::PageData, V::Src, L::None},
+    {P::PageData, "PageData", O::Software, {}, V::Dst, L::None},
+    {P::Message, "Message", O::Software, {}, V::Src, L::None},
+    {P::CollUp, "CollUp", O::CollReduce, {}, V::Dst, L::Collective},
+    {P::CollDown, "CollDown", O::CollBcast, {}, V::Dst, L::Collective},
+};
+} // namespace kinds
+
+using kinds::kPacketKinds;
+
+/** The row of packet kind @p t. */
+constexpr const PacketKind &
+kindOf(PacketType t)
+{
+    return kPacketKinds[static_cast<std::size_t>(t)];
+}
+
 /** Short mnemonic for a packet type. */
-const char *packetTypeName(PacketType t);
+inline const char *
+packetTypeName(PacketType t)
+{
+    return kindOf(t).name;
+}
+
+/** The node that loses an expected completion when the network
+ *  permanently fails to deliver @p pkt: the side its row names. */
+NodeId victimOf(const Packet &pkt);
+
+/** The reply to request @p req: its twin kind, sent to its victim with
+ *  its ticket and trace id.  The caller sets the payload (payloadBytes,
+ *  addr, value, bulk).  Panics if the kind has no twin. */
+Packet replyTo(const Packet &req);
 
 static_assert(std::is_standard_layout_v<Packet> &&
                   offsetof(Packet, traceId) + 8 <= 32,

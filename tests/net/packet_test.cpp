@@ -1,6 +1,8 @@
 /**
  * @file
- * Unit tests of packet formatting and sizing.
+ * Unit tests of packet formatting and sizing, and of the packet-kind
+ * table's names, victims and replies (packet.cpp checks its invariants
+ * at compile time).
  */
 
 #include <gtest/gtest.h>
@@ -24,24 +26,48 @@ TEST(Packet, WireBytesIncludeHeader)
 
 TEST(Packet, TypeNamesAreUniqueAndNonEmpty)
 {
-    const PacketType all[] = {
-        PacketType::WriteReq,   PacketType::WriteAck,
-        PacketType::ReadReq,    PacketType::ReadReply,
-        PacketType::CopyReq,    PacketType::CopyData,
-        PacketType::AtomicReq,  PacketType::AtomicReply,
-        PacketType::EagerWrite, PacketType::Update,
-        PacketType::UpdateAck,  PacketType::WriteOwner,
-        PacketType::RingUpdate, PacketType::InvReq,
-        PacketType::InvAck,     PacketType::PageReq,
-        PacketType::PageData,   PacketType::Message,
-    };
     std::set<std::string> names;
-    for (PacketType t : all) {
-        const std::string n = packetTypeName(t);
+    for (const PacketKind &k : kPacketKinds) {
+        const std::string n = packetTypeName(k.type);
         EXPECT_FALSE(n.empty());
-        EXPECT_NE(n, "?");
+        EXPECT_EQ(n, k.name);
         EXPECT_TRUE(names.insert(n).second) << "duplicate name " << n;
     }
+    EXPECT_EQ(names.size(), std::size_t(PacketType::CollDown) + 1);
+}
+
+TEST(Packet, ReplyGoesToTheRequestsVictim)
+{
+    Packet req;
+    req.type = PacketType::Update;
+    req.src = 0;
+    req.dst = 2;
+    req.origin = 1;
+    req.ticket = 9;
+    req.traceId = 77;
+    req.addr = 0x40;
+    req.value = 5;
+    const Packet ack = replyTo(req);
+    EXPECT_EQ(ack.type, PacketType::UpdateAck);
+    EXPECT_EQ(ack.dst, 1u) << "an Update's ack drains its origin";
+    EXPECT_EQ(ack.dst, victimOf(req));
+    EXPECT_EQ(ack.ticket, 9u);
+    EXPECT_EQ(ack.traceId, 77u);
+    EXPECT_EQ(ack.addr, 0u) << "the caller sets what a reply carries";
+    EXPECT_EQ(ack.value, 0u);
+
+    req.type = PacketType::ReadReq;
+    const Packet reply = replyTo(req);
+    EXPECT_EQ(reply.type, PacketType::ReadReply);
+    EXPECT_EQ(reply.dst, 0u);
+    EXPECT_EQ(victimOf(reply), 0u) << "a lost reply hurts its requester";
+}
+
+TEST(PacketDeathTest, ReplyToAPostedKindPanics)
+{
+    Packet msg;
+    msg.type = PacketType::Message;
+    EXPECT_DEATH(replyTo(msg), "Message has no reply kind");
 }
 
 TEST(Packet, ToStringCarriesRoutingFields)

@@ -130,6 +130,35 @@ TEST(TracerTest, BreakdownComponentsSumToTotals)
     EXPECT_GT(rd->totalTicks, 0.0);
 }
 
+TEST(TracerTest, CoherenceAcksBeginNoOp)
+{
+    // An ack carries its request's op id, so it closes that op instead
+    // of beginning one.  Node 1 stores one word of a page homed at node
+    // 0 and replicated on every node under OwnerCounter, then fences.
+    // The fence opens one op (the store hits the local copy and opens
+    // none), and the HIBs begin one for the WriteOwner and one for each
+    // of the owner's three reflected Updates.  The UpdateAcks from
+    // nodes 2 and 3 begin none.  Tracing stays passive.
+    std::uint64_t hash[2] = {};
+    for (const bool traced : {false, true}) {
+        ClusterSpec spec = ClusterSpec::star(4);
+        spec.config.tracePackets = traced;
+        Cluster c(spec);
+        Segment &page = c.allocShared("rep", 8192, 0);
+        for (NodeId n = 1; n < 4; ++n)
+            page.replicate(n, coherence::ProtocolKind::OwnerCounter);
+        c.spawn(1, [&](Ctx &ctx) -> Task<void> {
+            co_await ctx.write(page.word(0), 42);
+            EXPECT_TRUE((co_await ctx.fence()).ok());
+        });
+        c.run(4'000'000'000'000ULL);
+        ASSERT_TRUE(c.allDone());
+        EXPECT_EQ(c.tracer().opsBegun(), traced ? 5u : 0u);
+        hash[traced] = c.traceHash();
+    }
+    EXPECT_EQ(hash[0], hash[1]);
+}
+
 TEST(TracerTest, StatsReportShowsNetCountersWithoutFaults)
 {
     // Regression: statsReport() hid the reliability counters behind
