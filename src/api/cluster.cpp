@@ -487,6 +487,26 @@ Cluster::run(Tick limit)
 }
 
 bool
+Cluster::auditQuiescent(std::string *why) const
+{
+    if (!_sys->ledger().quiescent(why))
+        return false;
+    for (std::size_t n = 0; n < _nodes.size(); ++n) {
+        hib::Hib &h = _nodes[n]->hib();
+        const std::size_t slots = h.counterCache().used();
+        const std::uint64_t ops = h.outstanding().current();
+        if (slots == 0 && ops == 0)
+            continue;
+        if (why)
+            *why = "node " + std::to_string(n) + " holds " +
+                   std::to_string(slots) + " counter-cache slot(s) and " +
+                   std::to_string(ops) + " outstanding operation(s)";
+        return false;
+    }
+    return true;
+}
+
+bool
 Cluster::allDone() const
 {
     for (const auto &ws : _nodes) {

@@ -310,15 +310,14 @@ class Cluster : public coherence::Fabric
     std::uint64_t traceLength() const { return _sys->events().trace().mixed(); }
 
     /**
-     * Packet-conservation check for a finished (quiescent) run: every
-     * injected packet was delivered or visibly dropped.  @return true
-     * when conserved; otherwise false with the imbalance in @p why.
+     * Quiescence check for a finished run: every injected packet was
+     * delivered or visibly dropped, and no HIB still holds a
+     * pending-write counter (a counter-cache slot or an outstanding
+     * operation) that nothing left in the run can release.  @return
+     * true when quiescent; otherwise false with the first imbalance in
+     * @p why.
      */
-    bool
-    auditQuiescent(std::string *why = nullptr) const
-    {
-        return _sys->ledger().quiescent(why);
-    }
+    bool auditQuiescent(std::string *why = nullptr) const;
 
     /**
      * Write the end-of-run statistics report: time and topology, then

@@ -134,5 +134,32 @@ TEST(Cluster, ManyNodesOnChainTopology)
         EXPECT_EQ(seg.peek(n), Word(n) * 11);
 }
 
+TEST(Cluster, AuditQuiescentRejectsHeldPendingWriteCounters)
+{
+    // Every packet is accounted for, but a HIB still holds a counter
+    // that nothing left in the run will release: not quiescent.
+    Cluster c(ClusterSpec::star(2));
+    std::string why;
+    ASSERT_TRUE(c.auditQuiescent(&why)) << why;
+
+    // A counter-cache slot with no reflected write to free it.
+    const PAddr word = 0x40;
+    c.hibOf(1).counterCache().increment(word, [] {});
+    c.system().events().run();
+    EXPECT_FALSE(c.auditQuiescent(&why));
+    EXPECT_NE(why.find("node 1"), std::string::npos) << why;
+    EXPECT_NE(why.find("counter-cache"), std::string::npos) << why;
+    c.hibOf(1).counterCache().decrement(word);
+    EXPECT_TRUE(c.auditQuiescent(&why)) << why;
+
+    // An outstanding operation with no completion.
+    c.hibOf(0).outstanding().add();
+    EXPECT_FALSE(c.auditQuiescent(&why));
+    EXPECT_NE(why.find("node 0"), std::string::npos) << why;
+    EXPECT_NE(why.find("outstanding"), std::string::npos) << why;
+    c.hibOf(0).outstanding().complete();
+    EXPECT_TRUE(c.auditQuiescent(&why)) << why;
+}
+
 } // namespace
 } // namespace tg

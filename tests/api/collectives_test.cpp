@@ -293,42 +293,55 @@ TEST(Collectives, SameSeedRunsHashIdenticallyPerBackend)
 
 TEST(Collectives, NicBarrierCompletesThroughDroppedTreeLink)
 {
-    // Node 2's egress always lost: its CollUp towards the tree parent
-    // exhausts the retry budget and dies.  The parent NIC synthesizes
-    // the arrival with the error flag set, so the barrier completes on
-    // every member and the loss surfaces as OpError::LinkFailure.
-    FaultSpec fault;
-    fault.dropRate = 1.0;
-    fault.linkFilter = "up2";
-    fault.retryTimeout = 1000;
-    fault.maxRetries = 2;
-    ClusterSpec spec = ClusterSpec::star(4)
-                           .seed(5)
-                           .faults(fault)
-                           .collectives(CollectiveBackend::Nic);
-    Cluster c(spec);
-    Communicator &comm = c.communicator("comm", {0, 1, 2, 3});
+    // Every packet on one of node 2's links is lost, so its collective
+    // packet exhausts the retry budget and dies: the CollUp towards the
+    // tree parent (up2) or the CollDown release (down2).  The receiving
+    // NIC is the victim and synthesizes the arrival with the error flag
+    // set, so the barrier completes on every member and the loss
+    // surfaces as OpError::LinkFailure.
+    struct Case
+    {
+        const char *link;
+        NodeId victim; ///< the NIC the lost packet was addressed to
+    };
+    for (const Case k : {Case{"up2", 0}, Case{"down2", 2}}) {
+        SCOPED_TRACE(k.link);
+        FaultSpec fault;
+        fault.dropRate = 1.0;
+        fault.linkFilter = k.link;
+        fault.retryTimeout = 1000;
+        fault.maxRetries = 2;
+        ClusterSpec spec = ClusterSpec::star(4)
+                               .seed(5)
+                               .faults(fault)
+                               .collectives(CollectiveBackend::Nic);
+        Cluster c(spec);
+        Communicator &comm = c.communicator("comm", {0, 1, 2, 3});
 
-    int completed = 0;
-    int errors = 0;
-    for (NodeId n = 0; n < 4; ++n) {
-        c.spawn(n, [&](Ctx &ctx) -> Task<void> {
-            const Result<void> r = co_await comm.barrier(ctx);
-            ++completed;
-            if (!r.ok())
-                ++errors;
-        });
+        int completed = 0;
+        int errors = 0;
+        for (NodeId n = 0; n < 4; ++n) {
+            c.spawn(n, [&](Ctx &ctx) -> Task<void> {
+                const Result<void> r = co_await comm.barrier(ctx);
+                ++completed;
+                if (!r.ok())
+                    ++errors;
+            });
+        }
+        c.run(400'000'000'000ULL);
+        ASSERT_TRUE(c.allDone()); // completes: nobody hangs on the loss
+        EXPECT_EQ(completed, 4);
+        EXPECT_GT(errors, 0); // ...and the failure is visible, not silent
+        std::uint64_t engine_errors = 0;
+        for (NodeId n = 0; n < 4; ++n) {
+            engine_errors += c.hibOf(n).collectives().errors();
+            EXPECT_EQ(c.hibOf(n).wireFailures(), n == k.victim ? 1u : 0u)
+                << "node " << n;
+        }
+        EXPECT_GT(engine_errors, 0u);
+        std::string why;
+        EXPECT_TRUE(c.auditQuiescent(&why)) << why;
     }
-    c.run(400'000'000'000ULL);
-    ASSERT_TRUE(c.allDone()); // completes: nobody hangs on the loss
-    EXPECT_EQ(completed, 4);
-    EXPECT_GT(errors, 0); // ...and the failure is visible, not silent
-    std::uint64_t engine_errors = 0;
-    for (NodeId n = 0; n < 4; ++n)
-        engine_errors += c.hibOf(n).collectives().errors();
-    EXPECT_GT(engine_errors, 0u);
-    std::string why;
-    EXPECT_TRUE(c.auditQuiescent(&why)) << why;
 }
 
 // ---------------------------------------------------------------------
