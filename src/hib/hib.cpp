@@ -6,6 +6,8 @@
 
 #include "hib/hib.hpp"
 
+#include <utility>
+
 #include "coherence/directory.hpp"
 #include "coherence/protocol.hpp"
 #include "node/address.hpp"
@@ -51,7 +53,7 @@ using node::stripShadow;
 Hib::Hib(System &sys, const std::string &name, NodeId node,
          node::MainMemory &storage, node::TurboChannel &tc)
     : SimObject(sys, name), _node(node), _storage(storage), _tc(tc),
-      _egress(sys.arena(), sys.config().hibFifoPackets),
+      _egress(sys.arena(), ~std::size_t(0)), // nothing is refused it
       _ingress(sys.arena(), sys.config().hibFifoPackets),
       _atomicUnit(sys, name + ".atomic", storage),
       _multicast(sys, name + ".mcast"),
@@ -64,7 +66,10 @@ Hib::Hib(System &sys, const std::string &name, NodeId node,
       _outstanding(sys, name + ".outstanding"),
       _collEngine(sys, *this)
 {
-    _egress.onSpace([this] { pumpEgressBacklog(); });
+    _egress.onSpace([this] {
+        if (_writeSpaceWaiter)
+            waitWriteSpace(std::exchange(_writeSpaceWaiter, nullptr));
+    });
     _ingress.onData([this] { pumpIngress(); });
     // Registered unconditionally: the reliability layer runs on every
     // link, so the counter must be visible even in fault-free runs.
@@ -101,40 +106,23 @@ Hib::inject(Packet &&pkt, bool track)
     if (pkt.traceId == 0)
         pkt.traceId = _sys.tracer().beginOp(net::kindOf(pkt.type).op);
     _sys.tracer().record(pkt.traceId, trace::Span::HibLaunch, now());
-    // The backlog models the HIB's internal queueing: writes are latched
-    // at TurboChannel speed and drain into the network at link speed
-    // ("short batches of write operations may take advantage of
-    // Telegraphos queueing", section 3.2).
-    if (_egressBacklog.empty() && !_egress.full()) {
-        _egress.push(std::move(pkt));
-    } else {
-        _egressBacklog.push(std::move(pkt));
-    }
-}
-
-void
-Hib::pumpEgressBacklog()
-{
-    // Pop before pushing: the push can re-enter this function through the
-    // queue's listener chain (egress onData -> channel pump -> onSpace).
-    while (!_egressBacklog.empty() && !_egress.full())
-        _egress.push(_egressBacklog.pop());
-    while (!_writeSpaceWaiters.empty() &&
-           _egressBacklog.size() < config().hibBacklogPackets) {
-        OnDone ready = _writeSpaceWaiters.pop();
-        ready();
-    }
+    // Writes are latched at TurboChannel speed and drain into the network
+    // at link speed ("short batches of write operations may take
+    // advantage of Telegraphos queueing", section 3.2).
+    _egress.push(std::move(pkt));
 }
 
 void
 Hib::waitWriteSpace(OnDone ready)
 {
-    if (_egressBacklog.size() < config().hibBacklogPackets &&
-        _writeSpaceWaiters.empty()) {
+    if (_egress.size() <
+        config().hibFifoPackets + config().hibBacklogPackets) {
         ready();
         return;
     }
-    _writeSpaceWaiters.push(std::move(ready));
+    if (_writeSpaceWaiter)
+        panic("%s: second write-space waiter", _name.c_str());
+    _writeSpaceWaiter = std::move(ready);
 }
 
 std::uint64_t

@@ -42,7 +42,6 @@
 #include "net/packet.hpp"
 #include "node/main_memory.hpp"
 #include "node/turbochannel.hpp"
-#include "sim/ring.hpp"
 
 namespace tg::coherence {
 class Directory;
@@ -114,9 +113,9 @@ class Hib : public SimObject, public net::NodeEndpoint
 
     /**
      * Back-pressure towards the processor: @p ready fires once the HIB
-     * can latch another write (its internal queue is below the limit).
-     * The CPU's write-buffer drain engine consults this before starting
-     * the TurboChannel transaction.
+     * can latch another write (its egress queue is below the limit).
+     * The CPU's write-buffer drain engine, one drain at a time,
+     * consults this before starting the TurboChannel transaction.
      */
     void waitWriteSpace(OnDone ready);
 
@@ -162,9 +161,10 @@ class Hib : public SimObject, public net::NodeEndpoint
     node::MainMemory &storage() { return _storage; }
 
     /**
-     * Inject a packet into the outgoing link FIFO (central control +
-     * protocols use this).  @p track adds it to the outstanding counter
-     * (one completion expected later, via ack or reflected update).
+     * Inject a packet into the egress queue, the HIB's one outgoing
+     * queue, never refused (central control + protocols use this).
+     * @p track adds it to the outstanding counter (one completion
+     * expected later, via ack or reflected update).
      */
     void inject(net::Packet &&pkt, bool track);
 
@@ -234,7 +234,6 @@ class Hib : public SimObject, public net::NodeEndpoint
      */
     void localSharedWrite(PAddr local_addr, Word value, OnDone done);
 
-    void pumpEgressBacklog();
     void pumpIngress();
 
     /** Dispatch one packet; @p finished is called when the (serialized)
@@ -265,10 +264,9 @@ class Hib : public SimObject, public net::NodeEndpoint
     node::MainMemory &_storage;
     node::TurboChannel &_tc;
 
-    net::BoundedQueue _egress;
+    net::BoundedQueue _egress; ///< link FIFO + internal queue, unbounded
     net::BoundedQueue _ingress;
-    Ring<net::Packet> _egressBacklog;
-    Ring<OnDone> _writeSpaceWaiters;
+    OnDone _writeSpaceWaiter; ///< the one held write-buffer drain
     bool _ingressBusy = false;
 
     AtomicUnit _atomicUnit;

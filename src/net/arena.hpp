@@ -6,16 +6,16 @@
  * torus NICs) keep their datapath fast with fixed-format packet
  * descriptors living in preallocated rings; the software model mirrors
  * that shape.  A PacketArena owns every in-flight packet of one
- * simulation universe: queues, links and switches pass 32-bit
- * PacketHandle slots instead of copying the 112-byte Packet value at
- * every hop.
+ * simulation universe, from HIB inject to ingress pop: queues, links
+ * and switches pass 32-bit PacketHandle slots instead of copying the
+ * 96-byte Packet value at every hop.
  *
  * Each packet lives in exactly one slot, and the slot is the packet:
  * the datapath reads and writes its fields in place through packet().
  * The fields a hop touches (src/dst/vc/payloadBytes/traceId)
  * sit in the first 24 bytes of the Packet (net/packet.hpp), so a switch
  * or link reads only the front of the slot and never the cold body
- * (addresses, operands, CRC, bulk payload).
+ * (addresses, operands, bulk payload).
  *
  * Storage is a LIFO free list over chunked slot storage: chunks are
  * allocated as the in-flight population grows during warm-up and then

@@ -177,7 +177,7 @@ Channel::pumpReliable()
         LaneState &ls = _ls[li];
         while (ls.resend == 0 && !ls.unacked.empty() &&
                ls.unacked.front().tries > _inj.spec().maxRetries &&
-               ls.unacked.front().pkt.lseq == ls.rxExpected)
+               ls.unacked.front().lseq == ls.rxExpected)
             failEntry(li, 0);
     }
 
@@ -211,8 +211,8 @@ Channel::pumpReliable()
     if (ls.resend == ls.unacked.size()) {
         TxEntry e;
         e.pkt = lane.up->pop();
-        e.pkt.lseq = ls.txNext++;
-        e.pkt.crc = e.pkt.computeCrc();
+        e.lseq = ls.txNext++;
+        e.crc = e.pkt.computeCrc();
         const bool was_empty = ls.unacked.empty();
         ls.unacked.push_back(std::move(e));
         if (was_empty)
@@ -232,7 +232,7 @@ Channel::pumpReliable()
         drop = _inj.dropNow();
         if (!drop && _inj.corruptNow()) {
             // Flip one wire bit across the address/value fields; the
-            // stored CRC goes stale and the receiver detects it.
+            // sender's CRC no longer matches and the receiver detects it.
             const std::uint32_t bit = _inj.corruptBit(128);
             if (bit < 64)
                 wire.value ^= Word(1) << bit;
@@ -257,15 +257,16 @@ Channel::pumpReliable()
         schedule(ser + _delay,
                  [down = lane.down] { down->cancelReservation(); });
     } else {
-        schedule(ser + _delay,
-                 [this, li, wire = std::move(wire), dup]() mutable {
-                     deliver(li, std::move(wire), dup);
-                 });
+        schedule(ser + _delay, [this, li, wire = std::move(wire),
+                                lseq = e.lseq, crc = e.crc, dup]() mutable {
+            deliver(li, std::move(wire), lseq, crc, dup);
+        });
     }
 }
 
 void
-Channel::deliver(std::size_t li, Packet &&wire, bool dup_follows)
+Channel::deliver(std::size_t li, Packet &&wire, std::uint64_t lseq,
+                 std::uint32_t crc, bool dup_follows)
 {
     Lane &lane = _lanes[li];
     LaneState &ls = _ls[li];
@@ -275,29 +276,28 @@ Channel::deliver(std::size_t li, Packet &&wire, bool dup_follows)
         // downstream buffer can take it (otherwise the wire glitch is
         // absorbed by back-pressure).
         if (lane.down->reserve()) {
-            schedule(1, [this, li, copy = wire]() mutable {
-                deliver(li, std::move(copy), false);
+            schedule(1, [this, li, copy = wire, lseq, crc]() mutable {
+                deliver(li, std::move(copy), lseq, crc, false);
             });
         }
     }
 
-    if (wire.crc != wire.computeCrc()) {
+    if (crc != wire.computeCrc()) {
         ++_crcErrors;
         lane.down->cancelReservation();
         schedule(_delay, [this, li] { onNack(li); });
         return;
     }
 
-    if (wire.lseq == ls.rxExpected) {
+    if (lseq == ls.rxExpected) {
         ++ls.rxExpected;
-        const std::uint64_t acked = wire.lseq;
         _sys.tracer().record(wire.traceId, trace::Span::LinkRx, now());
         lane.down->pushReserved(std::move(wire));
-        schedule(_delay, [this, li, acked] { onAck(li, acked); });
+        schedule(_delay, [this, li, lseq] { onAck(li, lseq); });
         return;
     }
 
-    if (wire.lseq < ls.rxExpected) {
+    if (lseq < ls.rxExpected) {
         // Duplicate: discard, but re-ack cumulatively so a lost ACK does
         // not stall the sender.
         ++_dupDiscards;
@@ -321,7 +321,7 @@ Channel::onAck(std::size_t li, std::uint64_t lseq)
     // Entries are in lseq order: the acknowledged ones are a prefix.
     const auto acked =
         std::find_if(ls.unacked.begin(), ls.unacked.end(),
-                     [lseq](const TxEntry &e) { return e.pkt.lseq > lseq; });
+                     [lseq](const TxEntry &e) { return e.lseq > lseq; });
     const auto popped = static_cast<std::size_t>(acked - ls.unacked.begin());
     if (popped == 0)
         return;
@@ -388,6 +388,7 @@ Channel::failEntry(std::size_t li, std::size_t pos)
 {
     LaneState &ls = _ls[li];
     Packet pkt = std::move(ls.unacked[pos].pkt);
+    const std::uint64_t lseq = ls.unacked[pos].lseq;
     ls.unacked.erase(ls.unacked.begin() +
                      static_cast<std::ptrdiff_t>(pos));
     if (ls.resend > pos)
@@ -395,7 +396,7 @@ Channel::failEntry(std::size_t li, std::size_t pos)
     // The give-up notice on the control lines: the receiver moves past
     // this sequence number, so a copy still on the wire lands as a
     // duplicate and the lane's later packets are in window.
-    ls.rxExpected = std::max(ls.rxExpected, pkt.lseq + 1);
+    ls.rxExpected = std::max(ls.rxExpected, lseq + 1);
     if (ls.unacked.empty())
         cancelTimer(li);
     failPacket(std::move(pkt));
@@ -428,7 +429,7 @@ Channel::failFast()
         // their cumulative ACK.
         std::size_t accepted = 0;
         while (accepted < ls.unacked.size() &&
-               ls.unacked[accepted].pkt.lseq < ls.rxExpected)
+               ls.unacked[accepted].lseq < ls.rxExpected)
             ++accepted;
         while (ls.unacked.size() > accepted)
             failEntry(li, accepted);

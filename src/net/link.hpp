@@ -19,7 +19,8 @@
  * Quadrics/Myrinet):
  *
  *  - each transmission carries a per-lane go-back-N sequence number and a
- *    CRC over header + payload;
+ *    CRC over header + payload, kept in the sender's TxEntry, not the
+ *    Packet;
  *  - the receiving side accepts only the next expected sequence number,
  *    silently discards duplicates (re-acking cumulatively) and NACKs
  *    corrupt or out-of-window arrivals;
@@ -126,10 +127,12 @@ class Channel : public SimObject
     std::uint64_t wireFailures() const { return _wireFailures; }
 
   private:
-    /** Sender-side retransmit buffer entry. */
+    /** Sender-side retransmit buffer entry and its link header. */
     struct TxEntry
     {
         Packet pkt;
+        std::uint64_t lseq = 0;  ///< go-back-N sequence number
+        std::uint32_t crc = 0;   ///< pkt.computeCrc() at first send
         std::uint32_t tries = 0; ///< transmissions performed so far
     };
 
@@ -152,8 +155,10 @@ class Channel : public SimObject
      *  busy time, releases the wire and pumps the next packet. */
     void wireFree(Tick ser);
 
-    /** Arrival processing at the downstream end of lane @p li. */
-    void deliver(std::size_t li, Packet &&wire, bool dup_follows);
+    /** Arrival of @p wire, sent with link header (@p lseq, @p crc), at
+     *  the downstream end of lane @p li. */
+    void deliver(std::size_t li, Packet &&wire, std::uint64_t lseq,
+                 std::uint32_t crc, bool dup_follows);
 
     /** Cumulative ACK up to @p lseq reached the sender of lane @p li. */
     void onAck(std::size_t li, std::uint64_t lseq);

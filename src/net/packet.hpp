@@ -99,15 +99,6 @@ struct Packet
     std::uint64_t seq = 0;
     std::uint64_t ticket = 0;  ///< requester-side matching ticket
 
-    // ------------------------------------------------------------------
-    // Link-level reliability (set per hop by net::Channel when the fault
-    // model is active; both live inside the existing header budget)
-    // ------------------------------------------------------------------
-    /** Go-back-N sequence number on the current link hop. */
-    std::uint64_t lseq = 0;
-    /** CRC over header + payload as computed by the hop's sender. */
-    std::uint32_t crc = 0;
-
     /** Bulk word data for CopyData / PageData transfers.  Shared so that
      *  copying packets through queues stays cheap. */
     std::shared_ptr<std::vector<Word>> bulk;
@@ -116,11 +107,11 @@ struct Packet
     std::uint32_t wireBytes(std::uint32_t hdr) const { return hdr + payloadBytes; }
 
     /**
-     * CRC-32C over every end-to-end field and the bulk payload (lseq and
-     * the stored crc itself are excluded: lseq is protected implicitly by
-     * the go-back-N window, and a corrupted lseq shows up as an
-     * out-of-window discard).  A wire bit flip makes the recomputed value
-     * disagree with the stored one.
+     * CRC-32C over every end-to-end field and the bulk payload.  The
+     * reliable link computes it per hop and keeps it, with the hop's
+     * go-back-N sequence number, in its own retransmit entry
+     * (net::Channel); neither travels in the packet.  A wire bit flip
+     * makes the receiver's recomputed value disagree with the sender's.
      */
     std::uint32_t computeCrc() const;
 

@@ -198,8 +198,9 @@ struct Config
     /** Access to HIB-local shared SRAM (Telegraphos I). */
     Tick hibSram = 400;
     /** HIB internal queue beyond the link FIFO ("Telegraphos queueing",
-     *  section 3.2): stores are accepted at TurboChannel speed until this
-     *  backlog fills, then back-pressure reaches the processor. */
+     *  section 3.2): the one egress queue accepts stores at TurboChannel
+     *  speed until it holds hibFifoPackets + this, then back-pressure
+     *  reaches the processor. */
     std::uint32_t hibBacklogPackets = 112;
     /** Atomic-unit read-modify-write time. */
     Tick hibAtomic = 300;

@@ -3,10 +3,11 @@
  * Vector-backed FIFO ring: the one queue container of the model.
  *
  * Every buffering point is a FIFO — the switch and HIB packet queues
- * (net::BoundedQueue), the tracer's open-op window, the TurboChannel and atomic-unit queues, the CPU write buffer
- * and the HIB's backlog and waiter lists — and every one of them is a
- * `tg::Ring`.  The elements live in one power-of-two vector that
- * doubles when full and never shrinks: once a ring has reached its
+ * (net::BoundedQueue), the tracer's open-op window, the TurboChannel
+ * and atomic-unit queues, the CPU write buffer and the HIB's fence and
+ * counter-cache waiter lists — and every one of them is a `tg::Ring`.
+ * The elements live in one power-of-two vector that doubles when full
+ * and never shrinks: once a ring has reached its
  * high-water mark, push and pop never allocate, and an idle queue holds
  * no storage at all.  Order is strict FIFO; operator[] reads the i-th
  * oldest element for the few owners that search their queue.

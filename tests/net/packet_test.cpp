@@ -24,6 +24,16 @@ TEST(Packet, WireBytesIncludeHeader)
     EXPECT_EQ(p.wireBytes(16), 16u);
 }
 
+TEST(Packet, CarriesNoLinkHeader)
+{
+    // The go-back-N sequence number and CRC belong to the link hop
+    // (net::Channel's retransmit entry), not to the arena slot: 24 hot
+    // bytes, 48 of end-to-end body, the bulk pointer.
+    if (sizeof(void *) != 8)
+        GTEST_SKIP() << "layout pinned for 64-bit targets";
+    EXPECT_EQ(sizeof(Packet), 96u);
+}
+
 TEST(Packet, TypeNamesAreUniqueAndNonEmpty)
 {
     std::set<std::string> names;
