@@ -73,10 +73,6 @@ def diff(want, got, prefix=""):
     return out
 
 
-def case_name(case):
-    return f"{case['workload']} seed {case['seed']}"
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--tgbench", required=True, help="tgbench binary")
@@ -110,7 +106,7 @@ def main():
             report = run_tgbench(args.tgbench, case["workload"],
                                  case["seed"], tracer)
             moved = diff(want, pinned(report))
-            label = f"{case_name(case)} tracer {tracer}"
+            label = f"{case['workload']} seed {case['seed']} tracer {tracer}"
             if not moved:
                 print(f"ok   {label}: {want['trace_hash']}")
                 continue
@@ -121,7 +117,8 @@ def main():
     if failures:
         print(f"{failures} run(s) differ from {args.golden}")
         return 1
-    print(f"all {2 * len(golden['cases'])} runs match {args.golden}")
+    runs = len(TRACERS) * len(golden["cases"])
+    print(f"all {runs} runs match {args.golden}")
     return 0
 
 
