@@ -204,8 +204,8 @@ Cluster::Cluster(const ClusterSpec &spec)
     _tidCtx.assign(n, {});
     for (std::size_t i = 0; i < n; ++i) {
         auto ws = std::make_unique<node::Workstation>(
-            *_sys, "node" + std::to_string(i), static_cast<NodeId>(i));
-        ws->hib().setDirectory(_dir.get());
+            *_sys, "node" + std::to_string(i), static_cast<NodeId>(i),
+            *_dir);
         _net->attach(static_cast<NodeId>(i), ws->hib());
         auto os = std::make_unique<os::OsKernel>(
             *_sys, "os" + std::to_string(i), *ws);

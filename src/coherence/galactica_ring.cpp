@@ -75,15 +75,11 @@ GalacticaRingProtocol::forward(NodeId n, PageEntry &e, const net::Packet &pkt)
 }
 
 bool
-GalacticaRingProtocol::handlePacket(NodeId n, const net::Packet &pkt)
+GalacticaRingProtocol::handlePacket(NodeId n, PageEntry &e,
+                                    const net::Packet &pkt)
 {
     if (pkt.type != PacketType::RingUpdate)
         return false;
-    PageEntry *ep =
-        _fabric.directory().byHome(_fabric.directory().pageOf(pkt.addr));
-    if (!ep)
-        return false;
-    PageEntry &e = *ep;
     hib::Hib &hib = _fabric.hibOf(n);
 
     if (pkt.origin == n) {

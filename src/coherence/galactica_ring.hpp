@@ -34,7 +34,8 @@ class GalacticaRingProtocol : public Protocol
     void localWrite(NodeId n, PageEntry &e, PAddr local_addr, Word value,
                     Fn<void()> done) override;
 
-    bool handlePacket(NodeId n, const net::Packet &pkt) override;
+    bool handlePacket(NodeId n, PageEntry &e,
+                      const net::Packet &pkt) override;
 
     void onCopyAdded(PageEntry &e, NodeId n) override;
 

@@ -65,18 +65,17 @@ InvalidateProtocol::localWrite(NodeId n, PageEntry &e, PAddr local_addr,
 }
 
 bool
-InvalidateProtocol::handlePacket(NodeId n, const net::Packet &pkt)
+InvalidateProtocol::handlePacket(NodeId n, PageEntry &e,
+                                 const net::Packet &pkt)
 {
     if (pkt.type == PacketType::InvReq) {
-        PageEntry *e =
-            _fabric.directory().byHome(_fabric.directory().pageOf(pkt.addr));
         hib::Hib &hib = _fabric.hibOf(n);
-        if (e && e->hasCopy(n)) {
+        if (e.hasCopy(n)) {
             // Drop our copy: the fabric remaps the virtual pages to
             // remote-access the writer's surviving copy and flushes TLBs
             // (the OS side of the story).
-            _fabric.onCopyInvalidated(*e, n, pkt.addr2 ? pkt.addr2 : e->home);
-            _fabric.directory().removeCopy(*e, n);
+            _fabric.onCopyInvalidated(e, n, pkt.addr2 ? pkt.addr2 : e.home);
+            _fabric.directory().removeCopy(e, n);
         }
         Packet ack = net::replyTo(pkt);
         ack.addr = pkt.addr;

@@ -32,7 +32,8 @@ class InvalidateProtocol : public Protocol
     void localWrite(NodeId n, PageEntry &e, PAddr local_addr, Word value,
                     Fn<void()> done) override;
 
-    bool handlePacket(NodeId n, const net::Packet &pkt) override;
+    bool handlePacket(NodeId n, PageEntry &e,
+                      const net::Packet &pkt) override;
 
     std::uint64_t invalidations() const { return _invalidations; }
 

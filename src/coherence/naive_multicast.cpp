@@ -56,19 +56,16 @@ NaiveMulticastProtocol::remoteWriteAtHome(NodeId home, PageEntry &e,
 }
 
 bool
-NaiveMulticastProtocol::handlePacket(NodeId n, const net::Packet &pkt)
+NaiveMulticastProtocol::handlePacket(NodeId n, PageEntry &e,
+                                     const net::Packet &pkt)
 {
     if (pkt.type != PacketType::Update)
-        return false;
-    PageEntry *e =
-        _fabric.directory().byHome(_fabric.directory().pageOf(pkt.addr));
-    if (!e)
         return false;
 
     // Applied unconditionally and in arrival order: with concurrent
     // writers different nodes can end up with different final values.
-    if (e->hasCopy(n))
-        applyToCopy(n, *e, pkt.addr, pkt.value, pkt.origin);
+    if (e.hasCopy(n))
+        applyToCopy(n, e, pkt.addr, pkt.value, pkt.origin);
 
     Packet ack = net::replyTo(pkt);
     ack.payloadBytes = 0;

@@ -29,7 +29,8 @@ class NaiveMulticastProtocol : public Protocol
     void remoteWriteAtHome(NodeId home, PageEntry &e,
                            const net::Packet &pkt) override;
 
-    bool handlePacket(NodeId n, const net::Packet &pkt) override;
+    bool handlePacket(NodeId n, PageEntry &e,
+                      const net::Packet &pkt) override;
 
   private:
     void multicastFrom(NodeId src, PageEntry &e, PAddr home_addr, Word value,

@@ -109,16 +109,14 @@ OwnerCounterProtocol::remoteWriteAtHome(NodeId home, PageEntry &e,
 }
 
 bool
-OwnerCounterProtocol::handlePacket(NodeId n, const net::Packet &pkt)
+OwnerCounterProtocol::handlePacket(NodeId n, PageEntry &e,
+                                   const net::Packet &pkt)
 {
     hib::Hib &hib = _fabric.hibOf(n);
 
     if (pkt.type == PacketType::WriteOwner) {
-        if (n != pkt.dst || n != _fabric.directory().byHome(
-                                _fabric.directory().pageOf(pkt.addr))->owner)
+        if (n != pkt.dst || n != e.owner)
             panic("WriteOwner received by non-owner %u", unsigned(n));
-        PageEntry &e = *_fabric.directory().byHome(
-            _fabric.directory().pageOf(pkt.addr));
         // Apply at the owner: this defines the global order (2.3.1).
         applyToCopy(n, e, pkt.addr, pkt.value, pkt.origin);
         ownerMulticast(e, pkt.addr, pkt.value, pkt.origin,
@@ -129,11 +127,6 @@ OwnerCounterProtocol::handlePacket(NodeId n, const net::Packet &pkt)
     if (pkt.type != PacketType::Update)
         return false;
 
-    PageEntry *e =
-        _fabric.directory().byHome(_fabric.directory().pageOf(pkt.addr));
-    if (!e)
-        return false;
-
     if (pkt.origin == n) {
         hib.outstanding().complete();
         if (hib.counterCache().enabled()) {
@@ -141,11 +134,11 @@ OwnerCounterProtocol::handlePacket(NodeId n, const net::Packet &pkt)
             // value and decrement the pending counter.
             hib.counterCache().decrement(pkt.addr);
             ++_ignored;
-        } else if (e->hasCopy(n)) {
+        } else if (e.hasCopy(n)) {
             // Telegraphos I (no counters): the reflected write is applied
             // like any other — this is exactly the section 2.3.2 hazard
             // (a reflected old value can land on top of a newer one).
-            applyToCopy(n, *e, pkt.addr, pkt.value, pkt.origin);
+            applyToCopy(n, e, pkt.addr, pkt.value, pkt.origin);
         }
         return true;
     }
@@ -156,8 +149,8 @@ OwnerCounterProtocol::handlePacket(NodeId n, const net::Packet &pkt)
         // Rule 3: a newer local value exists; the incoming update is
         // older by construction — ignore it.
         ++_ignored;
-    } else if (e->hasCopy(n)) {
-        applyToCopy(n, *e, pkt.addr, pkt.value, pkt.origin);
+    } else if (e.hasCopy(n)) {
+        applyToCopy(n, e, pkt.addr, pkt.value, pkt.origin);
     }
 
     Packet ack = net::replyTo(pkt);

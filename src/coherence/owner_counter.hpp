@@ -38,7 +38,8 @@ class OwnerCounterProtocol : public Protocol
     void remoteWriteAtHome(NodeId home, PageEntry &e,
                            const net::Packet &pkt) override;
 
-    bool handlePacket(NodeId n, const net::Packet &pkt) override;
+    bool handlePacket(NodeId n, PageEntry &e,
+                      const net::Packet &pkt) override;
 
     std::uint64_t ignoredUpdates() const { return _ignored; }
     std::uint64_t reflectedWrites() const { return _reflected; }

@@ -81,10 +81,12 @@ class Protocol : public SimObject
 
     /**
      * A coherence packet (Update / WriteOwner / RingUpdate / InvReq /
-     * InvAck) arrived at node @p n.
+     * InvAck) for page @p e arrived at node @p n.  The caller looked the
+     * entry up by the packet's home page.
      * @return true when consumed.
      */
-    virtual bool handlePacket(NodeId n, const net::Packet &pkt) = 0;
+    virtual bool handlePacket(NodeId n, PageEntry &e,
+                              const net::Packet &pkt) = 0;
 
     /** A new copy of @p e appeared at @p n (hook for table maintenance). */
     virtual void onCopyAdded(PageEntry &e, NodeId n);

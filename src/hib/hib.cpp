@@ -51,8 +51,10 @@ using node::regionOf;
 using node::stripShadow;
 
 Hib::Hib(System &sys, const std::string &name, NodeId node,
-         node::MainMemory &storage, node::TurboChannel &tc)
+         node::MainMemory &storage, node::TurboChannel &tc,
+         coherence::Directory &dir)
     : SimObject(sys, name), _node(node), _storage(storage), _tc(tc),
+      _dir(dir),
       _egress(sys.arena(), ~std::size_t(0)), // nothing is refused it
       _ingress(sys.arena(), sys.config().hibFifoPackets),
       _atomicUnit(sys, name + ".atomic", storage),
@@ -71,8 +73,9 @@ Hib::Hib(System &sys, const std::string &name, NodeId node,
             waitWriteSpace(std::exchange(_writeSpaceWaiter, nullptr));
     });
     _ingress.onData([this] { pumpIngress(); });
-    // Registered unconditionally: the reliability layer runs on every
-    // link, so the counter must be visible even in fault-free runs.
+    // Registered unconditionally, although the reliability layer engages
+    // only when the fault spec is enabled: every dump carries the same
+    // keys, zero in a fault-free run.
     sys.stats().add({_name, "wire_failures"}, &_wireFailures);
     sys.stats().add({_name, "packets_handled"}, &_handled);
 }
@@ -332,21 +335,18 @@ Hib::fence(OnDone done, std::uint64_t traceId)
 void
 Hib::localSharedWrite(PAddr local_addr, Word value, OnDone done)
 {
-    if (_dir) {
-        coherence::PageEntry *e = _dir->byAddr(local_addr);
-        if (e && e->protocol) {
-            // The protocol applies the local copy itself (atomically
-            // with its counter/forward work, section 2.3.3 rule 1).
-            e->protocol->localWrite(_node, *e, local_addr, value,
-                                    std::move(done));
-            return;
-        }
+    coherence::PageEntry *e = _dir.byAddr(local_addr);
+    if (e && e->protocol) {
+        // The protocol applies the local copy itself (atomically with
+        // its counter/forward work, section 2.3.3 rule 1).
+        e->protocol->localWrite(_node, *e, local_addr, value,
+                                std::move(done));
+        return;
     }
 
     // Unmanaged shared page: plain local apply...
     _storage.write(node::offsetOf(local_addr), value);
-    if (_dir)
-        _dir->notifyApply(_node, local_addr, value, _node);
+    _dir.notifyApply(_node, local_addr, value, _node);
 
     // ...plus raw eager multicast (message-passing use, section 2.2.7).
     const PAddr page = local_addr - (local_addr % config().pageBytes);
@@ -575,8 +575,7 @@ Hib::onWireFailure(const Packet &pkt)
         break;
     }
 
-    coherence::PageEntry *e =
-        _dir ? _dir->byHome(_dir->pageOf(pkt.addr)) : nullptr;
+    coherence::PageEntry *e = _dir.byHome(_dir.pageOf(pkt.addr));
     if (pkt.type == PacketType::Update) {
         // The origin expected one completion per reflected update (an
         // UpdateAck, or — for its own reflected write — the update
@@ -603,7 +602,7 @@ Hib::onWireFailure(const Packet &pkt)
             ack.src = pkt.dst;
             ack.addr = pkt.addr;
         }
-        e->protocol->handlePacket(_node, ack);
+        e->protocol->handlePacket(_node, *e, ack);
     }
 }
 
@@ -615,11 +614,10 @@ Hib::handleWriteReq(Packet &&pkt, OnDone finished)
     writeShm(offset, pkt.value,
              [this, pkt = std::move(pkt),
               finished = std::move(finished)]() mutable {
-                 coherence::PageEntry *e =
-                     _dir ? _dir->byAddr(pkt.addr) : nullptr;
+                 coherence::PageEntry *e = _dir.byAddr(pkt.addr);
                  if (e) {
-                     _dir->notifyApply(
-                         _node, e->home + (pkt.addr % _dir->pageBytes()),
+                     _dir.notifyApply(
+                         _node, e->home + (pkt.addr % _dir.pageBytes()),
                          pkt.value, pkt.src);
                      if (e->protocol && e->owner == _node)
                          e->protocol->remoteWriteAtHome(_node, *e, pkt);
@@ -749,9 +747,8 @@ Hib::handlePacket(Packet &&pkt, OnDone finished)
         writeShm(offset, pkt.value,
                  [this, pkt = std::move(pkt),
                   finished = std::move(finished)]() mutable {
-                     if (_dir)
-                         _dir->notifyApply(_node, pkt.addr, pkt.value,
-                                           pkt.origin);
+                     _dir.notifyApply(_node, pkt.addr, pkt.value,
+                                      pkt.origin);
                      Packet ack = net::replyTo(pkt);
                      ack.payloadBytes = 0;
                      inject(std::move(ack), /*track=*/false);
@@ -766,9 +763,8 @@ Hib::handlePacket(Packet &&pkt, OnDone finished)
       case PacketType::RingUpdate:
       case PacketType::InvReq:
       case PacketType::InvAck: {
-        coherence::PageEntry *e =
-            _dir ? _dir->byHome(_dir->pageOf(pkt.addr)) : nullptr;
-        if (e && e->protocol && e->protocol->handlePacket(_node, pkt)) {
+        coherence::PageEntry *e = _dir.byHome(_dir.pageOf(pkt.addr));
+        if (e && e->protocol && e->protocol->handlePacket(_node, *e, pkt)) {
             finished();
             return;
         }

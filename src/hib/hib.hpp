@@ -56,16 +56,17 @@ class Hib : public SimObject, public net::NodeEndpoint
     using OnDone = Fn<void()>;
     using OnWord = Fn<void(Word)>;
 
+    /** @param dir the cluster's coherence directory: every shared-page
+     *  write and coherence packet is looked up in it. */
     Hib(System &sys, const std::string &name, NodeId node,
-        node::MainMemory &storage, node::TurboChannel &tc);
+        node::MainMemory &storage, node::TurboChannel &tc,
+        coherence::Directory &dir);
 
     NodeId nodeId() const { return _node; }
 
     // ------------------------------------------------------------------
     // Wiring (done once by the Workstation / Cluster)
     // ------------------------------------------------------------------
-
-    void setDirectory(coherence::Directory *dir) { _dir = dir; }
 
     /** OS hook for page-counter alarms: (page frame, was_write). */
     void setAlarmHandler(Fn<void(PAddr, bool)> h);
@@ -263,6 +264,7 @@ class Hib : public SimObject, public net::NodeEndpoint
     NodeId _node;
     node::MainMemory &_storage;
     node::TurboChannel &_tc;
+    coherence::Directory &_dir;
 
     net::BoundedQueue _egress; ///< link FIFO + internal queue, unbounded
     net::BoundedQueue _ingress;
@@ -277,7 +279,6 @@ class Hib : public SimObject, public net::NodeEndpoint
     Outstanding _outstanding;
     CollEngine _collEngine;
 
-    coherence::Directory *_dir = nullptr;
     Fn<void(PAddr, bool)> _alarmHandler;
     std::vector<Fn<bool(const net::Packet &)>> _softwareHandlers;
 

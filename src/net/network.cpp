@@ -87,8 +87,9 @@ Network::Network(System &sys, const std::string &name,
             sys, name + ".reroute", _spec, std::move(sws), trunk_refs);
     }
 
-    // The reliability sums are registered unconditionally: the layer runs
-    // on every link, so a fault-free run that retransmits must show it.
+    // The reliability sums are registered unconditionally, although the
+    // layer engages only when the fault spec is enabled: every dump
+    // carries the same keys, zero in a fault-free run.
     auto &reg = sys.stats();
     reg.add({_name, "switch_forwarded"}, &_switchTotals.forwarded);
     reg.add({_name, "switch_head_evals"}, &_switchTotals.headEvals);

@@ -10,14 +10,16 @@
 
 namespace tg::node {
 
-Workstation::Workstation(System &sys, const std::string &name, NodeId id)
+Workstation::Workstation(System &sys, const std::string &name, NodeId id,
+                         coherence::Directory &dir)
     : SimObject(sys, name), _id(id), _mainNext(kMainBase), _shmNext(kShmBase)
 {
     _mem = std::make_unique<MainMemory>(sys, name + ".mem");
     _cache = std::make_unique<Cache>(sys, name + ".cache");
     _mmu = std::make_unique<Mmu>(sys, name + ".mmu");
     _tc = std::make_unique<TurboChannel>(sys, name + ".tc");
-    _hib = std::make_unique<hib::Hib>(sys, name + ".hib", id, *_mem, *_tc);
+    _hib = std::make_unique<hib::Hib>(sys, name + ".hib", id, *_mem, *_tc,
+                                      dir);
     _cpu = std::make_unique<Cpu>(sys, name + ".cpu", id, *_mmu, *_cache,
                                  *_mem, *_tc, *_hib);
     // The default process address space.

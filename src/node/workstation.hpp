@@ -25,7 +25,9 @@ namespace tg::node {
 class Workstation : public SimObject
 {
   public:
-    Workstation(System &sys, const std::string &name, NodeId id);
+    /** @param dir the cluster's coherence directory, handed to the HIB. */
+    Workstation(System &sys, const std::string &name, NodeId id,
+                coherence::Directory &dir);
 
     NodeId id() const { return _id; }
 

@@ -3,7 +3,7 @@
  * Global timing and sizing configuration for a simulated Telegraphos
  * cluster.
  *
- * Every latency is in ticks (= nanoseconds).  The defaults are calibrated
+ * Every latency is in ticks (= nanoseconds).  The constants are calibrated
  * so that a two-node cluster in the default configuration reproduces the
  * paper's measured numbers (section 3.2): remote write ~0.70 us, remote
  * read ~7.2 us on DEC 3000 model 300 workstations with TurboChannel.
@@ -72,7 +72,7 @@ struct FaultSpec
     // Reliability protocol (go-back-N), active when enabled()
     // ------------------------------------------------------------------
     /** Sender window: max unacknowledged packets per lane. */
-    std::uint32_t windowPackets = 16;
+    static constexpr std::uint32_t windowPackets = 16;
     /** Base retransmit timeout before exponential backoff (ticks). */
     Tick retryTimeout = 20'000;
     /** Backoff doublings cap: timeout <= retryTimeout << backoffCap. */
@@ -128,7 +128,16 @@ enum class Prototype
     TelegraphosII,
 };
 
-/** All tunable parameters of the model. */
+/**
+ * All parameters of the model.
+ *
+ * Plain fields are what experiments vary: prototype, CAM and buffer
+ * sizes, link bandwidth, seed, fault spec.  The `static constexpr`
+ * members are the calibration of the fixed hardware behind the paper's
+ * section 3.2 anchors (DEC 3000/300, its TurboChannel, the Telegraphos I
+ * HIB, DEC OSF/1); no experiment varies them, so they cannot be set.
+ * Both read the same way: `config().hibLatch`.
+ */
 struct Config
 {
     // ------------------------------------------------------------------
@@ -140,13 +149,13 @@ struct Config
     // CPU (DEC Alpha 21064 @ 150 MHz)
     // ------------------------------------------------------------------
     /** Cost of one ALU instruction (approx. 1 cycle @ 150 MHz). */
-    Tick cpuInstruction = 7;
+    static constexpr Tick cpuInstruction = 7;
     /** Extra issue cost of a load/store instruction. */
-    Tick cpuMemIssue = 7;
+    static constexpr Tick cpuMemIssue = 7;
     /** Round-robin scheduling quantum when >1 thread shares a CPU (10 ms). */
     Tick cpuQuantum = 10'000'000;
     /** Cost of a context switch (save/restore, cache pollution). */
-    Tick contextSwitch = 20'000;
+    static constexpr Tick contextSwitch = 20'000;
 
     // ------------------------------------------------------------------
     // Memory hierarchy
@@ -154,56 +163,56 @@ struct Config
     /** Page size: 8 KB, as on Alpha. */
     std::uint32_t pageBytes = 8192;
     /** Local cache hit latency. */
-    Tick cacheHit = 13;
+    static constexpr Tick cacheHit = 13;
     /** Main-memory access on cache miss. */
-    Tick memAccess = 180;
+    static constexpr Tick memAccess = 180;
     /** Direct-mapped cache size in bytes (0 disables the cache model). */
     std::uint32_t cacheBytes = 8192;
     /** Cache line size in bytes. */
-    std::uint32_t cacheLineBytes = 32;
+    static constexpr std::uint32_t cacheLineBytes = 32;
     /** TLB entries (fully associative, FIFO replacement). */
     std::uint32_t tlbEntries = 32;
     /** TLB miss penalty (PAL-code refill on Alpha). */
-    Tick tlbMiss = 300;
+    static constexpr Tick tlbMiss = 300;
 
     // ------------------------------------------------------------------
     // TurboChannel I/O bus (12.5 MHz => 80 ns per cycle)
     // ------------------------------------------------------------------
     /** Bus cycle time. */
-    Tick tcCycle = 80;
+    static constexpr Tick tcCycle = 80;
     /** Cycles to arbitrate + address for any transaction. */
-    std::uint32_t tcSetupCycles = 3;
+    static constexpr std::uint32_t tcSetupCycles = 3;
     /** Cycles to transfer one 32-bit word. */
-    std::uint32_t tcWordCycles = 1;
+    static constexpr std::uint32_t tcWordCycles = 1;
     /** Extra cycles a programmed-I/O *read* holds the bus (request half;
      *  uncached device reads on the Pelican carry long wait states). */
-    std::uint32_t tcReadReqCycles = 16;
+    static constexpr std::uint32_t tcReadReqCycles = 16;
     /** CPU-side overhead of an uncached I/O-space access (memory barrier
      *  before the TC access, read stall setup). */
-    Tick cpuUncachedOverhead = 150;
+    static constexpr Tick cpuUncachedOverhead = 150;
     /** Entries in the CPU's uncached-store write buffer (Alpha 21064
      *  has a 4-entry write buffer; I/O-space stores complete into it). */
     std::uint32_t writeBufferEntries = 4;
     /** Cost of inserting a store into the write buffer. */
-    Tick writeBufferInsert = 20;
+    static constexpr Tick writeBufferInsert = 20;
 
     // ------------------------------------------------------------------
     // Host Interface Board (FPGA in prototype I)
     // ------------------------------------------------------------------
     /** HIB processing time to latch + queue an outgoing request. */
-    Tick hibLatch = 120;
+    static constexpr Tick hibLatch = 120;
     /** HIB processing time to service an incoming packet (FPGA-grade
      *  state machines in prototype I). */
-    Tick hibService = 300;
+    static constexpr Tick hibService = 300;
     /** Access to HIB-local shared SRAM (Telegraphos I). */
-    Tick hibSram = 400;
+    static constexpr Tick hibSram = 400;
     /** HIB internal queue beyond the link FIFO ("Telegraphos queueing",
      *  section 3.2): the one egress queue accepts stores at TurboChannel
      *  speed until it holds hibFifoPackets + this, then back-pressure
      *  reaches the processor. */
     std::uint32_t hibBacklogPackets = 112;
     /** Atomic-unit read-modify-write time. */
-    Tick hibAtomic = 300;
+    static constexpr Tick hibAtomic = 300;
     /** Outgoing/incoming link FIFO capacity in packets (2 Kbit each). */
     std::uint32_t hibFifoPackets = 16;
     /** Multicast list capacity (Table 1: 16 K entries). */
@@ -217,9 +226,9 @@ struct Config
     std::uint32_t counterCacheEntries = 16;
     /** Cost of one counter-cache increment/decrement (two SRAM accesses
      *  plus the add, section 2.3.3 overhead discussion). */
-    Tick counterOp = 40;
+    static constexpr Tick counterOp = 40;
     /** Number of Telegraphos contexts in the HIB register file. */
-    std::uint32_t hibContexts = 64;
+    static constexpr std::uint32_t hibContexts = 64;
     /** Fan-out (max children per node) of the NIC collective engine's
      *  k-ary reduction/multicast trees (DESIGN.md section 15). */
     std::uint32_t collFanout = 4;
@@ -235,25 +244,25 @@ struct Config
     /** Link propagation delay (ribbon cable + synchronizers). */
     Tick linkDelay = 100;
     /** Switch cut-through latency per hop (shared-buffer pipeline). */
-    Tick switchLatency = 350;
+    static constexpr Tick switchLatency = 350;
     /** Per-output queue capacity in packets (shared buffer share). */
     std::uint32_t switchQueuePackets = 32;
     /** Packet header size in bytes (routing + type + address). */
-    std::uint32_t packetHeaderBytes = 16;
+    static constexpr std::uint32_t packetHeaderBytes = 16;
 
     // ------------------------------------------------------------------
     // Operating system cost model (1995-era DEC OSF/1)
     // ------------------------------------------------------------------
     /** Trap into the kernel and back (null syscall). */
-    Tick osTrap = 20'000;
+    static constexpr Tick osTrap = 20'000;
     /** Additional page-fault handling cost (VM lookup, map update). */
-    Tick osPageFault = 50'000;
+    static constexpr Tick osPageFault = 50'000;
     /** Software cost to send/receive one message through sockets. */
-    Tick osMessage = 120'000;
+    static constexpr Tick osMessage = 120'000;
     /** Interrupt dispatch cost (page-counter alarms etc.). */
-    Tick osInterrupt = 10'000;
+    static constexpr Tick osInterrupt = 10'000;
     /** Entering/leaving a PAL-code sequence (Telegraphos I launch path). */
-    Tick palCall = 600;
+    static constexpr Tick palCall = 600;
 
     // ------------------------------------------------------------------
     // Fault injection & link-level reliability
@@ -279,15 +288,15 @@ struct Config
     void validate() const;
 
     /** Ticks for one TurboChannel transaction moving @p words 32-bit words. */
-    Tick
-    tcWriteTxn(std::uint32_t words = 1) const
+    static constexpr Tick
+    tcWriteTxn(std::uint32_t words = 1)
     {
         return tcCycle * (tcSetupCycles + tcWordCycles * words);
     }
 
     /** Ticks the request half of a programmed-I/O read holds the bus. */
-    Tick
-    tcReadTxn() const
+    static constexpr Tick
+    tcReadTxn()
     {
         return tcCycle * (tcSetupCycles + tcReadReqCycles);
     }

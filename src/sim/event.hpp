@@ -114,7 +114,7 @@ class ClosurePool
 
 } // namespace detail
 
-template <typename Sig, std::size_t InlineBytes = 48>
+template <typename Sig>
 class Fn;
 
 /**
@@ -123,14 +123,14 @@ class Fn;
  * Drop-in replacement for `std::function<R(Args...)>` on the simulator's
  * hot paths.  Differences from std::function: move-only (so move-only
  * captures like a latched Packet work), never allocates for captures up
- * to InlineBytes, pooled fallback beyond that, and invoking an empty Fn
+ * to kInlineBytes, pooled fallback beyond that, and invoking an empty Fn
  * panics instead of throwing.
  */
-template <typename R, typename... Args, std::size_t InlineBytes>
-class Fn<R(Args...), InlineBytes>
+template <typename R, typename... Args>
+class Fn<R(Args...)>
 {
   public:
-    static constexpr std::size_t kInlineBytes = InlineBytes;
+    static constexpr std::size_t kInlineBytes = 48;
 
     Fn() noexcept = default;
     Fn(std::nullptr_t) noexcept {}
@@ -204,7 +204,7 @@ class Fn<R(Args...), InlineBytes>
 
     template <typename D>
     static constexpr bool kFitsInline =
-        sizeof(D) <= InlineBytes &&
+        sizeof(D) <= kInlineBytes &&
         alignof(D) <= alignof(std::max_align_t);
 
     template <typename D>
@@ -301,7 +301,7 @@ class Fn<R(Args...), InlineBytes>
             if (_ops->relocate != nullptr)
                 _ops->relocate(*this, o);
             else
-                std::memcpy(_buf, o._buf, InlineBytes);
+                std::memcpy(_buf, o._buf, kInlineBytes);
             o._ops = nullptr;
         }
     }
@@ -317,11 +317,11 @@ class Fn<R(Args...), InlineBytes>
     }
 
     const Ops *_ops = nullptr;
-    // Zeroed on construction: a memcpy relocation copies all InlineBytes,
+    // Zeroed on construction: a memcpy relocation copies all kInlineBytes,
     // including the ones a small capture leaves unused.
     union
     {
-        alignas(std::max_align_t) std::byte _buf[InlineBytes]{};
+        alignas(std::max_align_t) std::byte _buf[kInlineBytes]{};
         void *_ptr;
     };
 };

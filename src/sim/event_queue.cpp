@@ -26,11 +26,8 @@ namespace tg {
 void
 EventQueue::scheduleAbs(Tick when, Callback &&cb)
 {
-    if (when < _now) {
-        TG_AUDIT(false, "event scheduled in the past: when=%llu now=%llu",
-                 (unsigned long long)when, (unsigned long long)_now);
-        when = _now; // audits off: clamp rather than fire out of order
-    }
+    TG_AUDIT(when >= _now, "event scheduled in the past: when=%llu now=%llu",
+             (unsigned long long)when, (unsigned long long)_now);
     Slot *s = acquire();
     s->seq = _seq++;
     s->cb = std::move(cb);

@@ -237,11 +237,9 @@ class ReferenceEventQueue
     void
     scheduleAbs(Tick when, Callback &&cb)
     {
-        if (when < _now) {
-            TG_AUDIT(false, "event scheduled in the past: when=%llu now=%llu",
-                     (unsigned long long)when, (unsigned long long)_now);
-            when = _now;
-        }
+        TG_AUDIT(when >= _now,
+                 "event scheduled in the past: when=%llu now=%llu",
+                 (unsigned long long)when, (unsigned long long)_now);
         _heap.push_back(Entry{when, _seq++, std::move(cb)});
         std::push_heap(_heap.begin(), _heap.end(), Later{});
     }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Runtime audit layer: TG_AUDIT-gated invariant checks and the trace
+ * Runtime audit layer: TG_AUDIT invariant checks and the trace
  * hash behind the determinism contract (DESIGN.md section 7).
  *
  * The simulator's whole experimental method rests on two properties:
@@ -15,10 +15,9 @@
  *     reliability layer's permanent-failure exit, maintaining
  *     injected == delivered + dropped + in-flight at every instant.
  *
- * TG_AUDIT(cond, ...) panics when an invariant is violated.  Checks are
- * compiled in by default and gated by a cheap global flag (audit::
- * setEnabled); defining TG_NO_AUDIT compiles them out entirely for
- * maximum-speed sweeps.
+ * TG_AUDIT(cond, ...) panics when an invariant is violated.  The checks
+ * are always compiled in and always on: there is no switch to turn them
+ * off.
  */
 
 #ifndef TELEGRAPHOS_SIM_INVARIANT_HPP
@@ -29,42 +28,15 @@
 
 #include "sim/log.hpp"
 
-namespace tg::audit {
-
-namespace detail {
-// Header-visible so every TG_AUDIT reads it inline.  Shared by every
-// Cluster in the process; flipped only by tests and setup, never
-// mid-run, and it switches checks, not simulated behaviour.
-// tglint: allow(global-mutable-state)
-inline bool g_enabled = true;
-} // namespace detail
-
-/** True when TG_AUDIT checks fire (default: on). */
-inline bool
-enabled()
-{
-    return detail::g_enabled;
-}
-
-/** Globally enable/disable TG_AUDIT checks (perf sweeps switch off). */
-void setEnabled(bool on);
-
-} // namespace tg::audit
-
 /**
  * Assert a simulator invariant: panic with a printf-style message when
- * @p cond is false and auditing is enabled.  Free of side effects when
- * disabled; compiled out entirely under TG_NO_AUDIT.
+ * @p cond is false.
  */
-#ifdef TG_NO_AUDIT
-#define TG_AUDIT(cond, ...) ((void)0)
-#else
 #define TG_AUDIT(cond, ...)                                                  \
     do {                                                                     \
-        if (::tg::audit::enabled() && !(cond))                               \
+        if (!(cond))                                                         \
             ::tg::panic(__VA_ARGS__);                                        \
     } while (0)
-#endif
 
 namespace tg::audit {
 
@@ -136,7 +108,7 @@ class TraceHash
  *  - onDelivered(): a HIB consumed a packet from its ingress FIFO
  *  - onDropped():   the link reliability layer permanently failed it
  *
- * Invariant (checked on every transition while auditing is enabled):
+ * Invariant (checked on every transition):
  * delivered + dropped never exceeds injected, i.e. the network never
  * manufactures packets; at quiescence the in-flight population is zero.
  */

@@ -48,8 +48,6 @@ FaultSpec::validate() const
                   "('*'/'?' glob over printable names; no '**', '[')",
                   w.target.c_str());
     }
-    if (windowPackets == 0)
-        fatal("fault.windowPackets must be >= 1");
     if (retryTimeout == 0)
         fatal("fault.retryTimeout must be positive");
     // The retransmit timer waits retryTimeout << backoff, backoff <= cap.
@@ -68,12 +66,10 @@ Config::validate() const
 {
     if (pageBytes == 0 || (pageBytes & (pageBytes - 1)) != 0)
         fatal("pageBytes must be a power of two (got %u)", pageBytes);
-    if (cacheLineBytes == 0 || pageBytes % cacheLineBytes != 0)
+    if (pageBytes % cacheLineBytes != 0)
         fatal("cacheLineBytes must divide pageBytes");
     if (linkBytesPerTick <= 0)
         fatal("linkBytesPerTick must be positive");
-    if (tcCycle == 0)
-        fatal("tcCycle must be positive");
     if (hibFifoPackets == 0)
         fatal("hibFifoPackets must be >= 1");
     if (switchQueuePackets == 0)
@@ -82,8 +78,6 @@ Config::validate() const
         fatal("writeBufferEntries must be >= 1");
     if (tlbEntries == 0)
         fatal("tlbEntries must be >= 1");
-    if (hibContexts == 0)
-        fatal("hibContexts must be >= 1");
     if (hibBacklogPackets == 0)
         fatal("hibBacklogPackets must be >= 1");
     if (collFanout == 0)

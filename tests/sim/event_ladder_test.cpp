@@ -252,43 +252,5 @@ TEST(EventLadderDifferential, InPlaceFiringSchedulesPastOneSlotChunk)
     });
 }
 
-TEST(EventLadderClamp, DisabledAuditsClampPastSchedulesToNow)
-{
-    // With auditing off (perf sweeps), scheduling into the past must not
-    // fire out of order: the event is clamped to now and fires with the
-    // current tick's later seq numbers.
-    audit::setEnabled(false);
-    std::vector<int> order;
-    EventQueue q;
-    q.scheduleAbs(10, [&q, &order] {
-        order.push_back(0);
-        q.scheduleAbs(5, [&q, &order] {
-            order.push_back(2);
-            EXPECT_EQ(q.now(), 10u); // clamped, not rewound
-        });
-    });
-    q.scheduleAbs(10, [&order] { order.push_back(1); });
-    q.run();
-    audit::setEnabled(true);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(q.now(), 10u);
-}
-
-TEST(EventLadderClamp, ReferenceHeapClampsIdentically)
-{
-    audit::setEnabled(false);
-    std::vector<int> order;
-    ReferenceEventQueue q;
-    q.scheduleAbs(10, [&q, &order] {
-        order.push_back(0);
-        q.scheduleAbs(5, [&order] { order.push_back(2); });
-    });
-    q.scheduleAbs(10, [&order] { order.push_back(1); });
-    q.run();
-    audit::setEnabled(true);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(q.now(), 10u);
-}
-
 } // namespace
 } // namespace tg

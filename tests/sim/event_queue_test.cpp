@@ -93,10 +93,22 @@ TEST(EventQueue, MaxEventsBoundsExecution)
 
 TEST(EventQueueDeathTest, SchedulingInThePastPanics)
 {
-    EventQueue q;
-    q.scheduleAbs(10, [] {});
-    q.run();
-    EXPECT_DEATH(q.scheduleAbs(5, [] {}), "past");
+    // The ladder queue and the reference heap reject a past tick alike.
+    auto check = [](auto &q) {
+        q.scheduleAbs(10, [] {});
+        q.run();
+        EXPECT_DEATH(q.scheduleAbs(5, [] {}), "past");
+    };
+    {
+        SCOPED_TRACE("EventQueue");
+        EventQueue q;
+        check(q);
+    }
+    {
+        SCOPED_TRACE("ReferenceEventQueue");
+        ReferenceEventQueue q;
+        check(q);
+    }
 }
 
 TEST(EventQueue, ExecutedCountsAllEvents)

@@ -225,6 +225,26 @@ def main():
         rc, out = run_compare(tmp, thops, thops, "--threshold=0")
         check("exact gate passes identical ungated metrics", rc == 0, out)
 
+        # The committed table baselines: a candidate that lost its
+        # tg-bench-v1 schema tag or emitted no metrics fails the exact
+        # gate as a missing bench.
+        for bench in ("p1", "r1"):
+            with open(os.path.join(REPO, f"BENCH_{bench}.json"),
+                      encoding="utf-8") as fh:
+                committed = json.load(fh)
+            for what, broken in (
+                ("schema tg-bench-v0", dict(committed, schema="tg-bench-v0")),
+                ("empty metrics", dict(committed, metrics=[])),
+            ):
+                rc, out = run_compare(tmp, committed, broken, "--threshold=0")
+                check(
+                    f"BENCH_{bench} with {what} fails",
+                    rc == 1
+                    and f"{committed['bench']}: missing from candidate run"
+                    in out,
+                    out,
+                )
+
     if FAILURES:
         print(f"\n{len(FAILURES)} check(s) failed: {', '.join(FAILURES)}")
         return 1
