@@ -305,6 +305,42 @@ runLossyReplicated(std::uint64_t seed)
     return t;
 }
 
+/** What a noisy fabric's go-back-N layer did in a run. */
+struct LinkRecovery
+{
+    std::uint64_t corruptions;
+    std::uint64_t duplicateDiscards;
+    std::uint64_t retransmissions;
+};
+
+/** Chain traffic on a noisy fabric: every link corrupts, drops and
+ *  duplicates transmissions, so the reliable links NACK corrupt
+ *  arrivals, discard duplicates and retransmit.  The default retry
+ *  budget delivers every packet. */
+Trace
+runNoisyTraffic(std::uint64_t seed, LinkRecovery &rec)
+{
+    tg::ClusterSpec spec = tg::ClusterSpec::chain(kNodes, 2);
+    spec.config.fault.bitErrorRate = 0.02;
+    spec.config.fault.dropRate = 0.02;
+    spec.config.fault.duplicateRate = 0.02;
+    spec.config.seed = seed;
+    tg::Cluster c(spec);
+
+    std::vector<tg::Segment *> segs;
+    for (tg::NodeId n = 0; n < kNodes; ++n)
+        segs.push_back(&c.allocShared("t" + std::to_string(n), 8192, n));
+    tg::workload::TrafficConfig cfg;
+    cfg.ops = 48;
+    for (tg::NodeId n = 0; n < kNodes; ++n)
+        c.spawn(n, tg::workload::randomTraffic(segs, cfg));
+    const Trace t = finish(c);
+    rec = {c.network().corruptions(), c.network().duplicateDiscards(),
+           c.network().retransmissions()};
+    EXPECT_EQ(c.network().wireFailures(), 0u);
+    return t;
+}
+
 TEST(TraceHashTest, HotspotSameSeedSameTrace)
 {
     for (std::uint64_t seed : {1ULL, 99ULL}) {
@@ -359,8 +395,11 @@ TEST(TraceHashTest, RunsMatchGoldenTraces)
     // trunk onto the other spine.  The two star runs pin the CPU's
     // uncached accesses on both prototypes: Telegraphos I HIB SRAM and
     // PAL launches, Telegraphos II replica writes under OwnerCounter and
-    // context launches.  The end tick is the last fired event's, so an
-    // event that fires after the programs finish moves it.
+    // context launches.  The noisy chain run pins the go-back-N
+    // layer's corrupt, drop and duplicate branches, with the count of
+    // each recovery beside its trace.  The end tick is the last fired
+    // event's, so an event that fires after the programs finish moves
+    // it.
     {
         SCOPED_TRACE("chain hotspot seed 1");
         expectGolden(runHotspot(1),
@@ -419,6 +458,15 @@ TEST(TraceHashTest, RunsMatchGoldenTraces)
         SCOPED_TRACE("star lossy replicas seed 1");
         expectGolden(runLossyReplicated(1),
                      {0x4690f49a4d60ae80ULL, 16572, 302345});
+    }
+    {
+        SCOPED_TRACE("chain noisy traffic seed 7");
+        LinkRecovery rec{};
+        expectGolden(runNoisyTraffic(7, rec),
+                     {0x90bd5504f672a0d2ULL, 15976, 187808});
+        EXPECT_EQ(rec.corruptions, 28u);
+        EXPECT_EQ(rec.duplicateDiscards, 22u);
+        EXPECT_EQ(rec.retransmissions, 81u);
     }
 }
 
