@@ -75,19 +75,20 @@ FaultInjector::dropNow()
 bool
 FaultInjector::corruptNow()
 {
-    return _spec.bitErrorRate > 0 && _rng.chance(_spec.bitErrorRate);
+    if (_spec.bitErrorRate <= 0 || !_rng.chance(_spec.bitErrorRate))
+        return false;
+    // Which of the 128 address/value bits flips does not matter to the
+    // receiver's CRC-32C check, which catches every single-bit error;
+    // the position is still drawn so every link's stream keeps the
+    // draws it has always made.
+    (void)_rng.below(128);
+    return true;
 }
 
 bool
 FaultInjector::duplicateNow()
 {
     return _spec.duplicateRate > 0 && _rng.chance(_spec.duplicateRate);
-}
-
-std::uint32_t
-FaultInjector::corruptBit(std::uint32_t bits)
-{
-    return static_cast<std::uint32_t>(_rng.below(bits));
 }
 
 const FaultWindow *

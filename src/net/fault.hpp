@@ -7,7 +7,9 @@
  * unplugged cables are routine, not exceptional.  The FaultInjector
  * decides, per packet transmission on one link hop, whether the wire
  * corrupts, drops or duplicates the transfer, and whether the link is
- * administratively down at a given instant.
+ * administratively down at a given instant.  A corruption flips one of
+ * the packet's 128 address/value bits; CRC-32C detects every single-bit
+ * error, so the link needs only the fact of it (net/link.hpp).
  *
  * Determinism: every injector owns a private RNG seeded from
  * (Config::seed, FNV-1a hash of the link name).  Decisions therefore
@@ -71,14 +73,12 @@ class FaultInjector
     /** Should this transmission vanish on the wire? */
     bool dropNow();
 
-    /** Should this transmission arrive with a flipped bit? */
+    /** Should this transmission arrive with a flipped bit?  A yes also
+     *  draws the bit's position, so the stream keeps that draw. */
     bool corruptNow();
 
     /** Should this transmission be delivered twice? */
     bool duplicateNow();
-
-    /** Bit index to flip when corrupting (uniform in [0, bits)). */
-    std::uint32_t corruptBit(std::uint32_t bits);
 
     // ------------------------------------------------------------------
     // Administrative link state (pure functions of time; no RNG)

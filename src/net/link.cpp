@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace tg::net {
 
@@ -75,28 +76,14 @@ Channel::serTicks(std::uint32_t wire_bytes, double bytes_per_tick)
 void
 Channel::pump()
 {
+    if (_busy)
+        return;
     if (_reliable) {
         pumpReliable();
         return;
     }
 
-    if (_busy)
-        return;
-
-    // Round-robin over lanes: pick the first one that has a packet and a
-    // reservable downstream slot.  Lanes are independently buffered, so a
-    // blocked VC never stalls the other — the property the dateline
-    // deadlock-avoidance scheme needs.
-    std::size_t li = _lanes.size();
-    for (std::size_t i = 0, c = _rr; i < _lanes.size();
-         ++i, c = nextLane(c)) {
-        Lane &cand = _lanes[c];
-        if (!cand.up->empty() && cand.down->reserve()) {
-            li = c;
-            _rr = nextLane(c);
-            break;
-        }
-    }
+    const std::size_t li = arbitrate();
     if (li == _lanes.size())
         return;
 
@@ -109,22 +96,61 @@ Channel::pump()
     // rides the delivery event.
     const PacketHandle h = _lanes[li].up->popHandle();
     const Packet &p = _arena->packet(h);
-    const std::uint32_t bytes = p.wireBytes(config().packetHeaderBytes);
-    const Tick ser = serTicks(bytes, _bw);
-    ++_packets;
-    _bytes += bytes;
-
-    _sys.tracer().record(p.traceId, trace::Span::LinkTx, now());
+    const Tick ser =
+        startTx(p.wireBytes(config().packetHeaderBytes), p.traceId);
     // The packet lands after serialization + propagation delay; the wire
     // frees after serialization.  The arrival is scheduled first so that
     // at an equal tick (a zero-delay link) the packet is delivered before
     // the freed wire's pump decides.
-    schedule(ser + _delay, [this, li, h] {
-        _sys.tracer().record(_arena->packet(h).traceId, trace::Span::LinkRx,
-                             now());
-        _lanes[li].down->pushReservedHandle(h);
-    });
+    schedule(ser + _delay, [this, li, h] { land(li, h); });
     schedule(ser, [this, ser] { wireFree(ser); });
+}
+
+std::size_t
+Channel::arbitrate()
+{
+    // Round-robin over lanes: pick the first one that has something to
+    // send and a reservable downstream slot.  Lanes are independently
+    // buffered, so a blocked VC never stalls the other — the property
+    // the dateline deadlock-avoidance scheme needs.
+    for (std::size_t i = 0, c = _rr; i < _lanes.size();
+         ++i, c = nextLane(c)) {
+        if (hasWork(c) && _lanes[c].down->reserve()) {
+            _rr = nextLane(c);
+            return c;
+        }
+    }
+    return _lanes.size();
+}
+
+bool
+Channel::hasWork(std::size_t li) const
+{
+    const bool fresh = !_lanes[li].up->empty();
+    if (!_reliable)
+        return fresh;
+    // A reliable lane sends a retransmission, or a fresh packet while
+    // its go-back-N window has room.
+    const LaneState &ls = _ls[li];
+    return ls.resend < ls.unacked.size() ||
+           (fresh && ls.unacked.size() < FaultSpec::windowPackets);
+}
+
+Tick
+Channel::startTx(std::uint32_t bytes, std::uint64_t trace_id)
+{
+    ++_packets;
+    _bytes += bytes;
+    _sys.tracer().record(trace_id, trace::Span::LinkTx, now());
+    return serTicks(bytes, _bw);
+}
+
+void
+Channel::land(std::size_t li, PacketHandle h)
+{
+    _sys.tracer().record(_arena->packet(h).traceId, trace::Span::LinkRx,
+                         now());
+    _lanes[li].down->pushReservedHandle(h);
 }
 
 void
@@ -142,9 +168,6 @@ Channel::wireFree(Tick ser)
 void
 Channel::pumpReliable()
 {
-    if (_busy)
-        return;
-
     // Administrative outage: the wire transmits nothing.  Past the
     // deadline everything pending fails over to the error path; otherwise
     // wake up when the link comes back (or when the deadline passes).
@@ -181,27 +204,9 @@ Channel::pumpReliable()
             failEntry(li, 0);
     }
 
-    // Round-robin lane selection: a lane is eligible when it has either a
-    // retransmission pending or a fresh packet and window headroom, plus
-    // a reservable downstream slot.
-    std::size_t li = _lanes.size();
-    for (std::size_t i = 0, c = _rr; i < _lanes.size();
-         ++i, c = nextLane(c)) {
-        Lane &cand = _lanes[c];
-        LaneState &ls = _ls[c];
-        const bool retx = ls.resend < ls.unacked.size();
-        const bool fresh = !cand.up->empty() &&
-                           ls.unacked.size() < _inj.spec().windowPackets;
-        if ((retx || fresh) && cand.down->reserve()) {
-            li = c;
-            _rr = nextLane(c);
-            break;
-        }
-    }
+    const std::size_t li = arbitrate();
     if (li == _lanes.size())
         return;
-
-    Lane &lane = _lanes[li];
     LaneState &ls = _ls[li];
 
     // Claim the wire before popping: the pop can re-enter pump() through
@@ -209,12 +214,14 @@ Channel::pumpReliable()
     _busy = true;
 
     if (ls.resend == ls.unacked.size()) {
-        TxEntry e;
-        e.pkt = lane.up->pop();
-        e.lseq = ls.txNext++;
-        e.crc = e.pkt.computeCrc();
+        // The entry holds the packet's slot; retransmissions and the
+        // eventual handover downstream reuse it.
+        const PacketHandle h = _lanes[li].up->popHandle();
+        const Packet &p = _arena->packet(h);
         const bool was_empty = ls.unacked.empty();
-        ls.unacked.push_back(std::move(e));
+        ls.unacked.push_back(TxEntry{h, ls.txNext++, p.traceId,
+                                     p.wireBytes(config().packetHeaderBytes),
+                                     0});
         if (was_empty)
             armTimer(li);
     }
@@ -225,48 +232,30 @@ Channel::pumpReliable()
         ++_retransmissions;
     ++e.tries;
 
-    Packet wire = e.pkt;
-
-    bool drop = false, dup = false;
+    bool drop = false, corrupted = false, dup = false;
     if (_inj.active()) {
         drop = _inj.dropNow();
-        if (!drop && _inj.corruptNow()) {
-            // Flip one wire bit across the address/value fields; the
-            // sender's CRC no longer matches and the receiver detects it.
-            const std::uint32_t bit = _inj.corruptBit(128);
-            if (bit < 64)
-                wire.value ^= Word(1) << bit;
-            else
-                wire.addr ^= Word(1) << (bit - 64);
-        }
-        if (!drop)
-            dup = _inj.duplicateNow();
+        corrupted = !drop && _inj.corruptNow();
+        dup = !drop && _inj.duplicateNow();
     }
 
-    const std::uint32_t bytes = wire.wireBytes(config().packetHeaderBytes);
-    const Tick ser = serTicks(bytes, _bw);
-
-    ++_packets;
-    _bytes += bytes;
-
-    _sys.tracer().record(wire.traceId, trace::Span::LinkTx, now());
+    const Tick ser = startTx(e.wireBytes, e.traceId);
     schedule(ser, [this, ser] { wireFree(ser); });
     if (drop) {
         // The transfer vanishes on the wire; the reserved slot frees when
         // the (never-arriving) packet would have landed.
         schedule(ser + _delay,
-                 [down = lane.down] { down->cancelReservation(); });
+                 [down = _lanes[li].down] { down->cancelReservation(); });
     } else {
-        schedule(ser + _delay, [this, li, wire = std::move(wire),
-                                lseq = e.lseq, crc = e.crc, dup]() mutable {
-            deliver(li, std::move(wire), lseq, crc, dup);
+        schedule(ser + _delay, [this, li, lseq = e.lseq, corrupted, dup] {
+            deliver(li, lseq, corrupted, dup);
         });
     }
 }
 
 void
-Channel::deliver(std::size_t li, Packet &&wire, std::uint64_t lseq,
-                 std::uint32_t crc, bool dup_follows)
+Channel::deliver(std::size_t li, std::uint64_t lseq, bool corrupted,
+                 bool dup_follows)
 {
     Lane &lane = _lanes[li];
     LaneState &ls = _ls[li];
@@ -276,13 +265,15 @@ Channel::deliver(std::size_t li, Packet &&wire, std::uint64_t lseq,
         // downstream buffer can take it (otherwise the wire glitch is
         // absorbed by back-pressure).
         if (lane.down->reserve()) {
-            schedule(1, [this, li, copy = wire, lseq, crc]() mutable {
-                deliver(li, std::move(copy), lseq, crc, false);
+            schedule(1, [this, li, lseq, corrupted] {
+                deliver(li, lseq, corrupted, false);
             });
         }
     }
 
-    if (crc != wire.computeCrc()) {
+    if (corrupted) {
+        // The receiver's CRC check fails: a single flipped bit always
+        // changes the CRC-32C.
         ++_crcErrors;
         lane.down->cancelReservation();
         schedule(_delay, [this, li] { onNack(li); });
@@ -290,9 +281,18 @@ Channel::deliver(std::size_t li, Packet &&wire, std::uint64_t lseq,
     }
 
     if (lseq == ls.rxExpected) {
+        // The one acceptance of this sequence number: the sender's slot
+        // moves downstream and its entry keeps only the header.  The
+        // entry is still unacked (nothing acks past rxExpected) and was
+        // not given up (a give-up moves rxExpected past it).
         ++ls.rxExpected;
-        _sys.tracer().record(wire.traceId, trace::Span::LinkRx, now());
-        lane.down->pushReserved(std::move(wire));
+        const auto e =
+            std::find_if(ls.unacked.begin(), ls.unacked.end(),
+                         [lseq](const TxEntry &x) { return x.lseq == lseq; });
+        TG_AUDIT(e != ls.unacked.end() && e->h != kNoPacket,
+                 "%s: lane %zu accepts sequence %llu twice", _name.c_str(),
+                 li, (unsigned long long)lseq);
+        land(li, std::exchange(e->h, kNoPacket));
         schedule(_delay, [this, li, lseq] { onAck(li, lseq); });
         return;
     }
@@ -347,9 +347,8 @@ Channel::onNack(std::size_t li)
     // retransmitted once per NACK and spuriously burn its retry budget.
     if (now() < ls.nackMuteUntil)
         return;
-    const std::uint32_t head_bytes =
-        ls.unacked.front().pkt.wireBytes(config().packetHeaderBytes);
-    ls.nackMuteUntil = now() + serTicks(head_bytes, _bw) + 2 * _delay;
+    ls.nackMuteUntil =
+        now() + serTicks(ls.unacked.front().wireBytes, _bw) + 2 * _delay;
     ls.resend = 0;
     armTimer(li);
     pump();
@@ -387,8 +386,9 @@ void
 Channel::failEntry(std::size_t li, std::size_t pos)
 {
     LaneState &ls = _ls[li];
-    Packet pkt = std::move(ls.unacked[pos].pkt);
-    const std::uint64_t lseq = ls.unacked[pos].lseq;
+    const TxEntry e = ls.unacked[pos];
+    TG_AUDIT(e.h != kNoPacket, "%s: lane %zu fails accepted sequence %llu",
+             _name.c_str(), li, (unsigned long long)e.lseq);
     ls.unacked.erase(ls.unacked.begin() +
                      static_cast<std::ptrdiff_t>(pos));
     if (ls.resend > pos)
@@ -396,10 +396,10 @@ Channel::failEntry(std::size_t li, std::size_t pos)
     // The give-up notice on the control lines: the receiver moves past
     // this sequence number, so a copy still on the wire lands as a
     // duplicate and the lane's later packets are in window.
-    ls.rxExpected = std::max(ls.rxExpected, lseq + 1);
+    ls.rxExpected = std::max(ls.rxExpected, e.lseq + 1);
     if (ls.unacked.empty())
         cancelTimer(li);
-    failPacket(std::move(pkt));
+    failPacket(_arena->release(e.h));
 }
 
 void

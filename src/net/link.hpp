@@ -18,9 +18,10 @@
  * table-stakes machinery of NIC designs in this lineage (APEnet+,
  * Quadrics/Myrinet):
  *
- *  - each transmission carries a per-lane go-back-N sequence number and a
- *    CRC over header + payload, kept in the sender's TxEntry, not the
- *    Packet;
+ *  - each transmission carries a per-lane go-back-N sequence number,
+ *    kept in the sender's TxEntry, not the Packet, and a corrupted bit:
+ *    a modelled bit error flips exactly one bit, which the receiver's
+ *    CRC-32C check always detects, so the bit is the check's verdict;
  *  - the receiving side accepts only the next expected sequence number,
  *    silently discards duplicates (re-acking cumulatively) and NACKs
  *    corrupt or out-of-window arrivals;
@@ -29,7 +30,10 @@
  *  - the sender keeps transmitted packets in a retransmit buffer until
  *    cumulatively acknowledged and replays from the oldest unacked packet
  *    on NACK or timeout, with exponential backoff and a bounded retry
- *    budget;
+ *    budget.  An entry holds the packet's arena handle, not a copy:
+ *    the accepted copy hands that slot downstream, after which the
+ *    entry keeps only the header a retransmission needs (a duplicate is
+ *    discarded unread);
  *  - a packet that exhausts its budget — or traffic on a link that is
  *    administratively down past Config::fault.linkDownDeadline — is
  *    handed to the failure handler (wired by net::Network to the cluster)
@@ -42,11 +46,14 @@
  * With the default (inert) FaultSpec the original zero-overhead fast path
  * is used and timing is bit-identical to the calibrated model.
  *
- * Both paths schedule two events per transmission (DESIGN.md section
- * 14.2): a wire-free event after the serialization time, which charges
- * the busy time and pumps the next packet, and a delivery after
- * serialization + propagation delay.  The fast-path delivery carries only
- * the packet's arena handle.
+ * Both paths share the lane arbitration and the landing step, keep each
+ * packet in one arena slot from upstream pop to downstream push, and
+ * schedule two events per transmission (DESIGN.md section 14.2): a
+ * wire-free event after the serialization time, which charges the busy
+ * time and pumps the next packet, and a delivery after serialization +
+ * propagation delay.  The fast path schedules the delivery first, the
+ * reliable path the wire-free event; each event's sequence number feeds
+ * the trace hash, so neither order may change.
  */
 
 #ifndef TELEGRAPHOS_NET_LINK_HPP
@@ -113,7 +120,7 @@ class Channel : public SimObject
     // Reliability-layer statistics (all zero on the fast path)
     // ------------------------------------------------------------------
 
-    /** Arrivals discarded because the CRC check failed. */
+    /** Arrivals discarded because the CRC check failed (corrupted). */
     std::uint64_t corruptions() const { return _crcErrors; }
 
     /** Retransmissions performed (transmissions beyond each first). */
@@ -130,10 +137,12 @@ class Channel : public SimObject
     /** Sender-side retransmit buffer entry and its link header. */
     struct TxEntry
     {
-        Packet pkt;
-        std::uint64_t lseq = 0;  ///< go-back-N sequence number
-        std::uint32_t crc = 0;   ///< pkt.computeCrc() at first send
-        std::uint32_t tries = 0; ///< transmissions performed so far
+        PacketHandle h;          ///< the packet's slot; kNoPacket once
+                                 ///< the receiver accepted it
+        std::uint64_t lseq;      ///< go-back-N sequence number
+        std::uint64_t traceId;   ///< the packet's, for LinkTx records
+        std::uint32_t wireBytes; ///< the packet's, for serialization
+        std::uint32_t tries;     ///< transmissions performed so far
     };
 
     /** Per-lane go-back-N protocol state. */
@@ -151,14 +160,28 @@ class Channel : public SimObject
     void pump();
     void pumpReliable();
 
+    /** Round-robin pick of the next lane with work and a reserved
+     *  downstream slot; _lanes.size() when none. */
+    std::size_t arbitrate();
+
+    /** Has lane @p li something it may send now? */
+    bool hasWork(std::size_t li) const;
+
+    /** Count a transmission of @p bytes, record its LinkTx and return
+     *  its serialization time. */
+    Tick startTx(std::uint32_t bytes, std::uint64_t trace_id);
+
+    /** Hand slot @p h to lane @p li's reserved downstream slot. */
+    void land(std::size_t li, PacketHandle h);
+
     /** The wire-free event of a @p ser-tick transmission: charges the
      *  busy time, releases the wire and pumps the next packet. */
     void wireFree(Tick ser);
 
-    /** Arrival of @p wire, sent with link header (@p lseq, @p crc), at
-     *  the downstream end of lane @p li. */
-    void deliver(std::size_t li, Packet &&wire, std::uint64_t lseq,
-                 std::uint32_t crc, bool dup_follows);
+    /** Arrival of a copy of sequence number @p lseq at the downstream
+     *  end of lane @p li; @p corrupted when the wire flipped a bit. */
+    void deliver(std::size_t li, std::uint64_t lseq, bool corrupted,
+                 bool dup_follows);
 
     /** Cumulative ACK up to @p lseq reached the sender of lane @p li. */
     void onAck(std::size_t li, std::uint64_t lseq);
@@ -169,8 +192,9 @@ class Channel : public SimObject
     void armTimer(std::size_t li);
     void cancelTimer(std::size_t li);
 
-    /** Permanently fail the entry at position @p pos of lane @p li and
-     *  move the lane's receiver past it. */
+    /** Permanently fail the (not yet accepted) entry at position @p pos
+     *  of lane @p li, releasing its slot, and move the lane's receiver
+     *  past it. */
     void failEntry(std::size_t li, std::size_t pos);
 
     /** Count @p pkt as lost and hand it to the failure handler. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Packet helpers: the kind table's compile-time checks, victims and
- * replies, CRC and pretty-printing.
+ * replies and pretty-printing.
  */
 
 #include "net/packet.hpp"
@@ -78,49 +78,6 @@ replyTo(const Packet &req)
     reply.ticket = req.ticket;
     reply.traceId = req.traceId;
     return reply;
-}
-
-namespace {
-
-/** CRC-32C (Castagnoli), bitwise; the per-word cost is irrelevant next to
- *  event-queue work and the simulated check itself is free. */
-std::uint32_t
-crc32cWord(std::uint32_t crc, std::uint64_t word)
-{
-    for (int b = 0; b < 64; ++b) {
-        const std::uint32_t bit = (crc ^ static_cast<std::uint32_t>(word)) & 1;
-        crc >>= 1;
-        if (bit)
-            crc ^= 0x82f63b78u;
-        word >>= 1;
-    }
-    return crc;
-}
-
-} // namespace
-
-std::uint32_t
-Packet::computeCrc() const
-{
-    std::uint32_t c = ~0u;
-    c = crc32cWord(c, static_cast<std::uint64_t>(type) |
-                          (std::uint64_t(src) << 8) |
-                          (std::uint64_t(dst) << 24) |
-                          (std::uint64_t(origin) << 40) |
-                          (std::uint64_t(vc) << 56));
-    c = crc32cWord(c, addr);
-    c = crc32cWord(c, addr2);
-    c = crc32cWord(c, value);
-    c = crc32cWord(c, value2);
-    c = crc32cWord(c, static_cast<std::uint64_t>(aop) |
-                          (std::uint64_t(payloadBytes) << 8));
-    c = crc32cWord(c, seq);
-    c = crc32cWord(c, ticket);
-    if (bulk) {
-        for (const Word w : *bulk)
-            c = crc32cWord(c, w);
-    }
-    return ~c;
 }
 
 std::string

@@ -84,8 +84,8 @@ struct Packet
     std::uint8_t vc = 0;  ///< virtual channel (dateline deadlock avoidance)
     std::uint32_t payloadBytes = 8; ///< payload size for serialization
     /** Lifecycle-tracer operation id (0 = untraced).  Pure observability:
-     *  excluded from computeCrc() and from the audit trace hash, so runs
-     *  are bit-identical with tracing on or off. */
+     *  excluded from the audit trace hash, so runs are bit-identical
+     *  with tracing on or off. */
     std::uint64_t traceId = 0;
 
     PAddr addr = 0;       ///< primary physical address
@@ -106,15 +106,6 @@ struct Packet
     /** Total wire size (header + payload) given header size @p hdr. */
     std::uint32_t wireBytes(std::uint32_t hdr) const { return hdr + payloadBytes; }
 
-    /**
-     * CRC-32C over every end-to-end field and the bulk payload.  The
-     * reliable link computes it per hop and keeps it, with the hop's
-     * go-back-N sequence number, in its own retransmit entry
-     * (net::Channel); neither travels in the packet.  A wire bit flip
-     * makes the receiver's recomputed value disagree with the sender's.
-     */
-    std::uint32_t computeCrc() const;
-
     /** Human-readable form for traces. */
     std::string toString() const;
 };
@@ -130,7 +121,8 @@ enum class Victim : std::uint8_t
 /** What the victim's HIB undoes when a packet is lost. */
 enum class LossEffect : std::uint8_t
 {
-    None,         ///< software traffic: no hardware counter to restore
+    None,         ///< software traffic: no hardware counter to restore;
+                  ///< the victim HIB's software handlers see it lost
     Drain,        ///< drain the one completion it was charged for
     FailTicket,   ///< fail the pending reply ticket (result 0)
     DrainAndFail, ///< both: a copy is outstanding and ticketed

@@ -11,11 +11,12 @@
  *
  * Storage is a tg::Ring of PacketArena handles, which grows to the
  * queue's high-water mark and then never reallocates; the credit
- * capacity is enforced here, not by the ring.  The datapath moves
- * 32-bit handles between queues via the *Handle methods, while endpoints
- * keep the value-based push/pop API, which moves packets into / out of
- * the arena at the boundary; front() is the head packet's arena slot
- * itself, read in place.  DESIGN.md section 14.
+ * capacity is enforced here, not by the ring.  The datapath (links,
+ * fault-free or reliable, and switches) moves 32-bit handles between
+ * queues via the *Handle methods: a reserved slot is only ever filled
+ * with a handle.  Endpoints keep the value-based push/pop API, which
+ * moves packets into / out of the arena at the boundary; front() is the
+ * head packet's arena slot itself, read in place.  DESIGN.md section 14.
  */
 
 #ifndef TELEGRAPHOS_NET_QUEUE_HPP
@@ -73,7 +74,7 @@ class BoundedQueue
     /** True if a new reservation would be refused. */
     bool full() const { return _ring.size() + _reserved >= _capacity; }
 
-    /** Try to claim a slot ahead of a future pushReserved(). */
+    /** Try to claim a slot ahead of a future pushReservedHandle(). */
     bool
     reserve()
     {
@@ -134,13 +135,6 @@ class BoundedQueue
     // ------------------------------------------------------------------
     // Value API: the endpoint boundary (HIB, protocols, tests)
     // ------------------------------------------------------------------
-
-    /** Fill a previously reserved slot. */
-    void
-    pushReserved(Packet &&p)
-    {
-        pushReservedHandle(_arena.acquire(std::move(p)));
-    }
 
     /** Push without prior reservation (panics when full). */
     void

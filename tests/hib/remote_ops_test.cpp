@@ -159,37 +159,51 @@ TEST(RemoteOps, BackPressureNeverLosesWrites)
 TEST(RemoteOps, EveryInFlightPacketIsOneArenaSlot)
 {
     // A multicast burst queues far beyond the 16-packet link FIFO; from
-    // inject to ingress pop each packet is still exactly one arena slot.
-    // (Fault-free runs only: the reliable link path keeps its retransmit
-    // copies by value.)
-    Cluster c(spec(4));
-    Segment &seg = c.allocShared("s", 8192, 0);
-    for (NodeId n = 1; n <= 3; ++n)
-        seg.eagerTo(n);
-    c.spawn(0, [&](Ctx &ctx) -> Task<void> {
-        for (int i = 0; i < 60; ++i)
-            co_await ctx.write(seg.word(i), Word(i));
-        co_await ctx.fence();
-    });
-    c.run(0); // start the CPUs, fire nothing
+    // inject to ingress pop each packet is still exactly one arena slot,
+    // on fault-free links and on reliable links that corrupt, drop and
+    // duplicate (the retransmit buffer holds the slot, not a copy).
+    FaultSpec noisy;
+    noisy.bitErrorRate = 0.05;
+    noisy.dropRate = 0.05;
+    noisy.duplicateRate = 0.05;
+    for (const ClusterSpec &sp : {spec(4), spec(4).faults(noisy)}) {
+        SCOPED_TRACE(sp.config.fault.enabled() ? "noisy" : "fault-free");
+        Cluster c(sp);
+        Segment &seg = c.allocShared("s", 8192, 0);
+        for (NodeId n = 1; n <= 3; ++n)
+            seg.eagerTo(n);
+        c.spawn(0, [&](Ctx &ctx) -> Task<void> {
+            for (int i = 0; i < 60; ++i)
+                co_await ctx.write(seg.word(i), Word(i));
+            co_await ctx.fence();
+        });
+        c.run(0); // start the CPUs, fire nothing
 
-    System &sys = c.system();
-    std::uint64_t peak = 0;
-    int mismatches = 0;
-    std::string first;
-    for (Tick t = 500; !sys.events().empty(); t += 500) {
-        ASSERT_LT(t, 100'000'000ULL) << "the burst never drained";
-        sys.events().runUntil(t);
-        const std::uint64_t in_flight = sys.ledger().inFlight();
-        peak = std::max(peak, in_flight);
-        if (sys.arena().live() != in_flight && mismatches++ == 0)
-            first = "tick " + std::to_string(t) + ": " +
-                    std::to_string(sys.arena().live()) + " slots for " +
-                    std::to_string(in_flight) + " in flight";
+        System &sys = c.system();
+        std::uint64_t peak = 0;
+        int mismatches = 0;
+        std::string first;
+        for (Tick t = 500; !sys.events().empty(); t += 500) {
+            ASSERT_LT(t, 100'000'000ULL) << "the burst never drained";
+            sys.events().runUntil(t);
+            const std::uint64_t in_flight = sys.ledger().inFlight();
+            peak = std::max(peak, in_flight);
+            if (sys.arena().live() != in_flight && mismatches++ == 0)
+                first = "tick " + std::to_string(t) + ": " +
+                        std::to_string(sys.arena().live()) +
+                        " slots for " + std::to_string(in_flight) +
+                        " in flight";
+        }
+        ASSERT_TRUE(c.allDone());
+        EXPECT_EQ(mismatches, 0) << first;
+        EXPECT_GT(peak, sys.config().hibFifoPackets);
+        if (sp.config.fault.enabled()) {
+            EXPECT_GT(c.network().corruptions(), 0u);
+            EXPECT_GT(c.network().duplicateDiscards(), 0u);
+            EXPECT_GT(c.network().retransmissions(), 0u);
+            EXPECT_EQ(c.network().wireFailures(), 0u);
+        }
     }
-    ASSERT_TRUE(c.allDone());
-    EXPECT_EQ(mismatches, 0) << first;
-    EXPECT_GT(peak, sys.config().hibFifoPackets);
 }
 
 TEST(RemoteOps, ProtectionViolationKillsThread)

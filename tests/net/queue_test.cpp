@@ -42,7 +42,7 @@ TEST(BoundedQueue, ReservationsCountAgainstCapacity)
     EXPECT_TRUE(q.reserve());
     EXPECT_TRUE(q.full());
     EXPECT_FALSE(q.reserve());
-    q.pushReserved(mkPkt(1));
+    q.pushReservedHandle(arena.acquire(mkPkt(1)));
     EXPECT_TRUE(q.full()); // 1 queued + 1 reserved
     q.cancelReservation();
     EXPECT_FALSE(q.full());
@@ -57,7 +57,7 @@ TEST(BoundedQueue, OnDataFires)
     q.push(mkPkt(1));
     EXPECT_EQ(fired, 1);
     ASSERT_TRUE(q.reserve());
-    q.pushReserved(mkPkt(2));
+    q.pushReservedHandle(arena.acquire(mkPkt(2)));
     EXPECT_EQ(fired, 2);
 }
 
@@ -131,7 +131,7 @@ TEST(ArenaQueueWrap, ReserveCancelAcrossWrapBoundary)
     PacketArena arena;
     BoundedQueue q(arena, 2);
     // Drift the head to the last ring slot, then exercise reserve/
-    // cancel/pushReserved with the tail wrapped to slot 0.
+    // cancel/pushReservedHandle with the tail wrapped to slot 0.
     q.push(mkPkt(1));
     q.push(mkPkt(2));
     EXPECT_EQ(q.pop().value, 1u); // head -> slot 1
@@ -139,7 +139,7 @@ TEST(ArenaQueueWrap, ReserveCancelAcrossWrapBoundary)
     EXPECT_TRUE(q.full());
     q.cancelReservation();
     ASSERT_TRUE(q.reserve());
-    q.pushReserved(mkPkt(3)); // lands in wrapped slot 0
+    q.pushReservedHandle(arena.acquire(mkPkt(3))); // lands in wrapped slot 0
     EXPECT_EQ(q.pop().value, 2u);
     EXPECT_EQ(q.pop().value, 3u);
     EXPECT_TRUE(q.empty());
@@ -153,7 +153,7 @@ TEST(ArenaQueueWrap, PushReservedInterleavedWithPopsWraps)
     q.push(mkPkt(v++));
     for (int i = 0; i < 7; ++i) {
         ASSERT_TRUE(q.reserve());
-        q.pushReserved(mkPkt(v++));
+        q.pushReservedHandle(arena.acquire(mkPkt(v++)));
         EXPECT_TRUE(q.full());
         EXPECT_EQ(q.pop().value, v - 2 + 0);
     }
