@@ -19,8 +19,10 @@ constexpr Word kSocketMark = 0x50c4e7;
 SocketLayer::SocketLayer(Cluster &cluster) : _cluster(cluster)
 {
     for (NodeId n = 0; n < NodeId(_cluster.numNodes()); ++n) {
-        _cluster.hibOf(n).addSoftwareHandler([this, n](const Packet &pkt) {
-            if (pkt.type != PacketType::Message || pkt.value2 != kSocketMark)
+        _cluster.hibOf(n).addSoftwareHandler([this, n](const Packet &pkt,
+                                                       bool lost) {
+            if (lost || pkt.type != PacketType::Message ||
+                pkt.value2 != kSocketMark)
                 return false;
             // Receiver-side kernel processing before delivery.
             _cluster.system().events().schedule(

@@ -30,7 +30,9 @@ VsmDsm::VsmDsm(Cluster &cluster) : _cluster(cluster)
                                    std::move(kill));
             });
         _cluster.hibOf(n).addSoftwareHandler(
-            [this, n](const Packet &pkt) { return handlePacket(n, pkt); });
+            [this, n](const Packet &pkt, bool lost) {
+                return lost ? handleLoss(pkt) : handlePacket(n, pkt);
+            });
     }
 }
 
@@ -131,7 +133,6 @@ VsmDsm::handleFault(NodeId n, VAddr va, bool is_write,
                     std::function<void()> retry,
                     std::function<void(std::string)> kill)
 {
-    (void)kill;
     VsmPage *pg = pageOf(va);
     if (!pg)
         return false;
@@ -154,6 +155,7 @@ VsmDsm::handleFault(NodeId n, VAddr va, bool is_write,
     pf.pageVa = pg->va;
     pf.isWrite = is_write;
     pf.retry = std::move(retry);
+    pf.kill = std::move(kill);
     _pending[n] = std::move(pf);
 
     if (is_write) {
@@ -236,6 +238,28 @@ VsmDsm::maybeFinish(NodeId n)
 }
 
 bool
+VsmDsm::handleLoss(const Packet &pkt)
+{
+    VsmPage *pg = pageOf(pkt.addr);
+    if (!pg)
+        return false;
+    // The faulting node: a page request's sender, a page's or an
+    // invalidation ack's receiver, an invalidation's sender.
+    const bool to_faulter = pkt.type == PacketType::PageData ||
+                            (pkt.type == PacketType::Message &&
+                             pkt.value == kInvalAck);
+    const NodeId n = to_faulter ? pkt.dst : pkt.src;
+    auto it = _pending.find(n);
+    if (it == _pending.end() || it->second.pageVa != pg->va)
+        return true; // its fault already failed
+    auto kill = std::move(it->second.kill);
+    _pending.erase(it);
+    pg->busy = false;
+    kill("vsm: lost " + pkt.toString());
+    return true;
+}
+
+bool
 VsmDsm::handlePacket(NodeId n, const Packet &pkt)
 {
     if (pkt.type == PacketType::PageReq) {
@@ -312,7 +336,7 @@ VsmDsm::handlePacket(NodeId n, const Packet &pkt)
     if (pkt.type == PacketType::Message && pkt.value == kInvalAck) {
         auto it = _pending.find(n);
         if (it == _pending.end() || it->second.pageVa != pkt.addr)
-            return false;
+            return pageOf(pkt.addr) != nullptr; // its fault failed
         --it->second.waitingAcks;
         maybeFinish(n);
         return true;

@@ -10,6 +10,11 @@
  * remap + TLB flush) are charged, using the same simulated interconnect
  * as Telegraphos — so bench A4's comparison isolates exactly the cost of
  * software intervention that Telegraphos eliminates.
+ *
+ * The VSM layer never resends.  When the network loses one of its
+ * packets (fault model), the fault that waits for it fails: the
+ * faulting thread is killed with the lost packet as its reason, and the
+ * page is released so faults by other nodes on it are still served.
  */
 
 #ifndef TELEGRAPHOS_BASELINE_VSM_HPP
@@ -61,12 +66,16 @@ class VsmDsm
         std::size_t waitingAcks = 0;
         bool waitingPage = false;
         std::function<void()> retry;
+        std::function<void(std::string)> kill;
     };
 
     bool handleFault(NodeId n, VAddr va, bool is_write,
                      std::function<void()> retry,
                      std::function<void(std::string)> kill);
     bool handlePacket(NodeId n, const net::Packet &pkt);
+
+    /** The network lost @p pkt: fail the fault waiting for it. */
+    bool handleLoss(const net::Packet &pkt);
 
     VsmPage *pageOf(VAddr va);
     PAddr frameFor(VsmPage &pg, NodeId n);

@@ -87,9 +87,19 @@ Hib::setAlarmHandler(Fn<void(PAddr, bool)> h)
 }
 
 void
-Hib::addSoftwareHandler(Fn<bool(const net::Packet &)> h)
+Hib::addSoftwareHandler(SoftwareHandler h)
 {
     _softwareHandlers.push_back(std::move(h));
+}
+
+bool
+Hib::toSoftware(const Packet &pkt, bool lost)
+{
+    for (auto &h : _softwareHandlers) {
+        if (h(pkt, lost))
+            return true;
+    }
+    return false;
 }
 
 // ---------------------------------------------------------------------
@@ -547,7 +557,9 @@ Hib::onWireFailure(const Packet &pkt)
 
     switch (net::kindOf(pkt.type).loss) {
       case LossEffect::None:
-        // The software layers see the failure through the stats.
+        // A software layer waiting for the packet fails the program
+        // that waits; the others see the loss through the stats.
+        (void)toSoftware(pkt, /*lost=*/true);
         return;
 
       case LossEffect::Drain:
@@ -787,14 +799,7 @@ Hib::handlePacket(Packet &&pkt, OnDone finished)
       case PacketType::PageReq:
       case PacketType::PageData:
       case PacketType::Message: {
-        bool consumed = false;
-        for (auto &h : _softwareHandlers) {
-            if (h(pkt)) {
-                consumed = true;
-                break;
-            }
-        }
-        if (!consumed)
+        if (!toSoftware(pkt, /*lost=*/false))
             warn("%s: unhandled software packet %s", _name.c_str(),
                  pkt.toString().c_str());
         finished();

@@ -71,9 +71,14 @@ class Hib : public SimObject, public net::NodeEndpoint
     /** OS hook for page-counter alarms: (page frame, was_write). */
     void setAlarmHandler(Fn<void(PAddr, bool)> h);
 
+    /** A software packet handler: (packet, lost) -> consumed.  @p lost
+     *  is true when the network failed to deliver the packet and this
+     *  HIB is its victim (onWireFailure). */
+    using SoftwareHandler = Fn<bool(const net::Packet &, bool lost)>;
+
     /** Add a software (VSM / sockets) packet handler; handlers are tried
      *  in registration order until one returns true. */
-    void addSoftwareHandler(Fn<bool(const net::Packet &)> h);
+    void addSoftwareHandler(SoftwareHandler h);
 
     // ------------------------------------------------------------------
     // net::NodeEndpoint: the link interfaces of Table 1
@@ -261,6 +266,10 @@ class Hib : public SimObject, public net::NodeEndpoint
      *  ticket is unknown. */
     void failReply(std::uint64_t ticket);
 
+    /** Offer a software packet to the handlers in order; true when one
+     *  consumed it. */
+    bool toSoftware(const net::Packet &pkt, bool lost);
+
     NodeId _node;
     node::MainMemory &_storage;
     node::TurboChannel &_tc;
@@ -280,7 +289,7 @@ class Hib : public SimObject, public net::NodeEndpoint
     CollEngine _collEngine;
 
     Fn<void(PAddr, bool)> _alarmHandler;
-    std::vector<Fn<bool(const net::Packet &)>> _softwareHandlers;
+    std::vector<SoftwareHandler> _softwareHandlers;
 
     // Ordered maps by contract: hib is an order-sensitive namespace
     // (DESIGN.md section 7) and iteration must be deterministic.

@@ -5,6 +5,8 @@
  * against Telegraphos remote operations.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "api/cluster.hpp"
@@ -130,6 +132,41 @@ TEST(Vsm, FaultCostDwarfsTelegraphosRemoteAccess)
     c.run(100'000'000'000ULL);
     ASSERT_TRUE(c.allDone());
     EXPECT_GT(vsm_cost, tg_cost * 20);
+}
+
+TEST(Vsm, LostPacketKillsTheFaultingThread)
+{
+    // The VSM layer never resends: on a lossy fabric with a one-retry
+    // budget the network loses some of its page requests, pages or
+    // invalidation messages.  The fault waiting for a lost packet must
+    // fail visibly (its thread killed) and free the page, so the
+    // other nodes' faults on it are still served and the run ends.
+    ClusterSpec spec = ClusterSpec::star(4);
+    spec.config.seed = 3;
+    spec.config.fault.dropRate = 0.1;
+    spec.config.fault.maxRetries = 1;
+    spec.config.fault.retryTimeout = 2000;
+    Cluster c(spec);
+    baseline::VsmDsm vsm(c);
+    const VAddr base = vsm.alloc("v", 8 * 8192, 0);
+
+    for (NodeId n = 1; n <= 3; ++n) {
+        c.spawn(n, [&vsm, base, n](Ctx &ctx) -> Task<void> {
+            for (std::size_t i = 0; i < 40; ++i) {
+                const VAddr va = vsm.word(base, i % 8 * 1024 + n);
+                const Word v = co_await ctx.read(va);
+                co_await ctx.write(va, v + 1);
+            }
+        });
+    }
+    constexpr Tick kLimit = 50'000'000'000ULL;
+    const Tick end = c.run(kLimit);
+    EXPECT_LT(end, kLimit);
+    EXPECT_GT(c.network().wireFailures(), 0u);
+    EXPECT_TRUE(c.anyKilled());
+    EXPECT_TRUE(c.allDone());
+    std::string why;
+    EXPECT_TRUE(c.auditQuiescent(&why)) << why;
 }
 
 } // namespace
