@@ -75,15 +75,6 @@ ResultTable::num(double v, int digits)
 
 namespace {
 
-/** Deterministic decimal rendering for the JSON document. */
-std::string
-jsonNum(double v)
-{
-    std::ostringstream os;
-    os << std::setprecision(12) << v;
-    return os.str();
-}
-
 /** JSON-escape a metric/bench name (plain ASCII in practice). */
 std::string
 jsonEscape(const std::string &s)
@@ -171,11 +162,11 @@ BenchReport::write() const
     for (std::size_t i = 0; i < _metrics.size(); ++i) {
         const Metric &m = _metrics[i];
         out << (i ? "," : "") << "{\"name\":\"" << jsonEscape(m.name)
-            << "\",\"value\":" << jsonNum(m.value);
+            << "\",\"value\":" << fmtNum(m.value);
         if (!m.unit.empty())
             out << ",\"unit\":\"" << jsonEscape(m.unit) << "\"";
         if (m.hasPaper)
-            out << ",\"paper_anchor\":" << jsonNum(m.paper);
+            out << ",\"paper_anchor\":" << fmtNum(m.paper);
         out << "}";
     }
     out << "]";

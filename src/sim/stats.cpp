@@ -112,12 +112,6 @@ StatRegistry::sorted() const
     return out;
 }
 
-namespace {
-
-/**
- * The one number rendering both dumps share: integral values below 2^53
- * (every counter) print exactly, anything else to 12 significant digits.
- */
 std::string
 fmtNum(double v)
 {
@@ -127,8 +121,6 @@ fmtNum(double v)
     os << std::setprecision(12) << v;
     return os.str();
 }
-
-} // namespace
 
 void
 StatRegistry::dump(std::ostream &os) const

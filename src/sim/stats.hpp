@@ -25,6 +25,13 @@
 namespace tg {
 
 /**
+ * The model's one number rendering (stats dumps, bench JSON, tracer
+ * breakdowns): integral values below 2^53 (every counter) print
+ * exactly, anything else to 12 significant digits.
+ */
+std::string fmtNum(double v);
+
+/**
  * Running sample statistics: count, mean, min, max, stddev and quantiles.
  *
  * Every sample is retained, so quantiles are exact; the footprint is

@@ -10,20 +10,9 @@
 #include <iomanip>
 #include <sstream>
 
+#include "sim/stats.hpp"
+
 namespace tg::trace {
-
-namespace {
-
-/** Deterministic decimal rendering for JSON / table output. */
-std::string
-fmt(double v)
-{
-    std::ostringstream os;
-    os << std::setprecision(12) << v;
-    return os.str();
-}
-
-} // namespace
 
 const char *
 spanName(Span s)
@@ -119,8 +108,9 @@ Breakdown::toJson() const
             os << ",";
         firstOp = false;
         os << "{\"kind\":\"" << opKindName(op.kind) << "\",\"ops\":" << op.ops
-           << ",\"total_us\":" << fmt(op.totalTicks / kTicksPerUs)
-           << ",\"mean_hops\":" << fmt(op.meanHops) << ",\"components\":[";
+           << ",\"total_us\":" << fmtNum(op.totalTicks / kTicksPerUs)
+           << ",\"mean_hops\":" << fmtNum(op.meanHops)
+           << ",\"components\":[";
         bool firstRow = true;
         for (const auto &r : op.rows) {
             if (!firstRow)
@@ -128,7 +118,8 @@ Breakdown::toJson() const
             firstRow = false;
             os << "{\"span\":\"" << spanName(r.span)
                << "\",\"count\":" << r.count
-               << ",\"mean_us\":" << fmt(r.meanTicks / kTicksPerUs) << "}";
+               << ",\"mean_us\":" << fmtNum(r.meanTicks / kTicksPerUs)
+               << "}";
         }
         os << "]}";
     }
