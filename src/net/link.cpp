@@ -115,25 +115,20 @@ Channel::arbitrate()
     // the dateline deadlock-avoidance scheme needs.
     for (std::size_t i = 0, c = _rr; i < _lanes.size();
          ++i, c = nextLane(c)) {
-        if (hasWork(c) && _lanes[c].down->reserve()) {
+        bool ready = !_lanes[c].up->empty();
+        if (_reliable) {
+            // A retransmission, or a fresh packet while the go-back-N
+            // window has room.
+            const LaneState &ls = _ls[c];
+            ready = ls.resend < ls.unacked.size() ||
+                    (ready && ls.unacked.size() < FaultSpec::windowPackets);
+        }
+        if (ready && _lanes[c].down->reserve()) {
             _rr = nextLane(c);
             return c;
         }
     }
     return _lanes.size();
-}
-
-bool
-Channel::hasWork(std::size_t li) const
-{
-    const bool fresh = !_lanes[li].up->empty();
-    if (!_reliable)
-        return fresh;
-    // A reliable lane sends a retransmission, or a fresh packet while
-    // its go-back-N window has room.
-    const LaneState &ls = _ls[li];
-    return ls.resend < ls.unacked.size() ||
-           (fresh && ls.unacked.size() < FaultSpec::windowPackets);
 }
 
 Tick

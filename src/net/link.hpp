@@ -160,12 +160,9 @@ class Channel : public SimObject
     void pump();
     void pumpReliable();
 
-    /** Round-robin pick of the next lane with work and a reserved
-     *  downstream slot; _lanes.size() when none. */
+    /** Round-robin pick of the next lane with something to send and a
+     *  reserved downstream slot (both paths); _lanes.size() when none. */
     std::size_t arbitrate();
-
-    /** Has lane @p li something it may send now? */
-    bool hasWork(std::size_t li) const;
 
     /** Count a transmission of @p bytes, record its LinkTx and return
      *  its serialization time. */
