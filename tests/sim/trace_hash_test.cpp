@@ -137,9 +137,19 @@ runHotspot(std::uint64_t seed)
     return finish(c);
 }
 
+/** What a noisy fabric's go-back-N layer did in a run. */
+struct LinkRecovery
+{
+    std::uint64_t corruptions;
+    std::uint64_t duplicateDiscards;
+    std::uint64_t retransmissions;
+    std::uint64_t wireFailures;
+};
+
 Trace
 runTraffic(std::uint64_t seed,
-           tg::ClusterSpec spec = tg::ClusterSpec::chain(kNodes, 2))
+           tg::ClusterSpec spec = tg::ClusterSpec::chain(kNodes, 2),
+           LinkRecovery *rec = nullptr)
 {
     spec.config.seed = seed;
     tg::Cluster c(spec);
@@ -156,7 +166,24 @@ runTraffic(std::uint64_t seed,
     // Every planned routing epoch (none on a fault-free fabric) flipped
     // inside the run.
     EXPECT_EQ(c.network().reroutesApplied(), c.network().routingEpochs());
+    if (rec)
+        *rec = {c.network().corruptions(), c.network().duplicateDiscards(),
+                c.network().retransmissions(), c.network().wireFailures()};
     return t;
+}
+
+/** A chain whose every link corrupts, drops and duplicates
+ *  transmissions, so the reliable links NACK corrupt arrivals, discard
+ *  duplicates and retransmit; the default retry budget delivers every
+ *  packet. */
+tg::ClusterSpec
+noisyChain()
+{
+    tg::ClusterSpec spec = tg::ClusterSpec::chain(kNodes, 2);
+    spec.config.fault.bitErrorRate = 0.02;
+    spec.config.fault.dropRate = 0.02;
+    spec.config.fault.duplicateRate = 0.02;
+    return spec;
 }
 
 /** @p spec with trunk @p a <-> @p b down for ticks [20'000, 90'000) of
@@ -305,42 +332,6 @@ runLossyReplicated(std::uint64_t seed)
     return t;
 }
 
-/** What a noisy fabric's go-back-N layer did in a run. */
-struct LinkRecovery
-{
-    std::uint64_t corruptions;
-    std::uint64_t duplicateDiscards;
-    std::uint64_t retransmissions;
-};
-
-/** Chain traffic on a noisy fabric: every link corrupts, drops and
- *  duplicates transmissions, so the reliable links NACK corrupt
- *  arrivals, discard duplicates and retransmit.  The default retry
- *  budget delivers every packet. */
-Trace
-runNoisyTraffic(std::uint64_t seed, LinkRecovery &rec)
-{
-    tg::ClusterSpec spec = tg::ClusterSpec::chain(kNodes, 2);
-    spec.config.fault.bitErrorRate = 0.02;
-    spec.config.fault.dropRate = 0.02;
-    spec.config.fault.duplicateRate = 0.02;
-    spec.config.seed = seed;
-    tg::Cluster c(spec);
-
-    std::vector<tg::Segment *> segs;
-    for (tg::NodeId n = 0; n < kNodes; ++n)
-        segs.push_back(&c.allocShared("t" + std::to_string(n), 8192, n));
-    tg::workload::TrafficConfig cfg;
-    cfg.ops = 48;
-    for (tg::NodeId n = 0; n < kNodes; ++n)
-        c.spawn(n, tg::workload::randomTraffic(segs, cfg));
-    const Trace t = finish(c);
-    rec = {c.network().corruptions(), c.network().duplicateDiscards(),
-           c.network().retransmissions()};
-    EXPECT_EQ(c.network().wireFailures(), 0u);
-    return t;
-}
-
 TEST(TraceHashTest, HotspotSameSeedSameTrace)
 {
     for (std::uint64_t seed : {1ULL, 99ULL}) {
@@ -462,11 +453,12 @@ TEST(TraceHashTest, RunsMatchGoldenTraces)
     {
         SCOPED_TRACE("chain noisy traffic seed 7");
         LinkRecovery rec{};
-        expectGolden(runNoisyTraffic(7, rec),
+        expectGolden(runTraffic(7, noisyChain(), &rec),
                      {0x90bd5504f672a0d2ULL, 15976, 187808});
         EXPECT_EQ(rec.corruptions, 28u);
         EXPECT_EQ(rec.duplicateDiscards, 22u);
         EXPECT_EQ(rec.retransmissions, 81u);
+        EXPECT_EQ(rec.wireFailures, 0u);
     }
 }
 
