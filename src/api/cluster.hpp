@@ -158,7 +158,8 @@ struct ClusterSpec
     ClusterSpec &faults(const FaultSpec &f);
 
     /** Escape hatch: arbitrary Config tuning without raw field pokes at
-     *  call sites (`spec.tune([](tg::Config &c) { c.linkDelay = 50; })`). */
+     *  call sites
+     *  (`spec.tune([](tg::Config &c) { c.switchQueuePackets = 8; })`). */
     template <typename F>
     ClusterSpec &
     tune(F &&fn)

@@ -40,8 +40,7 @@ Communicator::Communicator(BuildKey, Cluster &cluster,
         // all members see the same reduction/multicast tree bit-for-bit,
         // and no host scratch memory exists at all.
         auto group = std::make_shared<hib::CollGroup>(
-            group_id, _members, cluster.network().spec(),
-            cluster.config().collFanout);
+            group_id, _members, cluster.network().spec());
         for (NodeId m : _members)
             cluster.hibOf(m).collectives().registerGroup(group);
         return;

@@ -21,9 +21,14 @@ SocketLayer::SocketLayer(Cluster &cluster) : _cluster(cluster)
     for (NodeId n = 0; n < NodeId(_cluster.numNodes()); ++n) {
         _cluster.hibOf(n).addSoftwareHandler([this, n](const Packet &pkt,
                                                        bool lost) {
-            if (lost || pkt.type != PacketType::Message ||
-                pkt.value2 != kSocketMark)
+            if (pkt.type != PacketType::Message || pkt.value2 != kSocketMark)
                 return false;
+            if (lost) {
+                // Reported at the sender's HIB: the receiver's next
+                // receive on this tag fails instead of waiting forever.
+                ++_lost[{pkt.dst, pkt.value}];
+                return true;
+            }
             // Receiver-side kernel processing before delivery.
             _cluster.system().events().schedule(
                 _cluster.config().osMessage, [this, n, tag = pkt.value] {
@@ -50,16 +55,22 @@ SocketLayer::send(Ctx &ctx, NodeId to, Word tag, std::uint32_t bytes)
     _cluster.hibOf(ctx.self()).inject(std::move(pkt), /*track=*/false);
 }
 
-Task<void>
+Task<Result<void>>
 SocketLayer::recv(Ctx &ctx, Word tag)
 {
     const auto key = std::make_pair(ctx.self(), tag);
     // Blocking receive: poll the socket buffer state.
-    while (_arrived[key] == _consumed[key])
+    while (_arrived[key] == _consumed[key]) {
+        if (_lost[key] > 0) {
+            --_lost[key];
+            co_return Result<void>(OpError::LinkFailure);
+        }
         co_await ctx.compute(500);
+    }
     ++_consumed[key];
     // Receive syscall cost (copy to user space).
     co_await ctx.compute(_cluster.config().osMessage / 2);
+    co_return Result<void>();
 }
 
 } // namespace tg::baseline

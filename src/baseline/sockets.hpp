@@ -35,15 +35,18 @@ class SocketLayer
     /**
      * Blocking receive: completes once a message with @p tag has been
      * delivered to @p ctx's node (poll-based, like a blocking syscall).
+     * Each message to this node and tag that the network lost completes
+     * one receive with OpError::LinkFailure instead.
      */
-    Task<void> recv(Ctx &ctx, Word tag);
+    Task<Result<void>> recv(Ctx &ctx, Word tag);
 
     std::uint64_t delivered() const { return _delivered; }
 
   private:
     Cluster &_cluster;
-    /** (node, tag) -> messages delivered / consumed. */
+    /** (node, tag) -> messages delivered / lost / consumed. */
     std::map<std::pair<NodeId, Word>, std::uint64_t> _arrived;
+    std::map<std::pair<NodeId, Word>, std::uint64_t> _lost;
     std::map<std::pair<NodeId, Word>, std::uint64_t> _consumed;
     std::uint64_t _delivered = 0;
 };

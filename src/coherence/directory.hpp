@@ -127,10 +127,12 @@ class Directory : public SimObject
     /** Notify observers that a copy was updated. */
     void notifyApply(NodeId node, PAddr home_addr, Word value, NodeId origin);
 
-    std::uint32_t pageBytes() const { return config().pageBytes; }
-
     /** Page base of @p addr. */
-    PAddr pageOf(PAddr addr) const { return addr - (addr % pageBytes()); }
+    PAddr
+    pageOf(PAddr addr) const
+    {
+        return addr - (addr % config().pageBytes);
+    }
 
   private:
     // Ordered maps by contract (DESIGN.md section 7): any future walk

@@ -20,31 +20,12 @@ NaiveMulticastProtocol::NaiveMulticastProtocol(System &sys, Fabric &fabric)
 }
 
 void
-NaiveMulticastProtocol::multicastFrom(NodeId src, PageEntry &e,
-                                      PAddr home_addr, Word value, bool track)
-{
-    hib::Hib &hib = _fabric.hibOf(src);
-    for (const auto &[node, frame] : e.copies) {
-        (void)frame;
-        if (node == src)
-            continue;
-        Packet upd;
-        upd.type = PacketType::Update;
-        upd.dst = node;
-        upd.addr = home_addr;
-        upd.value = value;
-        upd.origin = src;
-        hib.inject(std::move(upd), track);
-    }
-}
-
-void
 NaiveMulticastProtocol::localWrite(NodeId n, PageEntry &e, PAddr local_addr,
                                    Word value, Fn<void()> done)
 {
     const PAddr home_addr = homeAddrOf(e, n, local_addr);
     applyToCopy(n, e, home_addr, value, n);
-    multicastFrom(n, e, home_addr, value, /*track=*/true);
+    (void)updateCopies(n, e, home_addr, value, n, /*track=*/true);
     done();
 }
 
@@ -52,7 +33,7 @@ void
 NaiveMulticastProtocol::remoteWriteAtHome(NodeId home, PageEntry &e,
                                           const net::Packet &pkt)
 {
-    multicastFrom(home, e, pkt.addr, pkt.value, /*track=*/true);
+    (void)updateCopies(home, e, pkt.addr, pkt.value, home, /*track=*/true);
 }
 
 bool

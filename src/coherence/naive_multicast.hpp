@@ -31,10 +31,6 @@ class NaiveMulticastProtocol : public Protocol
 
     bool handlePacket(NodeId n, PageEntry &e,
                       const net::Packet &pkt) override;
-
-  private:
-    void multicastFrom(NodeId src, PageEntry &e, PAddr home_addr, Word value,
-                       bool track);
 };
 
 } // namespace tg::coherence

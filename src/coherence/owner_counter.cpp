@@ -22,27 +22,6 @@ OwnerCounterProtocol::OwnerCounterProtocol(System &sys, Fabric &fabric)
 }
 
 void
-OwnerCounterProtocol::ownerMulticast(PageEntry &e, PAddr home_addr,
-                                     Word value, NodeId origin,
-                                     bool track_at_owner)
-{
-    hib::Hib &owner_hib = _fabric.hibOf(e.owner);
-    for (const auto &[node, frame] : e.copies) {
-        (void)frame;
-        if (node == e.owner)
-            continue;
-        Packet upd;
-        upd.type = PacketType::Update;
-        upd.dst = node;
-        upd.addr = home_addr;
-        upd.value = value;
-        upd.origin = origin;
-        owner_hib.inject(std::move(upd), track_at_owner);
-        ++_reflected;
-    }
-}
-
-void
 OwnerCounterProtocol::localWrite(NodeId n, PageEntry &e, PAddr local_addr,
                                  Word value, Fn<void()> done)
 {
@@ -56,7 +35,8 @@ OwnerCounterProtocol::localWrite(NodeId n, PageEntry &e, PAddr local_addr,
         const std::size_t others = e.copies.size() - 1;
         if (others > 0) {
             _fabric.hibOf(n).outstanding().add(others);
-            ownerMulticast(e, home_addr, value, n, /*track_at_owner=*/false);
+            _reflected += updateCopies(n, e, home_addr, value, n,
+                                       /*track=*/false);
         }
         done();
         return;
@@ -103,8 +83,8 @@ OwnerCounterProtocol::remoteWriteAtHome(NodeId home, PageEntry &e,
     const std::size_t others = e.copies.size() - 1;
     if (others > 0) {
         _fabric.hibOf(e.owner).outstanding().add(others);
-        ownerMulticast(e, pkt.addr, pkt.value, e.owner,
-                       /*track_at_owner=*/false);
+        _reflected += updateCopies(e.owner, e, pkt.addr, pkt.value,
+                                   e.owner, /*track=*/false);
     }
 }
 
@@ -119,8 +99,8 @@ OwnerCounterProtocol::handlePacket(NodeId n, PageEntry &e,
             panic("WriteOwner received by non-owner %u", unsigned(n));
         // Apply at the owner: this defines the global order (2.3.1).
         applyToCopy(n, e, pkt.addr, pkt.value, pkt.origin);
-        ownerMulticast(e, pkt.addr, pkt.value, pkt.origin,
-                       /*track_at_owner=*/false);
+        _reflected += updateCopies(n, e, pkt.addr, pkt.value, pkt.origin,
+                                   /*track=*/false);
         return true;
     }
 

@@ -45,10 +45,6 @@ class OwnerCounterProtocol : public Protocol
     std::uint64_t reflectedWrites() const { return _reflected; }
 
   private:
-    /** Owner multicasts one update to every copy except itself. */
-    void ownerMulticast(PageEntry &e, PAddr home_addr, Word value,
-                        NodeId origin, bool track_at_owner);
-
     std::uint64_t _ignored = 0;
     std::uint64_t _reflected = 0;
 };

@@ -105,6 +105,15 @@ class Protocol : public SimObject
     /** Home-relative address of @p local_addr (a word in @p n's copy). */
     PAddr homeAddrOf(PageEntry &e, NodeId n, PAddr local_addr) const;
 
+    /**
+     * From @p src's HIB, inject one Update carrying (@p home_addr,
+     * @p value, @p origin) to every holder of a copy of @p e except
+     * @p src, in copy order.
+     * @return the number of updates injected.
+     */
+    std::size_t updateCopies(NodeId src, PageEntry &e, PAddr home_addr,
+                             Word value, NodeId origin, bool track);
+
     Fabric &_fabric;
     ProtocolKind _kind = ProtocolKind::None;
 };

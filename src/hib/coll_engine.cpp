@@ -60,8 +60,8 @@ kindFor(CollOp op)
 // ---------------------------------------------------------------------
 
 CollGroup::CollGroup(std::uint32_t id, std::vector<NodeId> members,
-                     const net::TopologySpec &topo, std::size_t fanout)
-    : _id(id), _members(std::move(members)), _topo(topo), _fanout(fanout)
+                     const net::TopologySpec &topo)
+    : _id(id), _members(std::move(members)), _topo(topo)
 {
     TG_AUDIT(!_members.empty(), "CollGroup %u: no members", id);
     for (std::size_t r = 0; r < _members.size(); ++r) {
@@ -89,8 +89,9 @@ CollGroup::tree(std::size_t root_rank)
     auto it = _trees.find(root_rank);
     if (it == _trees.end())
         it = _trees
-                 .emplace(root_rank, net::buildCollTree(_topo, _members,
-                                                        root_rank, _fanout))
+                 .emplace(root_rank,
+                          net::buildCollTree(_topo, _members, root_rank,
+                                             Config::collFanout))
                  .first;
     return it->second;
 }

@@ -62,7 +62,7 @@ class CollGroup
 {
   public:
     CollGroup(std::uint32_t id, std::vector<NodeId> members,
-              const net::TopologySpec &topo, std::size_t fanout);
+              const net::TopologySpec &topo);
 
     std::uint32_t id() const { return _id; }
     const std::vector<NodeId> &members() const { return _members; }
@@ -72,14 +72,14 @@ class CollGroup
     std::size_t rankOf(NodeId node) const;
 
     /** The deterministic reduction/multicast tree rooted at @p root_rank
-     *  (built on first use, cached). */
+     *  (Config::collFanout children per node at most; built on first
+     *  use, cached). */
     const net::CollTree &tree(std::size_t root_rank);
 
   private:
     std::uint32_t _id;
     std::vector<NodeId> _members;
     net::TopologySpec _topo;
-    std::size_t _fanout;
     std::map<NodeId, std::size_t> _rankByNode;
     std::map<std::size_t, net::CollTree> _trees;
 };

@@ -629,7 +629,7 @@ Hib::handleWriteReq(Packet &&pkt, OnDone finished)
                  coherence::PageEntry *e = _dir.byAddr(pkt.addr);
                  if (e) {
                      _dir.notifyApply(
-                         _node, e->home + (pkt.addr % _dir.pageBytes()),
+                         _node, e->home + (pkt.addr % config().pageBytes),
                          pkt.value, pkt.src);
                      if (e->protocol && e->owner == _node)
                          e->protocol->remoteWriteAtHome(_node, *e, pkt);

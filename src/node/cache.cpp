@@ -9,12 +9,7 @@ namespace tg::node {
 
 Cache::Cache(System &sys, const std::string &name) : SimObject(sys, name)
 {
-    const auto &cfg = config();
-    std::size_t lines =
-        cfg.cacheBytes ? cfg.cacheBytes / cfg.cacheLineBytes : 1;
-    if (lines == 0)
-        lines = 1;
-    _tags.assign(lines, 0);
+    _tags.assign(Config::cacheBytes / Config::cacheLineBytes, 0);
     sys.stats().add({_name, "hits"}, &_hits);
     sys.stats().add({_name, "misses"}, &_misses);
 }
@@ -23,9 +18,6 @@ Tick
 Cache::access(PAddr paddr, bool write)
 {
     const auto &cfg = config();
-    if (cfg.cacheBytes == 0)
-        return cfg.memAccess;
-
     const PAddr line = paddr / cfg.cacheLineBytes;
     const std::size_t idx = indexOf(line);
     const bool hit = _tags[idx] == line + 1;

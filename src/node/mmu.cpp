@@ -20,8 +20,8 @@ void
 AddressSpace::mapRange(VAddr va, std::size_t pages, Pte pte)
 {
     for (std::size_t i = 0; i < pages; ++i) {
-        map(va + i * _pageBytes, pte);
-        pte.frame += _pageBytes;
+        map(va + i * Config::pageBytes, pte);
+        pte.frame += Config::pageBytes;
     }
 }
 
@@ -78,7 +78,7 @@ Mmu::cachedLookup(VAddr vpn)
         }
     }
     ++_misses;
-    Pte pte = _as->lookup(vpn * _as->pageBytes());
+    Pte pte = _as->lookup(vpn * config().pageBytes);
     if (pte.mode == PageMode::Invalid)
         return nullptr;
     _tlb.push_back(TlbEntry{_as->asid(), vpn, pte});
@@ -96,7 +96,7 @@ Mmu::translate(VAddr va, bool is_write)
 
     const bool shadow = (va & kShadowBit) != 0;
     const VAddr base = va & ~kShadowBit;
-    const VAddr vpn = base / _as->pageBytes();
+    const VAddr vpn = base / config().pageBytes;
 
     const std::uint64_t misses_before = _misses;
     const Pte *pte = cachedLookup(vpn);
@@ -119,7 +119,7 @@ Mmu::translate(VAddr va, bool is_write)
 
     t.ok = true;
     t.pte = *pte;
-    t.paddr = pte->frame + (base % _as->pageBytes());
+    t.paddr = pte->frame + (base % config().pageBytes);
     if (shadow)
         t.paddr |= kShadowBit;
     return t;

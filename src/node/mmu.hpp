@@ -50,15 +50,15 @@ struct Pte
 class AddressSpace
 {
   public:
-    explicit AddressSpace(std::uint32_t asid, std::uint32_t page_bytes)
-        : _asid(asid), _pageBytes(page_bytes)
-    {
-    }
+    explicit AddressSpace(std::uint32_t asid) : _asid(asid) {}
 
     std::uint32_t asid() const { return _asid; }
-    std::uint32_t pageBytes() const { return _pageBytes; }
 
-    VAddr vpnOf(VAddr va) const { return (va & ~kShadowBit) / _pageBytes; }
+    VAddr
+    vpnOf(VAddr va) const
+    {
+        return (va & ~kShadowBit) / Config::pageBytes;
+    }
 
     /** Install/overwrite the mapping for the page containing @p va. */
     void map(VAddr va, const Pte &pte);
@@ -81,7 +81,6 @@ class AddressSpace
 
   private:
     std::uint32_t _asid;
-    std::uint32_t _pageBytes;
     std::unordered_map<VAddr, Pte> _pages; // keyed by VPN
 };
 

@@ -32,8 +32,7 @@ Workstation::Workstation(System &sys, const std::string &name, NodeId id,
 AddressSpace &
 Workstation::newAddressSpace()
 {
-    _spaces.push_back(
-        std::make_unique<AddressSpace>(_nextAsid++, config().pageBytes));
+    _spaces.push_back(std::make_unique<AddressSpace>(_nextAsid++));
     return *_spaces.back();
 }
 

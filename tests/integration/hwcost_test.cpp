@@ -58,16 +58,8 @@ TEST(GateCount, ScalesWithCounterCoverage)
 {
     Config cfg;
     cfg.counterPages = 16 * 1024;
-    cfg.pageCounterBits = 8;
     EXPECT_DOUBLE_EQ(byName(cfg).at("Page Access Counters").sramKbits,
-                     256.0);
-}
-
-TEST(GateCount, ScalesWithFifoDepth)
-{
-    Config cfg;
-    cfg.hibFifoPackets = 32;
-    EXPECT_DOUBLE_EQ(byName(cfg).at("Incoming link intf.").sramKbits, 4.0);
+                     512.0);
 }
 
 TEST(GateCount, RenderedTableContainsPaperStrings)

@@ -710,22 +710,16 @@ TEST(FaultSpecValidate, RejectsBadRates)
     EXPECT_DEATH(f.validate(), "probability");
 }
 
-TEST(FaultSpecValidate, RejectsBackoffCapOf64OrMore)
-{
-    FaultSpec f;
-    f.backoffCap = 64;
-    EXPECT_DEATH(f.validate(), "backoffCap must be < 64");
-}
-
 TEST(FaultSpecValidate, RejectsBackoffThatOverflowsATick)
 {
+    // The largest timeout that still fits under the fixed cap is
+    // accepted; one tick more overflows.
+    static_assert(FaultSpec::backoffCap == 6);
     FaultSpec f;
-    f.retryTimeout = Tick(1) << 40;
-    f.backoffCap = 24;
-    EXPECT_DEATH(f.validate(), "overflows a Tick");
-    // The largest timeout that still fits is accepted.
-    f.retryTimeout = kMaxTick >> 24;
+    f.retryTimeout = kMaxTick >> 6;
     f.validate();
+    f.retryTimeout = (kMaxTick >> 6) + 1;
+    EXPECT_DEATH(f.validate(), "overflows a Tick");
 }
 
 } // namespace

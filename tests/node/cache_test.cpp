@@ -60,15 +60,5 @@ TEST_F(CacheTest, InvalidateAll)
     EXPECT_EQ(cache.access(0x1000, false), sys.config().memAccess);
 }
 
-TEST(CacheDisabled, ZeroSizeAlwaysMissCost)
-{
-    Config cfg;
-    cfg.cacheBytes = 0;
-    System sys{cfg};
-    Cache cache(sys, "nc");
-    EXPECT_EQ(cache.access(0x1000, false), cfg.memAccess);
-    EXPECT_EQ(cache.access(0x1000, false), cfg.memAccess);
-}
-
 } // namespace
 } // namespace tg::node

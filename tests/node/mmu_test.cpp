@@ -15,7 +15,7 @@ namespace {
 class MmuTest : public ::testing::Test
 {
   protected:
-    MmuTest() : sys(Config{}), mmu(sys, "mmu"), as(1, sys.config().pageBytes)
+    MmuTest() : sys(Config{}), mmu(sys, "mmu"), as(1)
     {
         mmu.setAddressSpace(&as);
     }
@@ -128,7 +128,7 @@ TEST_F(MmuTest, ShadowOfPrivatePageFaults)
 
 TEST_F(MmuTest, AsidsAreIsolated)
 {
-    AddressSpace other(2, sys.config().pageBytes);
+    AddressSpace other(2);
     as.map(0x10000, pte(makePAddr(0, 0x2000), PageMode::Private));
     mmu.translate(0x10000, false);
 
