@@ -205,7 +205,7 @@ Cluster::Cluster(const ClusterSpec &spec)
     for (std::size_t i = 0; i < n; ++i) {
         auto ws = std::make_unique<node::Workstation>(
             *_sys, "node" + std::to_string(i), static_cast<NodeId>(i),
-            *_dir);
+            *_dir, _shared);
         _net->attach(static_cast<NodeId>(i), ws->hib());
         auto os = std::make_unique<os::OsKernel>(
             *_sys, "os" + std::to_string(i), *ws);
@@ -269,14 +269,7 @@ Segment &
 Cluster::mapShared(const std::string &name, VAddr va, std::size_t pages,
                    NodeId owner, PAddr home)
 {
-    for (std::size_t i = 0; i < _nodes.size(); ++i) {
-        Pte pte;
-        pte.frame = home;
-        pte.mode = (static_cast<NodeId>(i) == owner) ? PageMode::SharedLocal
-                                                     : PageMode::SharedRemote;
-        _nodes[i]->defaultAddressSpace().mapRange(va, pages, pte);
-    }
-
+    _shared.add(va / config().pageBytes, pages, owner, home);
     _segments.push_back(
         std::make_unique<Segment>(*this, name, va, pages, owner, home));
     _segments.back()->setReplicationKind(_defaultProtocol);

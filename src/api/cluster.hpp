@@ -396,10 +396,11 @@ class Cluster : public coherence::Fabric
     VAddr allocVa(std::size_t pages);
 
     /**
-     * The map half of allocShared(): install @p pages at @p va, homed at
-     * @p home on @p owner, in every node's default address space and
-     * return the new segment.  The caller reserved @p va (allocVa) and
-     * @p home (@p owner's allocShmFrames) beforehand.
+     * The map half of allocShared(): add @p pages at @p va, homed at
+     * @p home on @p owner, to the shared mappings every node's default
+     * address space sees, and return the new segment.  The caller
+     * reserved @p va (allocVa) and @p home (@p owner's allocShmFrames)
+     * beforehand.
      */
     Segment &mapShared(const std::string &name, VAddr va, std::size_t pages,
                        NodeId owner, PAddr home);
@@ -409,6 +410,7 @@ class Cluster : public coherence::Fabric
     std::unique_ptr<System> _sys;
     std::unique_ptr<coherence::Directory> _dir;
     std::unique_ptr<net::Network> _net;
+    node::SharedMappings _shared;
     std::vector<std::unique_ptr<node::Workstation>> _nodes;
     std::vector<std::unique_ptr<os::OsKernel>> _kernels;
     std::vector<std::unique_ptr<coherence::Protocol>> _protocols;

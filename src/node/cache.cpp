@@ -15,7 +15,7 @@ Cache::Cache(System &sys, const std::string &name) : SimObject(sys, name)
 }
 
 Tick
-Cache::access(PAddr paddr, bool write)
+Cache::access(PAddr paddr)
 {
     const auto &cfg = config();
     const PAddr line = paddr / cfg.cacheLineBytes;
@@ -27,13 +27,6 @@ Cache::access(PAddr paddr, bool write)
     else
         ++_misses;
     _tags[idx] = line + 1; // allocate on read or write
-
-    if (write) {
-        // Write-through: the store always reaches memory; a write buffer
-        // hides part of the latency, modelled as the cache-hit cost when
-        // the line is present.
-        return hit ? cfg.cacheHit : cfg.memAccess;
-    }
     return hit ? cfg.cacheHit : cfg.memAccess;
 }
 

@@ -28,13 +28,12 @@ class Cache : public SimObject
     Cache(System &sys, const std::string &name);
 
     /**
-     * Account one access.
+     * Account one load or store.  Both allocate the line and cost the
+     * same: a hit costs cacheHit, a miss memAccess.
      * @param paddr  full physical address
-     * @param write  store (write-through: writes always cost a memory
-     *               access but allocate the line)
      * @return access latency in ticks
      */
-    Tick access(PAddr paddr, bool write);
+    Tick access(PAddr paddr);
 
     /** Invalidate every line of the page containing @p paddr. */
     void invalidatePage(PAddr paddr);

@@ -271,7 +271,7 @@ Cpu::performAccess(const CpuOp &op, const Translation &t, Word *result,
     const bool shared = mode == PageMode::SharedLocal;
     if (!shadow && (mode == PageMode::Private ||
                     (shared && cfg.prototype == Prototype::TelegraphosII))) {
-        const Tick lat = shared ? cfg.memAccess : _cache.access(pa, is_write);
+        const Tick lat = shared ? cfg.memAccess : _cache.access(pa);
         const PAddr offset = offsetOf(pa);
         if (!is_write) {
             schedule(charge + lat,

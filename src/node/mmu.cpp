@@ -7,8 +7,38 @@
 #include "node/mmu.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 namespace tg::node {
+
+std::vector<SharedMappings::Range>::const_iterator
+SharedMappings::firstAfter(VAddr vpn) const
+{
+    return std::upper_bound(
+        _ranges.begin(), _ranges.end(), vpn,
+        [](VAddr v, const Range &r) { return v < r.vpn; });
+}
+
+void
+SharedMappings::add(VAddr vpn, std::size_t pages, NodeId owner, PAddr home)
+{
+    _ranges.insert(firstAfter(vpn), Range{vpn, pages, home, owner});
+}
+
+Pte
+SharedMappings::pteOf(VAddr vpn, NodeId n) const
+{
+    const auto next = firstAfter(vpn);
+    if (next == _ranges.begin())
+        return Pte{};
+    const Range &r = *std::prev(next);
+    if (vpn - r.vpn >= r.pages)
+        return Pte{};
+    Pte pte;
+    pte.frame = r.home + (vpn - r.vpn) * Config::pageBytes;
+    pte.mode = n == r.owner ? PageMode::SharedLocal : PageMode::SharedRemote;
+    return pte;
+}
 
 void
 AddressSpace::map(VAddr va, const Pte &pte)
@@ -28,21 +58,36 @@ AddressSpace::mapRange(VAddr va, std::size_t pages, Pte pte)
 Pte
 AddressSpace::lookup(VAddr va) const
 {
-    auto it = _pages.find(vpnOf(va));
-    return it == _pages.end() ? Pte{} : it->second;
+    const VAddr vpn = vpnOf(va);
+    auto it = _pages.find(vpn);
+    return it == _pages.end() ? sharedPte(vpn) : it->second;
 }
 
 Pte *
 AddressSpace::find(VAddr va)
 {
-    auto it = _pages.find(vpnOf(va));
-    return it == _pages.end() ? nullptr : &it->second;
+    const VAddr vpn = vpnOf(va);
+    if (auto it = _pages.find(vpn); it != _pages.end())
+        return &it->second;
+    const Pte pte = sharedPte(vpn);
+    if (pte.mode == PageMode::Invalid)
+        return nullptr;
+    // Copy on write: the update stays this space's own.
+    return &_pages.emplace(vpn, pte).first->second;
 }
 
 std::vector<std::pair<VAddr, Pte>>
 AddressSpace::dumpPages() const
 {
     std::vector<std::pair<VAddr, Pte>> out(_pages.begin(), _pages.end());
+    if (_shared) {
+        for (const auto &r : _shared->ranges()) {
+            for (VAddr vpn = r.vpn; vpn < r.vpn + r.pages; ++vpn) {
+                if (!_pages.contains(vpn))
+                    out.emplace_back(vpn, _shared->pteOf(vpn, _node));
+            }
+        }
+    }
     std::sort(out.begin(), out.end(),
               [](const auto &a, const auto &b) { return a.first < b.first; });
     return out;
@@ -52,12 +97,17 @@ void
 AddressSpace::restorePages(const std::vector<std::pair<VAddr, Pte>> &pages)
 {
     _pages.clear();
-    for (const auto &[vpn, pte] : pages)
-        _pages[vpn] = pte;
+    for (const auto &[vpn, pte] : pages) {
+        const Pte shared = sharedPte(vpn);
+        if (shared.mode == PageMode::Invalid || pte != shared)
+            _pages[vpn] = pte;
+    }
 }
 
 Mmu::Mmu(System &sys, const std::string &name) : SimObject(sys, name)
 {
+    // One slot past the bound: a refill appends before evicting.
+    _tlb.reserve(Config::tlbEntries + 1);
     sys.stats().add({_name, "hits"}, &_hits);
     sys.stats().add({_name, "misses"}, &_misses);
 }

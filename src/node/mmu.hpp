@@ -44,13 +44,65 @@ struct Pte
     bool write = true; ///< store permission
     bool eager = false;   ///< writes feed the HIB multicast unit (2.2.7)
     bool counted = false; ///< remote accesses hit the page counters (2.2.6)
+
+    bool operator==(const Pte &) const = default;
 };
 
-/** One process's address space. */
+/**
+ * The cluster's shared-memory mappings (paper section 2.1).  Every node
+ * maps a shared page at the same virtual address and only the owner's
+ * entry differs, so one table of ranges, one per Cluster::mapShared(),
+ * serves every node's default address space.  The ranges are sorted by
+ * first VPN and never overlap.
+ */
+class SharedMappings
+{
+  public:
+    /** @p pages pages from @p vpn, homed at @p home on @p owner. */
+    struct Range
+    {
+        VAddr vpn;
+        std::size_t pages;
+        PAddr home;
+        NodeId owner;
+    };
+
+    /** Add a range; it must not overlap one already added (every
+     *  caller maps addresses Cluster::allocVa reserved). */
+    void add(VAddr vpn, std::size_t pages, NodeId owner, PAddr home);
+
+    /** The entry node @p n sees for @p vpn: the home frame plus the page
+     *  offset, SharedLocal on the owner and SharedRemote elsewhere;
+     *  Invalid when no range covers @p vpn. */
+    Pte pteOf(VAddr vpn, NodeId n) const;
+
+    const std::vector<Range> &ranges() const { return _ranges; }
+
+  private:
+    /** The first range starting above @p vpn. */
+    std::vector<Range>::const_iterator firstAfter(VAddr vpn) const;
+
+    std::vector<Range> _ranges; // ascending vpn
+};
+
+/**
+ * One process's address space: its own page-table entries, over the
+ * cluster's shared mappings when it is a node's default space.  An own
+ * entry wins; find() copies a shared page's entry into the own entries
+ * before handing it out for an update, so the table itself never
+ * changes per node.
+ */
 class AddressSpace
 {
   public:
-    explicit AddressSpace(std::uint32_t asid) : _asid(asid) {}
+    /** @p shared, when given, supplies the shared pages this space sees
+     *  as node @p node. */
+    explicit AddressSpace(std::uint32_t asid,
+                          const SharedMappings *shared = nullptr,
+                          NodeId node = 0)
+        : _asid(asid), _shared(shared), _node(node)
+    {
+    }
 
     std::uint32_t asid() const { return _asid; }
 
@@ -69,19 +121,32 @@ class AddressSpace
     /** Page-table lookup; Invalid PTE if unmapped. */
     Pte lookup(VAddr va) const;
 
-    /** Mutable PTE access for OS updates (nullptr if unmapped). */
+    /** Mutable PTE access for OS updates (nullptr if unmapped).  A
+     *  shared page's entry is first copied into the own entries. */
     Pte *find(VAddr va);
 
-    /** All mappings as (vpn, pte) pairs in ascending-vpn order
+    /** Own entries: the pages mapped here, or updated by find(), rather
+     *  than seen through the shared mappings. */
+    std::size_t ownEntries() const { return _pages.size(); }
+
+    /** All effective mappings as (vpn, pte) pairs in ascending-vpn order
      *  (checkpointing, DESIGN.md section 14.5). */
     std::vector<std::pair<VAddr, Pte>> dumpPages() const;
 
-    /** Replace the page table with a captured dump (vpn-keyed). */
+    /** Replace the page table with a captured dump (vpn-keyed), keeping
+     *  as own entries only those the shared mappings do not give. */
     void restorePages(const std::vector<std::pair<VAddr, Pte>> &pages);
 
   private:
+    Pte sharedPte(VAddr vpn) const
+    {
+        return _shared ? _shared->pteOf(vpn, _node) : Pte{};
+    }
+
     std::uint32_t _asid;
-    std::unordered_map<VAddr, Pte> _pages; // keyed by VPN
+    const SharedMappings *_shared;
+    NodeId _node;
+    std::unordered_map<VAddr, Pte> _pages; // own entries, keyed by VPN
 };
 
 /** Result of an MMU translation. */

@@ -11,7 +11,8 @@
 namespace tg::node {
 
 Workstation::Workstation(System &sys, const std::string &name, NodeId id,
-                         coherence::Directory &dir)
+                         coherence::Directory &dir,
+                         const SharedMappings &shared)
     : SimObject(sys, name), _id(id), _mainNext(kMainBase), _shmNext(kShmBase)
 {
     _mem = std::make_unique<MainMemory>(sys, name + ".mem");
@@ -23,7 +24,8 @@ Workstation::Workstation(System &sys, const std::string &name, NodeId id,
     _cpu = std::make_unique<Cpu>(sys, name + ".cpu", id, *_mmu, *_cache,
                                  *_mem, *_tc, *_hib);
     // The default process address space.
-    newAddressSpace();
+    _spaces.push_back(
+        std::make_unique<AddressSpace>(_nextAsid++, &shared, id));
     // Leave the first main-memory page unmapped so that address 0 stays
     // an error, and reserve a little room for "kernel" use.
     _mainNext += config().pageBytes * 4;

@@ -25,9 +25,11 @@ namespace tg::node {
 class Workstation : public SimObject
 {
   public:
-    /** @param dir the cluster's coherence directory, handed to the HIB. */
+    /** @param dir the cluster's coherence directory, handed to the HIB.
+     *  @param shared the cluster's shared mappings, seen by the default
+     *  address space. */
     Workstation(System &sys, const std::string &name, NodeId id,
-                coherence::Directory &dir);
+                coherence::Directory &dir, const SharedMappings &shared);
 
     NodeId id() const { return _id; }
 
@@ -38,7 +40,8 @@ class Workstation : public SimObject
     hib::Hib &hib() { return *_hib; }
     Cpu &cpu() { return *_cpu; }
 
-    /** Create a new process address space on this node. */
+    /** Create a new process address space on this node; it sees none
+     *  of the shared mappings. */
     AddressSpace &newAddressSpace();
 
     /** Default address space threads run in unless told otherwise. */

@@ -137,26 +137,25 @@ Tracer::beginOp(OpKind kind)
     // force-retired into the aggregates.
     if (_open.size() >= _openCap)
         evictOldest();
-    _open.push(OpenOp{id, OpState{kind, 0, 0, 0, 0}});
+    _open.push(OpState{kind, 0, 0, 0, 0});
     return id;
 }
 
 std::size_t
 Tracer::openIndex(std::uint64_t id) const
 {
-    // Every op is pushed in id order, so the ring's ids are contiguous.
-    // An id below the front wraps to an offset past size(), so the one
-    // comparison bounds both sides.
-    if (_open.empty())
-        return 0;
-    const std::uint64_t i = id - _open.front().id;
+    // Every op is pushed in id order, so the ring's ids are contiguous
+    // and the front holds id _nextId - size().  An id below the front
+    // wraps to an offset past size(), so the one comparison bounds both
+    // sides.
+    const std::uint64_t i = id - (_nextId - _open.size());
     return i < _open.size() ? static_cast<std::size_t>(i) : _open.size();
 }
 
 void
 Tracer::evictOldest()
 {
-    retire(_open.pop().st);
+    retire(_open.pop());
     ++_evictedOps;
 }
 
@@ -164,7 +163,7 @@ OpKind
 Tracer::kindOf(std::uint64_t id) const
 {
     const std::size_t i = openIndex(id);
-    return i == _open.size() ? OpKind::Other : _open[i].st.kind;
+    return i == _open.size() ? OpKind::Other : _open[i].kind;
 }
 
 void
@@ -177,7 +176,7 @@ Tracer::recordImpl(std::uint64_t id, Span sp, Tick t)
     const std::size_t i = openIndex(id);
     if (i == _open.size())
         return;
-    OpState &st = _open[i].st;
+    OpState &st = _open[i];
     if (st.boundaries == 0) {
         st.first = st.last = t;
         st.boundaries = 1;
@@ -213,7 +212,7 @@ Tracer::breakdown() const
     std::uint64_t openOps[kNumKinds] = {};
     std::uint64_t openHops[kNumKinds] = {};
     for (std::size_t i = 0; i < _open.size(); ++i) {
-        const OpState &st = _open[i].st;
+        const OpState &st = _open[i];
         if (st.boundaries < 2)
             continue;
         const auto k = static_cast<std::size_t>(st.kind);
@@ -256,7 +255,7 @@ Tracer::opLifetimes(OpKind kind) const
     const auto k = static_cast<std::size_t>(kind);
     std::vector<Tick> out = _agg[k].exact;
     for (std::size_t i = 0; i < _open.size(); ++i) {
-        const OpState &st = _open[i].st;
+        const OpState &st = _open[i];
         if (st.kind == kind && st.boundaries >= 2)
             out.push_back(st.last - st.first);
     }
@@ -281,7 +280,7 @@ Tracer::setLifetimeSampleCap(std::size_t cap)
 std::size_t
 Tracer::approxBytes() const
 {
-    std::size_t bytes = _open.capacity() * sizeof(OpenOp);
+    std::size_t bytes = _open.capacity() * sizeof(OpState);
     for (const KindAgg &agg : _agg)
         bytes += agg.exact.capacity() * sizeof(Tick);
     return bytes;

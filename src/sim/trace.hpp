@@ -29,8 +29,9 @@
  * aggregates stream into fixed (kind, span) cells as events arrive.
  * Open operations live in a tg::Ring capped by setOpenOpCap().  Every
  * operation of an enabled run is traced and pushed at the back in id
- * order, so the ring's ids are contiguous: the oldest op is evicted by
- * pop(), and op id sits at position id - front().id.  Per-kind
+ * order, so the ring's ids are contiguous and end at the last id
+ * handed out: the oldest op is evicted by pop(), and op id sits at
+ * position id - (next id - size()), with no id stored.  Per-kind
  * lifetimes keep an exact sample set up to a cap and drop the rest.
  * approxBytes() reports the footprint, counting the open-op ring at its
  * capacity, so tests can assert the bound.
@@ -229,13 +230,6 @@ class Tracer
         std::vector<Tick> exact; ///< lifetimes, up to the cap
     };
 
-    /** One entry of the open-op ring. */
-    struct OpenOp
-    {
-        std::uint64_t id = 0;
-        OpState st{};
-    };
-
     void recordImpl(std::uint64_t id, Span sp, Tick t);
     void retire(const OpState &st);
 
@@ -249,7 +243,8 @@ class Tracer
     std::uint64_t _nextId = 1;
     std::uint64_t _recorded = 0;
 
-    Ring<OpenOp> _open; ///< open ops, ids contiguous from the front
+    /// Open ops in id order: ids are contiguous and end at _nextId - 1.
+    Ring<OpState> _open;
     std::size_t _openCap = std::size_t(1) << 15;
     std::uint64_t _evictedOps = 0;
 

@@ -259,6 +259,44 @@ TEST(Checkpoint, RestoredClusterCheckpointsIdentically)
     EXPECT_EQ(b.checkpoint(), blob);
 }
 
+TEST(Checkpoint, RestoreKeepsOnlyPageTableOverrides)
+{
+    // Own entries: the replicated pages, the armed counters and every
+    // spawned context's pages.  The untouched segment stays shared.
+    const auto setUpMore = [](Cluster &c) -> Segment & {
+        Segment &seg = setUp(c);
+        c.allocShared("metered", 2 * c.config().pageBytes, 1)
+            .armCounters(3, 8, 8);
+        c.allocShared("idle", 3 * c.config().pageBytes, 2);
+        return seg;
+    };
+    const auto ownEntries = [](Cluster &c) {
+        std::vector<std::size_t> out;
+        for (NodeId n = 0; n < NodeId(c.numNodes()); ++n)
+            out.push_back(c.node(n).defaultAddressSpace().ownEntries());
+        return out;
+    };
+
+    std::string blob;
+    std::vector<std::size_t> own;
+    {
+        Cluster a(specUnderTest());
+        Segment &seg = setUpMore(a);
+        phase1(a, seg);
+        a.run();
+        ASSERT_TRUE(a.allDone());
+        blob = a.checkpoint();
+        own = ownEntries(a);
+    }
+    EXPECT_EQ(own[0], 0u); // node 0 ran no program and holds no copy
+
+    Cluster b(specUnderTest());
+    setUpMore(b);
+    b.restore(blob);
+    EXPECT_EQ(ownEntries(b), own);
+    EXPECT_EQ(b.checkpoint(), blob);
+}
+
 TEST(Checkpoint, RestoresClockHashAndLedger)
 {
     Cluster a(specUnderTest());

@@ -21,9 +21,9 @@ class CacheTest : public ::testing::Test
 
 TEST_F(CacheTest, MissThenHit)
 {
-    const Tick miss = cache.access(0x1000, false);
+    const Tick miss = cache.access(0x1000);
     EXPECT_EQ(miss, sys.config().memAccess);
-    const Tick hit = cache.access(0x1000, false);
+    const Tick hit = cache.access(0x1000);
     EXPECT_EQ(hit, sys.config().cacheHit);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.misses(), 1u);
@@ -31,33 +31,33 @@ TEST_F(CacheTest, MissThenHit)
 
 TEST_F(CacheTest, SameLineHits)
 {
-    cache.access(0x1000, false);
-    EXPECT_EQ(cache.access(0x1008, false), sys.config().cacheHit);
-    EXPECT_EQ(cache.access(0x1018, true), sys.config().cacheHit);
+    cache.access(0x1000);
+    EXPECT_EQ(cache.access(0x1008), sys.config().cacheHit);
+    EXPECT_EQ(cache.access(0x1018), sys.config().cacheHit);
 }
 
 TEST_F(CacheTest, ConflictEviction)
 {
     // Direct-mapped 8 KB: addresses 8 KB apart conflict.
-    cache.access(0x0000, false);
-    cache.access(0x2000, false); // evicts line 0
-    EXPECT_EQ(cache.access(0x0000, false), sys.config().memAccess);
+    cache.access(0x0000);
+    cache.access(0x2000); // evicts line 0
+    EXPECT_EQ(cache.access(0x0000), sys.config().memAccess);
 }
 
 TEST_F(CacheTest, InvalidatePage)
 {
-    cache.access(0x1000, false);
-    cache.access(0x1100, false);
+    cache.access(0x1000);
+    cache.access(0x1100);
     cache.invalidatePage(0x1000);
-    EXPECT_EQ(cache.access(0x1000, false), sys.config().memAccess);
-    EXPECT_EQ(cache.access(0x1100, false), sys.config().memAccess);
+    EXPECT_EQ(cache.access(0x1000), sys.config().memAccess);
+    EXPECT_EQ(cache.access(0x1100), sys.config().memAccess);
 }
 
 TEST_F(CacheTest, InvalidateAll)
 {
-    cache.access(0x1000, false);
+    cache.access(0x1000);
     cache.invalidateAll();
-    EXPECT_EQ(cache.access(0x1000, false), sys.config().memAccess);
+    EXPECT_EQ(cache.access(0x1000), sys.config().memAccess);
 }
 
 } // namespace

@@ -6,6 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "api/cluster.hpp"
+#include "api/context.hpp"
+#include "api/segment.hpp"
+#include "coherence/directory.hpp"
 #include "node/mmu.hpp"
 #include "sim/system.hpp"
 
@@ -146,6 +154,156 @@ TEST_F(MmuTest, MapRangeCoversConsecutiveFrames)
               makePAddr(1, kShmBase) + page);
     EXPECT_EQ(mmu.translate(0x40000 + 2 * page + 16, false).paddr,
               makePAddr(1, kShmBase) + 2 * page + 16);
+}
+
+TEST_F(MmuTest, SharedMappingsResolveRangesAddedOutOfOrder)
+{
+    // A host communicator maps a broadcast root on first use, at an
+    // address it reserved earlier than later segments.
+    SharedMappings shared;
+    shared.add(100, 2, 1, makePAddr(1, kShmBase));
+    shared.add(50, 3, 0, makePAddr(0, kShmBase));
+    shared.add(102, 1, 2, makePAddr(2, kShmBase));
+    ASSERT_EQ(shared.ranges().size(), 3u);
+    EXPECT_EQ(shared.ranges()[0].vpn, 50u);
+
+    const auto page = sys.config().pageBytes;
+    EXPECT_EQ(shared.pteOf(52, 0).frame, makePAddr(0, kShmBase) + 2 * page);
+    EXPECT_EQ(shared.pteOf(52, 0).mode, PageMode::SharedLocal);
+    EXPECT_EQ(shared.pteOf(101, 0).frame, makePAddr(1, kShmBase) + page);
+    EXPECT_EQ(shared.pteOf(101, 0).mode, PageMode::SharedRemote);
+    EXPECT_EQ(shared.pteOf(102, 2).mode, PageMode::SharedLocal);
+    for (VAddr gap : {VAddr(0), VAddr(49), VAddr(53), VAddr(99), VAddr(103)})
+        EXPECT_EQ(shared.pteOf(gap, 0).mode, PageMode::Invalid) << gap;
+}
+
+/** The entry a node's default space held for a shared page when every
+ *  node had its own copy: the home frame, local on the owner only. */
+Pte
+perNodePte(const Segment &seg, std::size_t p, NodeId n)
+{
+    Pte pte;
+    pte.frame = seg.homePage(p);
+    pte.mode = n == seg.owner() ? PageMode::SharedLocal
+                                : PageMode::SharedRemote;
+    return pte;
+}
+
+TEST_F(MmuTest, SharedPagesMatchPerNodeEntries)
+{
+    Cluster c(ClusterSpec::star(8));
+    std::vector<Segment *> segs;
+    segs.push_back(&c.allocShared("a", 1, 0));
+    c.allocPrivate(3, 3 * sys.config().pageBytes);
+    segs.push_back(&c.allocShared("b", 3 * sys.config().pageBytes, 5));
+    segs.push_back(&c.allocShared("c", 2 * sys.config().pageBytes, 7));
+
+    for (NodeId n = 0; n < 8; ++n) {
+        const AddressSpace &as = c.node(n).defaultAddressSpace();
+        for (const Segment *seg : segs) {
+            for (std::size_t p = 0; p < seg->pages(); ++p) {
+                const VAddr va = seg->base() + p * sys.config().pageBytes;
+                EXPECT_EQ(as.lookup(va + 8), perNodePte(*seg, p, n))
+                    << seg->name() << " page " << p << " node " << n;
+            }
+        }
+        EXPECT_EQ(as.lookup(segs.back()->base() + segs.back()->bytes()).mode,
+                  PageMode::Invalid);
+    }
+
+    // An isolated process sees none of them.
+    c.spawnIsolated(3, [](Ctx &) -> Task<void> { co_return; });
+    const AddressSpace &isolated = *c.node(3).spaces().back();
+    for (const Segment *seg : segs) {
+        for (std::size_t p = 0; p < seg->pages(); ++p)
+            EXPECT_EQ(isolated
+                          .lookup(seg->base() + p * sys.config().pageBytes)
+                          .mode,
+                      PageMode::Invalid);
+    }
+}
+
+/** Every node's effective page table. */
+std::vector<std::vector<std::pair<VAddr, Pte>>>
+allPages(Cluster &c)
+{
+    std::vector<std::vector<std::pair<VAddr, Pte>>> out;
+    for (NodeId n = 0; n < NodeId(c.numNodes()); ++n)
+        out.push_back(c.node(n).defaultAddressSpace().dumpPages());
+    return out;
+}
+
+/** The (node, vpn) pairs whose entry differs between two snapshots. */
+std::set<std::pair<NodeId, VAddr>>
+changed(const std::vector<std::vector<std::pair<VAddr, Pte>>> &before,
+        const std::vector<std::vector<std::pair<VAddr, Pte>>> &after)
+{
+    std::set<std::pair<NodeId, VAddr>> out;
+    for (std::size_t n = 0; n < before.size(); ++n) {
+        EXPECT_EQ(before[n].size(), after[n].size());
+        for (std::size_t i = 0; i < before[n].size(); ++i) {
+            EXPECT_EQ(before[n][i].first, after[n][i].first);
+            if (!(before[n][i].second == after[n][i].second))
+                out.emplace(NodeId(n), before[n][i].first);
+        }
+    }
+    return out;
+}
+
+TEST_F(MmuTest, SharedPageUpdatesStayWithTheirNodeAndPage)
+{
+    const auto page = sys.config().pageBytes;
+    Cluster c(ClusterSpec::star(4));
+    Segment &a = c.allocShared("a", 2 * page, 0);
+    Segment &b = c.allocShared("b", 2 * page, 1);
+    const VAddr a0 = a.base() / page;
+    const VAddr b0 = b.base() / page;
+
+    auto before = allPages(c);
+    a.replicate(2, coherence::ProtocolKind::Invalidate);
+    auto after = allPages(c);
+    EXPECT_EQ(changed(before, after),
+              (std::set<std::pair<NodeId, VAddr>>{{2, a0}, {2, a0 + 1}}));
+    for (std::size_t p = 0; p < 2; ++p) {
+        const Pte pte =
+            c.node(2).defaultAddressSpace().lookup(a.base() + p * page);
+        EXPECT_EQ(pte.mode, PageMode::SharedLocal);
+        EXPECT_EQ(node::nodeOf(pte.frame), 2u);
+    }
+
+    before = std::move(after);
+    b.armCounters(3, 4, 4);
+    after = allPages(c);
+    EXPECT_EQ(changed(before, after),
+              (std::set<std::pair<NodeId, VAddr>>{{3, b0}, {3, b0 + 1}}));
+    EXPECT_TRUE(c.node(3).defaultAddressSpace().lookup(b.base()).counted);
+
+    before = std::move(after);
+    coherence::PageEntry *e = c.directory().byHome(a.homePage(1));
+    ASSERT_NE(e, nullptr);
+    c.onCopyInvalidated(*e, 2, a.homePage(1));
+    after = allPages(c);
+    EXPECT_EQ(changed(before, after),
+              (std::set<std::pair<NodeId, VAddr>>{{2, a0 + 1}}));
+    EXPECT_EQ(c.node(2).defaultAddressSpace().lookup(a.base() + page),
+              perNodePte(a, 1, 2));
+}
+
+TEST_F(MmuTest, SharedSegmentsCostNoPerNodeEntries)
+{
+    constexpr NodeId kNodes = 256;
+    Cluster c(ClusterSpec::fatTree(kNodes));
+    std::vector<Segment *> segs;
+    for (NodeId n = 0; n < kNodes; ++n)
+        segs.push_back(&c.allocShared("s" + std::to_string(n), 8, n));
+
+    for (NodeId n = 0; n < kNodes; ++n) {
+        const AddressSpace &as = c.node(n).defaultAddressSpace();
+        EXPECT_EQ(as.ownEntries(), 0u) << "node " << n;
+        EXPECT_EQ(as.lookup(segs[n]->base()), perNodePte(*segs[n], 0, n));
+        const Segment &next = *segs[(n + 1) % kNodes];
+        EXPECT_EQ(as.lookup(next.base()), perNodePte(next, 0, n));
+    }
 }
 
 } // namespace
