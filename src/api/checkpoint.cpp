@@ -4,16 +4,16 @@
  *
  * A checkpoint captures the *semantic* state of a quiescent cluster —
  * everything that influences the future schedule, packet contents or
- * trace hash — as a self-contained text blob (schema tg-ckpt-v6):
+ * trace hash — as a self-contained text blob (schema tg-ckpt-v7):
  *
  *  - simulation clock, event sequence counter, executed-event count
- *  - the determinism trace hash (value + words mixed)
+ *  - both determinism digests, schedule and model (value + words mixed)
  *  - the RNG stream state (spawn keys and Ctx forks continue exactly)
  *  - the packet-conservation ledger
  *  - per host communicator: the roots whose broadcast pages are mapped
  *    with their per-member cursors, and the per-member reduce rounds
- *  - per node: memory words, cache tags, TLB contents, page tables,
- *    allocator cursors, scheduler shape and HIB ticket/page-counter
+ *  - per node: memory words, cache tags, TLB contents, each address
+ *    space's own page-table entries, allocator cursors, scheduler shape and HIB ticket/page-counter
  *    state
  *  - the shared-page directory (owner, copies, rings)
  *  - every statistic: the StatRegistry's own section (StatRegistry::save)
@@ -42,7 +42,7 @@ namespace tg {
 
 namespace {
 
-constexpr const char *kMagic = "tg-ckpt-v6";
+constexpr const char *kMagic = "tg-ckpt-v7";
 
 /** Token-stream reader: whitespace-separated tags and unsigned values,
  *  fatal() on any shape mismatch (a checkpoint is machine-written, so a
@@ -117,12 +117,15 @@ Cluster::checkpoint()
     os << kMagic << "\n";
     os << "clock " << _sys->now() << " " << _sys->events().trace().mixed()
        << "\n";
-    // The event sequence counter is not directly observable; recover it
-    // from executed() — at quiescence every scheduled event has fired,
-    // so the next sequence number equals the number executed.
-    os << "events " << _sys->events().executed() << "\n";
+    // The sequence counter is written as it stands: a link's wire-free
+    // takes a sequence number whether or not it ever fires (DESIGN.md
+    // section 14.2), so the count of executed events does not give it.
+    os << "events " << _sys->events().nextSeq() << " "
+       << _sys->events().executed() << "\n";
     os << "hash " << _sys->events().trace().value() << " "
        << _sys->events().trace().mixed() << "\n";
+    os << "model " << _sys->model().value() << " " << _sys->model().mixed()
+       << "\n";
     const auto rng = _sys->rng().state();
     os << "rng " << rng[0] << " " << rng[1] << " " << rng[2] << " "
        << rng[3] << "\n";
@@ -197,7 +200,7 @@ Cluster::checkpoint()
 
         os << "spaces " << ws.spaces().size() << "\n";
         for (const auto &as : ws.spaces()) {
-            const auto ptes = as->dumpPages();
+            const auto ptes = as->ownPages();
             os << "space " << as->asid() << " " << ptes.size() << "\n";
             for (const auto &[vpn, pte] : ptes)
                 writePte(os, vpn, pte);
@@ -240,13 +243,22 @@ Cluster::restore(const std::string &blob)
     const Tick now = r.u64();
     (void)r.u64(); // mixed count repeated below with the hash
     r.expect("events");
-    const std::uint64_t executed = r.u64();
-    _sys->events().restoreClock(now, /*seq=*/executed, executed);
+    {
+        const std::uint64_t seq = r.u64();
+        const std::uint64_t executed = r.u64();
+        _sys->events().restoreClock(now, seq, executed);
+    }
     r.expect("hash");
     {
         const std::uint64_t h = r.u64();
         const std::uint64_t mixed = r.u64();
         _sys->events().trace().restore(h, mixed);
+    }
+    r.expect("model");
+    {
+        const std::uint64_t h = r.u64();
+        const std::uint64_t mixed = r.u64();
+        _sys->model().restore(h, mixed);
     }
     r.expect("rng");
     {

@@ -300,15 +300,27 @@ class Cluster : public coherence::Fabric
     // ------------------------------------------------------------------
 
     /**
-     * Digest of the run so far: every fired event plus every packet
-     * crossing a HIB boundary, folded one word at a time
-     * (audit::TraceHash).  Two same-seed runs of the same program must
-     * produce equal digests — the determinism contract.
+     * Schedule digest of the run so far: every fired event's (when, seq)
+     * plus every packet crossing a HIB boundary, folded one word at a
+     * time (audit::TraceHash).  Two same-seed runs of the same program
+     * must produce equal digests — the determinism contract.  An engine
+     * change may move it (DESIGN.md section 7.4).
      */
     std::uint64_t traceHash() const { return _sys->events().trace().value(); }
 
     /** Words folded into the trace hash (sanity: must be > 0 after run). */
     std::uint64_t traceLength() const { return _sys->events().trace().mixed(); }
+
+    /**
+     * Model digest of the run so far: the tick and fields of every
+     * packet crossing a HIB boundary and every operation completion a
+     * CPU observes (node, tick, value), nothing from the event engine.
+     * Only a change to the simulated model may move it.
+     */
+    std::uint64_t modelHash() const { return _sys->model().value(); }
+
+    /** Words folded into the model digest. */
+    std::uint64_t modelLength() const { return _sys->model().mixed(); }
 
     /**
      * Quiescence check for a finished run: every injected packet was

@@ -17,17 +17,25 @@ namespace tg::hib {
 
 namespace {
 
-/** Fold a packet's end-to-end identity into the run's trace hash.
- *  (Packet::traceId is deliberately NOT folded: the lifecycle tracer is
- *  pure observability and must not perturb the determinism contract.) */
+/** Fold a packet's end-to-end identity into both digests: its four
+ *  words into the schedule digest, the tick and the same words into
+ *  the model digest.  (Packet::traceId is deliberately NOT folded: the
+ *  lifecycle tracer is pure observability and must not perturb the
+ *  determinism contract.) */
 void
-mixPacket(audit::TraceHash &h, const net::Packet &pkt)
+mixPacket(System &sys, const net::Packet &pkt)
 {
-    h.mix((std::uint64_t)pkt.type << 32 | (std::uint64_t)pkt.src << 16 |
-          pkt.dst);
-    h.mix(pkt.addr);
-    h.mix(pkt.value);
-    h.mix(pkt.ticket);
+    audit::TraceHash &sched = sys.events().trace();
+    audit::TraceHash &model = sys.model();
+    model.mix(sys.now());
+    for (const std::uint64_t w :
+         {(std::uint64_t)pkt.type << 32 | (std::uint64_t)pkt.src << 16 |
+              pkt.dst,
+          std::uint64_t(pkt.addr), std::uint64_t(pkt.value),
+          std::uint64_t(pkt.ticket)}) {
+        sched.mix(w);
+        model.mix(w);
+    }
 }
 
 /** Remote reads one HIB can have in flight: "In the current version of
@@ -113,7 +121,7 @@ Hib::inject(Packet &&pkt, bool track)
     if (track)
         _outstanding.add();
     system().ledger().onInjected();
-    mixPacket(system().events().trace(), pkt);
+    mixPacket(system(), pkt);
     // Packets not tagged by a CPU-side issue point (coherence, software,
     // HIB-internal traffic) start their lifecycle here.
     if (pkt.traceId == 0)
@@ -478,7 +486,7 @@ Hib::pumpIngress()
         Packet pkt = _ingress.pop();
         ++_handled;
         system().ledger().onDelivered();
-        mixPacket(system().events().trace(), pkt);
+        mixPacket(system(), pkt);
         _sys.tracer().record(pkt.traceId, trace::Span::HibHandle, now());
         handlePacket(std::move(pkt), [this] {
             _ingressBusy = false;

@@ -162,7 +162,14 @@ Cpu::issue(const CpuOp &op, Word *result, std::coroutine_handle<> h)
         panic("%s: op issued with no running thread", _name.c_str());
     ++_opsIssued;
     const int tid = _current;
-    execute(op, result, [this, tid, h] { onOpComplete(tid, h); });
+    execute(op, result, [this, tid, h, result] {
+        // What the program observes: which node, when, and the value.
+        audit::TraceHash &model = system().model();
+        model.mix(_node);
+        model.mix(now());
+        model.mix(*result);
+        onOpComplete(tid, h);
+    });
 }
 
 void

@@ -93,15 +93,19 @@ AddressSpace::dumpPages() const
     return out;
 }
 
+std::vector<std::pair<VAddr, Pte>>
+AddressSpace::ownPages() const
+{
+    std::vector<std::pair<VAddr, Pte>> out(_pages.begin(), _pages.end());
+    std::sort(out.begin(), out.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    return out;
+}
+
 void
 AddressSpace::restorePages(const std::vector<std::pair<VAddr, Pte>> &pages)
 {
-    _pages.clear();
-    for (const auto &[vpn, pte] : pages) {
-        const Pte shared = sharedPte(vpn);
-        if (shared.mode == PageMode::Invalid || pte != shared)
-            _pages[vpn] = pte;
-    }
+    _pages = {pages.begin(), pages.end()};
 }
 
 Mmu::Mmu(System &sys, const std::string &name) : SimObject(sys, name)

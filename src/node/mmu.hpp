@@ -129,12 +129,15 @@ class AddressSpace
      *  than seen through the shared mappings. */
     std::size_t ownEntries() const { return _pages.size(); }
 
-    /** All effective mappings as (vpn, pte) pairs in ascending-vpn order
-     *  (checkpointing, DESIGN.md section 14.5). */
+    /** All effective mappings, own and shared, as (vpn, pte) pairs in
+     *  ascending-vpn order. */
     std::vector<std::pair<VAddr, Pte>> dumpPages() const;
 
-    /** Replace the page table with a captured dump (vpn-keyed), keeping
-     *  as own entries only those the shared mappings do not give. */
+    /** Own entries as (vpn, pte) pairs in ascending-vpn order
+     *  (checkpointing, DESIGN.md section 14.5). */
+    std::vector<std::pair<VAddr, Pte>> ownPages() const;
+
+    /** Replace the own entries with a captured ownPages() list. */
     void restorePages(const std::vector<std::pair<VAddr, Pte>> &pages);
 
   private:

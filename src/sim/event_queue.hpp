@@ -100,6 +100,9 @@ class EventQueue
     /** Total events executed since construction. */
     std::uint64_t executed() const { return _executed; }
 
+    /** The sequence number the next schedule takes (checkpointing). */
+    std::uint64_t nextSeq() const { return _seq; }
+
     /**
      * Trace-hash accumulator over the run: every fired event mixes
      * (when, seq); components mix packet fields at the HIB boundaries.

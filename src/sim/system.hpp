@@ -42,6 +42,17 @@ class System
     StatRegistry &stats() { return _stats; }
     const StatRegistry &stats() const { return _stats; }
 
+    /**
+     * Model digest (DESIGN.md section 7.4): the tick and the end-to-end
+     * fields of every packet crossing a HIB boundary, and the node, tick
+     * and value of every operation completion a CPU observes.  Nothing
+     * from the event engine enters it, so an engine change that keeps
+     * the simulated history keeps this digest; the schedule digest
+     * (EventQueue::trace) also folds every fired event's (when, seq).
+     */
+    audit::TraceHash &model() { return _model; }
+    const audit::TraceHash &model() const { return _model; }
+
     /** Packet conservation ledger (audit layer, DESIGN.md section 7). */
     audit::PacketLedger &ledger() { return _ledger; }
     const audit::PacketLedger &ledger() const { return _ledger; }
@@ -63,6 +74,7 @@ class System
     EventQueue _events;
     Rng _rng;
     StatRegistry _stats;
+    audit::TraceHash _model;
     audit::PacketLedger _ledger;
     trace::Tracer _tracer;
     std::unique_ptr<net::PacketArena> _arena;

@@ -99,6 +99,8 @@ expectRoundTrip(const ClusterSpec &spec)
     ASSERT_TRUE(ref.allDone());
     const std::uint64_t ref_hash = ref.traceHash();
     const std::uint64_t ref_len = ref.traceLength();
+    const std::uint64_t ref_model = ref.modelHash();
+    const std::uint64_t ref_model_len = ref.modelLength();
 
     // Checkpointed: identical phase 1, snapshot at quiescence.
     std::string blob;
@@ -124,6 +126,8 @@ expectRoundTrip(const ClusterSpec &spec)
 
     EXPECT_EQ(b.traceHash(), ref_hash);
     EXPECT_EQ(b.traceLength(), ref_len);
+    EXPECT_EQ(b.modelHash(), ref_model);
+    EXPECT_EQ(b.modelLength(), ref_model_len);
     EXPECT_EQ(b_reads, ref_reads);
     EXPECT_EQ(statsJson(b), statsJson(ref));
 }
@@ -225,6 +229,8 @@ TEST(Checkpoint, HostCollectivesContinueAcrossRestore)
     EXPECT_EQ(got, ref_got);
     EXPECT_EQ(b.traceHash(), ref.traceHash());
     EXPECT_EQ(b.traceLength(), ref.traceLength());
+    EXPECT_EQ(b.modelHash(), ref.modelHash());
+    EXPECT_EQ(b.modelLength(), ref.modelLength());
     EXPECT_EQ(statsJson(b), statsJson(ref));
 }
 
@@ -313,6 +319,8 @@ TEST(Checkpoint, RestoresClockHashAndLedger)
     EXPECT_EQ(b.now(), a.now());
     EXPECT_EQ(b.traceHash(), a.traceHash());
     EXPECT_EQ(b.traceLength(), a.traceLength());
+    EXPECT_EQ(b.modelHash(), a.modelHash());
+    EXPECT_EQ(b.modelLength(), a.modelLength());
     EXPECT_TRUE(b.auditQuiescent());
     // Memory contents carried over: a phase-1 value is readable.
     EXPECT_EQ(b.node(0).mem().read(
@@ -334,11 +342,12 @@ TEST(Checkpoint, RefusesMalformedBlobAndStartedCluster)
     const std::string blob = b.checkpoint();
     EXPECT_DEATH(b.restore(blob), "freshly built");
 
-    // A v5 blob carries a byte-wise FNV-1a hash state; continuing it with
-    // the word-wise mix would match neither stream.
-    ASSERT_EQ(blob.rfind("tg-ckpt-v6\n", 0), 0u);
-    EXPECT_DEATH(a.restore("tg-ckpt-v5\n" + blob.substr(11)),
-                 "expected 'tg-ckpt-v6', got 'tg-ckpt-v5'");
+    // A v6 blob carries no model digest and derives the sequence
+    // counter from the executed count, which elided wire-frees make
+    // wrong; continuing it would match neither run.
+    ASSERT_EQ(blob.rfind("tg-ckpt-v7\n", 0), 0u);
+    EXPECT_DEATH(a.restore("tg-ckpt-v6\n" + blob.substr(11)),
+                 "expected 'tg-ckpt-v7', got 'tg-ckpt-v6'");
 
     // The stats section names a stat the rebuilt cluster never registered.
     const std::string unknown = editStatLine(

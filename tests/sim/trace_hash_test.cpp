@@ -8,9 +8,9 @@
  * cluster + workload twice with one seed, run both to completion and
  * require the full event/packet traces to be bit-identical; different
  * seeds must (for these workloads) diverge, proving the hash actually
- * observes the schedule.  Golden values pin the hash, trace length and
- * end tick of each run at its seed, so a schedule change fails even
- * when it is deterministic.  Packet conservation is checked at
+ * observes the schedule.  Golden values pin both digests (schedule and
+ * model), their lengths and the end tick of each run at its seed, so a
+ * schedule change fails even when it is deterministic.  Packet conservation is checked at
  * quiescence on every run.
  */
 
@@ -101,11 +101,14 @@ TEST(TraceHash, RestoreContinuesTheStream)
     }
 }
 
+/** Both digests of a run and its end tick. */
 struct Trace
 {
-    std::uint64_t hash;
-    std::uint64_t words;
+    std::uint64_t hash;       ///< schedule digest
+    std::uint64_t words;      ///< words folded into it
     tg::Tick end;
+    std::uint64_t model;      ///< model digest
+    std::uint64_t modelWords; ///< words folded into it
 };
 
 /** Run @p c to quiescence and check it finished and conserved packets. */
@@ -116,6 +119,8 @@ finish(tg::Cluster &c)
     t.end = c.run(kLimit);
     t.hash = c.traceHash();
     t.words = c.traceLength();
+    t.model = c.modelHash();
+    t.modelWords = c.modelLength();
     EXPECT_TRUE(c.allDone());
     std::string why;
     EXPECT_TRUE(c.auditQuiescent(&why)) << why;
@@ -340,7 +345,10 @@ TEST(TraceHashTest, HotspotSameSeedSameTrace)
         EXPECT_EQ(a.hash, b.hash) << "seed " << seed;
         EXPECT_EQ(a.words, b.words) << "seed " << seed;
         EXPECT_EQ(a.end, b.end) << "seed " << seed;
+        EXPECT_EQ(a.model, b.model) << "seed " << seed;
+        EXPECT_EQ(a.modelWords, b.modelWords) << "seed " << seed;
         EXPECT_GT(a.words, 0u) << "empty trace audits nothing";
+        EXPECT_GT(a.modelWords, 0u) << "empty model digest";
     }
 }
 
@@ -352,7 +360,10 @@ TEST(TraceHashTest, TrafficSameSeedSameTrace)
         EXPECT_EQ(a.hash, b.hash) << "seed " << seed;
         EXPECT_EQ(a.words, b.words) << "seed " << seed;
         EXPECT_EQ(a.end, b.end) << "seed " << seed;
+        EXPECT_EQ(a.model, b.model) << "seed " << seed;
+        EXPECT_EQ(a.modelWords, b.modelWords) << "seed " << seed;
         EXPECT_GT(a.words, 0u) << "empty trace audits nothing";
+        EXPECT_GT(a.modelWords, 0u) << "empty model digest";
     }
 }
 
@@ -360,7 +371,9 @@ TEST(TraceHashTest, TrafficDifferentSeedsDiverge)
 {
     // randomTraffic draws targets from the seeded Rng, so distinct seeds
     // must produce distinct schedules — otherwise the hash is blind.
-    EXPECT_NE(runTraffic(7).hash, runTraffic(4242).hash);
+    const Trace a = runTraffic(7), b = runTraffic(4242);
+    EXPECT_NE(a.hash, b.hash);
+    EXPECT_NE(a.model, b.model);
 }
 
 void
@@ -369,12 +382,17 @@ expectGolden(const Trace &got, const Trace &want)
     EXPECT_EQ(got.hash, want.hash) << std::hex << "got 0x" << got.hash;
     EXPECT_EQ(got.words, want.words);
     EXPECT_EQ(got.end, want.end);
+    EXPECT_EQ(got.model, want.model) << std::hex << "got 0x" << got.model;
+    EXPECT_EQ(got.modelWords, want.modelWords);
 }
 
 TEST(TraceHashTest, RunsMatchGoldenTraces)
 {
-    // Pinned values: a change in any of them is a model change, and the
-    // change that makes it states so and re-pins them.  The ring run
+    // Pinned values, both digests of each run: the schedule digest and
+    // its length, the end tick, then the model digest and its length.
+    // An engine change may move the schedule digest and says so; any
+    // other moved value is a model change, and the change that makes it
+    // states so and re-pins them.  The ring run
     // (one node per switch, four switches) crosses the wrap link and
     // its dateline VC.  The hotspot workload draws nothing from the
     // seeded Rng, so its two seeds share one trace.  The host
@@ -394,67 +412,67 @@ TEST(TraceHashTest, RunsMatchGoldenTraces)
     {
         SCOPED_TRACE("chain hotspot seed 1");
         expectGolden(runHotspot(1),
-                     {0xb01e327b32bb3a54ULL, 6152, 301206});
+                     {0xb01e327b32bb3a54ULL, 6152, 301206, 0x290619a066c2567bULL, 2892});
     }
     {
         SCOPED_TRACE("chain hotspot seed 99");
         expectGolden(runHotspot(99),
-                     {0xb01e327b32bb3a54ULL, 6152, 301206});
+                     {0xb01e327b32bb3a54ULL, 6152, 301206, 0x290619a066c2567bULL, 2892});
     }
     {
         SCOPED_TRACE("chain traffic seed 7");
         expectGolden(runTraffic(7),
-                     {0x88c851524da2419cULL, 11240, 157507});
+                     {0x88c851524da2419cULL, 11240, 157507, 0x4b9a8dda9a3a5800ULL, 5004});
     }
     {
         SCOPED_TRACE("chain traffic seed 4242");
         expectGolden(runTraffic(4242),
-                     {0x1e0698850ecc6dc3ULL, 11194, 150870});
+                     {0x1e0698850ecc6dc3ULL, 11194, 150870, 0x463aefc681cec44dULL, 5004});
     }
     {
         SCOPED_TRACE("ring traffic seed 7");
         expectGolden(runTraffic(7, tg::ClusterSpec::ring(kNodes, 1)),
-                     {0x2f020650fa45ae9cULL, 12800, 169409});
+                     {0x2f020650fa45ae9cULL, 12800, 169409, 0x998a633b7589f0f8ULL, 5004});
     }
     {
         SCOPED_TRACE("star host collectives seed 1");
         expectGolden(runHostCollectives(1),
-                     {0xe510a68a62045474ULL, 6080, 224291});
+                     {0xe510a68a62045474ULL, 6080, 224291, 0x64ab0146701c5663ULL, 3510});
     }
     {
         SCOPED_TRACE("torus faulted traffic seed 7");
         const tg::ClusterSpec spec =
             withDeadTrunk(tg::ClusterSpec::torus(3, 3, 1), 0, 1);
         expectGolden(runTraffic(7, spec),
-                     {0x2db048c4455ef234ULL, 42288, 218800});
+                     {0x2db048c4455ef234ULL, 42288, 218800, 0xfaef956a77df1334ULL, 11259});
     }
     {
         SCOPED_TRACE("fattree faulted traffic seed 7");
         const tg::ClusterSpec spec =
             withDeadTrunk(tg::ClusterSpec::fatTree(4, 2, 2), 0, 2);
         expectGolden(runTraffic(7, spec),
-                     {0x474e71388739da3eULL, 17930, 171512});
+                     {0x474e71388739da3eULL, 17930, 171512, 0x7cefce9580cbf668ULL, 5004});
     }
     {
         SCOPED_TRACE("star Telegraphos I seed 1");
         expectGolden(runTelegraphosI(1),
-                     {0xfc24f99abe995e0aULL, 2168, 66580});
+                     {0xfc24f99abe995e0aULL, 2168, 66580, 0x50b64f4c8b0ca97cULL, 1068});
     }
     {
         SCOPED_TRACE("star owner-counter replica seed 1");
         expectGolden(runReplicated(1),
-                     {0xdf7e7ec6f3abc6d8ULL, 2186, 35085});
+                     {0xdf7e7ec6f3abc6d8ULL, 2186, 35085, 0x995f2b0fbac54325ULL, 1128});
     }
     {
         SCOPED_TRACE("star lossy replicas seed 1");
         expectGolden(runLossyReplicated(1),
-                     {0x4690f49a4d60ae80ULL, 16572, 302345});
+                     {0x4690f49a4d60ae80ULL, 16572, 302345, 0x5d3541d8b10556fbULL, 5686});
     }
     {
         SCOPED_TRACE("chain noisy traffic seed 7");
         LinkRecovery rec{};
         expectGolden(runTraffic(7, noisyChain(), &rec),
-                     {0x90bd5504f672a0d2ULL, 15976, 187808});
+                     {0x90bd5504f672a0d2ULL, 15976, 187808, 0x3b37024cb68b57faULL, 5004});
         EXPECT_EQ(rec.corruptions, 28u);
         EXPECT_EQ(rec.duplicateDiscards, 22u);
         EXPECT_EQ(rec.retransmissions, 81u);
