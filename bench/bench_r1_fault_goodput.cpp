@@ -2,7 +2,7 @@
  * @file
  * Experiment R1: goodput and tail latency under injected wire faults.
  *
- * The reliability layer (CRC + go-back-N retransmission, see DESIGN.md
+ * The reliability layer (go-back-N retransmission, see DESIGN.md
  * "Fault model & reliability protocol") keeps Telegraphos usable on a
  * lossy ribbon cable at the cost of retransmission bandwidth and tail
  * latency.  This bench quantifies that cost: a 2-node cluster runs a
@@ -34,7 +34,7 @@ struct RunResult
     double p50ReadUs = 0;
     double p99ReadUs = 0;
     std::uint64_t retransmissions = 0;
-    std::uint64_t crcErrors = 0;
+    std::uint64_t corruptDiscards = 0;
     std::uint64_t wireFailures = 0;
 };
 
@@ -74,7 +74,7 @@ run(double loss_rate, int writes, int reads)
     out.p50ReadUs = read_lat.quantile(0.50);
     out.p99ReadUs = read_lat.quantile(0.99);
     out.retransmissions = cluster.network().retransmissions();
-    out.crcErrors = cluster.network().corruptions();
+    out.corruptDiscards = cluster.network().corruptions();
     out.wireFailures = cluster.network().wireFailures();
     return out;
 }
@@ -93,7 +93,7 @@ main(int argc, char **argv)
                 "(%d writes, %d reads, 2 nodes)\n\n",
                 writes, reads);
     std::printf("  %-10s %12s %12s %12s %10s %10s %8s\n", "loss", "MB/s",
-                "p50 rd us", "p99 rd us", "retx", "crc_err", "failed");
+                "p50 rd us", "p99 rd us", "retx", "corrupt", "failed");
 
     std::vector<RunResult> results;
     for (double r : rates) {
@@ -102,7 +102,7 @@ main(int argc, char **argv)
         std::printf("  %-10g %12.2f %12.3f %12.3f %10llu %10llu %8llu\n",
                     x.lossRate, x.goodputMBs, x.p50ReadUs, x.p99ReadUs,
                     (unsigned long long)x.retransmissions,
-                    (unsigned long long)x.crcErrors,
+                    (unsigned long long)x.corruptDiscards,
                     (unsigned long long)x.wireFailures);
     }
 
@@ -111,11 +111,11 @@ main(int argc, char **argv)
         const RunResult &x = results[i];
         std::printf("%s{\"loss\":%g,\"goodput_mbs\":%.3f,"
                     "\"p50_read_us\":%.4f,\"p99_read_us\":%.4f,"
-                    "\"retransmissions\":%llu,\"crc_errors\":%llu,"
+                    "\"retransmissions\":%llu,\"corrupt_discards\":%llu,"
                     "\"wire_failures\":%llu}",
                     i ? "," : "", x.lossRate, x.goodputMBs, x.p50ReadUs,
                     x.p99ReadUs, (unsigned long long)x.retransmissions,
-                    (unsigned long long)x.crcErrors,
+                    (unsigned long long)x.corruptDiscards,
                     (unsigned long long)x.wireFailures);
     }
     std::printf("]}\n");

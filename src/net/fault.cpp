@@ -77,10 +77,9 @@ FaultInjector::corruptNow()
 {
     if (_spec.bitErrorRate <= 0 || !_rng.chance(_spec.bitErrorRate))
         return false;
-    // Which of the 128 address/value bits flips does not matter to the
-    // receiver's CRC-32C check, which catches every single-bit error;
-    // the position is still drawn so every link's stream keeps the
-    // draws it has always made.
+    // Which of the 128 address/value bits flips does not matter: the
+    // receiver discards any corrupted copy.  The position is still
+    // drawn so every link's stream keeps the draws it has always made.
     (void)_rng.below(128);
     return true;
 }

@@ -8,8 +8,8 @@
  * decides, per packet transmission on one link hop, whether the wire
  * corrupts, drops or duplicates the transfer, and whether the link is
  * administratively down at a given instant.  A corruption flips one of
- * the packet's 128 address/value bits; CRC-32C detects every single-bit
- * error, so the link needs only the fact of it (net/link.hpp).
+ * the packet's 128 address/value bits; the receiving link discards
+ * every corrupted copy, so it needs only the fact of it (net/link.hpp).
  *
  * Determinism: every injector owns a private RNG seeded from
  * (Config::seed, FNV-1a hash of the link name).  Decisions therefore

@@ -27,7 +27,7 @@ Channel::Channel(System &sys, const std::string &name,
     if (_reliable) {
         _ls.resize(_lanes.size());
         auto &reg = sys.stats();
-        reg.add({_name, "crc_errors"}, &_crcErrors);
+        reg.add({_name, "corrupt_discards"}, &_corruptDiscards);
         reg.add({_name, "retransmissions"}, &_retransmissions);
         reg.add({_name, "dup_discards"}, &_dupDiscards);
         reg.add({_name, "out_of_window"}, &_outOfWindow);
@@ -48,7 +48,7 @@ Channel::Channel(System &sys, const std::string &name,
             down_seen |= _lanes[j].down == lane.down;
         }
         if (!up_seen)
-            lane.up->onData([this] { pump(); });
+            lane.up->onData([this] { onUpstreamData(); });
         if (!down_seen)
             lane.down->onSpace([this] { pump(); });
     }
@@ -73,11 +73,88 @@ Channel::serTicks(std::uint32_t wire_bytes, double bytes_per_tick)
         std::ceil(static_cast<double>(wire_bytes) / bytes_per_tick));
 }
 
+Tick
+Channel::ser(std::uint32_t wire_bytes)
+{
+    // A link carries a handful of packet sizes, mostly one at a time.
+    if (wire_bytes != _serBytes) {
+        _serBytes = wire_bytes;
+        _serTicks = serTicks(wire_bytes, _bw);
+    }
+    return _serTicks;
+}
+
+bool
+Channel::wireIdle()
+{
+    if (_busy && _sys.events().passed(_freeAt, _freeSeq))
+        _busy = false;
+    return !_busy;
+}
+
+void
+Channel::claimWire()
+{
+    // No place yet: until holdWire() takes one, the wire counts as held
+    // and nothing may arm its wire-free.
+    _busy = true;
+    _freeAt = kMaxTick;
+}
+
+void
+Channel::holdWire(Tick ser)
+{
+    _freeAt = now() + ser;
+    _freeSeq = _sys.events().takeSeq();
+    // The wire-free's pump has work only if a packet or a resend waits
+    // (or, on the reliable path, the link is down then): arm it now if
+    // one does, else on the call that brings one (onUpstreamData, or a
+    // reliable pump() while the wire is held).
+    if (laneWantsWire() || (_reliable && _inj.isDown(_freeAt)))
+        armWireFree();
+}
+
+bool
+Channel::laneWantsWire() const
+{
+    for (std::size_t li = 0; li < _lanes.size(); ++li) {
+        if (!_lanes[li].up->empty())
+            return true;
+        if (_reliable && _ls[li].resend < _ls[li].unacked.size())
+            return true;
+    }
+    return false;
+}
+
+void
+Channel::armWireFree()
+{
+    if (_wireFreeArmed || _freeAt == kMaxTick)
+        return;
+    _wireFreeArmed = true;
+    _sys.events().scheduleAbsSeq(_freeAt, _freeSeq, [this] { wireFree(); });
+}
+
+void
+Channel::onUpstreamData()
+{
+    if (wireIdle())
+        pump();
+    else
+        armWireFree();
+}
+
 void
 Channel::pump()
 {
-    if (_busy)
+    if (!wireIdle()) {
+        // A held wire.  The fast path's wire-free has work only once a
+        // packet waits upstream, and onUpstreamData arms it then, so
+        // this stays O(1); a reliable lane can also gain a resend.
+        if (_reliable && !_wireFreeArmed && laneWantsWire())
+            armWireFree();
         return;
+    }
     if (_reliable) {
         pumpReliable();
         return;
@@ -90,7 +167,7 @@ Channel::pump()
     // Claim the wire before popping: the pop fires the upstream onSpace
     // listeners, which can re-enter pump() and must find the server busy
     // (a double-send here would put two packets on one wire).
-    _busy = true;
+    claimWire();
 
     // Zero-copy transfer: the packet stays in the arena; only its handle
     // rides the delivery event.
@@ -103,7 +180,7 @@ Channel::pump()
     // at an equal tick (a zero-delay link) the packet is delivered before
     // the freed wire's pump decides.
     schedule(ser + _delay, [this, li, h] { land(li, h); });
-    schedule(ser, [this, ser] { wireFree(ser); });
+    holdWire(ser);
 }
 
 std::size_t
@@ -137,7 +214,9 @@ Channel::startTx(std::uint32_t bytes, std::uint64_t trace_id)
     ++_packets;
     _bytes += bytes;
     _sys.tracer().record(trace_id, trace::Span::LinkTx, now());
-    return serTicks(bytes, _bw);
+    const Tick t = ser(bytes);
+    _busyTicks += t;
+    return t;
 }
 
 void
@@ -149,9 +228,9 @@ Channel::land(std::size_t li, PacketHandle h)
 }
 
 void
-Channel::wireFree(Tick ser)
+Channel::wireFree()
 {
-    _busyTicks += ser;
+    _wireFreeArmed = false;
     _busy = false;
     pump();
 }
@@ -206,7 +285,7 @@ Channel::pumpReliable()
 
     // Claim the wire before popping: the pop can re-enter pump() through
     // the queue's listener chain and must find the server busy.
-    _busy = true;
+    claimWire();
 
     if (ls.resend == ls.unacked.size()) {
         // The entry holds the packet's slot; retransmissions and the
@@ -235,7 +314,7 @@ Channel::pumpReliable()
     }
 
     const Tick ser = startTx(e.wireBytes, e.traceId);
-    schedule(ser, [this, ser] { wireFree(ser); });
+    holdWire(ser);
     if (drop) {
         // The transfer vanishes on the wire; the reserved slot frees when
         // the (never-arriving) packet would have landed.
@@ -267,9 +346,8 @@ Channel::deliver(std::size_t li, std::uint64_t lseq, bool corrupted,
     }
 
     if (corrupted) {
-        // The receiver's CRC check fails: a single flipped bit always
-        // changes the CRC-32C.
-        ++_crcErrors;
+        // The receiver discards a copy the wire flipped a bit of.
+        ++_corruptDiscards;
         lane.down->cancelReservation();
         schedule(_delay, [this, li] { onNack(li); });
         return;
@@ -342,8 +420,7 @@ Channel::onNack(std::size_t li)
     // retransmitted once per NACK and spuriously burn its retry budget.
     if (now() < ls.nackMuteUntil)
         return;
-    ls.nackMuteUntil =
-        now() + serTicks(ls.unacked.front().wireBytes, _bw) + 2 * _delay;
+    ls.nackMuteUntil = now() + ser(ls.unacked.front().wireBytes) + 2 * _delay;
     ls.resend = 0;
     armTimer(li);
     pump();
@@ -437,9 +514,13 @@ Channel::failFast()
 double
 Channel::utilization() const
 {
-    Tick t = now();
+    const Tick t = now();
+    // startTx charged the whole send; its unfinished part is not busy
+    // yet.  (A claim in progress has charged nothing.)
+    const Tick busy =
+        _busyTicks - (t < _freeAt && _freeAt != kMaxTick ? _freeAt - t : 0);
     return t == 0 ? 0.0
-                  : static_cast<double>(_busyTicks) / static_cast<double>(t);
+                  : static_cast<double>(busy) / static_cast<double>(t);
 }
 
 } // namespace tg::net

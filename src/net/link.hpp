@@ -20,8 +20,8 @@
  *
  *  - each transmission carries a per-lane go-back-N sequence number,
  *    kept in the sender's TxEntry, not the Packet, and a corrupted bit:
- *    a modelled bit error flips exactly one bit, which the receiver's
- *    CRC-32C check always detects, so the bit is the check's verdict;
+ *    a modelled bit error flips one bit, and the receiver discards
+ *    every copy that carries one;
  *  - the receiving side accepts only the next expected sequence number,
  *    silently discards duplicates (re-acking cumulatively) and NACKs
  *    corrupt or out-of-window arrivals;
@@ -48,12 +48,14 @@
  *
  * Both paths share the lane arbitration and the landing step, keep each
  * packet in one arena slot from upstream pop to downstream push, and
- * schedule two events per transmission (DESIGN.md section 14.2): a
- * wire-free event after the serialization time, which charges the busy
- * time and pumps the next packet, and a delivery after serialization +
- * propagation delay.  The fast path schedules the delivery first, the
- * reliable path the wire-free event; each event's sequence number feeds
- * the trace hash, so neither order may change.
+ * handle the wire the same way (DESIGN.md section 14.2).  A transmission
+ * schedules its delivery after serialization + propagation delay and
+ * reserves the wire-free's place in the engine's (when, seq) order, at
+ * the end of serialization: the fast path takes that seq after the
+ * delivery's, the reliable path before it.  The wire-free event, which
+ * releases the wire and pumps the next packet, is armed at that place
+ * only when something waits for the wire; otherwise the wire is free
+ * once the engine has passed the place, and no event fires for it.
  */
 
 #ifndef TELEGRAPHOS_NET_LINK_HPP
@@ -112,16 +114,16 @@ class Channel : public SimObject
     /** Total payload+header bytes moved. */
     std::uint64_t bytes() const { return _bytes; }
 
-    /** Fraction of time up to now the wire spent on finished
-     *  transmissions (a send in progress counts once it ends). */
+    /** Fraction of time up to now the wire spent transmitting (the
+     *  elapsed part of a send in progress counts, the rest does not). */
     double utilization() const;
 
     // ------------------------------------------------------------------
     // Reliability-layer statistics (all zero on the fast path)
     // ------------------------------------------------------------------
 
-    /** Arrivals discarded because the CRC check failed (corrupted). */
-    std::uint64_t corruptions() const { return _crcErrors; }
+    /** Arrivals discarded because the wire flipped a bit of them. */
+    std::uint64_t corruptions() const { return _corruptDiscards; }
 
     /** Retransmissions performed (transmissions beyond each first). */
     std::uint64_t retransmissions() const { return _retransmissions; }
@@ -157,23 +159,52 @@ class Channel : public SimObject
         Tick nackMuteUntil = 0;      ///< ignore NACKs until a resend RTT
     };
 
+    /** Send the next packet if the wire is free; O(1) while it is held
+     *  on the fast path. */
     void pump();
     void pumpReliable();
+
+    /** Upstream onData: pump a free wire, or arm a held one's
+     *  wire-free, which now has a packet to send. */
+    void onUpstreamData();
+
+    /** Serialization time of @p wire_bytes on this link, memoised for
+     *  the last size seen. */
+    Tick ser(std::uint32_t wire_bytes);
+
+    /** True when the wire is free: no send holds it, or the engine has
+     *  passed its wire-free's place (then the wire is released here). */
+    bool wireIdle();
+
+    /** Take the wire for a send whose length is not known yet. */
+    void claimWire();
+
+    /** Hold the wire for a @p ser-tick send started now: reserve the
+     *  wire-free's place and arm it if something waits already. */
+    void holdWire(Tick ser);
+
+    /** Does any lane have a packet upstream or (reliable path) a resend
+     *  due? */
+    bool laneWantsWire() const;
+
+    /** Schedule the wire-free at its reserved place (once per send; not
+     *  before holdWire has taken the place). */
+    void armWireFree();
 
     /** Round-robin pick of the next lane with something to send and a
      *  reserved downstream slot (both paths); _lanes.size() when none. */
     std::size_t arbitrate();
 
-    /** Count a transmission of @p bytes, record its LinkTx and return
-     *  its serialization time. */
+    /** Count a transmission of @p bytes, charge and return its
+     *  serialization time, and record its LinkTx. */
     Tick startTx(std::uint32_t bytes, std::uint64_t trace_id);
 
     /** Hand slot @p h to lane @p li's reserved downstream slot. */
     void land(std::size_t li, PacketHandle h);
 
-    /** The wire-free event of a @p ser-tick transmission: charges the
-     *  busy time, releases the wire and pumps the next packet. */
-    void wireFree(Tick ser);
+    /** The armed wire-free event: releases the wire and pumps the next
+     *  packet. */
+    void wireFree();
 
     /** Arrival of a copy of sequence number @p lseq at the downstream
      *  end of lane @p li; @p corrupted when the wire flipped a bit. */
@@ -213,7 +244,12 @@ class Channel : public SimObject
     std::size_t _rr = 0; ///< round-robin arbitration pointer
     double _bw;
     Tick _delay;
-    bool _busy = false;
+    bool _busy = false; ///< a send holds the wire until its place passes
+    bool _wireFreeArmed = false;
+    Tick _freeAt = 0;           ///< the wire-free's place: tick ...
+    std::uint64_t _freeSeq = 0; ///< ... and reserved seq
+    std::uint32_t _serBytes = 0; ///< ser() memo: last size ...
+    Tick _serTicks = 0;          ///< ... and its serialization time
 
     std::uint64_t _packets = 0;
     std::uint64_t _bytes = 0;
@@ -226,7 +262,7 @@ class Channel : public SimObject
     FailureHandler _failHandler;
     bool _downWakeArmed = false;
 
-    std::uint64_t _crcErrors = 0;
+    std::uint64_t _corruptDiscards = 0;
     std::uint64_t _retransmissions = 0;
     std::uint64_t _dupDiscards = 0;
     std::uint64_t _outOfWindow = 0;

@@ -93,7 +93,7 @@ Network::Network(System &sys, const std::string &name,
     auto &reg = sys.stats();
     reg.add({_name, "switch_forwarded"}, &_switchTotals.forwarded);
     reg.add({_name, "switch_head_evals"}, &_switchTotals.headEvals);
-    reg.add({_name, "crc_errors"}, this,
+    reg.add({_name, "corrupt_discards"}, this,
             [](const Network &n) { return n.corruptions(); });
     reg.add({_name, "retransmissions"}, this,
             [](const Network &n) { return n.retransmissions(); });

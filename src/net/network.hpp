@@ -63,7 +63,7 @@ class Network : public SimObject
     // zero when the fault model is inert)
     // ------------------------------------------------------------------
 
-    /** CRC-failed arrivals discarded, all links. */
+    /** Corrupted arrivals discarded, all links. */
     std::uint64_t corruptions() const;
 
     /** Link-level retransmissions, all links. */

@@ -55,7 +55,7 @@ struct FaultWindow
 struct FaultSpec
 {
     /** Probability a transmission arrives with a flipped payload bit
-     *  (detected by the receiver's CRC check). */
+     *  (the receiver discards and NACKs it). */
     double bitErrorRate = 0;
     /** Probability a transmission vanishes on the wire. */
     double dropRate = 0;

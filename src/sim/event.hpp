@@ -141,15 +141,7 @@ class Fn<R(Args...)>
                   std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
     Fn(F &&f)
     {
-        using D = std::decay_t<F>;
-        // Preserve emptiness of null function pointers / std::functions:
-        // call sites guard with `if (cb)` and expect wrapped nulls to
-        // stay false.
-        if constexpr (std::is_constructible_v<bool, const D &>) {
-            if (!static_cast<bool>(f))
-                return;
-        }
-        emplace<D>(std::forward<F>(f));
+        init<std::decay_t<F>>(std::forward<F>(f));
     }
 
     Fn(Fn &&o) noexcept { moveFrom(o); }
@@ -173,6 +165,25 @@ class Fn<R(Args...)>
 
     Fn(const Fn &) = delete;
     Fn &operator=(const Fn &) = delete;
+
+    /** Replace the target with @p f built right here: a callable's
+     *  capture is constructed in this object's storage, with no
+     *  temporary Fn to relocate (the event queue builds every closure
+     *  in its slot this way); an Fn is moved in. */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        using D = std::decay_t<F>;
+        if constexpr (std::is_same_v<D, Fn>) {
+            *this = std::forward<F>(f);
+        } else {
+            static_assert(std::is_invocable_r_v<R, D &, Args...>,
+                          "Fn target has the wrong signature");
+            reset();
+            init<D>(std::forward<F>(f));
+        }
+    }
 
     ~Fn() { reset(); }
 
@@ -277,7 +288,21 @@ class Fn<R(Args...)>
 
     template <typename D, typename F>
     void
-    emplace(F &&f)
+    init(F &&f)
+    {
+        // Preserve emptiness of null function pointers / std::functions:
+        // call sites guard with `if (cb)` and expect wrapped nulls to
+        // stay false.
+        if constexpr (std::is_constructible_v<bool, const D &>) {
+            if (!static_cast<bool>(f))
+                return;
+        }
+        construct<D>(std::forward<F>(f));
+    }
+
+    template <typename D, typename F>
+    void
+    construct(F &&f)
     {
         static_assert(std::is_move_constructible_v<D>,
                       "Fn captures must be movable");

@@ -24,19 +24,33 @@
 namespace tg {
 
 void
-EventQueue::scheduleAbs(Tick when, Callback &&cb)
+EventQueue::pushLadder(Tick when, Slot *s)
 {
-    TG_AUDIT(when >= _now, "event scheduled in the past: when=%llu now=%llu",
-             (unsigned long long)when, (unsigned long long)_now);
-    Slot *s = acquire();
-    s->seq = _seq++;
-    s->cb = std::move(cb);
-    if (inWheel(when)) {
-        pushWheel(when, s);
-    } else {
-        _ladder.push_back(LadderEntry{when, s->seq, s});
-        std::push_heap(_ladder.begin(), _ladder.end(), FiresLater{});
+    _ladder.push_back(LadderEntry{when, s->seq, s});
+    std::push_heap(_ladder.begin(), _ladder.end(), FiresLater{});
+}
+
+void
+EventQueue::placeReserved(Tick when, Slot *s)
+{
+    if (!inWheel(when)) {
+        pushLadder(when, s);
+        return;
     }
+    // Slots scheduled after the seq was taken sit behind it; walk past
+    // the older ones.  A bucket holds the few events of one tick.
+    const std::size_t idx = when & kWheelMask;
+    Bucket &b = _wheel[idx];
+    if (b.tail == nullptr || b.tail->seq < s->seq) {
+        pushWheel(when, s);
+        return;
+    }
+    Slot **link = &b.head;
+    while ((*link)->seq < s->seq)
+        link = &(*link)->next;
+    s->next = *link;
+    *link = s;
+    ++_wheelCount;
 }
 
 void
@@ -154,6 +168,7 @@ EventQueue::pop_and_fire()
     --_wheelCount;
 
     ++_executed;
+    _cursor = s->seq;
     _trace.mix(when);
     _trace.mix(s->seq);
     // Fire in place.  The slot is off every list but not yet free, so
@@ -164,6 +179,15 @@ EventQueue::pop_and_fire()
     _free = s;
 }
 
+void
+EventQueue::settleCursor()
+{
+    // Between events the window starts at now(), so the bucket of now()
+    // holds exactly the events pending at now(), least seq first.
+    const Bucket &b = _wheel[_now & kWheelMask];
+    _cursor = b.head != nullptr ? b.head->seq : kPastAll;
+}
+
 std::uint64_t
 EventQueue::run(std::uint64_t max_events)
 {
@@ -172,6 +196,7 @@ EventQueue::run(std::uint64_t max_events)
         pop_and_fire();
         ++n;
     }
+    settleCursor();
     return n;
 }
 
@@ -187,6 +212,7 @@ EventQueue::runUntil(Tick limit)
         _now = limit;
         advanceWindow(limit);
     }
+    settleCursor();
     return n;
 }
 

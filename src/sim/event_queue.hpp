@@ -20,8 +20,13 @@
  * sit in fixed chunks that never move and recycle through a LIFO free
  * list.  A wheel bucket is an intrusive FIFO of slots, a ladder entry is
  * a 24-byte (when, seq, slot) record, so neither structure ever moves a
- * closure.  A closure moves once, into its slot, on schedule; it fires
- * in place and is destroyed there.
+ * closure.  A closure is built in its slot on schedule; it fires in
+ * place and is destroyed there.
+ *
+ * A component may reserve a place in the (when, seq) order without
+ * scheduling anything (takeSeq), then arm an event at exactly that
+ * place later, while the engine has not passed it (scheduleAbsSeq).
+ * The link's wire-free is the one user (DESIGN.md section 14.2).
  *
  * The exact (when, seq) total order of the original binary-heap engine
  * is preserved, so same-seed trace hashes are byte-identical.  Slots
@@ -32,9 +37,11 @@
 #ifndef TELEGRAPHOS_SIM_EVENT_QUEUE_HPP
 #define TELEGRAPHOS_SIM_EVENT_QUEUE_HPP
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -71,12 +78,63 @@ class EventQueue
     /** Current simulated time. */
     Tick now() const { return _now; }
 
-    /** Schedule @p cb at absolute tick @p when (must be >= now()).  The
-     *  closure moves once, into its pool slot, and fires there. */
-    void scheduleAbs(Tick when, Callback &&cb);
+    /** Schedule @p f at absolute tick @p when (must be >= now()).  A
+     *  callable is built in its pool slot (an Event is moved in) and
+     *  fires there. */
+    template <typename F>
+    void
+    scheduleAbs(Tick when, F &&f)
+    {
+        TG_AUDIT(when >= _now,
+                 "event scheduled in the past: when=%llu now=%llu",
+                 (unsigned long long)when, (unsigned long long)_now);
+        Slot *s = acquire();
+        s->cb.emplace(std::forward<F>(f));
+        s->seq = _seq++;
+        place(when, s);
+    }
 
-    /** Schedule @p cb @p delta ticks from now. */
-    void schedule(Tick delta, Callback &&cb) { scheduleAbs(_now + delta, std::move(cb)); }
+    /** Schedule @p f @p delta ticks from now. */
+    template <typename F>
+    void
+    schedule(Tick delta, F &&f)
+    {
+        scheduleAbs(_now + delta, std::forward<F>(f));
+    }
+
+    /** Take the sequence number a schedule made now would get, without
+     *  scheduling: it reserves a place (when, seq) for any when >=
+     *  now(), which scheduleAbsSeq may arm later. */
+    std::uint64_t takeSeq() { return _seq++; }
+
+    /** Schedule @p f at the reserved place (@p when, @p seq), which the
+     *  engine must not have passed: it fires exactly where an event
+     *  scheduled when @p seq was taken would have. */
+    template <typename F>
+    void
+    scheduleAbsSeq(Tick when, std::uint64_t seq, F &&f)
+    {
+        TG_AUDIT(!passed(when, seq) && seq < _seq,
+                 "armed place (%llu, %llu) is passed or was never taken",
+                 (unsigned long long)when, (unsigned long long)seq);
+        Slot *s = acquire();
+        s->cb.emplace(std::forward<F>(f));
+        s->seq = seq;
+        placeReserved(when, s);
+    }
+
+    /**
+     * True once the engine is past the place (@p when, @p seq): an event
+     * there would already have fired.  While an event fires, the cursor
+     * is that event's (now, seq); between events it sits just before the
+     * next pending event at now(), or after every place at now() when
+     * none is pending there.
+     */
+    bool
+    passed(Tick when, std::uint64_t seq) const
+    {
+        return when < _now || (when == _now && seq < _cursor);
+    }
 
     /**
      * Run until the queue is empty or @p max_events have fired.
@@ -125,12 +183,15 @@ class EventQueue
                  pending());
         _now = _base = now;
         _seq = seq;
+        _cursor = kPastAll;
         _executed = executed;
     }
 
   private:
     static constexpr std::size_t kWheelMask = kWheelTicks - 1;
     static constexpr std::size_t kBitmapWords = kWheelTicks / 64;
+    /** Cursor seq past every place at now(). */
+    static constexpr std::uint64_t kPastAll = ~std::uint64_t(0);
 
     /** One pending event.  `next` links the slot into its wheel bucket
      *  while pending and into the free list while free; a free slot's
@@ -186,8 +247,28 @@ class EventQueue
 
     void grow();
 
+    /** Link @p s (its seq the newest) into the wheel or the ladder. */
+    void
+    place(Tick when, Slot *s)
+    {
+        if (inWheel(when))
+            pushWheel(when, s);
+        else
+            pushLadder(when, s);
+    }
+
+    /** Link @p s (an older, reserved seq) into the wheel, seq-sorted
+     *  within its bucket, or into the ladder. */
+    void placeReserved(Tick when, Slot *s);
+
     /** Append @p s (its seq already set) to the bucket of tick @p when. */
     void pushWheel(Tick when, Slot *s);
+
+    /** Push @p s (its seq already set) onto the overflow ladder. */
+    void pushLadder(Tick when, Slot *s);
+
+    /** Set the between-events cursor once a run stops. */
+    void settleCursor();
 
     /** Move ladder events now inside the wheel window into their buckets
      *  (in (when, seq) order, so bucket FIFO order stays correct). */
@@ -214,6 +295,7 @@ class EventQueue
     Tick _now = 0;
     Tick _base = 0; ///< wheel window start (== _now between events)
     std::uint64_t _seq = 0;
+    std::uint64_t _cursor = kPastAll; ///< see passed()
     std::uint64_t _executed = 0;
     audit::TraceHash _trace;
 };
@@ -243,11 +325,27 @@ class ReferenceEventQueue
         TG_AUDIT(when >= _now,
                  "event scheduled in the past: when=%llu now=%llu",
                  (unsigned long long)when, (unsigned long long)_now);
-        _heap.push_back(Entry{when, _seq++, std::move(cb)});
-        std::push_heap(_heap.begin(), _heap.end(), Later{});
+        push(when, _seq++, std::move(cb));
     }
 
     void schedule(Tick delta, Callback &&cb) { scheduleAbs(_now + delta, std::move(cb)); }
+
+    std::uint64_t takeSeq() { return _seq++; }
+
+    void
+    scheduleAbsSeq(Tick when, std::uint64_t seq, Callback &&cb)
+    {
+        TG_AUDIT(!passed(when, seq) && seq < _seq,
+                 "armed place (%llu, %llu) is passed or was never taken",
+                 (unsigned long long)when, (unsigned long long)seq);
+        push(when, seq, std::move(cb));
+    }
+
+    bool
+    passed(Tick when, std::uint64_t seq) const
+    {
+        return when < _now || (when == _now && seq < _cursor);
+    }
 
     std::uint64_t
     run(std::uint64_t max_events = ~std::uint64_t(0))
@@ -257,6 +355,7 @@ class ReferenceEventQueue
             pop_and_fire();
             ++n;
         }
+        settleCursor();
         return n;
     }
 
@@ -270,6 +369,7 @@ class ReferenceEventQueue
         }
         if (_now < limit)
             _now = limit;
+        settleCursor();
         return n;
     }
 
@@ -300,6 +400,21 @@ class ReferenceEventQueue
     };
 
     void
+    push(Tick when, std::uint64_t seq, Callback &&cb)
+    {
+        _heap.push_back(Entry{when, seq, std::move(cb)});
+        std::push_heap(_heap.begin(), _heap.end(), Later{});
+    }
+
+    void
+    settleCursor()
+    {
+        _cursor = !_heap.empty() && _heap.front().when == _now
+                      ? _heap.front().seq
+                      : ~std::uint64_t(0);
+    }
+
+    void
     pop_and_fire()
     {
         std::pop_heap(_heap.begin(), _heap.end(), Later{});
@@ -309,6 +424,7 @@ class ReferenceEventQueue
                  "event queue time went backwards: firing %llu at now=%llu",
                  (unsigned long long)e.when, (unsigned long long)_now);
         _now = e.when;
+        _cursor = e.seq;
         ++_executed;
         _trace.mix(e.when);
         _trace.mix(e.seq);
@@ -318,6 +434,7 @@ class ReferenceEventQueue
     std::vector<Entry> _heap;
     Tick _now = 0;
     std::uint64_t _seq = 0;
+    std::uint64_t _cursor = ~std::uint64_t(0);
     std::uint64_t _executed = 0;
     audit::TraceHash _trace;
 };

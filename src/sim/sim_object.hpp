@@ -32,11 +32,13 @@ class SimObject
     const Config &config() const { return _sys.config(); }
     Tick now() const { return _sys.now(); }
 
-    /** Schedule @p cb @p delta ticks from now on the shared queue. */
+    /** Schedule @p f @p delta ticks from now on the shared queue (built
+     *  in its event slot). */
+    template <typename F>
     void
-    schedule(Tick delta, EventQueue::Callback &&cb)
+    schedule(Tick delta, F &&f)
     {
-        _sys.events().schedule(delta, std::move(cb));
+        _sys.events().schedule(delta, std::forward<F>(f));
     }
 
   protected:

@@ -44,7 +44,7 @@ accessorCounters(Cluster &c)
     put("sim.arena_high_water", double(c.system().arena().highWater()));
     const net::Network &net = c.network();
     put("net.switch_forwarded", double(net.switchForwarded()));
-    put("net.crc_errors", double(net.corruptions()));
+    put("net.corrupt_discards", double(net.corruptions()));
     put("net.retransmissions", double(net.retransmissions()));
     put("net.dup_discards", double(net.duplicateDiscards()));
     put("net.wire_failures", double(net.wireFailures()));

@@ -94,18 +94,60 @@ TEST_F(LinkTest, SeveralPacketsInFlightLandInOrderAfterSerPlusDelay)
     EXPECT_EQ(landed, want);
 }
 
-TEST_F(LinkTest, TwoEventsPerTransmission)
+TEST_F(LinkTest, WireFreeFiresOnlyForAWaitingPacket)
 {
-    // A back-to-back burst: each transmission is one wire-free event and
-    // one delivery, nothing more.
     BoundedQueue src(sys.arena(), 12);
     Channel ch(sys, "ch", src, down, 1.0, 10);
     down.onData([&] { down.pop(); });
+
+    // Isolated sends: nothing waits when the wire frees, so each send
+    // fires its delivery alone.
+    for (Word i = 0; i < 5; ++i) {
+        src.push(mkPkt(i));
+        sys.events().run();
+    }
+    EXPECT_EQ(ch.packets(), 5u);
+    EXPECT_EQ(sys.events().executed(), 5u);
+
+    // A back-to-back burst: every packet but the last frees the wire
+    // with the next one waiting, so its wire-free fires and sends it.
+    const std::uint64_t before = sys.events().executed();
     for (Word i = 0; i < 12; ++i)
         src.push(mkPkt(i));
     sys.events().run();
-    EXPECT_EQ(ch.packets(), 12u);
-    EXPECT_EQ(sys.events().executed(), 2 * ch.packets());
+    EXPECT_EQ(ch.packets(), 17u);
+    EXPECT_EQ(sys.events().executed() - before, 2u * 12 - 1);
+}
+
+TEST_F(LinkTest, PacketArrivingWhileTheWireIsHeldArmsItsWireFree)
+{
+    // The second packet arrives mid-send: the wire-free is armed then,
+    // at the place it was reserved, and sends it when the first ends.
+    Channel ch(sys, "ch", up, down, 1.0, 100);
+    std::vector<std::pair<Word, Tick>> landed;
+    down.onData([&] {
+        landed.emplace_back(down.front().value, sys.now());
+        down.pop();
+    });
+    up.push(mkPkt(0));
+    sys.events().runUntil(10);
+    up.push(mkPkt(1));
+    sys.events().run();
+    const std::vector<std::pair<Word, Tick>> want = {{0, 124}, {1, 148}};
+    EXPECT_EQ(landed, want);
+    EXPECT_EQ(sys.events().executed(), 3u);
+
+    // Between runs: pushed after the wire freed (at 174), with the
+    // previous send's delivery still pending, a packet starts at once.
+    landed.clear();
+    sys.events().runUntil(150);
+    up.push(mkPkt(2));
+    sys.events().runUntil(200);
+    up.push(mkPkt(3));
+    sys.events().run();
+    EXPECT_EQ(landed, (std::vector<std::pair<Word, Tick>>{{2, 274},
+                                                           {3, 324}}));
+    EXPECT_EQ(sys.events().executed(), 5u);
 }
 
 TEST_F(LinkTest, ThroughputMatchesBandwidth)

@@ -26,7 +26,7 @@ TEST(Packet, WireBytesIncludeHeader)
 
 TEST(Packet, CarriesNoLinkHeader)
 {
-    // The go-back-N sequence number and CRC belong to the link hop
+    // The go-back-N sequence number and corrupted bit belong to the link hop
     // (net::Channel's retransmit entry), not to the arena slot: 24 hot
     // bytes, 48 of end-to-end body, the bulk pointer.
     if (sizeof(void *) != 8)

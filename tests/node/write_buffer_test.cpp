@@ -144,8 +144,13 @@ TEST(WriteBuffer, DrainedStoresScheduleNoCompletionEvent)
     // The processor left each store in the buffer, so nothing waits on
     // the HIB latching a drained one and no event is scheduled for it:
     // one event per write fewer than a scheduled no-op latch would fire.
-    EXPECT_EQ(postedWriteEvents(8), 129u);
-    EXPECT_EQ(postedWriteEvents(32), 513u);
+    // A write and its ack cross four links.  The writes leave node 1
+    // back to back, so each first hop but the last frees its wire with
+    // the next write waiting and fires a wire-free event; the other
+    // three hops of every write find nothing waiting and fire none
+    // (DESIGN.md section 14.2): 3n + 1 fewer than two per transmission.
+    EXPECT_EQ(postedWriteEvents(8), 104u);
+    EXPECT_EQ(postedWriteEvents(32), 416u);
 }
 
 TEST(WriteBuffer, PrivateStoresBypassTheBuffer)

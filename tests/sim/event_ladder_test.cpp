@@ -5,8 +5,9 @@
  * engine).  Both must fire every workload in the identical (when, seq)
  * order and produce the identical trace hash — the queue edge cases
  * (same-tick reentrancy, runUntil limits, wheel rollover, ladder
- * spill, far-future timeouts) are each exercised explicitly, then a
- * randomized workload sweeps the mixed cases.
+ * spill, far-future timeouts, places reserved with takeSeq and armed
+ * later with scheduleAbsSeq) are each exercised explicitly, then
+ * randomized workloads sweep the mixed cases.
  */
 
 #include <gtest/gtest.h>
@@ -123,6 +124,118 @@ TEST(EventLadderDifferential, RandomizedWorkloadsMatchReferenceHeap)
         auto heap = runWorkload<ReferenceEventQueue>(seed, 20'000);
         EXPECT_EQ(ladder.first, heap.first) << "seed " << seed;
         EXPECT_EQ(ladder.second, heap.second) << "seed " << seed;
+    }
+}
+
+/** A self-expanding random workload that also reserves places and
+ *  arms some of them later: each fired event logs its id, then
+ *  schedules children, reserves places (takeSeq) or arms an earlier
+ *  reservation (scheduleAbsSeq) unless the engine has passed it, and
+ *  logs every passed() answer.  Returns the log and the trace hash. */
+template <typename Q>
+std::pair<std::vector<std::uint64_t>, std::uint64_t>
+runReserveWorkload(std::uint64_t seed, std::uint64_t budget)
+{
+    constexpr std::uint64_t kPassed = std::uint64_t(1) << 63;
+    constexpr std::uint64_t kArmed = std::uint64_t(1) << 62;
+
+    struct Place
+    {
+        Tick when;
+        std::uint64_t seq;
+        bool armed;
+    };
+
+    struct Ctx
+    {
+        Q q;
+        std::vector<std::uint64_t> log;
+        std::vector<Place> places;
+        std::uint64_t remaining;
+        std::uint64_t nextId = 0;
+        std::uint64_t seed;
+    } ctx{{}, {}, {}, budget, 0, seed};
+
+    struct Node
+    {
+        Ctx *c;
+        std::uint64_t id;
+
+        void
+        operator()() const
+        {
+            c->log.push_back(id);
+            Rand r{c->seed ^ (id * 0x2545f4914f6cdd1dull)};
+            const int acts = static_cast<int>(r.next() % 6);
+            for (int k = 0; k < acts && c->remaining > 0; ++k) {
+                const std::uint64_t pick = r.next();
+                switch (pick % 5) {
+                  case 0:
+                  case 1:
+                    // A reserved place: same tick, hot, window edge or
+                    // ladder, like any delay.
+                    c->places.push_back(Place{
+                        c->q.now() + delayFor(r.next()), c->q.takeSeq(),
+                        false});
+                    break;
+                  case 2: {
+                    if (c->places.empty())
+                        break;
+                    Place &p = c->places[(pick >> 3) % c->places.size()];
+                    const bool passed = c->q.passed(p.when, p.seq);
+                    c->log.push_back(passed ? kPassed | p.seq : p.seq);
+                    if (passed || p.armed)
+                        break;
+                    p.armed = true;
+                    --c->remaining;
+                    const std::uint64_t child = c->nextId++;
+                    c->log.push_back(kArmed | child);
+                    c->q.scheduleAbsSeq(p.when, p.seq, Node{c, child});
+                    break;
+                  }
+                  default:
+                    --c->remaining;
+                    c->q.schedule(delayFor(r.next()),
+                                  Node{c, c->nextId++});
+                }
+            }
+        }
+    };
+
+    Rand seeder{seed};
+    for (int i = 0; i < 40; ++i) {
+        --ctx.remaining;
+        ctx.q.scheduleAbs(delayFor(seeder.next()), Node{&ctx, ctx.nextId++});
+        ctx.places.push_back(
+            Place{delayFor(seeder.next()), ctx.q.takeSeq(), false});
+    }
+    // Split the run the ways a cluster does (runUntil limits, bounded
+    // run() chunks), arming between runs as well.
+    Tick limit = 0;
+    while (!ctx.q.empty()) {
+        limit += 1 + seeder.next() % (3 * kWheel);
+        ctx.q.runUntil(limit);
+        ctx.q.run(seeder.next() % 64);
+        Node{&ctx, ctx.nextId++}();
+    }
+    return {std::move(ctx.log), ctx.q.trace().value()};
+}
+
+TEST(EventLadderDifferential, ReservedPlacesArmLikeTheReferenceHeap)
+{
+    for (std::uint64_t seed : {3ull, 11ull, 2024ull}) {
+        auto ladder = runReserveWorkload<EventQueue>(seed, 20'000);
+        auto heap = runReserveWorkload<ReferenceEventQueue>(seed, 20'000);
+        EXPECT_EQ(ladder.first, heap.first) << "seed " << seed;
+        EXPECT_EQ(ladder.second, heap.second) << "seed " << seed;
+        // Both kinds of answer occurred, and something was armed.
+        std::size_t passed = 0, armed = 0;
+        for (const std::uint64_t v : ladder.first) {
+            passed += v >> 63;
+            armed += (v >> 62) == 1;
+        }
+        EXPECT_GT(passed, 100u) << "seed " << seed;
+        EXPECT_GT(armed, 100u) << "seed " << seed;
     }
 }
 
@@ -247,6 +360,96 @@ TEST(EventLadderDifferential, InPlaceFiringSchedulesPastOneSlotChunk)
             order.push_back(tag); // read after the pool grew
         });
         q.scheduleAbs(5, [&order] { order.push_back(-1); });
+        q.run();
+        return order;
+    });
+}
+
+TEST(EventLadderDifferential, ArmIntoTheFiringBucket)
+{
+    expectIdentical([](auto &q) {
+        std::vector<int> order;
+        std::uint64_t seq = 0;
+        // At tick 5: event 1 is queued, then a place is reserved, then
+        // event 3.  Event 1 arms the place while the bucket fires: it
+        // fires between them, where it was reserved.
+        q.scheduleAbs(5, [&] {
+            order.push_back(0);
+            q.schedule(0, [&] {
+                order.push_back(1);
+                order.push_back(q.passed(5, seq));
+                q.scheduleAbsSeq(5, seq, [&] { order.push_back(2); });
+            });
+            seq = q.takeSeq();
+            q.schedule(0, [&] {
+                order.push_back(3);
+                // A place taken at the firing tick after the current
+                // event is not passed; one taken before it is.
+                const std::uint64_t later = q.takeSeq();
+                order.push_back(q.passed(5, later));
+                order.push_back(q.passed(5, seq));
+                q.scheduleAbsSeq(5, later, [&] { order.push_back(4); });
+            });
+        });
+        q.run();
+        return order;
+    });
+}
+
+TEST(EventLadderDifferential, ReservedPlacesAcrossTheWheelEdge)
+{
+    expectIdentical([](auto &q) {
+        std::vector<int> order;
+        std::vector<std::pair<Tick, std::uint64_t>> places;
+        // Reserved from tick 100 on both sides of the window edge and
+        // in the far ladder, interleaved with plain events at the same
+        // ticks; armed out of order, some before their tick enters the
+        // window and some after it spilled.
+        q.scheduleAbs(100, [&] {
+            for (Tick d : {Tick(0), Tick(7), kWheel - 1, kWheel, kWheel + 1,
+                           3 * kWheel}) {
+                places.emplace_back(q.now() + d, q.takeSeq());
+                q.schedule(d, [&order, d] { order.push_back(int(d)); });
+            }
+            for (std::size_t i : {4u, 1u, 5u}) {
+                q.scheduleAbsSeq(places[i].first, places[i].second,
+                                 [&order, i] { order.push_back(-int(i)); });
+            }
+        });
+        q.scheduleAbs(100 + 2 * kWheel, [&] {
+            for (std::size_t i : {3u, 2u}) {
+                order.push_back(q.passed(places[i].first, places[i].second));
+            }
+            // Tick 100 + 3W is now inside the window; arm one there.
+            q.scheduleAbs(100 + 3 * kWheel, [&order] { order.push_back(99); });
+        });
+        q.run();
+        return order;
+    });
+}
+
+TEST(EventLadderDifferential, PassedBetweenRunsFollowsTheNextEvent)
+{
+    expectIdentical([](auto &q) {
+        std::vector<int> order;
+        q.scheduleAbs(10, [&order] { order.push_back(10); });
+        const std::uint64_t early = q.takeSeq(); // place (10, early)
+        q.scheduleAbs(10, [&order] { order.push_back(11); });
+        const std::uint64_t late = q.takeSeq(); // place (10, late)
+        q.scheduleAbs(20, [&order] { order.push_back(20); });
+        // Stopped after the first event at 10: the next one is still
+        // pending there, so only the place before it is passed.
+        q.run(1);
+        order.push_back(q.passed(10, early));
+        order.push_back(q.passed(10, late));
+        // Stopped after every event at 10: both places are passed,
+        // and a place at 15 is not, though nothing is pending before 20.
+        q.run(1);
+        order.push_back(q.passed(10, late));
+        const std::uint64_t mid = q.takeSeq();
+        order.push_back(q.passed(15, mid));
+        q.runUntil(15);
+        order.push_back(q.passed(15, mid));
         q.run();
         return order;
     });

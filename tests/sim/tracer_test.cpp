@@ -178,7 +178,7 @@ TEST(TracerTest, StatsReportShowsNetCountersWithoutFaults)
     std::ostringstream os;
     c.statsReport(os);
     const std::string out = os.str();
-    EXPECT_NE(out.find("net.crc_errors"), std::string::npos) << out;
+    EXPECT_NE(out.find("net.corrupt_discards"), std::string::npos) << out;
     EXPECT_NE(out.find("net.retransmissions"), std::string::npos);
     EXPECT_NE(out.find("net.dup_discards"), std::string::npos);
     EXPECT_NE(out.find("net.wire_failures"), std::string::npos);
